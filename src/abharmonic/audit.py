@@ -7,7 +7,8 @@ bound or identity it should satisfy and reports margins:
     margin = -|lhs - rhs|            (identity checks)
     margin = 0.3 - |order - 2|       (residual-decay checks)
 
-A case counts as violated when its margin falls below -tolerance.  Value
+A case counts as violated when its margin falls below -tolerance or is
+not finite: a NaN or infinite margin never passes.  Value
 checks run at 1e-8; checks that rest on finite differences are graded on
 margins normalized by the bound magnitude at 1e-4, which budgets the
 O(h^2) derivative error at the default step h = 1e-3.
@@ -26,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bounds as bnd
-from ._quad import base_minus, base_plus, circle_integral, circle_nodes, integrate
+from ._quad import base_minus, circle_nodes, integrate
 from .boundary import BoundaryFunction, from_fourier, lp_norm
 from .bounds import HolderPair
 from .errors import ParameterError
@@ -46,6 +47,7 @@ VALUE_TOL = 1e-8
 DERIVATIVE_TOL = 1e-4
 FD_STEP = 1e-3
 AUDIT_NODES = 1024
+CONSTANT_NODES = 2048  # quadrature nodes of the bound constants the checks use
 DEFAULT_SEED = 987001
 DEFAULT_Z_RADII = (0.3, 0.6, 0.9)
 DEFAULT_R_GRID = (0.3, 0.6, 0.9)
@@ -92,17 +94,22 @@ class AuditResult:
         return out
 
 
+def _worst(margins) -> float:
+    """Smallest margin, NaN when any margin is NaN (whatever the order),
+    0 for no margins."""
+    return float(np.min(margins)) if len(margins) else 0.0
+
+
 def _collect(name, records, tolerance, seed=None, notes=None, extras=None) -> AuditResult:
     """records: iterable of (case_id, r, margin)."""
     records = list(records)
     margins = [m for _, _, m in records]
-    worst = min(margins) if margins else 0.0
-    violated = sum(1 for m in margins if m < -tolerance)
+    violated = sum(1 for m in margins if not (math.isfinite(m) and m >= -tolerance))
     return AuditResult(
         name,
         len(records),
         violated,
-        float(worst),
+        _worst(margins),
         tolerance,
         seed=seed,
         notes=list(notes or []),
@@ -118,7 +125,7 @@ def merge_results(name: str, results) -> AuditResult:
         name,
         sum(r.cases_total for r in results),
         sum(r.cases_violated for r in results),
-        min((r.worst_margin for r in results), default=0.0),
+        _worst([r.worst_margin for r in results]),
         tol,
     )
     for r in results:
@@ -158,24 +165,11 @@ def default_z_grid(radii=DEFAULT_Z_RADII, n_angles: int = 8) -> list:
 # growth / means / distortion / partials
 
 
-@lru_cache(maxsize=4096)
-def _growth_r(params: AlphaBeta, hp: HolderPair, r: float) -> float:
-    return bnd.growth_constant(params, hp, r)
-
-
-@lru_cache(maxsize=4096)
-def _distortion_r(params: AlphaBeta, hp: HolderPair, r: float) -> float:
-    return bnd.distortion_constant(params, hp, r, nodes=2048)
-
-
-@lru_cache(maxsize=4096)
-def _partial_r(params: AlphaBeta, hp: HolderPair, which: str, r: float) -> float:
-    return bnd.partial_constant(params, hp, which, r, nodes=2048)
-
-
-@lru_cache(maxsize=4096)
-def _means_r(params: AlphaBeta, which: str, r: float) -> float:
-    return bnd.means_constant(params, which, r, nodes=2048)
+@lru_cache(maxsize=16384)
+def _bound(constant, *args) -> float:
+    """constant(*args), cached: every check asks for the same bound
+    constants at every grid point and boundary."""
+    return constant(*args)
 
 
 def check_growth(
@@ -197,7 +191,7 @@ def check_growth(
         r = abs(z)
         # at p = inf this is |u| <= A(r) ||f||, A(r) the kernel-modulus
         # mass, which reduces to the classical |u| <= ||f|| at (0, 0)
-        bound = _growth_r(params, hp, r) * (1.0 - r * r) ** (-inv_p) * norm
+        bound = _bound(bnd.growth_constant, params, hp, r) * (1.0 - r * r) ** (-inv_p) * norm
         records.append((f"z{i}", r, bound - abs(uv)))
     return _collect("growth", records, tolerance)
 
@@ -247,7 +241,8 @@ def check_distortion(
     records = []
     for i, z in enumerate(z_grid):
         r = abs(z)
-        bound = _distortion_r(params, hp, r) * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
+        coef = _bound(bnd.distortion_constant, params, hp, r, CONSTANT_NODES)
+        bound = coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
         jn = jacobian_norm(u, z, h)
         records.append((f"z{i}", r, _normalized(bound - jn, bound)))
     return _collect("distortion", records, tolerance)
@@ -278,7 +273,7 @@ def check_partials(
             ("wirtinger", abs(uz)),
             ("wirtinger", abs(uzb)),
         ):
-            bound = _partial_r(params, hp, which, r) * blow
+            bound = _bound(bnd.partial_constant, params, hp, which, r, CONSTANT_NODES) * blow
             records.append((f"z{i}:{which}", r, _normalized(bound - observed, bound)))
     return _collect("partials", records, tolerance)
 
@@ -326,7 +321,7 @@ def check_means_partials(
             ("wirtinger", uz),
             ("wirtinger", uzb),
         ):
-            bound = _means_r(params, which, r) * blow
+            bound = _bound(bnd.means_constant, params, which, r, CONSTANT_NODES) * blow
             records.append((f"r={r}:{which}", r, _normalized(bound - m_p(vals), bound)))
     return _collect("means_partials", records, tolerance)
 
@@ -372,26 +367,6 @@ def check_hypergeometric_ratio_lemma(
     return _collect("hypergeometric_ratio_lemma", records, tolerance, notes=notes)
 
 
-def _oscillatory_d(m, k, a_off, b_amp, r, x, nodes=2048):
-    def fn(bb):
-        return (a_off + b_amp * np.abs(np.cos(bb - x))) ** k * base_plus(r, bb) ** m
-
-    breaks = [x + 0.5 * math.pi, x + 1.5 * math.pi]
-    if r > 0.9:
-        breaks.append(math.pi)
-    return circle_integral(fn, breaks, nodes)
-
-
-def _oscillatory_l(m, k, a_off, b_amp, r, y, nodes=2048):
-    def fn(xx):
-        return (a_off + b_amp * np.abs(np.cos(xx))) ** k * base_plus(r, xx - y) ** m
-
-    breaks = [0.5 * math.pi, 1.5 * math.pi]
-    if r > 0.9:
-        breaks.append(y + math.pi)
-    return circle_integral(fn, breaks, nodes)
-
-
 def check_oscillatory_maximum_lemmas(
     m: float,
     k: float,
@@ -420,14 +395,16 @@ def check_oscillatory_maximum_lemmas(
         notes.append("r = 1 reference moment diverges for m <= -1/2; bound is trivial")
         return _collect("oscillatory_maximum", [], tolerance, notes=notes)
 
-    d_ref = _oscillatory_d(m, k, a_off, b_amp, 1.0, 0.0 if m > 1.0 else 0.5 * math.pi, nodes)
+    def moment(r, x=0.0, y=0.0):
+        return bnd.oscillatory_moment(m, k, a_off, b_amp, float(r), float(x), float(y), nodes)
+
+    d_ref = moment(1.0, x=0.0 if m > 1.0 else 0.5 * math.pi)
     for r in r_grid:
         for x in x_grid:
-            val = _oscillatory_d(m, k, a_off, b_amp, float(r), float(x), nodes)
-            records.append((f"D r={r} x={x:.3f}", float(r), d_ref - val))
+            records.append((f"D r={r} x={x:.3f}", float(r), d_ref - moment(r, x=x)))
 
     for r in r_grid:
-        l_vals = [_oscillatory_l(m, k, a_off, b_amp, float(r), float(y), nodes) for y in x_grid]
+        l_vals = [moment(r, y=y) for y in x_grid]
         if m == 1.0:
             center = float(np.mean(l_vals))
             scale = max(1.0, abs(center))
@@ -438,7 +415,7 @@ def check_oscillatory_maximum_lemmas(
             # constancy graded at 1e-10 via the 1e2 factor against VALUE_TOL
         else:
             y_star = 0.0 if m > 1.0 else 0.5 * math.pi
-            l_ref = _oscillatory_l(m, k, a_off, b_amp, float(r), y_star, nodes)
+            l_ref = moment(r, y=y_star)
             records += [
                 (f"L max r={r} y={y:.3f}", float(r), l_ref - v) for y, v in zip(x_grid, l_vals)
             ]
@@ -461,8 +438,8 @@ def check_integral_identities(
             (nu, nu + 0.5 * (1.0 - mu), 0.5 * (1.0 + mu)), r * r
         )
         records.append((f"sine-power r={r}", r, -abs(lhs - rhs) / max(1.0, abs(rhs))))
-        lhs2 = 0.5 * circle_integral(lambda t: base_minus(r, t) ** (-nu), (), nodes)
-        rhs2 = math.pi * gauss_2f1((nu, nu, 1.0), r * r)
+        lhs2 = 0.5 * bnd.plain_moment(-nu, r, nodes)
+        rhs2 = math.pi * bnd.plain_moment_closed(-nu, r)
         records.append((f"plain-moment r={r}", r, -abs(lhs2 - rhs2) / max(1.0, abs(rhs2))))
     return _collect("integral_identities", records, tolerance)
 
@@ -484,13 +461,9 @@ def check_kernel_mean_and_residual(
     as margin = 0.3 - |order - 2|.
     """
     a, b = params.alpha, params.beta
-    s0 = params.sigma
     records = []
     for r in r_grid:
-        pref = (1.0 - r * r) ** (s0 - 1.0)
-        mod_mean = abs(params.c_norm) * pref * circle_integral(
-            lambda t: base_minus(r, t) ** (-0.5 * s0), (), nodes
-        ) / (2.0 * math.pi)
+        mod_mean = bnd.mp_growth_factor_quadrature(params, r, nodes)
         records.append(
             (f"modulus-mean r={r}", r, -abs(mod_mean - bnd.mp_growth_factor(params, r)))
         )

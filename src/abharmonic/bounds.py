@@ -2,9 +2,18 @@
 
 Every constant used by the inequality audits lives here: the Heinz lower
 bound, coefficient estimates, omit/covering/area radii, the growth,
-distortion, partial-derivative, and integral-means constants.  Wherever a
-closed form exists alongside a defining integral, both are computed;
-BoundReport pairs them and flags disagreements above 1e-6.  The one
+distortion, partial-derivative, and integral-means constants.
+
+The growth, distortion, partial-derivative and integral-means constants
+are built from two circle integrals of the kernel base |1 + r e^{is}|^(2m):
+plain_moment, whose mean has the closed form F(-m, -m; 1; r^2) and the
+r -> 1 limit Gamma(1 + 2m) / Gamma(1 + m)^2 (plain_moment_closed), and
+oscillatory_moment, the base weighted by (off + amp |cos(s - x)|)^k, which
+is computed by quadrature only.
+
+Wherever a closed form exists alongside a defining integral, both are
+computed; BoundReport pairs them and flags disagreements above 1e-6, and
+a non-finite value on either side always counts as a disagreement.  The one
 systematic offender is the growth sup constant, whose reference closed
 form disagrees with its defining integral already at
 (alpha, beta) = (0, 0), p = inf (1/2 versus 1): the r-grid maximum of the
@@ -23,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import base_minus, base_plus, circle_integral, integrate
+from ._quad import base_plus, circle_integral, integrate
 from .errors import ParameterError
 from .kernel import AlphaBeta
 from .specfun import gamma, gauss_2f1, gauss_2f1_at_one
@@ -97,6 +106,49 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         return {"entries": [e.to_dict() for e in self.entries], "flagged": self.flagged}
+
+
+# ---------------------------------------------------------------------------
+# the two kernel moments
+
+
+def _radius(r) -> float:
+    return 1.0 if r == SUP else float(r)
+
+
+def plain_moment(m: float, r, nodes: int = DEFAULT_NODES) -> float:
+    """Integral of |1 + r e^{is}|^(2m) over the circle; r = "sup" means 1.
+
+    The trapezoid rule converges exponentially while the base stays away
+    from zero; for r > 0.9 or m < 0 the circle is split at the base
+    minimum s = pi and each half integrated by tanh-sinh.
+    """
+    r = _radius(r)
+    breaks = (math.pi,) if (r > 0.9 or m < 0) else ()
+    return circle_integral(lambda s: base_plus(r, s) ** m, breaks, nodes)
+
+
+def plain_moment_closed(m: float, r) -> float:
+    """plain_moment / (2 pi) in closed form: F(-m, -m; 1; r^2), and at
+    r = 1 or "sup" its limit Gamma(1 + 2m) / Gamma(1 + m)^2."""
+    hyp = (-m, -m, 1.0)
+    if r == SUP or r == 1.0:
+        return gauss_2f1_at_one(hyp)
+    return gauss_2f1(hyp, r * r)
+
+
+def oscillatory_moment(m, k, off, amp, r, x=0.0, y=0.0, nodes: int = DEFAULT_NODES) -> float:
+    """Integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m)
+    over the circle, split at the kinks x + pi/2, x + 3 pi/2 and, for
+    r > 0.9, at the base minimum y + pi."""
+
+    def fn(s):
+        return (off + amp * np.abs(np.cos(s - x))) ** k * base_plus(r, s - y) ** m
+
+    breaks = [x + 0.5 * math.pi, x + 1.5 * math.pi]
+    if r > 0.9:
+        breaks.append(y + math.pi)
+    return circle_integral(fn, breaks, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +280,28 @@ def rado_radius_bound(params: AlphaBeta, c1: complex, cm1: complex) -> float:
 # growth
 
 
+def _half_weight(params: AlphaBeta) -> float:
+    return 0.5 * (params.alpha + params.beta)
+
+
 def mp_growth_factor(params: AlphaBeta, r: float) -> float:
     """|c| F(-(a+b)/2, -(a+b)/2; 1; r^2); r = 1 gives the limit value."""
-    g = 0.5 * (params.alpha + params.beta)
-    hyp = (-g, -g, 1.0)
-    if r == 1.0:
-        return abs(params.c_norm) * gauss_2f1_at_one(hyp)
-    return abs(params.c_norm) * gauss_2f1(hyp, r * r)
+    return abs(params.c_norm) * plain_moment_closed(_half_weight(params), r)
 
 
 def mp_growth_factor_quadrature(params: AlphaBeta, r: float, nodes: int = DEFAULT_NODES) -> float:
-    """Defining integral: mean of the kernel modulus over the circle."""
-    s = params.sigma
-    pref = abs(params.c_norm) * (1.0 - r * r) ** (s - 1.0)
-    return pref * circle_integral(lambda t: base_minus(r, t) ** (-0.5 * s), (), nodes) / (2 * math.pi)
+    """Defining integral: mean of the kernel modulus
+    |c| (1 - r^2)^(sigma - 1) |1 - r e^{-it}|^(-sigma) over the circle."""
+    pref = abs(params.c_norm) * (1.0 - r * r) ** (params.sigma - 1.0)
+    return pref * plain_moment(-0.5 * params.sigma, r, nodes) / (2 * math.pi)
 
 
-def _growth_exponent(params: AlphaBeta, hp: HolderPair) -> float:
-    return hp.q * (1.0 + 0.5 * (params.alpha + params.beta)) - 1.0
+def _kernel_exponent(params: AlphaBeta, hp: HolderPair) -> float:
+    """m = sigma q / 2 - 1, so that base^m = |1 + r e^{is}|^(sigma q - 2):
+    the plain moment behind the growth and partial-derivative bounds."""
+    if hp.q_is_inf:
+        raise ParameterError("the kernel moment needs finite q (p > 1)")
+    return 0.5 * (params.sigma * hp.q - 2.0)
 
 
 def growth_constant(params: AlphaBeta, hp: HolderPair, r=SUP) -> float:
@@ -255,19 +311,12 @@ def growth_constant(params: AlphaBeta, hp: HolderPair, r=SUP) -> float:
     (the authoritative value; see growth_sup_reference for the closed
     expression it is checked against).
     """
-    a, b = params.alpha, params.beta
     if hp.q_is_inf:
-        if r == SUP:
-            return abs(params.c_norm) * 2.0**params.sigma
-        return abs(params.c_norm) * (1.0 + r) ** params.sigma
-    m = _growth_exponent(params, hp)
-    if r == SUP:
-        # the circle mean of base^m has nonnegative series coefficients in
-        # r^2, so the supremum is its r -> 1 limit
-        return abs(params.c_norm) * (gamma(2 * m + 1) / gamma(m + 1) ** 2) ** (1.0 / hp.q)
-    x = 4.0 * r * r / (1.0 + r * r) ** 2
-    val = (1.0 + r * r) ** m * gauss_2f1((0.5 * (1.0 - m), -0.5 * m, 1.0), x)
-    return abs(params.c_norm) * val ** (1.0 / hp.q)
+        return abs(params.c_norm) * (1.0 + _radius(r)) ** params.sigma
+    # at "sup" this is the r -> 1 limit: the circle mean of base^m has
+    # nonnegative series coefficients in r^2, so the limit is the supremum
+    mean = plain_moment_closed(_kernel_exponent(params, hp), r)
+    return abs(params.c_norm) * mean ** (1.0 / hp.q)
 
 
 def growth_constant_quadrature(
@@ -277,41 +326,31 @@ def growth_constant_quadrature(
     if hp.q_is_inf:
         t = np.linspace(0.0, math.pi, nodes)
         return abs(params.c_norm) * float(np.max(base_plus(r, t) ** (0.5 * params.sigma)))
-    m = _growth_exponent(params, hp)
-    breaks = (math.pi,) if (r > 0.9 or m < 0) else ()
-    mean = circle_integral(lambda s: base_plus(r, s) ** m, breaks, nodes) / (2 * math.pi)
+    mean = plain_moment(_kernel_exponent(params, hp), r, nodes) / (2 * math.pi)
     return abs(params.c_norm) * mean ** (1.0 / hp.q)
 
 
 def growth_sup_reference(params: AlphaBeta, hp: HolderPair) -> float:
-    """Closed-form reference expression for the growth supremum; known to
-    disagree with the defining integral (1/2 versus 1 already at zero
-    weights with p = inf), so reports flag it and the grid value rules."""
+    """Closed-form reference expression for the growth supremum.
+
+    It is the r -> 1 limit of the defining integral times 2^(-sigma/2), so
+    it disagrees with the supremum (1/2 versus 1 already at zero weights
+    with p = inf); reports flag it and the grid value rules.
+    """
     if hp.q_is_inf:
         raise ParameterError("no closed-form growth supremum at p = 1")
-    a, b = params.alpha, params.beta
-    q = hp.q
-    val = (
-        2.0 ** (0.5 * params.sigma * q - 1.0)
-        * gamma(-0.5 + q + 0.5 * (a + b) * q)
-        / (2.0 * math.sqrt(math.pi) * gamma(q + 0.5 * (a + b) * q))
-    )
-    return abs(params.c_norm) * val ** (1.0 / q)
+    m = _kernel_exponent(params, hp)
+    return abs(params.c_norm) * (2.0 ** (-m - 1.0) * plain_moment_closed(m, SUP)) ** (1.0 / hp.q)
 
 
 def growth_sup_grid(params: AlphaBeta, hp: HolderPair, nodes: int = 1024) -> float:
-    """Maximum of the defining growth integral over a radius grid."""
+    """Maximum of the defining growth integral over a radius grid, with
+    the exact r -> 1 limit included."""
     radii = np.concatenate(
         [np.linspace(1e-3, 0.9, SUP_GRID_SIZE - 144), 1.0 - np.logspace(-1, -6, 144)]
     )
     best = max(growth_constant_quadrature(params, hp, float(r), nodes) for r in radii)
-    if not hp.q_is_inf:
-        m = _growth_exponent(params, hp)
-        limit = abs(params.c_norm) * (gamma(2 * m + 1) / gamma(m + 1) ** 2) ** (1.0 / hp.q)
-        best = max(best, limit)
-    else:
-        best = max(best, abs(params.c_norm) * 2.0**params.sigma)
-    return float(best)
+    return float(max(best, growth_constant(params, hp, SUP)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,47 +358,24 @@ def growth_sup_grid(params: AlphaBeta, hp: HolderPair, nodes: int = 1024) -> flo
 
 
 def _up_exponent(params: AlphaBeta, hp: HolderPair) -> float:
-    return hp.q * (params.beta + 1.0) - 1.0
-
-
-def distortion_up(params: AlphaBeta, hp: HolderPair) -> float:
-    """Closed form of the gradient-kernel moment at r = 1."""
-    mb = _up_exponent(params, hp)  # q beta + q - 1
+    """q beta + q - 1, the exponent of the gradient-kernel moment, whose
+    r = 1 value diverges unless it exceeds -1/2."""
+    mb = hp.q * (params.beta + 1.0) - 1.0
     if mb <= -0.5:
         raise ParameterError(
             f"distortion moment diverges: q(1+beta) = {mb + 1.0} must exceed 1/2"
         )
-    return 2.0 ** (2.0 * (mb + 1.0) - 1.0) * math.sqrt(math.pi) * gamma(mb + 0.5) / gamma(mb + 1.0)
+    return mb
+
+
+def distortion_up(params: AlphaBeta, hp: HolderPair) -> float:
+    """Closed form of the gradient-kernel moment at r = 1."""
+    return 2.0 * math.pi * plain_moment_closed(_up_exponent(params, hp), SUP)
 
 
 def distortion_up_quadrature(params: AlphaBeta, hp: HolderPair, nodes: int = DEFAULT_NODES) -> float:
     mb = _up_exponent(params, hp)
-    if mb <= -0.5:
-        raise ParameterError("distortion moment diverges")
     return 2.0 * integrate(lambda t: (4.0 * np.sin(0.5 * t) ** 2) ** mb, 0.0, math.pi, nodes // 2)
-
-
-def _distortion_l(params: AlphaBeta, hp: HolderPair, r: float, eta: float, nodes: int) -> float:
-    gap = abs(params.beta - params.alpha)
-    mb = _up_exponent(params, hp)
-    off, amp, q = gap * math.pi, gap + 1.0, hp.q
-
-    def fn(bb):
-        return (off + amp * np.abs(np.cos(bb + eta))) ** q * base_plus(r, bb) ** mb
-
-    breaks = [math.pi / 2.0 - eta, 3.0 * math.pi / 2.0 - eta]
-    if r > 0.9:
-        breaks.append(math.pi)
-    return circle_integral(fn, breaks, nodes)
-
-
-def distortion_v(params: AlphaBeta, hp: HolderPair, r: float, nodes: int = DEFAULT_NODES) -> float:
-    """max of the oscillatory moment over the phase; both endpoint
-    candidates are evaluated, which covers every exponent regime."""
-    return max(
-        _distortion_l(params, hp, r, 0.0, nodes),
-        _distortion_l(params, hp, r, 0.5 * math.pi, nodes),
-    )
 
 
 def distortion_constant(params: AlphaBeta, hp: HolderPair, r=SUP, nodes: int = DEFAULT_NODES) -> float:
@@ -367,72 +383,50 @@ def distortion_constant(params: AlphaBeta, hp: HolderPair, r=SUP, nodes: int = D
     a, b = params.alpha, params.beta
     if not b > -1.0:
         raise ParameterError(f"distortion estimate requires beta > -1, got {b}")
+    rr = _radius(r)
     if hp.q_is_inf:
-        rr = 1.0 if r == SUP else float(r)
-        return (
-            2.0
-            * abs(params.c_norm)
-            * (1.0 + rr) ** (2.0 * b + 2.0)
-            * (abs(b + 1.0) + abs(a) * rr)
-        )
-    rr = 1.0 if r == SUP else float(r)
-    q = hp.q
+        growth = (1.0 + rr) ** (2.0 * b + 2.0)
+        return 2.0 * abs(params.c_norm) * growth * (abs(b + 1.0) + abs(a) * rr)
+    q, gap, mb = hp.q, abs(b - a), _up_exponent(params, hp)
+    # max of the oscillatory moment over the phase; both endpoint
+    # candidates are evaluated, which covers every exponent regime
+    vmax = max(
+        oscillatory_moment(mb, q, gap * math.pi, gap + 1.0, rr, x, nodes=nodes)
+        for x in (0.0, -0.5 * math.pi)
+    )
     pref = 2.0 * abs(params.c_norm) / (2.0 * math.pi) ** (1.0 / q)
     pterm = q * abs(a * rr + b + 1.0) ** (q - 1.0) * abs(a) * rr
-    qterm = abs(b + 1.0) ** q
-    return pref * (pterm * distortion_up(params, hp) + qterm * distortion_v(params, hp, rr, nodes))
+    return pref * (pterm * distortion_up(params, hp) + abs(b + 1.0) ** q * vmax)
 
 
 # ---------------------------------------------------------------------------
 # partial derivatives
 
 
-def _wirtinger_prefactor(params: AlphaBeta, r: float) -> float:
-    """Two-sided prefactor for the Wirtinger-derivative bounds.
+def _wirtinger_prefactor(params: AlphaBeta, r, one_sided: bool = False) -> float:
+    """Prefactor for the Wirtinger-derivative bounds.
 
-    The holomorphic-derivative estimate carries |alpha+1| + |beta| r; by
-    conjugation covariance the antiholomorphic one carries the swapped
-    weights, so a constant valid for both derivatives takes the max.
-    The two coincide on equal weights.
+    The holomorphic-derivative estimate carries |alpha+1| + |beta| r
+    (one_sided=True); by conjugation covariance the antiholomorphic one
+    carries the swapped weights, so a constant valid for both derivatives
+    takes the max.  The two coincide on equal weights.
     """
     a, b = params.alpha, params.beta
-    return max(abs(a + 1.0) + abs(b) * r, abs(b + 1.0) + abs(a) * r)
+    rr = _radius(r)
+    holomorphic = abs(a + 1.0) + abs(b) * rr
+    return holomorphic if one_sided else max(holomorphic, abs(b + 1.0) + abs(a) * rr)
 
 
-def _i12_closed(params: AlphaBeta, hp: HolderPair, r) -> float:
-    """I12(r) = integral of |1 + r e^{-is}|^(sigma q - 2) over the circle."""
-    e = 1.0 - 0.5 * params.sigma * hp.q
-    if r == SUP:
-        return 2.0 * math.pi * gauss_2f1_at_one((e, e, 1.0))
-    return 2.0 * math.pi * gauss_2f1((e, e, 1.0), r * r)
-
-
-def _i12_quadrature(params: AlphaBeta, hp: HolderPair, r, nodes: int = DEFAULT_NODES) -> float:
-    m = 0.5 * (params.sigma * hp.q - 2.0)
-    rr = 1.0 if r == SUP else float(r)
-    breaks = (math.pi,) if (rr > 0.9 or m < 0) else ()
-    return circle_integral(lambda s: base_plus(rr, s) ** m, breaks, nodes)
-
-
-def _g_moment(params: AlphaBeta, hp: HolderPair, r: float, x: float, nodes: int = DEFAULT_NODES) -> float:
-    """G(r, x): oscillatory moment of the partial-derivative kernels."""
-    gap = abs(params.alpha - params.beta)
-    s0, q = params.sigma, hp.q
-    m = 0.5 * (s0 * q - 2.0)
-
-    def fn(s):
-        return (gap + s0 * np.abs(np.cos(s - x))) ** q * base_plus(r, s) ** m
-
-    breaks = [x + math.pi / 2.0, x + 3.0 * math.pi / 2.0]
-    if r > 0.9:
-        breaks.append(math.pi)
-    return circle_integral(fn, breaks, nodes)
-
-
-def _g_branch_angle(params: AlphaBeta, hp: HolderPair) -> float:
-    # oscillatory-maximum threshold: exponent (sigma q - 2)/2 above 1
-    # favors aligned phases, below 1 the quarter-turn
-    return 0.0 if params.sigma * hp.q > 4.0 else 0.5 * math.pi
+def _radial_or_angular(params: AlphaBeta, which: str, r) -> tuple:
+    """(lead, w, x) of the radial or angular bound at radius r: the bound
+    carries the factor lead, its non-oscillatory term the weight w, and
+    its sigma-weighted oscillatory term peaks at phase x."""
+    rr = _radius(r)
+    if which == "radial":
+        return 1.0, abs(params.alpha + params.beta) * rr, 0.0
+    if which == "angular":
+        return rr, abs(params.alpha - params.beta) * rr, 0.5 * math.pi
+    raise ParameterError(f"unknown derivative kind {which!r}")
 
 
 def partial_constant(
@@ -441,74 +435,44 @@ def partial_constant(
     """Bound coefficients for |u_r| ('radial'), |u_theta| ('angular'),
     and |u_z|, |u_zbar| ('wirtinger'), all against
     (1-r^2)^(-1-1/p) ||f||_p."""
-    a, b = params.alpha, params.beta
     s0 = params.sigma
-    gap = abs(a - b)
+    gap = abs(params.alpha - params.beta)
     absc = abs(params.c_norm)
-    if which not in ("radial", "angular", "wirtinger"):
-        raise ParameterError(f"unknown partial kind {which!r}")
+    rr = _radius(r)
 
     if hp.q_is_inf:
-        rr = 1.0 if r == SUP else float(r)
-        osc = max(s0, gap)
-        if which == "radial":
-            return absc * (abs(a + b) * rr + osc) * (1.0 + rr) ** s0
-        if which == "angular":
-            return absc * rr * (gap * rr + osc) * (1.0 + rr) ** s0
-        return absc * _wirtinger_prefactor(params, rr) * (1.0 + rr) ** s0
+        if which == "wirtinger":
+            return absc * _wirtinger_prefactor(params, rr) * (1.0 + rr) ** s0
+        lead, w, _ = _radial_or_angular(params, which, r)
+        return absc * lead * (w + max(s0, gap)) * (1.0 + rr) ** s0
 
     q = hp.q
+    m = _kernel_exponent(params, hp)
     if which == "wirtinger":
-        if r == SUP:
-            val = gamma(s0 * q - 1.0) / gamma(0.5 * s0 * q) ** 2
-            return absc * _wirtinger_prefactor(params, 1.0) * val ** (1.0 / q)
-        e = 1.0 - 0.5 * s0 * q
-        return absc * _wirtinger_prefactor(params, r) * gauss_2f1((e, e, 1.0), r * r) ** (1.0 / q)
+        return absc * _wirtinger_prefactor(params, r) * plain_moment_closed(m, r) ** (1.0 / q)
 
+    lead, w, x = _radial_or_angular(params, which, r)
     if r == SUP:
-        g_val = _g_moment(params, hp, 1.0, _g_branch_angle(params, hp), nodes)
-        i12_sup = gamma(s0 * q - 1.0) / gamma(0.5 * s0 * q) ** 2
-        if which == "radial":
-            c1 = q * (abs(a + b) + s0 + gap) ** (q - 1.0) * abs(a + b)
-            return absc * (c1 * i12_sup + g_val / (2.0 * math.pi)) ** (1.0 / q)
-        c2 = q * (gap + s0 + gap) ** (q - 1.0) * gap
-        return absc * (g_val / (2.0 * math.pi) + c2 * i12_sup) ** (1.0 / q)
-
-    rr = float(r)
-    i12 = _i12_closed(params, hp, rr)
-    if which == "radial":
-        g_val = _g_moment(params, hp, rr, 0.0, nodes)
-        c1 = q * (abs(a + b) * rr + s0 + gap) ** (q - 1.0) * abs(a + b) * rr
-        return absc * ((g_val + c1 * i12) / (2.0 * math.pi)) ** (1.0 / q)
-    g_val = _g_moment(params, hp, rr, 0.5 * math.pi, nodes)
-    c2 = q * (gap + s0 + gap * rr) ** (q - 1.0) * gap * rr
-    return absc * rr * ((g_val + c2 * i12) / (2.0 * math.pi)) ** (1.0 / q)
+        # oscillatory-maximum threshold: exponent (sigma q - 2)/2 above 1
+        # favors aligned phases, below 1 the quarter-turn
+        x = 0.0 if s0 * q > 4.0 else 0.5 * math.pi
+    g_mean = oscillatory_moment(m, q, gap, s0, rr, x, nodes=nodes) / (2.0 * math.pi)
+    coef = q * (w + s0 + gap) ** (q - 1.0) * w
+    return absc * lead * (g_mean + coef * plain_moment_closed(m, r)) ** (1.0 / q)
 
 
 def partial_wirtinger_one_sided(params: AlphaBeta, hp: HolderPair, r) -> float:
     """One-sided (holomorphic-derivative) coefficient, used for
     closed-form-versus-quadrature pairing.  partial_constant symmetrizes
     the prefactor so the bound also covers the antiholomorphic side."""
-    if hp.q_is_inf:
-        raise ParameterError("one-sided closed form needs finite q")
-    a, b = params.alpha, params.beta
-    pref = abs(a + 1.0) + abs(b) * (1.0 if r == SUP else float(r))
-    q = hp.q
-    if r == SUP:
-        val = gamma(params.sigma * q - 1.0) / gamma(0.5 * params.sigma * q) ** 2
-        return abs(params.c_norm) * pref * val ** (1.0 / q)
-    e = 1.0 - 0.5 * params.sigma * q
-    return abs(params.c_norm) * pref * gauss_2f1((e, e, 1.0), r * r) ** (1.0 / q)
+    mean = plain_moment_closed(_kernel_exponent(params, hp), r)
+    return abs(params.c_norm) * _wirtinger_prefactor(params, r, True) * mean ** (1.0 / hp.q)
 
 
 def partial_wirtinger_quadrature(params: AlphaBeta, hp: HolderPair, r, nodes: int = DEFAULT_NODES) -> float:
     """Defining integral behind partial_wirtinger_one_sided."""
-    if hp.q_is_inf:
-        raise ParameterError("defining integral needs finite q")
-    a, b = params.alpha, params.beta
-    pref = abs(a + 1.0) + abs(b) * (1.0 if r == SUP else float(r))
-    mean = _i12_quadrature(params, hp, r, nodes) / (2.0 * math.pi)
-    return abs(params.c_norm) * pref * mean ** (1.0 / hp.q)
+    mean = plain_moment(_kernel_exponent(params, hp), r, nodes) / (2.0 * math.pi)
+    return abs(params.c_norm) * _wirtinger_prefactor(params, r, True) * mean ** (1.0 / hp.q)
 
 
 def partial_angular_diagonal_closed(params: AlphaBeta, hp: HolderPair, r: float) -> float:
@@ -535,62 +499,17 @@ def partial_angular_diagonal_closed(params: AlphaBeta, hp: HolderPair, r: float)
 # integral means of the partial derivatives
 
 
-def _half_weight(params: AlphaBeta) -> float:
-    return 0.5 * (params.alpha + params.beta)
-
-
-def _fmean_closed(params: AlphaBeta, r) -> float:
-    g = _half_weight(params)
-    if r == SUP or r == 1.0:
-        return gauss_2f1_at_one((-g, -g, 1.0))
-    return gauss_2f1((-g, -g, 1.0), r * r)
-
-
-def _trig_mean(params: AlphaBeta, r: float, trig: str, nodes: int = DEFAULT_NODES) -> float:
-    """(1/2pi) integral of |trig s| |1 + r e^{-is}|^(alpha+beta) ds."""
-    g = _half_weight(params)
-
-    def fn(s):
-        t = np.abs(np.cos(s)) if trig == "cos" else np.abs(np.sin(s))
-        return t * base_plus(r, s) ** g
-
-    breaks = [math.pi / 2.0, 3.0 * math.pi / 2.0] if trig == "cos" else [math.pi]
-    if r > 0.9 and math.pi not in breaks:
-        breaks.append(math.pi)
-    return circle_integral(fn, breaks, nodes) / (2.0 * math.pi)
-
-
-def _trig_moment_at_one(params: AlphaBeta, trig: str, nodes: int = DEFAULT_NODES) -> float:
-    """integral of |trig s| (1 + cos s)^((alpha+beta)/2) ds over the circle."""
-    g = _half_weight(params)
-
-    def fn(s):
-        t = np.abs(np.cos(s)) if trig == "cos" else np.abs(np.sin(s))
-        return t * (2.0 * np.cos(0.5 * s) ** 2) ** g
-
-    breaks = [math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0] if trig == "cos" else [math.pi]
-    return circle_integral(fn, breaks, nodes)
-
-
 def means_wirtinger_one_sided(params: AlphaBeta, r) -> float:
     """One-sided integral-means coefficient (see
     partial_wirtinger_one_sided for the symmetrization rationale)."""
-    a, b = params.alpha, params.beta
-    pref = abs(a + 1.0) + abs(b) * (1.0 if r == SUP else float(r))
-    if r == SUP:
-        return abs(params.c_norm) * pref * gamma(a + b + 1.0) / gamma(0.5 * params.sigma) ** 2
-    return abs(params.c_norm) * pref * _fmean_closed(params, r)
+    mean = plain_moment_closed(_half_weight(params), r)
+    return abs(params.c_norm) * _wirtinger_prefactor(params, r, True) * mean
 
 
 def means_wirtinger_quadrature(params: AlphaBeta, r, nodes: int = DEFAULT_NODES) -> float:
     """Defining integral behind means_wirtinger_one_sided."""
-    a, b = params.alpha, params.beta
-    g = _half_weight(params)
-    rr = 1.0 if r == SUP else float(r)
-    pref = abs(a + 1.0) + abs(b) * rr
-    breaks = (math.pi,) if (rr > 0.9 or g < 0) else ()
-    mean = circle_integral(lambda s: base_plus(rr, s) ** g, breaks, nodes) / (2.0 * math.pi)
-    return abs(params.c_norm) * pref * mean
+    mean = plain_moment(_half_weight(params), r, nodes) / (2.0 * math.pi)
+    return abs(params.c_norm) * _wirtinger_prefactor(params, r, True) * mean
 
 
 def means_constant(params: AlphaBeta, which: str, r=SUP, nodes: int = DEFAULT_NODES) -> float:
@@ -599,40 +518,37 @@ def means_constant(params: AlphaBeta, which: str, r=SUP, nodes: int = DEFAULT_NO
     constant / (1 - r^2) times ||f||_p, for every p >= 1."""
     a, b = params.alpha, params.beta
     s0, gap = params.sigma, abs(a - b)
-    absc = abs(params.c_norm)
     g2 = _half_weight(params)
-    if which not in ("radial", "angular", "wirtinger"):
-        raise ParameterError(f"unknown means kind {which!r}")
-
+    fmean = plain_moment_closed(g2, r)
     if which == "wirtinger":
-        if r == SUP:
-            return absc * _wirtinger_prefactor(params, 1.0) * gamma(a + b + 1.0) / gamma(0.5 * s0) ** 2
-        return absc * _wirtinger_prefactor(params, r) * _fmean_closed(params, r)
+        return abs(params.c_norm) * _wirtinger_prefactor(params, r) * fmean
 
+    def trig_mean(rr, x):
+        """(1/2pi) integral of |cos(s - x)| |1 + r e^{-is}|^(alpha+beta) ds."""
+        return oscillatory_moment(g2, 1.0, 0.0, 1.0, rr, x, nodes=nodes) / (2.0 * math.pi)
+
+    lead, w, x = _radial_or_angular(params, which, r)
     if r == SUP:
-        trig = "cos" if a + b >= 2.0 else "sin"
-        moment = _trig_moment_at_one(params, trig, nodes)
-        tail = gamma(a + b + 1.0) / gamma(0.5 * s0) ** 2
-        lead = (s0 + gap) / math.pi * 2.0 ** (g2 - 1.0) * moment
-        tail_coef = abs(a + b) if which == "radial" else gap
-        return absc * (lead + tail_coef * tail)
-
-    rr = float(r)
-    fmean = _fmean_closed(params, rr)
-    cosm = _trig_mean(params, rr, "cos", nodes)
-    sinm = _trig_mean(params, rr, "sin", nodes)
-    if which == "radial":
-        return absc * (abs(a + b) * rr * fmean + s0 * cosm + gap * sinm)
-    return absc * rr * (gap * rr * fmean + s0 * sinm + gap * cosm)
+        # |cos| weighs the r = 1 base more from alpha + beta = 2 on, |sin| below
+        osc = (s0 + gap) * trig_mean(1.0, 0.0 if a + b >= 2.0 else 0.5 * math.pi)
+    else:
+        osc = s0 * trig_mean(float(r), x) + gap * trig_mean(float(r), 0.5 * math.pi - x)
+    return abs(params.c_norm) * lead * (w * fmean + osc)
 
 
 # ---------------------------------------------------------------------------
 # assembled report
 
 
-def _add_pair(rep, name, closed, quad, source, nodes, expect_equal=True):
+def _disagree(closed: float, other: float) -> bool:
+    """True when two values differ beyond the discrepancy tolerance; a
+    non-finite value on either side always disagrees."""
+    return not abs(closed - other) <= DISCREPANCY_TOL * max(1.0, abs(closed))
+
+
+def _add_pair(rep, name, closed, quad, source, nodes):
     note = None
-    if expect_equal and abs(closed - quad) > DISCREPANCY_TOL * max(1.0, abs(closed)):
+    if _disagree(closed, quad):
         note = f"closed form and defining integral disagree by {abs(closed - quad):.3e}"
     rep.add(name, closed, source, "closed_form", note=note)
     rep.add(name + "_quadrature", quad, source + " (defining integral)", "quadrature", nodes=nodes)
@@ -644,10 +560,25 @@ def full_report(
     """Every constant at one (alpha, beta, p), closed forms paired with
     their defining integrals, and grid suprema where those are the
     authoritative values."""
+    finite_q = not hp.q_is_inf
     rep = BoundReport()
+
+    def add_pairs(names, source, closed, quad):
+        """A closed form and its defining integral at r and, given a
+        second name, at r = 1."""
+        for name, rad, where in zip(names, (r, SUP), (f"at r = {r}", "at r = 1")):
+            _add_pair(rep, name, closed(rad), quad(rad), f"{source} {where}", nodes)
+
+    def add_coefficients(prefix, source, value):
+        """The three derivative kinds, at r and as suprema."""
+        for which in ("radial", "angular", "wirtinger"):
+            method, n = ("closed_form", None) if which == "wirtinger" else ("quadrature", nodes)
+            for rad, tag, where in ((r, "r", f" at r = {r}"), (SUP, "sup", ", supremum")):
+                name = f"{prefix}_{which}_{tag}"
+                rep.add(name, value(which, rad), f"{source} ({which}){where}", method, n)
+
     rep.add("heinz_lower_bound", HEINZ_LOWER_BOUND, "Heinz coefficient inequality", "closed_form")
-    for e in geometric_constants(params).entries:
-        rep.entries.append(e)
+    rep.entries.extend(geometric_constants(params).entries)
     rep.add(
         "rado_radius_unit",
         rado_radius_bound(params, 1.0, 0.0),
@@ -663,13 +594,11 @@ def full_report(
         pass
 
     # integral-means factor
-    _add_pair(
-        rep,
-        "mp_factor_r",
-        mp_growth_factor(params, r),
-        mp_growth_factor_quadrature(params, r, nodes),
-        f"integral-means factor at r = {r}",
-        nodes,
+    add_pairs(
+        ("mp_factor_r",),
+        "integral-means factor",
+        lambda rad: mp_growth_factor(params, rad),
+        lambda rad: mp_growth_factor_quadrature(params, rad, nodes),
     )
     rep.add(
         "mp_factor_limit",
@@ -679,19 +608,17 @@ def full_report(
     )
 
     # growth
-    if not hp.q_is_inf:
-        _add_pair(
-            rep,
-            "growth_r",
-            growth_constant(params, hp, r),
-            growth_constant_quadrature(params, hp, r, nodes),
-            f"growth coefficient at r = {r}",
-            nodes,
+    grid = growth_sup_grid(params, hp)
+    if finite_q:
+        add_pairs(
+            ("growth_r",),
+            "growth coefficient",
+            lambda rad: growth_constant(params, hp, rad),
+            lambda rad: growth_constant_quadrature(params, hp, rad, nodes),
         )
         reference = growth_sup_reference(params, hp)
-        grid = growth_sup_grid(params, hp)
         note = None
-        if abs(reference - grid) > DISCREPANCY_TOL * max(1.0, abs(grid)):
+        if _disagree(grid, reference):
             note = (
                 f"closed-form reference {reference:.12g} disagrees with the "
                 f"defining-integral supremum {grid:.12g}; the grid value is authoritative"
@@ -700,11 +627,11 @@ def full_report(
         rep.add("growth_sup_grid", grid, "growth supremum, radius-grid maximum", "sup_over_grid", nodes=1024)
     else:
         rep.add("growth_r", growth_constant(params, hp, r), "growth coefficient at fixed r (p = 1)", "closed_form")
-        rep.add("growth_sup_grid", growth_sup_grid(params, hp), "growth supremum (p = 1)", "sup_over_grid", nodes=1024)
+        rep.add("growth_sup_grid", grid, "growth supremum (p = 1)", "sup_over_grid", nodes=1024)
 
     # distortion
     try:
-        if not hp.q_is_inf:
+        if finite_q:
             _add_pair(
                 rep,
                 "distortion_up",
@@ -719,95 +646,46 @@ def full_report(
         pass
 
     # partials
-    if not hp.q_is_inf:
-        _add_pair(
-            rep,
-            "i12_r",
-            _i12_closed(params, hp, r),
-            _i12_quadrature(params, hp, r, nodes),
-            f"shared kernel moment at r = {r}",
-            nodes,
+    if finite_q:
+        m = _kernel_exponent(params, hp)
+        add_pairs(
+            ("i12_r", "i12_sup"),
+            "shared kernel moment",
+            lambda rad: 2.0 * math.pi * plain_moment_closed(m, rad),
+            lambda rad: plain_moment(m, rad, nodes),
         )
-        _add_pair(
-            rep,
-            "i12_sup",
-            _i12_closed(params, hp, SUP),
-            _i12_quadrature(params, hp, SUP, nodes),
-            "shared kernel moment at r = 1",
-            nodes,
+    add_coefficients(
+        "partial",
+        "partial-derivative coefficient",
+        lambda which, rad: partial_constant(params, hp, which, rad, nodes),
+    )
+    if finite_q:
+        add_pairs(
+            ("partial_wirtinger_one_sided", "partial_wirtinger_one_sided_sup"),
+            "one-sided wirtinger coefficient",
+            lambda rad: partial_wirtinger_one_sided(params, hp, rad),
+            lambda rad: partial_wirtinger_quadrature(params, hp, rad, nodes),
         )
-    for which in ("radial", "angular", "wirtinger"):
-        rep.add(
-            f"partial_{which}_r",
-            partial_constant(params, hp, which, r, nodes),
-            f"partial-derivative coefficient ({which}) at r = {r}",
-            "closed_form" if which == "wirtinger" else "quadrature",
-            nodes=None if which == "wirtinger" else nodes,
-        )
-        rep.add(
-            f"partial_{which}_sup",
-            partial_constant(params, hp, which, SUP, nodes),
-            f"partial-derivative coefficient ({which}), supremum",
-            "closed_form" if which == "wirtinger" else "quadrature",
-            nodes=None if which == "wirtinger" else nodes,
-        )
-    if not hp.q_is_inf:
-        _add_pair(
-            rep,
-            "partial_wirtinger_one_sided",
-            partial_wirtinger_one_sided(params, hp, r),
-            partial_wirtinger_quadrature(params, hp, r, nodes),
-            f"one-sided wirtinger coefficient at r = {r}",
-            nodes,
-        )
-        _add_pair(
-            rep,
-            "partial_wirtinger_one_sided_sup",
-            partial_wirtinger_one_sided(params, hp, SUP),
-            partial_wirtinger_quadrature(params, hp, SUP, nodes),
-            "one-sided wirtinger coefficient at r = 1",
-            nodes,
-        )
-    if params.alpha == params.beta and not hp.q_is_inf:
-        _add_pair(
-            rep,
-            "partial_angular_diagonal",
-            partial_angular_diagonal_closed(params, hp, r),
-            partial_constant(params, hp, "angular", r, nodes),
-            "angular coefficient, equal-weight closed form",
-            nodes,
-        )
+        if params.alpha == params.beta:
+            _add_pair(
+                rep,
+                "partial_angular_diagonal",
+                partial_angular_diagonal_closed(params, hp, r),
+                partial_constant(params, hp, "angular", r, nodes),
+                "angular coefficient, equal-weight closed form",
+                nodes,
+            )
 
     # integral means of partials
-    _add_pair(
-        rep,
-        "means_wirtinger_one_sided",
-        means_wirtinger_one_sided(params, r),
-        means_wirtinger_quadrature(params, r, nodes),
-        f"one-sided wirtinger means coefficient at r = {r}",
-        nodes,
+    add_pairs(
+        ("means_wirtinger_one_sided", "means_wirtinger_one_sided_sup"),
+        "one-sided wirtinger means coefficient",
+        lambda rad: means_wirtinger_one_sided(params, rad),
+        lambda rad: means_wirtinger_quadrature(params, rad, nodes),
     )
-    _add_pair(
-        rep,
-        "means_wirtinger_one_sided_sup",
-        means_wirtinger_one_sided(params, SUP),
-        means_wirtinger_quadrature(params, SUP, nodes),
-        "one-sided wirtinger means coefficient at r = 1",
-        nodes,
+    add_coefficients(
+        "means",
+        "integral-means coefficient",
+        lambda which, rad: means_constant(params, which, rad, nodes),
     )
-    for which in ("radial", "angular", "wirtinger"):
-        rep.add(
-            f"means_{which}_r",
-            means_constant(params, which, r, nodes),
-            f"integral-means coefficient ({which}) at r = {r}",
-            "closed_form" if which == "wirtinger" else "quadrature",
-            nodes=None if which == "wirtinger" else nodes,
-        )
-        rep.add(
-            f"means_{which}_sup",
-            means_constant(params, which, SUP, nodes),
-            f"integral-means coefficient ({which}), supremum",
-            "closed_form" if which == "wirtinger" else "quadrature",
-            nodes=None if which == "wirtinger" else nodes,
-        )
     return rep

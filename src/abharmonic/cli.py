@@ -20,15 +20,14 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import boundary
 from .audit import SUITE_NAMES, run_suite
 from .bounds import HolderPair, full_report
 from .errors import BoundaryFileError, ConvergenceError, DomainError, ParameterError
-from .harmonic import coefficients_from_boundary, poisson_extension
+from .harmonic import check_nodes, coefficients_from_boundary, export_grid_csv, poisson_extension
 from .kernel import make_params
 
 EXIT_OK = 0
@@ -44,6 +43,13 @@ def _parse_p(text: str) -> float:
         return float(text)
     except ValueError as exc:
         raise ParameterError(f"bad value for --p: {text!r}") from exc
+
+
+def _parse_nodes(text: str) -> int:
+    try:
+        return check_nodes(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_grid(text: str):
@@ -69,13 +75,8 @@ def _round17(obj):
 
 
 def _emit_json(doc: dict, out_path) -> None:
-    doc = _round17(doc)
-    text = json.dumps(doc, indent=2)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    with _open_out(out_path) as fh:
+        fh.write(json.dumps(_round17(doc), indent=2) + "\n")
 
 
 def _timestamp() -> str:
@@ -83,7 +84,8 @@ def _timestamp() -> str:
 
 
 def _open_out(path):
-    return open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+    """The output file, or stdout left open on exit."""
+    return open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def cmd_solve(args) -> int:
@@ -91,22 +93,8 @@ def cmd_solve(args) -> int:
     f = boundary.load(args.boundary)
     u = poisson_extension(params, f, args.nodes)
     nr, nt = args.grid
-    radii = [(i + 1) / (nr + 1) * args.rmax for i in range(nr)]
-    thetas = 2.0 * math.pi * np.arange(nt) / nt
-    fh = _open_out(args.out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "re", "im"])
-        for r in radii:
-            zs = r * np.exp(1j * thetas)
-            vals = np.atleast_1d(u(zs))
-            for z, v in zip(zs, vals):
-                writer.writerow(
-                    [f"{z.real:.17g}", f"{z.imag:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
-                )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    with _open_out(args.out) as fh:
+        export_grid_csv(u, fh, nr, nt, args.rmax)
     return EXIT_OK
 
 
@@ -161,10 +149,8 @@ def cmd_audit(args, suite=None) -> int:
         from .audit import details_csv_rows, merge_results
 
         merged = merge_results(suite, results)
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for row in details_csv_rows(merged):
-                writer.writerow(row)
+        with _open_out(csv_path) as fh:
+            csv.writer(fh).writerows(details_csv_rows(merged))
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
 
 
@@ -172,7 +158,9 @@ def _add_common(sub):
     sub.add_argument("--alpha", type=float, default=0.0, help="first weight")
     sub.add_argument("--beta", type=float, default=0.0, help="second weight")
     sub.add_argument("--p", type=_parse_p, default=2.0, help="boundary exponent, number or 'inf'")
-    sub.add_argument("--nodes", type=int, default=4096, help="circle quadrature nodes")
+    sub.add_argument(
+        "--nodes", type=_parse_nodes, default=4096, help="circle quadrature nodes (power of two >= 64)"
+    )
     sub.add_argument("--seed", type=int, default=987001, help="seed for randomized checks")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -224,7 +212,7 @@ def main(argv=None) -> int:
     except BoundaryFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
-    except (ParameterError, DomainError, ConvergenceError) as exc:
+    except (ParameterError, DomainError, ConvergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except OSError as exc:

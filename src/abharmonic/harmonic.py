@@ -144,11 +144,16 @@ def _neg_hyp(params: AlphaBeta, k: int) -> HypParams:
     return HypParams(-params.beta, k - params.alpha, k + 1.0)
 
 
-def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
-    """Poisson integral of f at z (scalar, DiskPoint, or array of z)."""
+def check_nodes(nodes: int) -> int:
+    """Return nodes, raising DomainError unless it is a power of two >= 64."""
     if nodes < 64 or nodes & (nodes - 1):
         raise DomainError(f"nodes must be a power of two >= 64, got {nodes}")
-    t = circle_nodes(nodes)
+    return nodes
+
+
+def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
+    """Poisson integral of f at z (scalar, DiskPoint, or array of z)."""
+    t = circle_nodes(check_nodes(nodes))
     fvals = f.values_on_grid(nodes)
     phase = np.exp(-1j * t)
     if isinstance(z, DiskPoint) or np.isscalar(z) or isinstance(z, complex):
@@ -172,11 +177,9 @@ class PoissonExtension:
     """
 
     def __init__(self, params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES):
-        if nodes < 64 or nodes & (nodes - 1):
-            raise DomainError(f"nodes must be a power of two >= 64, got {nodes}")
         self.params = params
         self.f = f
-        self.nodes = nodes
+        self.nodes = check_nodes(nodes)
 
     def __call__(self, z):
         return poisson_integral(self.params, self.f, z, self.nodes)
@@ -369,17 +372,17 @@ def integral_means(u, r: float, p: float, nodes: int = 1024) -> float:
     return float(np.mean(vals**p) ** (1.0 / p))
 
 
-def export_grid_csv(u, path, n_radial: int = 16, n_angular: int = 64, r_max: float = 0.95):
-    """Evaluate u on a polar grid and write x, y, re, im rows."""
+def export_grid_csv(u, out, n_radial: int = 16, n_angular: int = 64, r_max: float = 0.95):
+    """Evaluate u on a polar grid and write x, y, re, im rows to the open
+    text stream out (opened with newline="" when it is a file)."""
     radii = [(i + 1) / (n_radial + 1) * r_max for i in range(n_radial)]
     thetas = circle_nodes(n_angular)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "re", "im"])
-        for r in radii:
-            zs = r * np.exp(1j * thetas)
-            vals = _eval_many(u, zs)
-            for z, v in zip(zs, vals):
-                writer.writerow(
-                    [f"{z.real:.17g}", f"{z.imag:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
-                )
+    writer = csv.writer(out)
+    writer.writerow(["x", "y", "re", "im"])
+    for r in radii:
+        zs = r * np.exp(1j * thetas)
+        vals = _eval_many(u, zs)
+        for z, v in zip(zs, vals):
+            writer.writerow(
+                [f"{z.real:.17g}", f"{z.imag:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
+            )

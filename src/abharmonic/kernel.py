@@ -11,6 +11,7 @@ by c = Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,13 @@ def normalizing_constant(alpha: float, beta: float) -> float:
 def make_params(alpha: float, beta: float) -> AlphaBeta:
     """Validate (alpha, beta) and attach the normalizing constant.
 
-    Requires alpha + beta > -1 and neither weight within 1e-12 of a
-    negative integer.
+    Requires finite weights, alpha + beta > -1 and neither weight within
+    1e-12 of a negative integer.
     """
     alpha = float(alpha)
     beta = float(beta)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ParameterError(f"weights must be finite, got ({alpha}, {beta})")
     if not alpha + beta > -1.0:
         raise ParameterError(
             f"require alpha + beta > -1, got alpha + beta = {alpha + beta}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abharmonic.audit import (
+    AuditResult,
     check_coefficient_inequalities,
     check_distortion,
     check_growth,
@@ -20,7 +21,7 @@ from abharmonic.audit import (
     run_suite,
 )
 from abharmonic.boundary import from_fourier
-from abharmonic.bounds import HEINZ_LOWER_BOUND, HolderPair, coefficient_bound
+from abharmonic.bounds import HEINZ_LOWER_BOUND, HolderPair, coefficient_bound, oscillatory_moment
 from abharmonic.errors import ParameterError
 from abharmonic.harmonic import SeriesCoefficients
 from abharmonic.kernel import make_params
@@ -151,12 +152,10 @@ class TestOscillatoryLemmas:
 
     def test_scan_locates_maximizer(self):
         # direct argmax of the shifted moment confirms the orientation
-        from abharmonic.audit import _oscillatory_l
-
         ys = np.linspace(0.0, math.pi, 25)
-        vals2 = [_oscillatory_l(2.0, 1.0, 0.0, 1.0, 0.6, y) for y in ys]
+        vals2 = [oscillatory_moment(2.0, 1.0, 0.0, 1.0, 0.6, y=y, nodes=2048) for y in ys]
         assert int(np.argmax(vals2)) in (0, 24)  # 0 mod pi
-        vals05 = [_oscillatory_l(0.5, 1.0, 0.0, 1.0, 0.6, y) for y in ys]
+        vals05 = [oscillatory_moment(0.5, 1.0, 0.0, 1.0, 0.6, y=y, nodes=2048) for y in ys]
         assert int(np.argmax(vals05)) == 12  # pi/2
 
     def test_divergent_reference_is_trivial(self):
@@ -282,3 +281,27 @@ class TestSuites:
         doc = res.to_dict()
         assert doc["passed"] is True
         assert doc["cases_total"] == res.cases_total
+
+
+class TestNonFiniteMargins:
+    def test_nan_boundary_never_passes(self):
+        res = check_growth(P00, from_fourier({0: complex(math.nan)}), HolderPair.from_p(2.0))
+        assert res.cases_violated == res.cases_total > 0
+        assert not res.passed and math.isnan(res.worst_margin)
+
+    @pytest.mark.parametrize(
+        "margins, violated, worst",
+        [([math.nan, -1.0], 2, math.nan), ([-1.0, math.nan], 2, math.nan), ([math.inf, 0.5], 1, 0.5)],
+    )
+    def test_collect_counts_non_finite(self, margins, violated, worst):
+        from abharmonic.audit import _collect
+
+        res = _collect("x", [(f"c{i}", None, m) for i, m in enumerate(margins)], 1e-8)
+        assert res.cases_violated == violated
+        assert res.worst_margin == pytest.approx(worst, nan_ok=True)
+
+    def test_merged_worst_margin_is_order_free(self):
+        parts = [AuditResult("a", 1, 1, math.nan, 1e-8), AuditResult("b", 1, 1, -1.0, 1e-8)]
+        for order in (parts, parts[::-1]):
+            merged = merge_results("m", order)
+            assert math.isnan(merged.worst_margin) and merged.cases_violated == 2

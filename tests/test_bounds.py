@@ -9,6 +9,7 @@ from abharmonic._quad import base_plus, circle_nodes
 from abharmonic.bounds import (
     HEINZ_LOWER_BOUND,
     SUP,
+    BoundReport,
     HolderPair,
     coefficient_bound,
     distortion_constant,
@@ -24,9 +25,11 @@ from abharmonic.bounds import (
     means_constant,
     mp_growth_factor,
     mp_growth_factor_quadrature,
+    oscillatory_moment,
     partial_angular_diagonal_closed,
     partial_constant,
     rado_radius_bound,
+    _add_pair,
 )
 from abharmonic.errors import ParameterError
 from abharmonic.kernel import make_params
@@ -350,12 +353,10 @@ class TestMeansConstants:
         assert means_constant(P00, "wirtinger", SUP) == pytest.approx(1.0, rel=1e-12)
 
     def test_sup_branch_continuity_at_threshold(self):
-        # the alpha+beta = 2 threshold: both trig moments give the same value
-        p = make_params(1.0, 1.0)
-        from abharmonic.bounds import _trig_moment_at_one
-
-        assert _trig_moment_at_one(p, "cos") == pytest.approx(
-            _trig_moment_at_one(p, "sin"), abs=1e-9
+        # the alpha+beta = 2 threshold: the |cos| and |sin| moments of the
+        # r = 1 base with exponent (alpha+beta)/2 = 1 give the same value
+        assert oscillatory_moment(1.0, 1.0, 0.0, 1.0, 1.0) == pytest.approx(
+            oscillatory_moment(1.0, 1.0, 0.0, 1.0, 1.0, x=0.5 * math.pi), abs=1e-9
         )
 
 
@@ -381,3 +382,30 @@ class TestFullReport:
         assert {"name", "value", "source", "method"} <= entry.keys()
         quad_entries = [e for e in doc["entries"] if e["method"] == "quadrature"]
         assert all("nodes" in e for e in quad_entries)
+
+
+class TestKernelMoments:
+    @pytest.mark.parametrize("r", [0.5, 0.95])
+    @pytest.mark.parametrize("m, k, off", [(0.5, 1.0, 0.0), (2.0, 2.0, 0.3), (-0.3, 1.5, 0.2)])
+    def test_shifted_base_equals_shifted_weight(self, r, m, k, off):
+        # substituting s -> s + t turns the base shift y = t into the weight
+        # shift x = -t, which lets one helper serve both lemma moments
+        for t in np.linspace(0.0, 2.0 * math.pi, 13)[:-1]:
+            assert oscillatory_moment(m, k, off, 1.0, r, y=t) == pytest.approx(
+                oscillatory_moment(m, k, off, 1.0, r, x=-t), rel=1e-12, abs=1e-12
+            )
+
+
+class TestNonFiniteFlags:
+    def test_nan_pair_is_flagged(self):
+        rep = BoundReport()
+        _add_pair(rep, "x", 1.0, math.nan, "source", 64)
+        _add_pair(rep, "y", math.nan, 1.0, "source", 64)
+        assert rep.flagged == ["x", "y"]
+
+    def test_nan_growth_supremum_is_flagged(self, monkeypatch):
+        import abharmonic.bounds as bnd
+
+        monkeypatch.setattr(bnd, "growth_sup_grid", lambda params, hp: math.nan)
+        rep = full_report(make_params(0.5, 0.5), HolderPair.from_p(2.0))
+        assert "growth_sup_reference" in rep.flagged

@@ -185,3 +185,20 @@ class TestParsing:
 
     def test_no_command_exit_2(self):
         assert main([]) == 2
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--nodes", "0"],
+            ["bounds", "--nodes", "100"],
+            ["bounds", "--alpha", "inf"],
+            ["bounds", "--alpha", "1e6", "--beta", "1e6"],
+        ],
+    )
+    def test_bad_input_exits_2_without_traceback(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""

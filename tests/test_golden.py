@@ -106,7 +106,7 @@ SECTIONS = {
 
 
 def _assert_matches(got, ref, where: str) -> None:
-    if isinstance(ref, float) or (isinstance(got, float) and isinstance(ref, int)):
+    if isinstance(ref, float):
         assert isinstance(got, (int, float)) and not isinstance(got, bool), where
         if math.isnan(ref):
             assert math.isnan(got), f"{where}: {got!r} != nan"

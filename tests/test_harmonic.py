@@ -9,6 +9,7 @@ from abharmonic.errors import DomainError, StencilError
 from abharmonic.harmonic import (
     DiskPoint,
     SeriesCoefficients,
+    check_nodes,
     coefficients_from_boundary,
     evaluate_expansion,
     integral_means,
@@ -330,7 +331,8 @@ class TestGridExport:
         from abharmonic.harmonic import export_grid_csv
 
         path = tmp_path / "grid.csv"
-        export_grid_csv(lambda z: z, path, n_radial=2, n_angular=4)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            export_grid_csv(lambda z: z, fh, n_radial=2, n_angular=4)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,y,re,im"
         assert len(lines) == 1 + 2 * 4
@@ -349,3 +351,16 @@ class TestConjugationLaw:
             lhs = poisson_integral(pb, fbar, z)
             rhs = np.conj(poisson_integral(pa, f, z))
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+class TestNodeRule:
+    @pytest.mark.parametrize("nodes", [0, 3, 32, 100, 4095])
+    def test_rejected(self, nodes):
+        with pytest.raises(DomainError):
+            check_nodes(nodes)
+        with pytest.raises(DomainError):
+            poisson_extension(P00, from_fourier({0: 1.0}), nodes)
+
+    @pytest.mark.parametrize("nodes", [64, 4096])
+    def test_accepted(self, nodes):
+        assert check_nodes(nodes) == nodes
