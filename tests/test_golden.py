@@ -1,26 +1,32 @@
-"""Golden outputs of the bound constants and the moment-based audits.
+"""Golden outputs of the bound constants, the moment-based audits and
+the evaluation layer.
 
-The reference file pins what `bounds` and the lemma/identity audits
-produce, so that a refactor of the kernel-moment code can be checked
-against the numbers it must keep.  Names, sources, methods, node counts,
-notes, flagged sets and case ids must match exactly; floats must match
-within 1e-12 * max(1, |ref|).
+The reference file pins what `bounds`, the lemma/identity audits, the
+inequality sweep, `solve` and the finite-difference measurements
+produce, so that a refactor can be checked against the numbers it must
+keep.  Names, sources, methods, node counts, notes, flagged sets and
+case ids must match exactly; floats must match within
+1e-12 * max(1, |ref|).
 
-The file is regenerated only on purpose, never to make a refactor pass:
+A section is regenerated only on purpose, never to make a refactor pass,
+and only the named section is rewritten:
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write SECTION
 """
 
+import functools
 import gzip
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from abharmonic import audit
+from abharmonic.boundary import from_fourier
 from abharmonic.bounds import (
     SUP,
     HolderPair,
@@ -30,7 +36,16 @@ from abharmonic.bounds import (
     means_constant,
     partial_constant,
 )
+from abharmonic.cli import main
 from abharmonic.errors import ParameterError
+from abharmonic.harmonic import (
+    coefficients_from_boundary,
+    evaluate_expansion,
+    integral_means,
+    operator_residual,
+    radial_angular_derivatives,
+    wirtinger_derivatives,
+)
 from abharmonic.kernel import make_params
 
 GOLDEN = Path(__file__).with_name("golden") / "bounds_golden.json.gz"
@@ -40,6 +55,12 @@ REPORT_PAIRS = audit.STANDARD_PAIRS + ((1.0, 1.0), (2.7, -1.4), (-0.3, -0.6))
 REPORT_EXPONENTS = (1.0, 1.5, 2.0, 4.0, math.inf)
 AUDIT_RADII = (0.3, 0.6, 0.9, SUP)
 KINDS = ("radial", "angular", "wirtinger")
+
+EVAL_PAIRS = ((0.3, -0.2), (2.7, -1.4))
+SOLVE_GRIDS = ("4x64", "8x32", "4x60")  # 64 and 32 divide --nodes 4096, 60 does not
+EVAL_POINTS = (0.3 - 0.2j, 0.5 + 0.4j, -0.6 + 0.1j)
+MEANS_RADII = (0.3, 0.7)
+MEANS_EXPONENTS = (1.0, 2.0, math.inf)
 
 
 def _key(*parts) -> str:
@@ -98,10 +119,82 @@ def _audit_margins() -> dict:
     return out
 
 
+def _pair(v) -> list:
+    return [float(np.real(v)), float(np.imag(v))]
+
+
+def _solve_documents() -> dict:
+    """One Fourier document and one 4096-sample document (the node count
+    of `solve`, so the stored samples are used as they are)."""
+    t = 2.0 * np.pi * np.arange(4096) / 4096
+    samples = 1.0 / (1.6 - np.exp(1j * t)) + 0.3 * np.exp(-2j * t)
+    return {
+        "fourier": {
+            "fourier": {"0": [0.4, 0.1], "1": [1.0, -0.5], "-2": [0.25, 0.0], "5": [0.0, 0.2]}
+        },
+        "samples": {"samples": [_pair(v) for v in samples]},
+    }
+
+
+def _solve_values() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in _solve_documents().items():
+            doc_path = Path(tmp) / f"{name}.json"
+            doc_path.write_text(json.dumps(doc), encoding="utf-8")
+            for a, b in EVAL_PAIRS:
+                for grid in SOLVE_GRIDS:
+                    csv_path = Path(tmp) / "grid.csv"
+                    argv = ["solve", str(doc_path), "--alpha", str(a), "--beta", str(b)]
+                    assert main(argv + ["--grid", grid, "--out", str(csv_path)]) == 0
+                    lines = csv_path.read_text(encoding="utf-8").splitlines()
+                    assert lines[0] == "x,y,re,im"
+                    # re, im per row; x, y are fixed by the grid
+                    rows = [[float(v) for v in line.split(",")[2:]] for line in lines[1:]]
+                    out[_key(name, a, b, grid)] = rows
+    return out
+
+
+def _measurements(params, u) -> dict:
+    out = {}
+    for r in MEANS_RADII:
+        for p in MEANS_EXPONENTS:
+            out[_key("integral_means", r, p)] = integral_means(u, r, p, nodes=256)
+    for z in EVAL_POINTS:
+        for rich in (False, True):
+            out[_key("wirtinger", z, rich)] = [
+                _pair(v) for v in wirtinger_derivatives(u, z, richardson=rich)
+            ]
+            out[_key("operator_residual", z, rich)] = _pair(
+                operator_residual(params, u, z, richardson=rich)
+            )
+        out[_key("radial_angular", z)] = [_pair(v) for v in radial_angular_derivatives(u, z)]
+    return out
+
+
+def _evaluation() -> dict:
+    """The inequality sweep over all 20 (weights, p) combinations, `solve`
+    on grids the FFT ring path can and cannot serve, and the
+    finite-difference measurements on a vectorisable lambda and on the
+    scalar-only series evaluation."""
+    out = {"standard_suite": [r.to_dict() for r in audit.standard_suite(n_boundaries=20, nodes=1024)]}
+    out["solve"] = _solve_values()
+    f = from_fourier({0: 0.5, 1: 1.0 - 0.3j, -1: 0.2j, 3: 0.4})
+    for a, b in EVAL_PAIRS:
+        params = make_params(a, b)
+        coeffs = coefficients_from_boundary(params, f)
+        plain = lambda z: z**3 + 0.5 * np.conj(z) ** 2 + np.exp(z)  # noqa: E731
+        series = functools.partial(evaluate_expansion, params, coeffs)
+        out[_key("lambda", a, b)] = _measurements(params, plain)
+        out[_key("expansion", a, b)] = _measurements(params, series)
+    return out
+
+
 SECTIONS = {
     "full_report": _full_reports,
     "audit_constants": _audit_constants,
     "audit_margins": _audit_margins,
+    "evaluation": _evaluation,
 }
 
 
@@ -130,10 +223,14 @@ def _normalize(obj):
     return json.loads(json.dumps(obj))
 
 
-@pytest.fixture(scope="module")
-def golden():
+def _load() -> dict:
     with gzip.open(GOLDEN, "rt", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return _load()
 
 
 @pytest.mark.parametrize("section", sorted(SECTIONS))
@@ -141,8 +238,10 @@ def test_matches_golden(golden, section):
     _assert_matches(_normalize(SECTIONS[section]()), golden[section], section)
 
 
-def _write() -> None:
-    doc = {name: fn() for name, fn in SECTIONS.items()}
+def _write(section: str) -> None:
+    """Regenerate one section; the others keep their stored values."""
+    doc = _load() if GOLDEN.exists() else {}
+    doc[section] = SECTIONS[section]()
     GOLDEN.parent.mkdir(exist_ok=True)
     raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
     with open(GOLDEN, "wb") as fh, gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
@@ -150,6 +249,6 @@ def _write() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    _write()
+    if len(sys.argv) != 3 or sys.argv[1] != "--write" or sys.argv[2] not in SECTIONS:
+        sys.exit(f"usage: python tests/test_golden.py --write {{{'|'.join(SECTIONS)}}}")
+    _write(sys.argv[2])
