@@ -14,8 +14,11 @@ Integrands are expected to accept numpy arrays.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
+
+from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,6 +31,16 @@ def circle_nodes(n: int) -> np.ndarray:
 def circle_mean(fn, nodes: int = 4096):
     """Mean value (1/2pi) * integral of fn over [0, 2pi), trapezoid rule."""
     return np.mean(fn(circle_nodes(nodes)))
+
+
+def p_mean(vals, p: float) -> float:
+    """(mean |vals|^p)^(1/p) over circle-grid samples; p = inf takes max |vals|."""
+    if not p >= 1.0:
+        raise DomainError(f"p-means require p >= 1 or p = inf, got {p}")
+    a = np.abs(vals)
+    if math.isinf(p):
+        return float(a.max())
+    return float(np.mean(a**p) ** (1.0 / p))
 
 
 @functools.lru_cache(maxsize=16)

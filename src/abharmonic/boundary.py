@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 
 import numpy as np
 
-from ._quad import circle_nodes
-from .errors import BoundaryFileError, DomainError, ParameterError
+from ._quad import circle_nodes, p_mean
+from .errors import BoundaryFileError, ParameterError
 
 DEFAULT_NODES = 4096
 _CONSISTENCY_TOL = 1e-10
@@ -116,12 +115,7 @@ def from_samples(samples) -> BoundaryFunction:
 def lp_norm(f: BoundaryFunction, p: float, nodes: int = DEFAULT_NODES) -> float:
     """Circle L^p norm; p = inf uses the grid maximum (a lower bound that
     converges from below under grid refinement)."""
-    if not (p >= 1.0):
-        raise DomainError(f"lp_norm requires p >= 1 or p = inf, got {p}")
-    vals = np.abs(f.values_on_grid(nodes))
-    if math.isinf(p):
-        return float(vals.max())
-    return float(np.mean(vals**p) ** (1.0 / p))
+    return p_mean(f.values_on_grid(nodes), p)
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,10 @@ class HolderPair:
     @classmethod
     def from_p(cls, p: float) -> "HolderPair":
         p = float(p)
+        if not p >= 1.0:
+            raise ParameterError(f"p must satisfy p >= 1, got {p}")
         if math.isinf(p):
             return cls(math.inf, 1.0)
-        if p < 1.0:
-            raise ParameterError(f"p must satisfy p >= 1, got {p}")
         if p == 1.0:
             return cls(1.0, math.inf)
         return cls(p, p / (p - 1.0))

@@ -12,7 +12,10 @@ gives c_k = f_hat(k) / F(.; 1), which makes the two routes agree inside
 the disk for trigonometric-polynomial data.
 
 Derivative and operator measurements use central finite differences and
-treat the function under test as an opaque evaluation callback.
+treat the function under test as an opaque evaluation callback.  The
+evaluation rule: a PoissonExtension evaluates arrays and rings itself
+(a ring through its FFT circle convolution); any other callable is
+called once per point.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import circle_nodes
+from ._quad import circle_nodes, p_mean
 from .boundary import BoundaryFunction
 from .errors import DomainError, StencilError
 from .kernel import AlphaBeta, unnormalized_kernel
@@ -40,7 +43,7 @@ class DiskPoint:
     z: complex
 
     def __post_init__(self):
-        if abs(self.z) >= 1.0:
+        if not abs(self.z) < 1.0:
             raise DomainError(f"|z| must be < 1, got {abs(self.z)}")
 
     @property
@@ -53,10 +56,7 @@ class DiskPoint:
 
 
 def _as_z(z) -> complex:
-    z = z.z if isinstance(z, DiskPoint) else complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| must be < 1, got {abs(z)}")
-    return z
+    return (z if isinstance(z, DiskPoint) else DiskPoint(complex(z))).z
 
 
 @dataclass
@@ -116,13 +116,9 @@ class HarmonicSnapshot:
     B: list
 
     def circle_values(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape, dtype=complex)
-        for k, a in enumerate(self.A):
-            out += a * np.exp(1j * k * theta)
-        for i, b in enumerate(self.B):
-            out += b * np.exp(-1j * (i + 1) * theta)
-        return out
+        coeffs = dict(enumerate(self.A))
+        coeffs.update({-(i + 1): b for i, b in enumerate(self.B)})
+        return BoundaryFunction(coeffs).evaluate(theta)
 
     def normalized_ratios(self):
         """(A_k/A_1 for k >= 2, B_k/A_1 for k >= 1); requires A_1 != 0."""
@@ -152,19 +148,14 @@ def check_nodes(nodes: int) -> int:
 
 
 def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
-    """Poisson integral of f at z (scalar, DiskPoint, or array of z)."""
+    """Poisson integral of f at z: a complex for a scalar or DiskPoint z, else an array."""
     t = circle_nodes(check_nodes(nodes))
-    fvals = f.values_on_grid(nodes)
-    phase = np.exp(-1j * t)
-    if isinstance(z, DiskPoint) or np.isscalar(z) or isinstance(z, complex):
-        w = _as_z(z) * phase
-        return complex(params.c_norm * np.mean(unnormalized_kernel(params, w) * fvals))
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("|z| must be < 1")
-    w = z[..., None] * phase
-    kern = unnormalized_kernel(params, w)
-    return params.c_norm * np.mean(kern * fvals, axis=-1)
+    z = np.asarray(z.z if isinstance(z, DiskPoint) else z, dtype=complex)
+    if not np.all(np.abs(z) < 1.0):
+        raise DomainError(f"|z| must be < 1, got {np.max(np.abs(z))}")
+    kern = unnormalized_kernel(params, z[..., None] * np.exp(-1j * t))
+    vals = params.c_norm * np.mean(kern * f.values_on_grid(nodes), axis=-1)
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 class PoissonExtension:
@@ -190,16 +181,13 @@ class PoissonExtension:
             raise DomainError(f"circle radius must be in [0, 1), got {r}")
         n = self.nodes
         n_theta = n if n_theta is None else n_theta
+        if n % n_theta:
+            return self(r * np.exp(1j * (circle_nodes(n_theta) + phase)))
         t = circle_nodes(n)
         fvals = self.f.evaluate(t + phase) if phase else self.f.values_on_grid(n)
         kern = unnormalized_kernel(self.params, r * np.exp(1j * t))
         vals = self.params.c_norm * np.fft.ifft(np.fft.fft(kern) * np.fft.fft(fvals)) / n
-        if n_theta == n:
-            return vals
-        if n % n_theta == 0:
-            return vals[:: n // n_theta]
-        zs = r * np.exp(1j * (circle_nodes(n_theta) + phase))
-        return np.atleast_1d(self(zs))
+        return vals[:: n // n_theta]
 
 
 def poisson_extension(params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES) -> PoissonExtension:
@@ -267,13 +255,24 @@ def snapshot(params: AlphaBeta, coeffs: SeriesCoefficients, r: float) -> Harmoni
 
 
 def _eval_many(u, zs: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(u(zs), dtype=complex)
-        if vals.shape == zs.shape:
-            return vals
-    except Exception:
-        pass
+    """u at each of the points zs (a 1-d array)."""
+    if isinstance(u, PoissonExtension):
+        return u(zs)
     return np.array([u(z) for z in zs], dtype=complex)
+
+
+def _ring(u, r: float, n_theta: int) -> np.ndarray:
+    """u at r e^{i theta_j} on the uniform n_theta grid."""
+    if isinstance(u, PoissonExtension):
+        return u.circle_values(r, n_theta)
+    return _eval_many(u, r * np.exp(1j * circle_nodes(n_theta)))
+
+
+def _wirtinger_pair(up, um, vp, vm, h: float):
+    """(u_z, u_zbar) from central differences along x (up, um) and y (vp, vm)."""
+    ux = (up - um) / (2.0 * h)
+    uy = (vp - vm) / (2.0 * h)
+    return 0.5 * (ux - 1j * uy), 0.5 * (ux + 1j * uy)
 
 
 def wirtinger_derivatives(u, z, h: float = DEFAULT_STEP, richardson: bool = False):
@@ -290,10 +289,7 @@ def wirtinger_derivatives(u, z, h: float = DEFAULT_STEP, richardson: bool = Fals
     if abs(z) + h >= 1.0:
         raise StencilError(f"stencil leaves the disk at |z| = {abs(z)}, h = {h}")
     pts = np.array([z + h, z - h, z + 1j * h, z - 1j * h], dtype=complex)
-    up, um, vp, vm = _eval_many(u, pts)
-    ux = (up - um) / (2.0 * h)
-    uy = (vp - vm) / (2.0 * h)
-    return 0.5 * (ux - 1j * uy), 0.5 * (ux + 1j * uy)
+    return _wirtinger_pair(*_eval_many(u, pts), h)
 
 
 def jacobian_norm(u, z, h: float = DEFAULT_STEP) -> float:
@@ -343,10 +339,7 @@ def operator_residual(params: AlphaBeta, u, z, h: float = DEFAULT_STEP, richards
     u0, up, um, vp, vm = _eval_many(u, pts)
     lap = (up + um + vp + vm - 4.0 * u0) / (h * h)
     uzzb = 0.25 * lap
-    ux = (up - um) / (2.0 * h)
-    uy = (vp - vm) / (2.0 * h)
-    uz = 0.5 * (ux - 1j * uy)
-    uzb = 0.5 * (ux + 1j * uy)
+    uz, uzb = _wirtinger_pair(up, um, vp, vm, h)
     one_minus = 1.0 - abs(z) ** 2
     return one_minus * (
         one_minus * uzzb
@@ -360,28 +353,19 @@ def integral_means(u, r: float, p: float, nodes: int = 1024) -> float:
     """M_p(r, u); p = inf takes the circle-grid maximum."""
     if not (0.0 < r < 1.0):
         raise DomainError(f"integral_means requires 0 < r < 1, got {r}")
-    if not (p >= 1.0):
-        raise DomainError(f"integral_means requires p >= 1 or p = inf, got {p}")
-    if isinstance(u, PoissonExtension):
-        vals = np.abs(u.circle_values(r, nodes))
-    else:
-        zs = r * np.exp(1j * circle_nodes(nodes))
-        vals = np.abs(_eval_many(u, zs))
-    if math.isinf(p):
-        return float(vals.max())
-    return float(np.mean(vals**p) ** (1.0 / p))
+    return p_mean(_ring(u, r, nodes), p)
 
 
 def export_grid_csv(u, out, n_radial: int = 16, n_angular: int = 64, r_max: float = 0.95):
     """Evaluate u on a polar grid and write x, y, re, im rows to the open
-    text stream out (opened with newline="" when it is a file)."""
+    text stream out (opened with newline="" when it is a file); a bad
+    radius raises before any row is written."""
     radii = [(i + 1) / (n_radial + 1) * r_max for i in range(n_radial)]
     thetas = circle_nodes(n_angular)
+    rings = [(r * np.exp(1j * thetas), _ring(u, r, n_angular)) for r in radii]
     writer = csv.writer(out)
     writer.writerow(["x", "y", "re", "im"])
-    for r in radii:
-        zs = r * np.exp(1j * thetas)
-        vals = _eval_many(u, zs)
+    for zs, vals in rings:
         for z, v in zip(zs, vals):
             writer.writerow(
                 [f"{z.real:.17g}", f"{z.imag:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]

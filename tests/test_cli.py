@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abharmonic.cli import main
 
@@ -195,10 +199,72 @@ class TestInputBoundary:
             ["bounds", "--nodes", "100"],
             ["bounds", "--alpha", "inf"],
             ["bounds", "--alpha", "1e6", "--beta", "1e6"],
+            ["bounds", "--p", "nan"],
+            ["bounds", "--p=-inf"],
+            ["audit", "--seed", "-1"],
+            ["solve", "BOUNDARY", "--rmax", "nan"],
+            ["solve", "BOUNDARY", "--rmax", "-0.5"],
         ],
     )
-    def test_bad_input_exits_2_without_traceback(self, argv, capsys):
+    def test_bad_input_exits_2_without_traceback(self, argv, constant_boundary, capsys):
+        argv = [constant_boundary if a == "BOUNDARY" else a for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def boundary_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("docs") / "doc.json"
+    path.write_text(json.dumps({"fourier": {"0": [0.5, 0.0], "1": [1.0, -0.5], "-2": [0.2, 0.1]}}))
+    return str(path)
+
+
+# ordinary values, or non-finite, huge and near-pole ones (Gamma poles at
+# -1 and -2, alpha + beta = -1), written as the user would type them
+WEIGHTS = st.one_of(
+    st.floats(-0.45, 3.0).map(repr),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "1e308", "-1e308", "-0.9999999999", "-1.0000000001", "-1.9999999999"]
+    ),
+)
+EXPONENTS = st.one_of(
+    st.floats(1.0, 10.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "1", "1.0000001", "0.999", "-1"]),
+)
+RADII = st.one_of(
+    st.floats(0.0, 0.99).map(repr),
+    st.sampled_from(["nan", "inf", "-0.5", "0.9999999", "1", "2"]),
+)
+
+
+class TestArgumentProperties:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        command=st.sampled_from(["bounds", "identities", "solve"]),
+        alpha=WEIGHTS,
+        beta=WEIGHTS,
+        p=EXPONENTS,
+        seed=st.integers(-3, 2**40),
+        rmax=RADII,
+        grid=st.tuples(st.integers(0, 3), st.integers(0, 6)),
+    )
+    def test_exit_code_contract(self, boundary_doc, command, alpha, beta, p, seed, rmax, grid):
+        """Every run exits 0-3 without a traceback, exits 1 exactly when the
+        audit counts violations, and writes no non-finite number on exit 0."""
+        argv = [command, f"--alpha={alpha}", f"--beta={beta}", f"--p={p}", f"--seed={seed}"]
+        argv += ["--nodes", "64"]
+        if command == "solve":
+            argv += [boundary_doc, f"--rmax={rmax}", "--grid", f"{grid[0]}x{grid[1]}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if command == "identities" and code in (0, 1):
+            assert (code == 1) == (json.loads(out.getvalue())["violations"] > 0)
+        else:
+            assert code != 1
+        if code == 0:
+            assert not any(token in out.getvalue() for token in ("NaN", "Infinity", "nan"))
