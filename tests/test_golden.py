@@ -9,8 +9,12 @@ case ids must match exactly; floats must match within
 1e-12 * max(1, |ref|).
 
 A section is regenerated only on purpose, never to make a refactor pass,
-and only the named section is rewritten:
+and only the named section is rewritten.  `--diff` writes nothing: it
+prints the path of every non-float field that differs from the stored
+section, the number of floats compared and the worst relative float
+difference |got - ref| / max(1, |ref|):
 
+    PYTHONPATH=src python tests/test_golden.py --diff SECTION
     PYTHONPATH=src python tests/test_golden.py --write SECTION
 """
 
@@ -198,24 +202,38 @@ SECTIONS = {
 }
 
 
-def _assert_matches(got, ref, where: str) -> None:
+def _differences(got, ref, where: str):
+    """Walk a result against its stored reference, yielding
+    (where, got, ref, d): d is the relative difference of a compared
+    float, None for a non-float field that differs."""
     if isinstance(ref, float):
-        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
-        if math.isnan(ref):
-            assert math.isnan(got), f"{where}: {got!r} != nan"
+        if not isinstance(got, (int, float)) or isinstance(got, bool):
+            yield where, got, ref, None
+        elif math.isnan(ref) or math.isnan(got):
+            yield where, got, ref, 0.0 if math.isnan(ref) and math.isnan(got) else math.inf
         else:
-            tol = REL_TOL * max(1.0, abs(ref))
-            assert abs(got - ref) <= tol, f"{where}: {got!r} != {ref!r}"
-    elif isinstance(ref, dict):
-        assert isinstance(got, dict) and list(got) == list(ref), f"{where}: keys differ"
+            yield where, got, ref, abs(got - ref) / max(1.0, abs(ref))
+    elif isinstance(ref, dict) and isinstance(got, dict):
+        if set(got) == set(ref) and list(got) != list(ref):
+            yield where + " (key order)", list(got), list(ref), None
         for k in ref:
-            _assert_matches(got[k], ref[k], f"{where}.{k}")
-    elif isinstance(ref, list):
-        assert isinstance(got, (list, tuple)) and len(got) == len(ref), f"{where}: length differs"
+            if k in got:
+                yield from _differences(got[k], ref[k], f"{where}.{k}")
+            else:
+                yield f"{where}.{k}", "(missing)", ref[k], None
+        for k in got:
+            if k not in ref:
+                yield f"{where}.{k}", got[k], "(missing)", None
+    elif isinstance(ref, list) and isinstance(got, (list, tuple)) and len(got) == len(ref):
         for i, (g, r) in enumerate(zip(got, ref)):
-            _assert_matches(g, r, f"{where}[{i}]")
-    else:
-        assert got == ref and type(got) is type(ref), f"{where}: {got!r} != {ref!r}"
+            yield from _differences(g, r, f"{where}[{i}]")
+    elif not (got == ref and type(got) is type(ref)):
+        yield where, got, ref, None
+
+
+def _assert_matches(got, ref, where: str) -> None:
+    for path, g, r, d in _differences(got, ref, where):
+        assert d is not None and d <= REL_TOL, f"{path}: {g!r} != {r!r}"
 
 
 def _normalize(obj):
@@ -248,7 +266,19 @@ def _write(section: str) -> None:
         gz.write(raw)
 
 
+def _diff(section: str) -> None:
+    """Print how one section differs from its stored values."""
+    got = _normalize(SECTIONS[section]())
+    floats, worst = 0, 0.0
+    for path, g, r, d in _differences(got, _load()[section], section):
+        if d is None:
+            print(f"{path}: {g!r} != {r!r}")
+        else:
+            floats, worst = floats + 1, max(worst, d)
+    print(f"{floats} floats compared; worst relative difference {worst:.3g}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 3 or sys.argv[1] != "--write" or sys.argv[2] not in SECTIONS:
-        sys.exit(f"usage: python tests/test_golden.py --write {{{'|'.join(SECTIONS)}}}")
-    _write(sys.argv[2])
+    if len(sys.argv) != 3 or sys.argv[1] not in ("--diff", "--write") or sys.argv[2] not in SECTIONS:
+        sys.exit(f"usage: python tests/test_golden.py --diff|--write {{{'|'.join(SECTIONS)}}}")
+    (_diff if sys.argv[1] == "--diff" else _write)(sys.argv[2])
