@@ -451,20 +451,20 @@ def check_kernel_mean_and_residual(
     of f.
 
     The modulus mean equals |c| F(-(a+b)/2, -(a+b)/2; 1; r^2); the plain
-    mean equals c F(-alpha, -beta; 1; r^2).  Residual orders are graded
-    as margin = 0.3 - |order - 2|.
+    mean equals c F(-alpha, -beta; 1; r^2); both scale with c, so their
+    errors are graded relative to max(1, |closed form|).  Residual
+    orders are graded as margin = 0.3 - |order - 2|.
     """
     a, b = params.alpha, params.beta
     one = from_fourier({0: 1.0})
     records = []
     for r in r_grid:
         mod_mean = bnd.mp_growth_factor_quadrature(params, r, nodes)
-        records.append(
-            (f"modulus-mean r={r}", r, -abs(mod_mean - bnd.mp_growth_factor(params, r)))
-        )
+        closed = bnd.mp_growth_factor(params, r)
+        records.append((f"modulus-mean r={r}", r, -abs(mod_mean - closed) / max(1.0, abs(closed))))
         plain = poisson_integral(params, one, r, nodes)
         closed = params.c_norm * gauss_2f1((-a, -b, 1.0), r * r)
-        records.append((f"plain-mean r={r}", r, -abs(plain - closed)))
+        records.append((f"plain-mean r={r}", r, -abs(plain - closed) / max(1.0, abs(closed))))
 
     u = poisson_extension(params, f, max(nodes, 2048))
     rng = np.random.default_rng(4)

@@ -16,9 +16,9 @@ computed; BoundReport pairs them and flags disagreements above 1e-6, and
 a non-finite value on either side always counts as a disagreement.  The one
 systematic offender is the growth sup constant, whose reference closed
 form disagrees with its defining integral already at
-(alpha, beta) = (0, 0), p = inf (1/2 versus 1): the r-grid maximum of the
-defining integral is treated as authoritative and the closed expression
-is attached as reference.
+(alpha, beta) = (0, 0), p = inf (1/2 versus 1): the supremum of the
+defining integral, its r -> 1 limit, is treated as authoritative and the
+closed expression is attached as reference.
 
 Conventions: sigma = alpha + beta + 2 and q is the Holder conjugate of p.
 The limits p = 1 (q = inf) are handled by explicit sup-norm forms, never
@@ -74,7 +74,7 @@ class BoundEntry:
     name: str
     value: float
     source: str
-    method: str  # closed_form | quadrature | sup_over_grid
+    method: str  # closed_form | quadrature
     nodes: int | None = None
     note: str | None = None
 
@@ -335,7 +335,7 @@ def growth_sup_reference(params: AlphaBeta, hp: HolderPair) -> float:
 
     It is the r -> 1 limit of the defining integral times 2^(-sigma/2), so
     it disagrees with the supremum (1/2 versus 1 already at zero weights
-    with p = inf); reports flag it and the grid value rules.
+    with p = inf); reports flag it and the supremum rules.
     """
     if hp.q_is_inf:
         raise ParameterError("no closed-form growth supremum at p = 1")
@@ -343,14 +343,15 @@ def growth_sup_reference(params: AlphaBeta, hp: HolderPair) -> float:
     return abs(params.c_norm) * (2.0 ** (-m - 1.0) * plain_moment_closed(m, SUP)) ** (1.0 / hp.q)
 
 
-def growth_sup_grid(params: AlphaBeta, hp: HolderPair, nodes: int = 1024) -> float:
-    """Maximum of the defining growth integral over a radius grid, with
-    the exact r -> 1 limit included."""
-    radii = np.concatenate(
-        [np.linspace(1e-3, 0.9, SUP_GRID_SIZE - 144), 1.0 - np.logspace(-1, -6, 144)]
-    )
-    best = max(growth_constant_quadrature(params, hp, float(r), nodes) for r in radii)
-    return float(max(best, growth_constant(params, hp, SUP)))
+def growth_sup_grid(params: AlphaBeta, hp: HolderPair) -> float:
+    """Supremum over radii of the growth coefficient A(r): its r -> 1 limit.
+
+    For finite q, A(r)^q is |c|^q times the circle mean
+    F(-m, -m; 1; r^2) = sum ((-m)_n / n!)^2 r^(2n), whose coefficients are
+    squares, and at p = 1, A(r) = |c| (1 + r)^sigma with sigma > 1; either
+    way A is nondecreasing in r.
+    """
+    return growth_constant(params, hp, SUP)
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +462,6 @@ def partial_constant(
     return absc * lead * (g_mean + coef * plain_moment_closed(m, r)) ** (1.0 / q)
 
 
-def partial_wirtinger_one_sided(params: AlphaBeta, hp: HolderPair, r) -> float:
-    """One-sided (holomorphic-derivative) coefficient, used for
-    closed-form-versus-quadrature pairing.  partial_constant symmetrizes
-    the prefactor so the bound also covers the antiholomorphic side."""
-    mean = plain_moment_closed(_kernel_exponent(params, hp), r)
-    return abs(params.c_norm) * _wirtinger_prefactor(params, r, True) * mean ** (1.0 / hp.q)
-
-
-def partial_wirtinger_quadrature(params: AlphaBeta, hp: HolderPair, r, nodes: int = DEFAULT_NODES) -> float:
-    """Defining integral behind partial_wirtinger_one_sided."""
-    mean = plain_moment(_kernel_exponent(params, hp), r, nodes) / (2.0 * math.pi)
-    return abs(params.c_norm) * _wirtinger_prefactor(params, r, True) * mean ** (1.0 / hp.q)
-
-
 def partial_angular_diagonal_closed(params: AlphaBeta, hp: HolderPair, r: float) -> float:
     """Beta/hypergeometric closed form of the angular coefficient when
     alpha = beta (used as an extra cross-check of the quadrature route)."""
@@ -497,19 +484,6 @@ def partial_angular_diagonal_closed(params: AlphaBeta, hp: HolderPair, r: float)
 
 # ---------------------------------------------------------------------------
 # integral means of the partial derivatives
-
-
-def means_wirtinger_one_sided(params: AlphaBeta, r) -> float:
-    """One-sided integral-means coefficient (see
-    partial_wirtinger_one_sided for the symmetrization rationale)."""
-    mean = plain_moment_closed(_half_weight(params), r)
-    return abs(params.c_norm) * _wirtinger_prefactor(params, r, True) * mean
-
-
-def means_wirtinger_quadrature(params: AlphaBeta, r, nodes: int = DEFAULT_NODES) -> float:
-    """Defining integral behind means_wirtinger_one_sided."""
-    mean = plain_moment(_half_weight(params), r, nodes) / (2.0 * math.pi)
-    return abs(params.c_norm) * _wirtinger_prefactor(params, r, True) * mean
 
 
 def means_constant(params: AlphaBeta, which: str, r=SUP, nodes: int = DEFAULT_NODES) -> float:
@@ -558,16 +532,30 @@ def full_report(
     params: AlphaBeta, hp: HolderPair, r: float = 0.6, nodes: int = DEFAULT_NODES
 ) -> BoundReport:
     """Every constant at one (alpha, beta, p), closed forms paired with
-    their defining integrals, and grid suprema where those are the
-    authoritative values."""
+    their defining integrals.  The plain moments behind the pairs, of
+    exponents (alpha + beta)/2 and sigma q/2 - 1, are integrated once per
+    radius."""
     finite_q = not hp.q_is_inf
+    absc = abs(params.c_norm)
+    half = _half_weight(params)
+    m = _kernel_exponent(params, hp) if finite_q else None
+    exponents = (half, m) if finite_q else (half,)
+    integral = {(e, rad): plain_moment(e, rad, nodes) for e in exponents for rad in (r, SUP)}
     rep = BoundReport()
 
-    def add_pairs(names, source, closed, quad):
-        """A closed form and its defining integral at r and, given a
-        second name, at r = 1."""
+    def add_pairs(names, source, e, scale, power=1.0):
+        """scale(rad) * mean ** power at r and, given a second name, at
+        r = 1, with mean the circle mean of the plain moment of exponent e
+        in closed form and from its integral."""
         for name, rad, where in zip(names, (r, SUP), (f"at r = {r}", "at r = 1")):
-            _add_pair(rep, name, closed(rad), quad(rad), f"{source} {where}", nodes)
+            closed = scale(rad) * plain_moment_closed(e, rad) ** power
+            quad = scale(rad) * (integral[e, rad] / (2.0 * math.pi)) ** power
+            _add_pair(rep, name, closed, quad, f"{source} {where}", nodes)
+
+    def one_sided(rad):
+        # the holomorphic-derivative prefactor; partial_constant and
+        # means_constant symmetrize it to cover the antiholomorphic side
+        return absc * _wirtinger_prefactor(params, rad, True)
 
     def add_coefficients(prefix, source, value):
         """The three derivative kinds, at r and as suprema."""
@@ -594,11 +582,13 @@ def full_report(
         pass
 
     # integral-means factor
-    add_pairs(
-        ("mp_factor_r",),
-        "integral-means factor",
-        lambda rad: mp_growth_factor(params, rad),
-        lambda rad: mp_growth_factor_quadrature(params, rad, nodes),
+    _add_pair(
+        rep,
+        "mp_factor_r",
+        mp_growth_factor(params, r),
+        mp_growth_factor_quadrature(params, r, nodes),
+        f"integral-means factor at r = {r}",
+        nodes,
     )
     rep.add(
         "mp_factor_limit",
@@ -610,24 +600,19 @@ def full_report(
     # growth
     grid = growth_sup_grid(params, hp)
     if finite_q:
-        add_pairs(
-            ("growth_r",),
-            "growth coefficient",
-            lambda rad: growth_constant(params, hp, rad),
-            lambda rad: growth_constant_quadrature(params, hp, rad, nodes),
-        )
+        add_pairs(("growth_r",), "growth coefficient", m, lambda rad: absc, 1.0 / hp.q)
         reference = growth_sup_reference(params, hp)
         note = None
         if _disagree(grid, reference):
             note = (
                 f"closed-form reference {reference:.12g} disagrees with the "
-                f"defining-integral supremum {grid:.12g}; the grid value is authoritative"
+                f"defining-integral supremum {grid:.12g}; the supremum is authoritative"
             )
         rep.add("growth_sup_reference", reference, "growth supremum, closed-form reference", "closed_form", note=note)
-        rep.add("growth_sup_grid", grid, "growth supremum, radius-grid maximum", "sup_over_grid", nodes=1024)
+        rep.add("growth_sup_grid", grid, "growth supremum, r -> 1 limit", "closed_form")
     else:
         rep.add("growth_r", growth_constant(params, hp, r), "growth coefficient at fixed r (p = 1)", "closed_form")
-        rep.add("growth_sup_grid", grid, "growth supremum (p = 1)", "sup_over_grid", nodes=1024)
+        rep.add("growth_sup_grid", grid, "growth supremum (p = 1)", "closed_form")
 
     # distortion
     try:
@@ -647,13 +632,7 @@ def full_report(
 
     # partials
     if finite_q:
-        m = _kernel_exponent(params, hp)
-        add_pairs(
-            ("i12_r", "i12_sup"),
-            "shared kernel moment",
-            lambda rad: 2.0 * math.pi * plain_moment_closed(m, rad),
-            lambda rad: plain_moment(m, rad, nodes),
-        )
+        add_pairs(("i12_r", "i12_sup"), "shared kernel moment", m, lambda rad: 2.0 * math.pi)
     add_coefficients(
         "partial",
         "partial-derivative coefficient",
@@ -663,8 +642,9 @@ def full_report(
         add_pairs(
             ("partial_wirtinger_one_sided", "partial_wirtinger_one_sided_sup"),
             "one-sided wirtinger coefficient",
-            lambda rad: partial_wirtinger_one_sided(params, hp, rad),
-            lambda rad: partial_wirtinger_quadrature(params, hp, rad, nodes),
+            m,
+            one_sided,
+            1.0 / hp.q,
         )
         if params.alpha == params.beta:
             _add_pair(
@@ -680,8 +660,8 @@ def full_report(
     add_pairs(
         ("means_wirtinger_one_sided", "means_wirtinger_one_sided_sup"),
         "one-sided wirtinger means coefficient",
-        lambda rad: means_wirtinger_one_sided(params, rad),
-        lambda rad: means_wirtinger_quadrature(params, rad, nodes),
+        half,
+        one_sided,
     )
     add_coefficients(
         "means",

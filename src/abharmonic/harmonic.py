@@ -362,11 +362,11 @@ def export_grid_csv(u, out, n_radial: int = 16, n_angular: int = 64, r_max: floa
     radius raises before any row is written."""
     radii = [(i + 1) / (n_radial + 1) * r_max for i in range(n_radial)]
     thetas = circle_nodes(n_angular)
-    rings = [(r * np.exp(1j * thetas), _ring(u, r, n_angular)) for r in radii]
+    rings = [_ring(u, r, n_angular) for r in radii]
     writer = csv.writer(out)
     writer.writerow(["x", "y", "re", "im"])
-    for zs, vals in rings:
-        for z, v in zip(zs, vals):
+    for r, vals in zip(radii, rings):
+        for z, v in zip(r * np.exp(1j * thetas), vals):
             writer.writerow(
                 [f"{z.real:.17g}", f"{z.imag:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
             )

@@ -67,7 +67,7 @@ def unnormalized_kernel(params: AlphaBeta, w):
     Accepts a complex scalar or a numpy array of them.
     """
     w = np.asarray(w, dtype=complex)
-    if np.any(np.abs(w) >= 1.0):
+    if not np.all(np.abs(w) < 1.0):
         raise DomainError("kernel argument must satisfy |w| < 1")
     one_minus_sq = 1.0 - (w * np.conj(w)).real
     val = (

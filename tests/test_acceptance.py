@@ -223,7 +223,7 @@ def test_criterion_09_closed_form_master_property():
             if pair == (0.0, 0.0) and math.isinf(p_exp):
                 flagged_at_origin_inf = "growth_sup_reference" in rep.flagged
                 reference = growth_sup_reference(params, hp)
-                grid = growth_sup_grid(params, hp, nodes=512)
+                grid = growth_sup_grid(params, hp)
                 ok = ok and abs(reference - 0.5) < 1e-12 and abs(grid - 1.0) < 1e-8
     _report(
         9,

@@ -220,6 +220,15 @@ class TestKernelMeanAndResidual:
         orders = [m for c, _, m in res.details if c.startswith("residual")]
         assert orders and all(m > 0 for m in orders)
 
+    def test_near_pole_means_graded_relative(self):
+        # c is about 3e10 next to the beta = -1 pole; the means match their
+        # closed forms to about 5e-14 relative, 1e-3 absolute
+        params = make_params(3.0, -0.9999999999)
+        res = check_kernel_mean_and_residual(params, from_fourier({2: 1.0, -1: 0.5}))
+        means = [m for c, _, m in res.details if "-mean" in c]
+        assert len(means) == 10 and all(m > -1e-12 for m in means)
+        assert res.cases_violated == 0
+
 
 class TestCoefficientInequalities:
     def test_starlike_equality_for_extremal_coefficients(self):

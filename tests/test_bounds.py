@@ -31,7 +31,7 @@ from abharmonic.bounds import (
     rado_radius_bound,
     _add_pair,
 )
-from abharmonic.errors import ParameterError
+from abharmonic.errors import ConvergenceError, ParameterError
 from abharmonic.kernel import make_params
 from abharmonic.specfun import gamma
 
@@ -195,13 +195,29 @@ class TestGrowth:
     def test_reference_sup_defect_detected(self):
         hp = HolderPair.from_p(math.inf)
         assert growth_sup_reference(P00, hp) == pytest.approx(0.5, rel=1e-13)
-        assert growth_sup_grid(P00, hp, nodes=512) == pytest.approx(1.0, abs=1e-10)
+        assert growth_sup_grid(P00, hp) == pytest.approx(1.0, abs=1e-10)
 
     def test_sup_is_radial_limit(self):
-        params = make_params(0.5, 0.5)
-        hp = HolderPair.from_p(2.0)
-        sup = growth_constant(params, hp, SUP)
-        assert growth_sup_grid(params, hp, nodes=512) == pytest.approx(sup, rel=1e-8)
+        # the radius scan the supremum is no longer taken from: the defining
+        # integral stays below the r -> 1 limit and the closed form rises
+        radii = np.concatenate([np.linspace(1e-3, 0.9, 368), 1.0 - np.logspace(-1, -6, 144)])
+        for pair in PAIRS + [(2.7, -1.4), (-0.3, -0.6)]:
+            params = make_params(*pair)
+            for p in (1.0, 1.5, 2.0, 4.0, math.inf):
+                hp = HolderPair.from_p(p)
+                sup = growth_sup_grid(params, hp)
+                scan = max(growth_constant_quadrature(params, hp, float(r), 1024) for r in radii)
+                assert scan <= sup * (1.0 + 1e-12), (pair, p)
+                closed = []
+                for r in np.sort(radii):
+                    try:
+                        closed.append(growth_constant(params, hp, float(r)))
+                    except ConvergenceError:
+                        # open gap: when c - a - b = 1 + 2m of F(-m, -m; 1; r^2)
+                        # is an integer, gauss_2f1 has only the direct series,
+                        # which gives up within about 3e-4 of r = 1
+                        assert (params.sigma * hp.q - 1.0).is_integer() and r > 0.999
+                assert np.all(np.diff(closed) >= 0.0), (pair, p)
 
     def test_p_one_kernel_max(self):
         params = make_params(0.3, -0.2)
@@ -326,9 +342,8 @@ class TestPartials:
         # asymmetric weights: bound must cover the antiholomorphic side too
         p = make_params(-0.5, 1.0)
         hp = HolderPair.from_p(4.0)
-        from abharmonic.bounds import partial_wirtinger_one_sided
-
-        assert partial_constant(p, hp, "wirtinger", 0.3) > partial_wirtinger_one_sided(p, hp, 0.3)
+        one_sided = full_report(p, hp, r=0.3).get("partial_wirtinger_one_sided").value
+        assert partial_constant(p, hp, "wirtinger", 0.3) > one_sided
 
     def test_p1_forms_positive(self):
         hp = HolderPair.from_p(1.0)
@@ -382,6 +397,22 @@ class TestFullReport:
         assert {"name", "value", "source", "method"} <= entry.keys()
         quad_entries = [e for e in doc["entries"] if e["method"] == "quadrature"]
         assert all("nodes" in e for e in quad_entries)
+
+    def test_each_plain_moment_integrated_once(self, monkeypatch):
+        import abharmonic.bounds as bnd
+
+        calls = []
+        original = bnd.plain_moment
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bnd, "plain_moment", counted)
+        full_report(make_params(0.5, 0.5), HolderPair.from_p(2.0))
+        # exponents (alpha + beta)/2 and sigma q/2 - 1 at r and r = 1, and
+        # the kernel-modulus mean at r
+        assert len(calls) == 5
 
 
 class TestKernelMoments:

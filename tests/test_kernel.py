@@ -71,6 +71,10 @@ class TestKernel:
     def test_domain(self):
         with pytest.raises(DomainError):
             unnormalized_kernel(make_params(0.0, 0.0), 1.0 + 0j)
+        with pytest.raises(DomainError):
+            unnormalized_kernel(make_params(0.5, 0.5), complex("nan"))
+        with pytest.raises(DomainError):
+            unnormalized_kernel(make_params(0.5, 0.5), np.array([0.1, np.nan]))
 
     def test_radial_continuity(self):
         # principal powers produce no branch jumps along rays
