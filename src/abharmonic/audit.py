@@ -45,12 +45,20 @@ from .specfun import gamma, gauss_2f1
 
 VALUE_TOL = 1e-8
 DERIVATIVE_TOL = 1e-4
+RATIO_TOL = 1e-12
 FD_STEP = 1e-3
 AUDIT_NODES = 1024
-CONSTANT_NODES = 2048  # quadrature nodes of the bound constants the checks use
+CONSTANT_NODES = 2048  # nodes of the bound constants and the lemma and identity checks
 DEFAULT_SEED = 987001
-DEFAULT_Z_RADII = (0.3, 0.6, 0.9)
-DEFAULT_R_GRID = (0.3, 0.6, 0.9)
+R_GRID = (0.3, 0.6, 0.9)
+# eight angles, offset from the axes, on each radius of R_GRID
+Z_GRID = np.array([r * np.exp(2j * math.pi * (j + 0.37) / 8) for r in R_GRID for j in range(8)])
+MEANS_THETAS = 256  # ring points of the means-of-partials stencils
+RATIO_T_GRID = np.linspace(0.01, 0.99, 99)
+OSC_RADII = (0.2, 0.5, 0.8, 0.95)
+OSC_PHASES = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
+IDENTITY_RADII = (0.1, 0.3, 0.5, 0.7, 0.9)
+RESIDUAL_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 STANDARD_PAIRS = ((0.0, 0.0), (0.5, 0.5), (-0.5, 1.0), (0.3, -0.2), (0.0, 1.0))
 STANDARD_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
@@ -153,14 +161,6 @@ def random_boundary(rng, order: int = 8) -> BoundaryFunction:
     return from_fourier(coeffs)
 
 
-def default_z_grid(radii=DEFAULT_Z_RADII, n_angles: int = 8) -> list:
-    grid = []
-    for r in radii:
-        for j in range(n_angles):
-            grid.append(r * np.exp(2j * math.pi * (j + 0.37) / n_angles))
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # growth / means / distortion / partials
 
@@ -173,36 +173,24 @@ def _bound(constant, *args) -> float:
 
 
 def check_growth(
-    params: AlphaBeta,
-    f: BoundaryFunction,
-    hp: HolderPair,
-    z_grid=None,
-    nodes: int = AUDIT_NODES,
-    tolerance: float = VALUE_TOL,
+    params: AlphaBeta, f: BoundaryFunction, hp: HolderPair, nodes: int = AUDIT_NODES
 ) -> AuditResult:
     """|u(z)| against the growth bound at every grid point."""
-    z_grid = default_z_grid() if z_grid is None else list(z_grid)
     norm = lp_norm(f, hp.p)
-    zs = np.asarray(z_grid, dtype=complex)
-    uvals = poisson_integral(params, f, zs, nodes)
+    uvals = poisson_integral(params, f, Z_GRID, nodes)
     records = []
     inv_p = 0.0 if math.isinf(hp.p) else 1.0 / hp.p
-    for i, (z, uv) in enumerate(zip(zs, uvals)):
+    for i, (z, uv) in enumerate(zip(Z_GRID, uvals)):
         r = abs(z)
         # at p = inf this is |u| <= A(r) ||f||, A(r) the kernel-modulus
         # mass, which reduces to the classical |u| <= ||f|| at (0, 0)
         bound = _bound(bnd.growth_constant, params, hp, r) * (1.0 - r * r) ** (-inv_p) * norm
         records.append((f"z{i}", r, bound - abs(uv)))
-    return _collect("growth", records, tolerance)
+    return _collect("growth", records, VALUE_TOL)
 
 
 def check_integral_means(
-    params: AlphaBeta,
-    f: BoundaryFunction,
-    hp: HolderPair,
-    r_grid=DEFAULT_R_GRID,
-    nodes: int = AUDIT_NODES,
-    tolerance: float = VALUE_TOL,
+    params: AlphaBeta, f: BoundaryFunction, hp: HolderPair, nodes: int = AUDIT_NODES
 ) -> AuditResult:
     """M_p(r, u) against the hypergeometric factor; for constant data on
     equal weights the bound is attained, and the gap is reported."""
@@ -211,14 +199,14 @@ def check_integral_means(
     records = []
     gaps = []
     equality_expected = f.is_constant and params.alpha == params.beta
-    for r in r_grid:
+    for r in R_GRID:
         mp = integral_means(u, r, hp.p, nodes=nodes)
         bound = bnd.mp_growth_factor(params, r) * norm
         records.append((f"r={r}", r, bound - mp))
         if equality_expected:
             gaps.append(abs(bound - mp))
     extras = {"sharpness_gap": max(gaps)} if gaps else {}
-    return _collect("integral_means", records, tolerance, extras=extras)
+    return _collect("integral_means", records, VALUE_TOL, extras=extras)
 
 
 def _normalized(margin: float, bound: float) -> float:
@@ -226,47 +214,33 @@ def _normalized(margin: float, bound: float) -> float:
 
 
 def check_distortion(
-    params: AlphaBeta,
-    f: BoundaryFunction,
-    hp: HolderPair,
-    z_grid=None,
-    nodes: int = AUDIT_NODES,
-    h: float = FD_STEP,
-    tolerance: float = DERIVATIVE_TOL,
+    params: AlphaBeta, f: BoundaryFunction, hp: HolderPair, nodes: int = AUDIT_NODES
 ) -> AuditResult:
     """|Du| by finite differences against the distortion bound."""
-    z_grid = default_z_grid() if z_grid is None else list(z_grid)
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
     records = []
-    for i, z in enumerate(z_grid):
+    for i, z in enumerate(Z_GRID):
         r = abs(z)
         coef = _bound(bnd.distortion_constant, params, hp, r, CONSTANT_NODES)
         bound = coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
-        jn = jacobian_norm(u, z, h)
+        jn = jacobian_norm(u, z, FD_STEP)
         records.append((f"z{i}", r, _normalized(bound - jn, bound)))
-    return _collect("distortion", records, tolerance)
+    return _collect("distortion", records, DERIVATIVE_TOL)
 
 
 def check_partials(
-    params: AlphaBeta,
-    f: BoundaryFunction,
-    hp: HolderPair,
-    z_grid=None,
-    nodes: int = AUDIT_NODES,
-    h: float = FD_STEP,
-    tolerance: float = DERIVATIVE_TOL,
+    params: AlphaBeta, f: BoundaryFunction, hp: HolderPair, nodes: int = AUDIT_NODES
 ) -> AuditResult:
     """|u_r|, |u_theta|, |u_z|, |u_zbar| against their bound coefficients."""
-    z_grid = default_z_grid() if z_grid is None else list(z_grid)
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
     records = []
-    for i, z in enumerate(z_grid):
+    for i, z in enumerate(Z_GRID):
         r = abs(z)
         blow = (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
-        ur, ut = radial_angular_derivatives(u, z, h)
-        uz, uzb = wirtinger_derivatives(u, z, h)
+        ur, ut = radial_angular_derivatives(u, z, FD_STEP)
+        uz, uzb = wirtinger_derivatives(u, z, FD_STEP)
         for which, observed in (
             ("radial", abs(ur)),
             ("angular", abs(ut)),
@@ -275,18 +249,11 @@ def check_partials(
         ):
             bound = _bound(bnd.partial_constant, params, hp, which, r, CONSTANT_NODES) * blow
             records.append((f"z{i}:{which}", r, _normalized(bound - observed, bound)))
-    return _collect("partials", records, tolerance)
+    return _collect("partials", records, DERIVATIVE_TOL)
 
 
 def check_means_partials(
-    params: AlphaBeta,
-    f: BoundaryFunction,
-    hp: HolderPair,
-    r_grid=DEFAULT_R_GRID,
-    nodes: int = AUDIT_NODES,
-    n_theta: int = 256,
-    h: float = FD_STEP,
-    tolerance: float = DERIVATIVE_TOL,
+    params: AlphaBeta, f: BoundaryFunction, hp: HolderPair, nodes: int = AUDIT_NODES
 ) -> AuditResult:
     """M_p of the four first-order partials against the means coefficients.
 
@@ -295,16 +262,15 @@ def check_means_partials(
     """
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
-    theta = circle_nodes(n_theta)
+    n, h = MEANS_THETAS, FD_STEP
+    theta = circle_nodes(n)
     records = []
 
-    for r in r_grid:
+    for r in R_GRID:
         # circle stencils: radial and angular central differences, then the
         # exact polar chain rule for the Wirtinger pair
-        ur = (u.circle_values(r + h, n_theta) - u.circle_values(r - h, n_theta)) / (2.0 * h)
-        ut = (u.circle_values(r, n_theta, phase=h) - u.circle_values(r, n_theta, phase=-h)) / (
-            2.0 * h
-        )
+        ur = (u.circle_values(r + h, n) - u.circle_values(r - h, n)) / (2.0 * h)
+        ut = (u.circle_values(r, n, phase=h) - u.circle_values(r, n, phase=-h)) / (2.0 * h)
         eminus = np.exp(-1j * theta)
         uz = 0.5 * eminus * (ur - 1j * ut / r)
         uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
@@ -317,22 +283,20 @@ def check_means_partials(
         ):
             bound = _bound(bnd.means_constant, params, which, r, CONSTANT_NODES) * blow
             records.append((f"r={r}:{which}", r, _normalized(bound - p_mean(vals, hp.p), bound)))
-    return _collect("means_partials", records, tolerance)
+    return _collect("means_partials", records, DERIVATIVE_TOL)
 
 
 # ---------------------------------------------------------------------------
 # lemma-level checks
 
 
-def check_hypergeometric_ratio_lemma(
-    params: AlphaBeta, k: int, t_grid=None, tolerance: float = 1e-12
-) -> AuditResult:
+def check_hypergeometric_ratio_lemma(params: AlphaBeta, k: int) -> AuditResult:
     """Monotonicity of F_k/F_1 and E_k/F_1 in each stated weight regime.
 
     F_k(t) = F(-alpha, k-beta; k+1; t), E_k(t) = F(-beta, k-alpha; k+1; t).
     """
     a, b = params.alpha, params.beta
-    t_grid = np.linspace(0.01, 0.99, 99) if t_grid is None else np.asarray(t_grid, float)
+    t_grid = RATIO_T_GRID
     f1 = np.array([gauss_2f1((-a, 1.0 - b, 2.0), t) for t in t_grid])
     fk = np.array([gauss_2f1((-a, k - b, k + 1.0), t) for t in t_grid])
     ek = np.array([gauss_2f1((-b, k - a, k + 1.0), t) for t in t_grid])
@@ -358,19 +322,10 @@ def check_hypergeometric_ratio_lemma(
     elif -1.0 < b < a < 0.0:
         diffs = np.diff(ek / f1)
         records += [(f"Ek/F1 incr t={t:.3f}", None, float(d)) for t, d in zip(t_grid[1:], diffs)]
-    return _collect("hypergeometric_ratio_lemma", records, tolerance, notes=notes)
+    return _collect("hypergeometric_ratio_lemma", records, RATIO_TOL, notes=notes)
 
 
-def check_oscillatory_maximum_lemmas(
-    m: float,
-    k: float,
-    a_off: float,
-    b_amp: float,
-    r_grid=(0.2, 0.5, 0.8, 0.95),
-    x_grid=None,
-    nodes: int = 2048,
-    tolerance: float = VALUE_TOL,
-) -> AuditResult:
+def check_oscillatory_maximum_lemmas(m: float, k: float, a_off: float, b_amp: float) -> AuditResult:
     """Maximizer claims for the oscillatory kernel moments.
 
     D(r, x) (weight shifted against a fixed base) is bounded by its
@@ -382,43 +337,42 @@ def check_oscillatory_maximum_lemmas(
     """
     if a_off < 0.0 or b_amp <= 0.0:
         raise ParameterError("need offset >= 0 and amplitude > 0")
-    x_grid = np.linspace(0.0, 2.0 * math.pi, 33)[:-1] if x_grid is None else np.asarray(x_grid, float)
     records = []
     notes = []
     if m <= -0.5:
         notes.append("r = 1 reference moment diverges for m <= -1/2; bound is trivial")
-        return _collect("oscillatory_maximum", [], tolerance, notes=notes)
+        return _collect("oscillatory_maximum", [], VALUE_TOL, notes=notes)
 
     def moment(r, x=0.0, y=0.0):
-        return bnd.oscillatory_moment(m, k, a_off, b_amp, float(r), float(x), float(y), nodes)
+        return bnd.oscillatory_moment(
+            m, k, a_off, b_amp, float(r), float(x), float(y), CONSTANT_NODES
+        )
 
     d_ref = moment(1.0, x=0.0 if m > 1.0 else 0.5 * math.pi)
-    for r in r_grid:
-        for x in x_grid:
+    for r in OSC_RADII:
+        for x in OSC_PHASES:
             records.append((f"D r={r} x={x:.3f}", float(r), d_ref - moment(r, x=x)))
 
-    for r in r_grid:
-        l_vals = [moment(r, y=y) for y in x_grid]
+    for r in OSC_RADII:
+        l_vals = [moment(r, y=y) for y in OSC_PHASES]
         if m == 1.0:
             center = float(np.mean(l_vals))
             scale = max(1.0, abs(center))
             records += [
                 (f"L const r={r} y={y:.3f}", float(r), -abs(v - center) / scale * 1e2)
-                for y, v in zip(x_grid, l_vals)
+                for y, v in zip(OSC_PHASES, l_vals)
             ]
             # constancy graded at 1e-10 via the 1e2 factor against VALUE_TOL
         else:
             y_star = 0.0 if m > 1.0 else 0.5 * math.pi
             l_ref = moment(r, y=y_star)
             records += [
-                (f"L max r={r} y={y:.3f}", float(r), l_ref - v) for y, v in zip(x_grid, l_vals)
+                (f"L max r={r} y={y:.3f}", float(r), l_ref - v) for y, v in zip(OSC_PHASES, l_vals)
             ]
-    return _collect("oscillatory_maximum", records, tolerance, notes=notes)
+    return _collect("oscillatory_maximum", records, VALUE_TOL, notes=notes)
 
 
-def check_integral_identities(
-    mu: float, nu: float, r_grid=(0.1, 0.3, 0.5, 0.7, 0.9), nodes: int = 2048, tolerance: float = VALUE_TOL
-) -> AuditResult:
+def check_integral_identities(mu: float, nu: float, r_grid=IDENTITY_RADII) -> AuditResult:
     """Sine-power and plain kernel-moment identities against their
     Beta/hypergeometric right sides."""
     if mu <= 0.0:
@@ -426,25 +380,23 @@ def check_integral_identities(
     records = []
     for r in r_grid:
         lhs = integrate(
-            lambda t: np.sin(t) ** (mu - 1.0) * base_minus(r, t) ** (-nu), 0.0, math.pi, nodes
+            lambda t: np.sin(t) ** (mu - 1.0) * base_minus(r, t) ** (-nu),
+            0.0,
+            math.pi,
+            CONSTANT_NODES,
         )
         rhs = gamma(0.5 * mu) * gamma(0.5) / gamma(0.5 * (mu + 1.0)) * gauss_2f1(
             (nu, nu + 0.5 * (1.0 - mu), 0.5 * (1.0 + mu)), r * r
         )
         records.append((f"sine-power r={r}", r, -abs(lhs - rhs) / max(1.0, abs(rhs))))
-        lhs2 = 0.5 * bnd.plain_moment(-nu, r, nodes)
+        lhs2 = 0.5 * bnd.plain_moment(-nu, r, CONSTANT_NODES)
         rhs2 = math.pi * bnd.plain_moment_closed(-nu, r)
         records.append((f"plain-moment r={r}", r, -abs(lhs2 - rhs2) / max(1.0, abs(rhs2))))
-    return _collect("integral_identities", records, tolerance)
+    return _collect("integral_identities", records, VALUE_TOL)
 
 
 def check_kernel_mean_and_residual(
-    params: AlphaBeta,
-    f: BoundaryFunction,
-    r_grid=(0.1, 0.3, 0.5, 0.7, 0.9),
-    h_steps=(1e-2, 5e-3, 2.5e-3),
-    nodes: int = 2048,
-    tolerance: float = VALUE_TOL,
+    params: AlphaBeta, f: BoundaryFunction, r_grid=IDENTITY_RADII
 ) -> AuditResult:
     """Kernel circle means against their closed forms, plus second-order
     decay of the finite-difference operator residual for the extension
@@ -459,20 +411,20 @@ def check_kernel_mean_and_residual(
     one = from_fourier({0: 1.0})
     records = []
     for r in r_grid:
-        mod_mean = bnd.mp_growth_factor_quadrature(params, r, nodes)
+        mod_mean = bnd.mp_growth_factor_quadrature(params, r, CONSTANT_NODES)
         closed = bnd.mp_growth_factor(params, r)
         records.append((f"modulus-mean r={r}", r, -abs(mod_mean - closed) / max(1.0, abs(closed))))
-        plain = poisson_integral(params, one, r, nodes)
+        plain = poisson_integral(params, one, r, CONSTANT_NODES)
         closed = params.c_norm * gauss_2f1((-a, -b, 1.0), r * r)
         records.append((f"plain-mean r={r}", r, -abs(plain - closed) / max(1.0, abs(closed))))
 
-    u = poisson_extension(params, f, max(nodes, 2048))
+    u = poisson_extension(params, f, CONSTANT_NODES)
     rng = np.random.default_rng(4)
     pts = [0.55 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()) for _ in range(4)]
     order_records = []
     notes = ["residual margins graded as 0.3 - |order - 2|"]
     for i, z in enumerate(pts):
-        res = [abs(operator_residual(params, u, z, h)) for h in h_steps]
+        res = [abs(operator_residual(params, u, z, h)) for h in RESIDUAL_STEPS]
         if max(res) < 1e-8:
             # stencil error vanishes (low-order polynomial solution); the
             # operator annihilates u to rounding and no rate is measurable
@@ -483,17 +435,10 @@ def check_kernel_mean_and_residual(
                 continue
             order = math.log2(res[j] / res[j + 1])
             order_records.append((f"residual z{i} pair{j}", abs(z), 0.3 - abs(order - 2.0)))
-    return _collect(
-        "kernel_mean_and_residual",
-        records + order_records,
-        tolerance,
-        notes=notes,
-    )
+    return _collect("kernel_mean_and_residual", records + order_records, VALUE_TOL, notes=notes)
 
 
-def check_coefficient_inequalities(
-    params: AlphaBeta, coeffs, flags: dict, tolerance: float = VALUE_TOL
-) -> AuditResult:
+def check_coefficient_inequalities(params: AlphaBeta, coeffs, flags: dict) -> AuditResult:
     """Coefficient inequalities under caller-asserted class membership.
 
     flags may set: typically_real, starlike, in_s0, onto_disk.  Geometric
@@ -545,7 +490,7 @@ def check_coefficient_inequalities(
     if flags.get("onto_disk"):
         value = bnd.heinz_functional(params, coeffs.c(0), coeffs.c(1), coeffs.c(-1))
         records.append(("heinz", None, value - bnd.HEINZ_LOWER_BOUND))
-    return _collect("coefficient_inequalities", records, tolerance, notes=notes)
+    return _collect("coefficient_inequalities", records, VALUE_TOL, notes=notes)
 
 
 # ---------------------------------------------------------------------------

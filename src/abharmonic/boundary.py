@@ -1,9 +1,10 @@
 """Boundary data on the unit circle.
 
 A boundary function is held as finite Fourier data (a map k -> f_hat(k))
-and optionally as uniform samples on t_j = 2*pi*j/N.  Trigonometric
-polynomials are the intended scope, so Fourier evaluation is exact and
-all circle quadrature below is the plain periodic trapezoid rule.
+and as uniform samples on t_j = 2*pi*j/N, sampled once per N and kept
+read-only.  Trigonometric polynomials are the intended scope, so Fourier
+evaluation is exact and all circle quadrature below is the plain
+periodic trapezoid rule.
 
 Document format (JSON-style):
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -32,26 +34,29 @@ def _is_power_of_two(n: int) -> bool:
 
 
 class BoundaryFunction:
-    """Circle function with Fourier data and optional uniform samples."""
+    """Circle function with Fourier data; given samples are its grid for their N."""
 
     def __init__(self, fourier: dict[int, complex], samples=None):
         if not fourier and samples is None:
             raise ParameterError("need fourier coefficients or samples")
         self.fourier = {int(k): complex(v) for k, v in sorted(fourier.items())}
         self.order = max((abs(k) for k in self.fourier), default=0)
-        self.samples = None if samples is None else np.asarray(samples, dtype=complex)
-        if self.samples is not None:
-            n = len(self.samples)
+        self._grids = {}
+        if samples is not None:
+            samples = np.array(samples, dtype=complex)
+            n = len(samples)
             if not _is_power_of_two(n):
                 raise ParameterError(f"sample count must be a power of two, got {n}")
             if self.fourier and self.order < n // 2:
-                recomputed = fourier_from_samples(self.samples, self.order)
+                recomputed = fourier_from_samples(samples, self.order)
                 for k, v in self.fourier.items():
                     if abs(recomputed.get(k, 0.0) - v) > _CONSISTENCY_TOL:
                         raise ParameterError(
                             "fourier data and samples disagree at "
                             f"k = {k}: {v} vs {recomputed.get(k, 0.0)}"
                         )
+            samples.flags.writeable = False
+            self._grids[n] = samples
 
     def evaluate(self, t):
         """Value sum_k f_hat(k) exp(i k t); t may be scalar or array."""
@@ -66,9 +71,12 @@ class BoundaryFunction:
     __call__ = evaluate
 
     def values_on_grid(self, n: int) -> np.ndarray:
-        if self.samples is not None and len(self.samples) == n:
-            return self.samples
-        return self.evaluate(circle_nodes(n))
+        """The read-only samples on t_j = 2*pi*j/n, computed on first use."""
+        if n not in self._grids:
+            grid = self.evaluate(circle_nodes(n))
+            grid.flags.writeable = False
+            self._grids[n] = grid
+        return self._grids[n]
 
     @property
     def is_constant(self) -> bool:
@@ -126,35 +134,39 @@ def _complex_pair(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise BoundaryFileError(f"expected [re, im], got {v!r}")
     try:
-        return complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError) as exc:
+        re, im = float(v[0]), float(v[1])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BoundaryFileError(f"non-numeric entry {v!r}") from exc
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise BoundaryFileError(f"non-finite entry {v!r}")
+    return complex(re, im)
 
 
 def parse_document(doc) -> BoundaryFunction:
     if not isinstance(doc, dict):
         raise BoundaryFileError("boundary document must be an object")
+    if "fourier" not in doc and "samples" not in doc:
+        raise BoundaryFileError("document needs a 'fourier' or 'samples' key")
+    samples = None
+    if "samples" in doc:
+        if not isinstance(doc["samples"], list) or not doc["samples"]:
+            raise BoundaryFileError("'samples' must be a non-empty list")
+        samples = [_complex_pair(v) for v in doc["samples"]]
+    coeffs = {}
     if "fourier" in doc:
         raw = doc["fourier"]
         if not isinstance(raw, dict) or not raw:
             raise BoundaryFileError("'fourier' must be a non-empty object")
-        coeffs = {}
         for k, v in raw.items():
             try:
                 key = int(k)
             except (TypeError, ValueError) as exc:
                 raise BoundaryFileError(f"bad Fourier index {k!r}") from exc
             coeffs[key] = _complex_pair(v)
-        f = BoundaryFunction(coeffs)
-        if "samples" in doc:
-            samples = [_complex_pair(v) for v in doc["samples"]]
-            f = BoundaryFunction(coeffs, samples)
-        return f
-    if "samples" in doc:
-        if not isinstance(doc["samples"], list) or not doc["samples"]:
-            raise BoundaryFileError("'samples' must be a non-empty list")
-        return from_samples([_complex_pair(v) for v in doc["samples"]])
-    raise BoundaryFileError("document needs a 'fourier' or 'samples' key")
+    try:
+        return BoundaryFunction(coeffs, samples) if coeffs else from_samples(samples)
+    except ParameterError as exc:
+        raise BoundaryFileError(str(exc)) from exc
 
 
 def load(path) -> BoundaryFunction:

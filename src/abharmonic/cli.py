@@ -154,7 +154,11 @@ def _add_common(sub):
     sub.add_argument("--beta", type=float, default=0.0, help="second weight")
     sub.add_argument("--p", type=_parse_p, default=2.0, help="boundary exponent, number or 'inf'")
     sub.add_argument(
-        "--nodes", type=_parse_nodes, default=4096, help="circle quadrature nodes (power of two >= 64)"
+        "--nodes",
+        type=_parse_nodes,
+        default=4096,
+        help="quadrature nodes, a power of two >= 64: the Poisson nodes of solve and of the five "
+        "boundary checks, the bound-constant nodes of bounds; lemma and identity checks use 2048",
     )
     sub.add_argument("--seed", type=_parse_seed, default=987001, help="seed for randomized checks")
     sub.add_argument("--out", default=None, help="output path (default stdout)")

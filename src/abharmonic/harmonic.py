@@ -164,7 +164,9 @@ class PoissonExtension:
     Calling it evaluates the Poisson integral at scalar or array
     arguments.  circle_values exploits that the integral on a uniform
     circle grid is a circular convolution of the kernel with the
-    boundary samples, so one FFT replaces a dense kernel matrix.
+    boundary samples, so one FFT replaces a dense kernel matrix.  Both
+    paths read f only on its nodes-point grid; a ring's phase goes
+    through the kernel.
     """
 
     def __init__(self, params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES):
@@ -183,9 +185,8 @@ class PoissonExtension:
         n_theta = n if n_theta is None else n_theta
         if n % n_theta:
             return self(r * np.exp(1j * (circle_nodes(n_theta) + phase)))
-        t = circle_nodes(n)
-        fvals = self.f.evaluate(t + phase) if phase else self.f.values_on_grid(n)
-        kern = unnormalized_kernel(self.params, r * np.exp(1j * t))
+        kern = unnormalized_kernel(self.params, r * np.exp(1j * (circle_nodes(n) + phase)))
+        fvals = self.f.values_on_grid(n)
         vals = self.params.c_norm * np.fft.ifft(np.fft.fft(kern) * np.fft.fft(fvals)) / n
         return vals[:: n // n_theta]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abharmonic import audit
 from abharmonic.boundary import (
     BoundaryFunction,
     document,
@@ -154,6 +155,9 @@ class TestDocuments:
             {"fourier": {"1": ["a", "b"]}},
             {"samples": []},
             {"samples": [[1.0]]},
+            {"samples": [[1.0, 0.0]] * 3},
+            {"fourier": {"0": [1.0, 0.0]}, "samples": 5},
+            {"fourier": {"0": [1.0, 0.0]}, "samples": [[2.0, 0.0]] * 4},
         ],
     )
     def test_malformed(self, doc):
@@ -179,3 +183,34 @@ class TestDocuments:
         assert len(lines) == 9
         t, re, im = map(float, lines[3].split(","))
         assert re == pytest.approx(math.cos(t)) and im == pytest.approx(math.sin(t))
+
+
+class TestGridSampling:
+    def test_standard_suite_samples_each_boundary_once_per_grid(self, monkeypatch):
+        # one 1024-node Poisson grid and one 4096-node norm grid per boundary
+        calls = []
+        evaluate = BoundaryFunction.evaluate
+
+        def counted(self, t):
+            calls.append(np.size(t))
+            return evaluate(self, t)
+
+        monkeypatch.setattr(BoundaryFunction, "evaluate", counted)
+        audit.standard_suite(n_boundaries=2)
+        assert len(calls) <= 2 * 2
+
+    def test_grid_is_stored_read_only(self):
+        f = from_fourier({1: 1.0, -2: 0.5j})
+        grid = f.values_on_grid(64)
+        assert f.values_on_grid(64) is grid
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
+    def test_samples_document_grid_is_its_values(self):
+        values = 0.5 + np.exp(1j * circle_nodes(64)) - 0.25j * np.exp(-3j * circle_nodes(64))
+        f = parse_document({"samples": [[v.real, v.imag] for v in values]})
+        np.testing.assert_array_equal(f.values_on_grid(64), values)
+        kept = values.copy()
+        g = from_samples(values)
+        values[0] = 99.0
+        np.testing.assert_array_equal(g.values_on_grid(64), kept)

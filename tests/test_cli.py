@@ -213,6 +213,25 @@ class TestInputBoundary:
         assert "error:" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["expand", "solve"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"fourier": {"0": [NaN, 0.0], "1": [1.0, 0.0]}}',
+            '{"samples": [[Infinity, 0.0]' + ", [1.0, 0.0]" * 63 + "]}",
+            '{"fourier": {"0": [1' + "0" * 400 + ", 0.0]}}",
+        ],
+        ids=["nan-fourier", "infinity-sample", "overflowing-int"],
+    )
+    def test_non_finite_entry_exits_3(self, command, text, tmp_path, capsys):
+        doc = tmp_path / "bad.json"
+        doc.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, str(doc), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 @pytest.fixture(scope="module")
 def boundary_doc(tmp_path_factory):

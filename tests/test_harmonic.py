@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from abharmonic._quad import circle_nodes
 from abharmonic.boundary import from_fourier
 from abharmonic.errors import DomainError, StencilError
 from abharmonic.harmonic import (
@@ -364,3 +365,16 @@ class TestNodeRule:
     @pytest.mark.parametrize("nodes", [64, 4096])
     def test_accepted(self, nodes):
         assert check_nodes(nodes) == nodes
+
+
+class TestCircleValues:
+    # 256 angles divide the 1024 nodes (FFT path), 60 do not (dense path)
+    @pytest.mark.parametrize("n_theta", [256, 60])
+    @pytest.mark.parametrize("phase", [0.0, 1e-3, -1e-3, 0.7])
+    @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.3, -0.2)])
+    def test_matches_dense_evaluation(self, pair, phase, n_theta):
+        u = poisson_extension(make_params(*pair), seeded_boundary(np.random.default_rng(5)), 1024)
+        for r in (0.0, 0.3, 0.9):
+            dense = u(r * np.exp(1j * (circle_nodes(n_theta) + phase)))
+            ring = u.circle_values(r, n_theta, phase=phase)
+            assert np.max(np.abs(ring - dense)) <= 1e-13 * np.max(np.abs(dense))
