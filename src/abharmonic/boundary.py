@@ -71,9 +71,17 @@ class BoundaryFunction:
     __call__ = evaluate
 
     def values_on_grid(self, n: int) -> np.ndarray:
-        """The read-only samples on t_j = 2*pi*j/n, computed on first use."""
+        """The read-only samples on t_j = 2*pi*j/n, computed on first use.
+
+        One inverse FFT builds the grid: f_hat(k) goes to index k mod n,
+        which is exact for any order because exp(i k t_j) depends only on
+        k mod n.
+        """
         if n not in self._grids:
-            grid = self.evaluate(circle_nodes(n))
+            spectrum = np.zeros(n, dtype=complex)
+            for k, v in self.fourier.items():
+                spectrum[k % n] += v
+            grid = np.fft.ifft(spectrum, norm="forward")
             grid.flags.writeable = False
             self._grids[n] = grid
         return self._grids[n]

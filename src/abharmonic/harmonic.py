@@ -21,6 +21,7 @@ called once per point.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,13 +148,21 @@ def check_nodes(nodes: int) -> int:
     return nodes
 
 
+@functools.lru_cache(maxsize=16)
+def _conj_roots(nodes: int) -> np.ndarray:
+    """exp(-i t_j) on the nodes-point circle grid, read-only."""
+    roots = np.exp(-1j * circle_nodes(nodes))
+    roots.flags.writeable = False
+    return roots
+
+
 def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
     """Poisson integral of f at z: a complex for a scalar or DiskPoint z, else an array."""
-    t = circle_nodes(check_nodes(nodes))
+    roots = _conj_roots(check_nodes(nodes))
     z = np.asarray(z.z if isinstance(z, DiskPoint) else z, dtype=complex)
     if not np.all(np.abs(z) < 1.0):
         raise DomainError(f"|z| must be < 1, got {np.max(np.abs(z))}")
-    kern = unnormalized_kernel(params, z[..., None] * np.exp(-1j * t))
+    kern = unnormalized_kernel(params, z[..., None] * roots)
     vals = params.c_norm * np.mean(kern * f.values_on_grid(nodes), axis=-1)
     return complex(vals) if vals.ndim == 0 else vals
 

@@ -206,6 +206,39 @@ class TestGridSampling:
         with pytest.raises(ValueError):
             grid[0] = 0.0
 
+    @pytest.mark.parametrize(
+        "coeffs, n",
+        [
+            ({0: 0.5, 1: 1.0 - 0.5j, -1: 0.25j, 7: -0.3, -31: 0.2 + 0.1j}, 64),
+            ({k: complex(math.cos(k), math.sin(3 * k)) / (1 + abs(k)) for k in range(-12, 13)}, 4096),
+        ],
+    )
+    def test_fft_grid_matches_direct_sum(self, coeffs, n):
+        f = from_fourier(coeffs)
+        direct = f.evaluate(circle_nodes(n))
+        grid = f.values_on_grid(n)
+        assert np.max(np.abs(grid - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+    def test_fft_grid_folds_aliased_orders(self):
+        # exp(i k t_j) = exp(i (k mod 64) t_j) on the 64-point grid, so the
+        # direct sum of the folded data (orders +-6) is the same function
+        # there; evaluate at k = +-70 itself carries about 70 * 2 pi ulps of
+        # angle rounding, above the 1e-14 pin
+        coeffs = {0: 0.5, 2: 0.25, 70: 0.3 - 0.1j, -70: -0.2 + 0.4j}
+        folded = {0: 0.5, 2: 0.25, 6: 0.3 - 0.1j, -6: -0.2 + 0.4j}
+        direct = from_fourier(folded).evaluate(circle_nodes(64))
+        grid = from_fourier(coeffs).values_on_grid(64)
+        assert np.max(np.abs(grid - direct)) <= 1e-14 * np.max(np.abs(direct))
+        assert np.max(np.abs(grid - from_fourier(coeffs).evaluate(circle_nodes(64)))) < 1e-12
+
+    def test_stored_samples_returned_as_they_are(self):
+        # not band-limited: the grid rebuilt from the kept modes would differ
+        values = 1.0 / (1.6 - np.exp(1j * circle_nodes(64)))
+        f = parse_document({"samples": [[v.real, v.imag] for v in values]})
+        np.testing.assert_array_equal(f.values_on_grid(64), values)
+        finer = f.values_on_grid(128)
+        assert np.max(np.abs(finer - f.evaluate(circle_nodes(128)))) <= 1e-14 * np.max(np.abs(finer))
+
     def test_samples_document_grid_is_its_values(self):
         values = 0.5 + np.exp(1j * circle_nodes(64)) - 0.25j * np.exp(-3j * circle_nodes(64))
         f = parse_document({"samples": [[v.real, v.imag] for v in values]})

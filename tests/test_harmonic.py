@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from abharmonic import harmonic
 from abharmonic._quad import circle_nodes
 from abharmonic.boundary import from_fourier
 from abharmonic.errors import DomainError, StencilError
@@ -106,6 +107,13 @@ class TestPoissonIntegral:
     def test_node_validation(self):
         with pytest.raises(DomainError):
             poisson_integral(P00, from_fourier({0: 1.0}), 0.1, nodes=100)
+
+    def test_cached_roots_read_only(self):
+        roots = harmonic._conj_roots(64)
+        assert harmonic._conj_roots(64) is roots
+        np.testing.assert_array_equal(roots, np.exp(-1j * circle_nodes(64)))
+        with pytest.raises(ValueError):
+            roots[0] = 0.0
 
 
 class TestExpansion:

@@ -1,11 +1,13 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abharmonic import audit
 from abharmonic._quad import circle_nodes
 from abharmonic.errors import DomainError, ParameterError
 from abharmonic.kernel import make_params, poisson_kernel, unnormalized_kernel
@@ -68,6 +70,32 @@ class TestKernel:
             )
             assert unnormalized_kernel(p, w) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "pair", audit.STANDARD_PAIRS + ((2.7, -1.4), (-0.3, -0.6), (0.7, -0.3))
+    )
+    def test_mpmath_principal_branch_oracle(self, pair):
+        # the double w is taken as exact; points fill the disk out to
+        # |w| = 0.999 and approach w = 1 as 1 - 1e-6 e^{i psi}, |psi| < pi/2
+        p = make_params(*pair)
+        rng = np.random.default_rng(8)
+        radii = np.concatenate([0.999 * np.sqrt(rng.uniform(size=24)), np.full(12, 0.999)])
+        disk = radii * np.exp(2j * math.pi * rng.uniform(size=radii.size))
+        near_one = 1.0 - 1e-6 * np.exp(1j * np.linspace(-1.55, 1.55, 12))
+        w = np.concatenate([disk, near_one])
+        a, b = mp.mpf(p.alpha), mp.mpf(p.beta)
+        for wk, got in zip(w, unnormalized_kernel(p, w)):
+            v = mp.mpc(wk.real, wk.imag)
+            ref = (1 - abs(v) ** 2) ** (a + b + 1) / ((1 - v) ** (a + 1) * (1 - mp.conj(v)) ** (b + 1))
+            assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref)), wk
+
+    def test_equal_weights_exactly_real(self):
+        rng = np.random.default_rng(9)
+        w = 0.99 * np.sqrt(rng.uniform(size=64)) * np.exp(2j * math.pi * rng.uniform(size=64))
+        for pair in [(0.0, 0.0), (0.5, 0.5), (-0.3, -0.3), (2.0, 2.0)]:
+            p = make_params(*pair)
+            assert np.all(unnormalized_kernel(p, w).imag == 0.0)
+            assert unnormalized_kernel(p, 0.3 - 0.8j).imag == 0.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             unnormalized_kernel(make_params(0.0, 0.0), 1.0 + 0j)
@@ -94,6 +122,11 @@ class TestPoissonKernel:
     def test_unit_modulus_guard(self):
         with pytest.raises(DomainError):
             poisson_kernel(make_params(0.0, 0.0), 0.2, 1.01)
+
+    @pytest.mark.parametrize("zeta", [complex("nan"), complex(1.0, float("nan"))])
+    def test_nan_zeta_rejected(self, zeta):
+        with pytest.raises(DomainError, match="zeta"):
+            poisson_kernel(make_params(0.3, -0.2), 0.2, zeta)
 
     def test_classical_positivity(self):
         p = make_params(0.0, 0.0)
