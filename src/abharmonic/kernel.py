@@ -91,7 +91,8 @@ def _one_minus_abs_sq(x, y):
     of the split halves; there |w|^2 > 15/16, so 1 - (xh^2 + yh^2) is exact.
     """
     d = 1.0 - (x * x + y * y)
-    if not np.min(d) < _CANCELLATION_BELOW:
+    near = d < _CANCELLATION_BELOW
+    if not np.any(near):
         return d
     xh, xl = _split(x)
     yh, yl = _split(y)
@@ -100,7 +101,7 @@ def _one_minus_abs_sq(x, y):
     b_part = s - a
     s_err = (a - (s - b_part)) + (b - b_part)  # a + b = s + s_err exactly
     exact = (1.0 - s) - s_err - (2.0 * (xh * xl + yh * yl) + (xl * xl + yl * yl))
-    return np.where(d < _CANCELLATION_BELOW, exact, d)
+    return np.where(near, exact, d)
 
 
 def unnormalized_kernel(params: AlphaBeta, w):

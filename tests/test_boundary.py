@@ -189,15 +189,23 @@ class TestGridSampling:
     def test_standard_suite_samples_each_boundary_once_per_grid(self, monkeypatch):
         # one 1024-node Poisson grid and one 4096-node norm grid per boundary
         calls = []
+        grids = []
         evaluate = BoundaryFunction.evaluate
+        values_on_grid = BoundaryFunction.values_on_grid
 
         def counted(self, t):
             calls.append(np.size(t))
             return evaluate(self, t)
 
+        def kept(self, n):
+            grids.append(values_on_grid(self, n))
+            return grids[-1]
+
         monkeypatch.setattr(BoundaryFunction, "evaluate", counted)
+        monkeypatch.setattr(BoundaryFunction, "values_on_grid", kept)
         audit.standard_suite(n_boundaries=2)
         assert len(calls) <= 2 * 2
+        assert len({id(g) for g in grids}) == 2 * 2 < len(grids)
 
     def test_grid_is_stored_read_only(self):
         f = from_fourier({1: 1.0, -2: 0.5j})
@@ -210,7 +218,10 @@ class TestGridSampling:
         "coeffs, n",
         [
             ({0: 0.5, 1: 1.0 - 0.5j, -1: 0.25j, 7: -0.3, -31: 0.2 + 0.1j}, 64),
-            ({k: complex(math.cos(k), math.sin(3 * k)) / (1 + abs(k)) for k in range(-12, 13)}, 4096),
+            (
+                {k: complex(math.cos(k), math.sin(3 * k)) / (1 + abs(k)) for k in range(-12, 13)},
+                4096,
+            ),
         ],
     )
     def test_fft_grid_matches_direct_sum(self, coeffs, n):
@@ -220,12 +231,12 @@ class TestGridSampling:
         assert np.max(np.abs(grid - direct)) <= 1e-14 * np.max(np.abs(direct))
 
     def test_fft_grid_folds_aliased_orders(self):
-        # exp(i k t_j) = exp(i (k mod 64) t_j) on the 64-point grid, so the
-        # direct sum of the folded data (orders +-6) is the same function
-        # there; evaluate at k = +-70 itself carries about 70 * 2 pi ulps of
-        # angle rounding, above the 1e-14 pin
-        coeffs = {0: 0.5, 2: 0.25, 70: 0.3 - 0.1j, -70: -0.2 + 0.4j}
-        folded = {0: 0.5, 2: 0.25, 6: 0.3 - 0.1j, -6: -0.2 + 0.4j}
+        # exp(i k t_j) = exp(i (k mod 64) t_j) on the 64-point grid, so
+        # the direct sum of the folded data (70 shares the bin of 6) is the
+        # same function there; evaluate at k = +-70 itself carries about
+        # 70 * 2 pi ulps of angle rounding, above the 1e-14 pin
+        coeffs = {0: 0.5, 2: 0.25, 6: 0.1, 70: 0.3 - 0.1j, -70: -0.2 + 0.4j}
+        folded = {0: 0.5, 2: 0.25, 6: 0.4 - 0.1j, -6: -0.2 + 0.4j}
         direct = from_fourier(folded).evaluate(circle_nodes(64))
         grid = from_fourier(coeffs).values_on_grid(64)
         assert np.max(np.abs(grid - direct)) <= 1e-14 * np.max(np.abs(direct))
@@ -237,7 +248,8 @@ class TestGridSampling:
         f = parse_document({"samples": [[v.real, v.imag] for v in values]})
         np.testing.assert_array_equal(f.values_on_grid(64), values)
         finer = f.values_on_grid(128)
-        assert np.max(np.abs(finer - f.evaluate(circle_nodes(128)))) <= 1e-14 * np.max(np.abs(finer))
+        direct = f.evaluate(circle_nodes(128))
+        assert np.max(np.abs(finer - direct)) <= 1e-14 * np.max(np.abs(finer))
 
     def test_samples_document_grid_is_its_values(self):
         values = 0.5 + np.exp(1j * circle_nodes(64)) - 0.25j * np.exp(-3j * circle_nodes(64))

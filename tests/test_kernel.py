@@ -85,7 +85,9 @@ class TestKernel:
         a, b = mp.mpf(p.alpha), mp.mpf(p.beta)
         for wk, got in zip(w, unnormalized_kernel(p, w)):
             v = mp.mpc(wk.real, wk.imag)
-            ref = (1 - abs(v) ** 2) ** (a + b + 1) / ((1 - v) ** (a + 1) * (1 - mp.conj(v)) ** (b + 1))
+            ref = (1 - abs(v) ** 2) ** (a + b + 1) / (
+                (1 - v) ** (a + 1) * (1 - mp.conj(v)) ** (b + 1)
+            )
             assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref)), wk
 
     def test_equal_weights_exactly_real(self):
@@ -95,6 +97,10 @@ class TestKernel:
             p = make_params(*pair)
             assert np.all(unnormalized_kernel(p, w).imag == 0.0)
             assert unnormalized_kernel(p, 0.3 - 0.8j).imag == 0.0
+
+    def test_empty_array(self):
+        empty = np.array([], dtype=complex)
+        assert unnormalized_kernel(make_params(0.3, -0.2), empty).shape == (0,)
 
     def test_domain(self):
         with pytest.raises(DomainError):
