@@ -35,6 +35,11 @@ from .specfun import HypParams, gauss_2f1, gauss_2f1_at_one
 
 DEFAULT_NODES = 4096
 DEFAULT_STEP = 1e-3
+# kernel points per block of a dense Poisson evaluation (at least one
+# row of nodes): a block's temporaries stay in cache and in reused heap
+# memory instead of being fresh multi-megabyte arrays whose page faults
+# cost as much as the kernel
+_BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -162,8 +167,14 @@ def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEF
     z = np.asarray(z.z if isinstance(z, DiskPoint) else z, dtype=complex)
     if not np.all(np.abs(z) < 1.0):
         raise DomainError(f"|z| must be < 1, got {np.max(np.abs(z))}")
-    kern = unnormalized_kernel(params, z[..., None] * roots)
-    vals = params.c_norm * np.mean(kern * f.values_on_grid(nodes), axis=-1)
+    fvals = f.values_on_grid(nodes)
+    flat = z.reshape(-1)
+    means = np.empty(flat.shape, dtype=complex)
+    step = max(1, _BLOCK_POINTS // nodes)
+    for i in range(0, flat.size, step):
+        kern = unnormalized_kernel(params, flat[i : i + step, None] * roots)
+        means[i : i + step] = np.mean(kern * fvals, axis=-1)
+    vals = params.c_norm * means.reshape(z.shape)
     return complex(vals) if vals.ndim == 0 else vals
 
 

@@ -115,6 +115,19 @@ class TestPoissonIntegral:
         with pytest.raises(ValueError):
             roots[0] = 0.0
 
+    @pytest.mark.parametrize("nodes", [64, 4096, 16384])
+    def test_blocks_match_pointwise(self, nodes):
+        # more points than one block holds, in a 2-d shape: each value is
+        # bit for bit the one-point evaluation
+        rng = np.random.default_rng(11)
+        f = seeded_boundary(rng)
+        n = 3 * max(1, harmonic._BLOCK_POINTS // nodes) + 2
+        z = (0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))).reshape(1, n)
+        vals = poisson_integral(PHH, f, z, nodes)
+        assert vals.shape == (1, n)
+        np.testing.assert_array_equal(vals[0], [poisson_integral(PHH, f, w, nodes) for w in z[0]])
+        assert poisson_integral(PHH, f, np.zeros((2, 0)), nodes).shape == (2, 0)
+
 
 class TestExpansion:
     def test_first_mode_classical(self):
