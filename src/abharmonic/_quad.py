@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
+DEFAULT_NODES = 4096  # the package-wide default node count
 
 
 def circle_nodes(n: int) -> np.ndarray:
@@ -28,7 +29,7 @@ def circle_nodes(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
-def circle_mean(fn, nodes: int = 4096):
+def circle_mean(fn, nodes: int = DEFAULT_NODES):
     """Mean value (1/2pi) * integral of fn over [0, 2pi), trapezoid rule."""
     return np.mean(fn(circle_nodes(nodes)))
 
@@ -76,7 +77,7 @@ def integrate(fn, a: float, b: float, nodes: int = 600) -> float:
     return float(half * np.sum(w[keep] * vals))
 
 
-def integrate_piecewise(fn, breaks, nodes: int = 4096) -> float:
+def integrate_piecewise(fn, breaks, nodes: int = DEFAULT_NODES) -> float:
     """Integral of fn over [breaks[0], breaks[-1]], tanh-sinh on each piece."""
     breaks = sorted(breaks)
     pieces = [(a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a > 1e-13]
@@ -84,7 +85,7 @@ def integrate_piecewise(fn, breaks, nodes: int = 4096) -> float:
     return sum(integrate(fn, a, b, per) for a, b in pieces)
 
 
-def circle_integral(fn, breaks=(), nodes: int = 4096) -> float:
+def circle_integral(fn, breaks=(), nodes: int = DEFAULT_NODES) -> float:
     """Integral of fn over [0, 2pi].
 
     With no interior break points the periodic trapezoid rule is used;

@@ -22,10 +22,9 @@ import math
 
 import numpy as np
 
-from ._quad import circle_nodes, p_mean
+from ._quad import DEFAULT_NODES, circle_nodes, p_mean
 from .errors import BoundaryFileError, ParameterError
 
-DEFAULT_NODES = 4096
 _CONSISTENCY_TOL = 1e-10
 
 
@@ -192,7 +191,7 @@ def document(f: BoundaryFunction) -> dict:
 
 def save_samples_csv(f: BoundaryFunction, path, nodes: int = 256) -> None:
     t = circle_nodes(nodes)
-    vals = f.evaluate(t)
+    vals = f.values_on_grid(nodes)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "re", "im"])

@@ -27,12 +27,13 @@ by large finite exponents.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import base_plus, circle_integral, integrate
+from ._quad import DEFAULT_NODES, base_plus, circle_integral, integrate
 from .errors import ParameterError
 from .kernel import AlphaBeta
 from .specfun import gamma, gauss_2f1, gauss_2f1_at_one
@@ -41,7 +42,6 @@ HEINZ_LOWER_BOUND = 27.0 / (4.0 * math.pi**2)
 HARMONIC_A2_BOUND = 20.9197  # second-coefficient estimate for the plain class
 DISCREPANCY_TOL = 1e-6
 SUP_GRID_SIZE = 512
-DEFAULT_NODES = 4096
 
 SUP = "sup"
 
@@ -111,11 +111,16 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # the two kernel moments
 
+# each distinct moment is integrated once per process; callers pass its
+# arguments positionally, since the caches key on the arguments as passed
+_moment_cache = functools.lru_cache(maxsize=4096)
+
 
 def _radius(r) -> float:
     return 1.0 if r == SUP else float(r)
 
 
+@_moment_cache
 def plain_moment(m: float, r, nodes: int = DEFAULT_NODES) -> float:
     """Integral of |1 + r e^{is}|^(2m) over the circle; r = "sup" means 1.
 
@@ -128,6 +133,7 @@ def plain_moment(m: float, r, nodes: int = DEFAULT_NODES) -> float:
     return circle_integral(lambda s: base_plus(r, s) ** m, breaks, nodes)
 
 
+@_moment_cache
 def plain_moment_closed(m: float, r) -> float:
     """plain_moment / (2 pi) in closed form: F(-m, -m; 1; r^2), and at
     r = 1 or "sup" its limit Gamma(1 + 2m) / Gamma(1 + m)^2."""
@@ -137,6 +143,7 @@ def plain_moment_closed(m: float, r) -> float:
     return gauss_2f1(hyp, r * r)
 
 
+@_moment_cache
 def oscillatory_moment(m, k, off, amp, r, x=0.0, y=0.0, nodes: int = DEFAULT_NODES) -> float:
     """Integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m)
     over the circle, split at the kinks x + pi/2, x + 3 pi/2 and, for
@@ -285,7 +292,7 @@ def _half_weight(params: AlphaBeta) -> float:
 
 
 def mp_growth_factor(params: AlphaBeta, r: float) -> float:
-    """|c| F(-(a+b)/2, -(a+b)/2; 1; r^2); r = 1 gives the limit value."""
+    """|c| F(-(a+b)/2, -(a+b)/2; 1; r^2); r = 1 or "sup" gives the limit."""
     return abs(params.c_norm) * plain_moment_closed(_half_weight(params), r)
 
 
@@ -392,7 +399,7 @@ def distortion_constant(params: AlphaBeta, hp: HolderPair, r=SUP, nodes: int = D
     # max of the oscillatory moment over the phase; both endpoint
     # candidates are evaluated, which covers every exponent regime
     vmax = max(
-        oscillatory_moment(mb, q, gap * math.pi, gap + 1.0, rr, x, nodes=nodes)
+        oscillatory_moment(mb, q, gap * math.pi, gap + 1.0, rr, x, 0.0, nodes)
         for x in (0.0, -0.5 * math.pi)
     )
     pref = 2.0 * abs(params.c_norm) / (2.0 * math.pi) ** (1.0 / q)
@@ -457,7 +464,7 @@ def partial_constant(
         # oscillatory-maximum threshold: exponent (sigma q - 2)/2 above 1
         # favors aligned phases, below 1 the quarter-turn
         x = 0.0 if s0 * q > 4.0 else 0.5 * math.pi
-    g_mean = oscillatory_moment(m, q, gap, s0, rr, x, nodes=nodes) / (2.0 * math.pi)
+    g_mean = oscillatory_moment(m, q, gap, s0, rr, x, 0.0, nodes) / (2.0 * math.pi)
     coef = q * (w + s0 + gap) ** (q - 1.0) * w
     return absc * lead * (g_mean + coef * plain_moment_closed(m, r)) ** (1.0 / q)
 
@@ -499,7 +506,7 @@ def means_constant(params: AlphaBeta, which: str, r=SUP, nodes: int = DEFAULT_NO
 
     def trig_mean(rr, x):
         """(1/2pi) integral of |cos(s - x)| |1 + r e^{-is}|^(alpha+beta) ds."""
-        return oscillatory_moment(g2, 1.0, 0.0, 1.0, rr, x, nodes=nodes) / (2.0 * math.pi)
+        return oscillatory_moment(g2, 1.0, 0.0, 1.0, rr, x, 0.0, nodes) / (2.0 * math.pi)
 
     lead, w, x = _radial_or_angular(params, which, r)
     if r == SUP:
@@ -532,15 +539,11 @@ def full_report(
     params: AlphaBeta, hp: HolderPair, r: float = 0.6, nodes: int = DEFAULT_NODES
 ) -> BoundReport:
     """Every constant at one (alpha, beta, p), closed forms paired with
-    their defining integrals.  The plain moments behind the pairs, of
-    exponents (alpha + beta)/2 and sigma q/2 - 1, are integrated once per
-    radius."""
+    their defining integrals."""
     finite_q = not hp.q_is_inf
     absc = abs(params.c_norm)
     half = _half_weight(params)
     m = _kernel_exponent(params, hp) if finite_q else None
-    exponents = (half, m) if finite_q else (half,)
-    integral = {(e, rad): plain_moment(e, rad, nodes) for e in exponents for rad in (r, SUP)}
     rep = BoundReport()
 
     def add_pairs(names, source, e, scale, power=1.0):
@@ -549,7 +552,7 @@ def full_report(
         in closed form and from its integral."""
         for name, rad, where in zip(names, (r, SUP), (f"at r = {r}", "at r = 1")):
             closed = scale(rad) * plain_moment_closed(e, rad) ** power
-            quad = scale(rad) * (integral[e, rad] / (2.0 * math.pi)) ** power
+            quad = scale(rad) * (plain_moment(e, rad, nodes) / (2.0 * math.pi)) ** power
             _add_pair(rep, name, closed, quad, f"{source} {where}", nodes)
 
     def one_sided(rad):
@@ -592,7 +595,7 @@ def full_report(
     )
     rep.add(
         "mp_factor_limit",
-        mp_growth_factor(params, 1.0),
+        mp_growth_factor(params, SUP),
         "integral-means factor, r -> 1",
         "closed_form",
     )

@@ -24,6 +24,7 @@ from contextlib import nullcontext
 from datetime import datetime, timezone
 
 from . import boundary
+from ._quad import DEFAULT_NODES
 from .audit import SUITE_NAMES, run_suite
 from .bounds import HolderPair, full_report
 from .errors import BoundaryFileError, ConvergenceError, DomainError, ParameterError
@@ -156,7 +157,7 @@ def _add_common(sub):
     sub.add_argument(
         "--nodes",
         type=_parse_nodes,
-        default=4096,
+        default=DEFAULT_NODES,
         help="quadrature nodes, a power of two >= 64: the Poisson nodes of solve and of the five "
         "boundary checks, the bound-constant nodes of bounds; lemma and identity checks use 2048",
     )

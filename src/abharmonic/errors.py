@@ -14,7 +14,12 @@ class PoleError(DomainError):
 
 
 class ConvergenceError(ArithmeticError):
-    """An iterative evaluation did not converge within its term budget."""
+    """An iterative evaluation ran out of terms; it carries the series
+    `params` (a, b, c, x), the number of `terms` summed and the `last_term`."""
+
+    def __init__(self, message: str, *, params=None, terms=None, last_term=None):
+        super().__init__(message)
+        self.params, self.terms, self.last_term = params, terms, last_term
 
 
 class StencilError(DomainError):

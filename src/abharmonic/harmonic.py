@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import circle_nodes, p_mean
+from ._quad import DEFAULT_NODES, circle_nodes, p_mean
 from .boundary import BoundaryFunction
 from .errors import DomainError, StencilError
 from .kernel import AlphaBeta, unnormalized_kernel
 from .specfun import HypParams, gauss_2f1, gauss_2f1_at_one
 
-DEFAULT_NODES = 4096
 DEFAULT_STEP = 1e-3
 # kernel points per block of a dense Poisson evaluation (at least one
 # row of nodes): a block's temporaries stay in cache and in reused heap

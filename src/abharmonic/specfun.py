@@ -117,7 +117,8 @@ def _series(a: float, b: float, c: float, x: float) -> float:
             return total
     raise ConvergenceError(
         f"hypergeometric series did not converge for ({a}, {b}; {c}; {x}) "
-        f"within {MAX_TERMS} terms"
+        f"within {MAX_TERMS} terms",
+        params=(a, b, c, x), terms=MAX_TERMS, last_term=term,
     )
 
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import abharmonic.bounds as bnd
 from abharmonic.audit import (
+    R_GRID,
     AuditResult,
     check_coefficient_inequalities,
     check_distortion,
@@ -19,9 +21,16 @@ from abharmonic.audit import (
     merge_results,
     random_boundary,
     run_suite,
+    standard_suite,
 )
 from abharmonic.boundary import from_fourier
-from abharmonic.bounds import HEINZ_LOWER_BOUND, HolderPair, coefficient_bound, oscillatory_moment
+from abharmonic.bounds import (
+    HEINZ_LOWER_BOUND,
+    SUP,
+    HolderPair,
+    coefficient_bound,
+    oscillatory_moment,
+)
 from abharmonic.errors import ParameterError
 from abharmonic.harmonic import SeriesCoefficients
 from abharmonic.kernel import make_params
@@ -274,6 +283,24 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ParameterError):
             run_suite("bogus", P00, HolderPair.from_p(2.0))
+
+    def test_standard_suite_grades_at_ring_radii(self, monkeypatch):
+        # abs(z) of a Z_GRID point can be one ulp off its ring radius, which
+        # would ask for every bound constant at a second radius
+        radii = set()
+        # where each moment function takes its radius
+        where_r = {"plain_moment": 1, "plain_moment_closed": 1, "oscillatory_moment": 4}
+        for name, where in where_r.items():
+
+            def recorded(*args, moment=getattr(bnd, name), where=where, **kwargs):
+                radii.add(args[where])
+                return moment(*args, **kwargs)
+
+            monkeypatch.setattr(bnd, name, recorded)
+        results = standard_suite(n_boundaries=8)
+        # the distortion constant also reads its endpoint moment at r = 1
+        assert radii == set(R_GRID) | {SUP}
+        assert {r for res in results for _, r, _ in res.details} == set(R_GRID)
 
     def test_merge_and_csv(self):
         rng = np.random.default_rng(1)

@@ -184,6 +184,30 @@ class TestDocuments:
         t, re, im = map(float, lines[3].split(","))
         assert re == pytest.approx(math.cos(t)) and im == pytest.approx(math.sin(t))
 
+    @staticmethod
+    def _read_csv(path):
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        t = np.array([float(row[0]) for row in rows])
+        return t, np.array([complex(float(row[1]), float(row[2])) for row in rows])
+
+    @pytest.mark.parametrize("k, n", [(1000, 4096), (70, 64), (-3, 8)])
+    def test_csv_rows_are_the_fft_grid(self, tmp_path, k, n):
+        # evaluate's exp(i k t) from the rounded product k t is off the grid
+        # by 1.1e-12 at k = 1000, n = 4096; the rows must be the grid itself
+        f = from_fourier({0: 0.25, k: 1.0 - 0.5j})
+        path = tmp_path / "samples.csv"
+        save_samples_csv(f, path, nodes=n)
+        t, vals = self._read_csv(path)
+        assert np.array_equal(t, circle_nodes(n))
+        assert np.array_equal(vals, f.values_on_grid(n))
+
+    def test_csv_of_samples_document_reproduces_its_samples(self, tmp_path):
+        rng = np.random.default_rng(3)
+        samples = rng.normal(size=64) + 1j * rng.normal(size=64)
+        path = tmp_path / "samples.csv"
+        save_samples_csv(parse_document({"samples": [[v.real, v.imag] for v in samples]}), path, 64)
+        assert np.array_equal(self._read_csv(path)[1], samples)
+
 
 class TestGridSampling:
     def test_standard_suite_samples_each_boundary_once_per_grid(self, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abharmonic._quad import base_plus, circle_nodes
+import abharmonic.bounds as bnd
+from abharmonic._quad import base_plus, circle_integral, circle_nodes
 from abharmonic.bounds import (
     HEINZ_LOWER_BOUND,
     SUP,
@@ -41,6 +42,26 @@ PAIRS = [(0.0, 0.0), (0.5, 0.5), (-0.5, 1.0), (0.3, -0.2)]
 TWO_PI_SQRT3_9 = 1.2091995761561452337
 TWO_PI_SQRT6_9 = 1.7100664402158187941
 FOUR_OVER_PI = 1.2732395447351626862
+
+
+def _clear_moment_caches():
+    for fn in (bnd.plain_moment, bnd.plain_moment_closed, bnd.oscillatory_moment):
+        fn.cache_clear()
+
+
+def _count_integrations(monkeypatch) -> dict:
+    """Counts of the plain and oscillatory moments integrated from here on,
+    starting from empty moment caches."""
+    _clear_moment_caches()
+    counts = {"plain": 0, "oscillatory": 0}
+
+    def counted(fn, breaks, nodes):
+        # an oscillatory moment always breaks at its two |cos| kinks
+        counts["oscillatory" if len(breaks) >= 2 else "plain"] += 1
+        return circle_integral(fn, breaks, nodes)
+
+    monkeypatch.setattr(bnd, "circle_integral", counted)
+    return counts
 
 
 class TestHolderPair:
@@ -399,20 +420,34 @@ class TestFullReport:
         assert all("nodes" in e for e in quad_entries)
 
     def test_each_plain_moment_integrated_once(self, monkeypatch):
-        import abharmonic.bounds as bnd
+        # and each oscillatory one: at finite q, exponents (alpha + beta)/2
+        # and sigma q/2 - 1 at r and r = 1 and the kernel-modulus mean at r,
+        # then four distortion, three partial and three means moments (14
+        # integrations, 15 at equal weights); at p = 1, (alpha + beta)/2 at r
+        # and r = 1, the modulus mean and the three means moments (6)
+        for pair, p_exp, plain, oscillatory in (
+            ((0.3, -0.2), 2.0, 5, 10),
+            ((0.5, 0.5), 2.0, 5, 10),
+            ((0.3, -0.2), 1.0, 3, 3),
+        ):
+            counts = _count_integrations(monkeypatch)
+            full_report(make_params(*pair), HolderPair.from_p(p_exp))
+            assert counts == {"plain": plain, "oscillatory": oscillatory}, (pair, p_exp)
 
-        calls = []
-        original = bnd.plain_moment
+    def test_warm_caches_give_cold_bits(self):
+        params, hp = make_params(0.3, -0.2), HolderPair.from_p(4.0)
+        _clear_moment_caches()
+        cold = full_report(params, hp).to_dict()
+        assert full_report(params, hp).to_dict() == cold
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(bnd, "plain_moment", counted)
-        full_report(make_params(0.5, 0.5), HolderPair.from_p(2.0))
-        # exponents (alpha + beta)/2 and sigma q/2 - 1 at r and r = 1, and
-        # the kernel-modulus mean at r
-        assert len(calls) == 5
+    def test_shared_moment_independent_of_order(self):
+        # at the supremum, radial and angular bounds share one moment
+        params, hp = make_params(0.3, -0.2), HolderPair.from_p(2.0)
+        _clear_moment_caches()
+        first = partial_constant(params, hp, "angular", SUP)
+        _clear_moment_caches()
+        partial_constant(params, hp, "radial", SUP)
+        assert partial_constant(params, hp, "angular", SUP) == first
 
 
 class TestKernelMoments:
@@ -435,8 +470,6 @@ class TestNonFiniteFlags:
         assert rep.flagged == ["x", "y"]
 
     def test_nan_growth_supremum_is_flagged(self, monkeypatch):
-        import abharmonic.bounds as bnd
-
         monkeypatch.setattr(bnd, "growth_sup_grid", lambda params, hp: math.nan)
         rep = full_report(make_params(0.5, 0.5), HolderPair.from_p(2.0))
         assert "growth_sup_reference" in rep.flagged

@@ -9,10 +9,12 @@ case ids must match exactly; floats must match within
 1e-12 * max(1, |ref|).
 
 A section is regenerated only on purpose, never to make a refactor pass,
-and only the named section is rewritten.  `--diff` writes nothing: it
-prints the path of every non-float field that differs from the stored
-section, the number of floats compared and the worst relative float
-difference |got - ref| / max(1, |ref|):
+and only the named section is rewritten.  `--write` re-pins only what
+moved: a stored float that still matches within the pin is kept as it is,
+and the number of floats written anew is printed.  `--diff` writes
+nothing: it prints the path of every non-float field that differs from
+the stored section, the number of floats compared and the worst relative
+float difference |got - ref| / max(1, |ref|):
 
     PYTHONPATH=src python tests/test_golden.py --diff SECTION
     PYTHONPATH=src python tests/test_golden.py --write SECTION
@@ -256,10 +258,47 @@ def test_matches_golden(golden, section):
     _assert_matches(_normalize(SECTIONS[section]()), golden[section], section)
 
 
+def _merge(got, ref):
+    """(doc, n): got with every float that matches its stored counterpart
+    in ref within REL_TOL kept as stored, and n the number of floats that
+    were not kept (moved beyond the pin, or new)."""
+    if isinstance(got, dict):
+        ref = ref if isinstance(ref, dict) else {}
+        merged = {k: _merge(v, ref.get(k)) for k, v in got.items()}
+        return {k: doc for k, (doc, _) in merged.items()}, sum(n for _, n in merged.values())
+    if isinstance(got, list):
+        ref = ref if isinstance(ref, list) and len(ref) == len(got) else [None] * len(got)
+        merged = [_merge(g, r) for g, r in zip(got, ref)]
+        return [doc for doc, _ in merged], sum(n for _, n in merged)
+    if isinstance(got, float):
+        if isinstance(ref, float) and next(_differences(got, ref, ""))[3] <= REL_TOL:
+            return ref, 0
+        return got, 1
+    return got, 0
+
+
+def test_write_repins_only_what_moved():
+    ref = {"a": 1.0, "b": [0.5, 2.0, "x"], "c": {"d": 3.0, "gone": 1.0}, "e": [1.0], "f": 1.0}
+    got = {
+        "a": 1.0 + 1e-14,
+        "b": [0.5 + 1e-6, 2.0, "y"],
+        "c": {"d": 3.0, "h": 4.0},
+        "e": [1.0, 2.0],
+        "f": 1,
+    }
+    doc, repinned = _merge(got, ref)
+    assert doc == dict(got, a=1.0)
+    assert type(doc["f"]) is int
+    # 0.5 moved beyond the pin; 4.0 and the two floats of the resized list are new
+    assert repinned == 4
+
+
 def _write(section: str) -> None:
-    """Regenerate one section; the others keep their stored values."""
+    """Regenerate one section, re-pinning only the floats that moved; the
+    other sections keep their stored values."""
     doc = _load() if GOLDEN.exists() else {}
-    doc[section] = SECTIONS[section]()
+    doc[section], repinned = _merge(_normalize(SECTIONS[section]()), doc.get(section))
+    print(f"{repinned} floats re-pinned")
     GOLDEN.parent.mkdir(exist_ok=True)
     raw = json.dumps(doc, separators=(",", ":")).encode("utf-8")
     with open(GOLDEN, "wb") as fh, gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from abharmonic.errors import ConvergenceError, DomainError, ParameterError, PoleError
 from abharmonic.specfun import (
+    MAX_TERMS,
     HypParams,
     beta,
     gamma,
@@ -172,6 +173,19 @@ class TestGauss2F1:
         # direct series exhausts its budget
         with pytest.raises(ConvergenceError):
             gauss_2f1((1.0, 1.0, 1.5), 0.999999)
+
+    def test_convergence_error_attributes(self):
+        # c - a - b = 2 is an integer, so only the direct series applies
+        with pytest.raises(ConvergenceError) as info:
+            gauss_2f1((-0.5, -0.5, 1.0), 0.9998)
+        exc = info.value
+        assert str(exc) == (
+            "hypergeometric series did not converge for (-0.5, -0.5; 1.0; 0.9998) "
+            f"within {MAX_TERMS} terms"
+        )
+        assert exc.params == (-0.5, -0.5, 1.0, 0.9998)
+        assert exc.terms == MAX_TERMS
+        assert 0.0 < abs(exc.last_term) < 1e-6
 
 
 class TestAtOne:
