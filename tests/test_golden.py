@@ -1,9 +1,9 @@
-"""Golden outputs of the bound constants, the moment-based audits and
-the evaluation layer.
+"""Golden outputs of the bound constants, the moment-based audits, the
+audit suites and the evaluation layer.
 
 The reference file pins what `bounds`, the lemma/identity audits, the
-inequality sweep, `solve` and the finite-difference measurements
-produce, so that a refactor can be checked against the numbers it must
+named audit suites, the inequality sweep, `solve` and the
+finite-difference measurements produce, so that a refactor can be checked against the numbers it must
 keep.  Names, sources, methods, node counts, notes, flagged sets and
 case ids must match exactly; floats must match within
 1e-12 * max(1, |ref|).
@@ -67,6 +67,9 @@ SOLVE_GRIDS = ("4x64", "8x32", "4x60")  # 64 and 32 divide --nodes 4096, 60 does
 EVAL_POINTS = (0.3 - 0.2j, 0.5 + 0.4j, -0.6 + 0.1j)
 MEANS_RADII = (0.3, 0.7)
 MEANS_EXPONENTS = (1.0, 2.0, math.inf)
+# (alpha, beta, p, suite names); at (1, -1.5) distortion is skipped and
+# the ratio lemma has no case
+SUITE_POINTS = ((0.3, -0.2, math.inf, audit.SUITE_NAMES), (1.0, -1.5, 2.0, ("all", "distortion")))
 
 
 def _key(*parts) -> str:
@@ -122,6 +125,17 @@ def _audit_margins() -> dict:
     f = audit.random_boundary(np.random.default_rng(audit.DEFAULT_SEED))
     res = audit.check_kernel_mean_and_residual(make_params(0.3, -0.2), f)
     out["kernel_mean_and_residual"] = res.to_dict()
+    return out
+
+
+def _suites() -> dict:
+    """run_suite's results, in its order, on three boundaries."""
+    out = {}
+    for a, b, p, names in SUITE_POINTS:
+        params, hp = make_params(a, b), HolderPair.from_p(p)
+        for name in names:
+            results = audit.run_suite(name, params, hp, n_boundaries=3, nodes=1024)
+            out[_key(name, a, b, p)] = [r.to_dict() for r in results]
     return out
 
 
@@ -200,6 +214,7 @@ SECTIONS = {
     "full_report": _full_reports,
     "audit_constants": _audit_constants,
     "audit_margins": _audit_margins,
+    "suites": _suites,
     "evaluation": _evaluation,
 }
 
