@@ -50,10 +50,9 @@ AUDIT_NODES = 1024
 CONSTANT_NODES = 2048  # nodes of the bound constants and the lemma and identity checks
 DEFAULT_SEED = 987001
 R_GRID = (0.3, 0.6, 0.9)
-# eight angles, offset from the axes, on each radius of R_GRID; a point is
-# graded at its ring radius in Z_RADII, since abs(z) can be one ulp off it
-Z_RADII = tuple(r for r in R_GRID for _ in range(8))
-Z_GRID = np.array([r * np.exp(2j * math.pi * (j % 8 + 0.37) / 8) for j, r in enumerate(Z_RADII)])
+# one row of eight angles, offset from the axes, per radius of R_GRID; a
+# row is graded at its ring radius, since abs(z) can be one ulp off it
+Z_GRID = np.array([[r * np.exp(2j * math.pi * (j + 0.37) / 8) for j in range(8)] for r in R_GRID])
 MEANS_THETAS = 256  # ring points of the means-of-partials stencils
 RATIO_T_GRID = np.linspace(0.01, 0.99, 99)
 OSC_RADII = (0.2, 0.5, 0.8, 0.95)
@@ -81,7 +80,7 @@ class AuditResult:
     def passed(self) -> bool:
         return self.cases_violated == 0
 
-    def to_dict(self, with_details: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "name": self.name,
             "cases_total": self.cases_total,
@@ -96,10 +95,9 @@ class AuditResult:
             out["notes"] = list(self.notes)
         if self.extras:
             out["extras"] = dict(self.extras)
-        if with_details:
-            out["margins"] = [
-                [case, None if r is None else float(r), float(m)] for case, r, m in self.details
-            ]
+        out["margins"] = [
+            [case, None if r is None else float(r), float(m)] for case, r, m in self.details
+        ]
         return out
 
 
@@ -109,7 +107,7 @@ def _worst(margins) -> float:
     return float(np.min(margins)) if len(margins) else 0.0
 
 
-def _collect(name, records, tolerance, seed=None, notes=None, extras=None) -> AuditResult:
+def _collect(name, records, tolerance, notes=None, extras=None) -> AuditResult:
     """records: iterable of (case_id, r, margin)."""
     records = list(records)
     margins = [m for _, _, m in records]
@@ -120,7 +118,6 @@ def _collect(name, records, tolerance, seed=None, notes=None, extras=None) -> Au
         violated,
         _worst(margins),
         tolerance,
-        seed=seed,
         notes=list(notes or []),
         details=records,
         extras=dict(extras or {}),
@@ -174,11 +171,11 @@ def check_growth(
     uvals = poisson_integral(params, f, Z_GRID, nodes)
     records = []
     inv_p = 0.0 if math.isinf(hp.p) else 1.0 / hp.p
-    for i, (r, uv) in enumerate(zip(Z_RADII, uvals)):
+    for k, (r, row) in enumerate(zip(R_GRID, uvals)):
         # at p = inf this is |u| <= A(r) ||f||, A(r) the kernel-modulus
         # mass, which reduces to the classical |u| <= ||f|| at (0, 0)
         bound = bnd.growth_constant(params, hp, r) * (1.0 - r * r) ** (-inv_p) * norm
-        records.append((f"z{i}", r, bound - abs(uv)))
+        records += [(f"z{i}", r, bound - abs(uv)) for i, uv in enumerate(row, len(row) * k)]
     return _collect("growth", records, VALUE_TOL)
 
 
@@ -213,11 +210,12 @@ def check_distortion(
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
     records = []
-    for i, (z, r) in enumerate(zip(Z_GRID, Z_RADII)):
+    for k, (r, row) in enumerate(zip(R_GRID, Z_GRID)):
         coef = bnd.distortion_constant(params, hp, r, CONSTANT_NODES)
         bound = coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
-        jn = jacobian_norm(u, z, FD_STEP)
-        records.append((f"z{i}", r, _normalized(bound - jn, bound)))
+        for i, z in enumerate(row, len(row) * k):
+            jn = jacobian_norm(u, z, FD_STEP)
+            records.append((f"z{i}", r, _normalized(bound - jn, bound)))
     return _collect("distortion", records, DERIVATIVE_TOL)
 
 
@@ -228,18 +226,23 @@ def check_partials(
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
     records = []
-    for i, (z, r) in enumerate(zip(Z_GRID, Z_RADII)):
+    for k, (r, row) in enumerate(zip(R_GRID, Z_GRID)):
         blow = (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
-        ur, ut = radial_angular_derivatives(u, z, FD_STEP)
-        uz, uzb = wirtinger_derivatives(u, z, FD_STEP)
-        for which, observed in (
-            ("radial", abs(ur)),
-            ("angular", abs(ut)),
-            ("wirtinger", abs(uz)),
-            ("wirtinger", abs(uzb)),
-        ):
-            bound = bnd.partial_constant(params, hp, which, r, CONSTANT_NODES) * blow
-            records.append((f"z{i}:{which}", r, _normalized(bound - observed, bound)))
+        bound = {
+            which: bnd.partial_constant(params, hp, which, r, CONSTANT_NODES) * blow
+            for which in ("radial", "angular", "wirtinger")
+        }
+        for i, z in enumerate(row, len(row) * k):
+            ur, ut = radial_angular_derivatives(u, z, FD_STEP)
+            uz, uzb = wirtinger_derivatives(u, z, FD_STEP)
+            for which, observed in (
+                ("radial", abs(ur)),
+                ("angular", abs(ut)),
+                ("wirtinger", abs(uz)),
+                ("wirtinger", abs(uzb)),
+            ):
+                margin = _normalized(bound[which] - observed, bound[which])
+                records.append((f"z{i}:{which}", r, margin))
     return _collect("partials", records, DERIVATIVE_TOL)
 
 
@@ -485,7 +488,16 @@ def check_coefficient_inequalities(params: AlphaBeta, coeffs, flags: dict) -> Au
 # ---------------------------------------------------------------------------
 # suites
 
-SUITE_NAMES = ("growth", "means", "distortion", "partials", "lemmas", "identities", "all")
+# the five boundary checks as (suite, result name, check), in
+# standard_suite's order; run_suite reports them suite by suite
+BOUNDARY_CHECKS = (
+    ("growth", "growth", check_growth),
+    ("means", "integral_means", check_integral_means),
+    ("distortion", "distortion", check_distortion),
+    ("partials", "partials", check_partials),
+    ("means", "means_partials", check_means_partials),
+)
+SUITE_NAMES = (*dict.fromkeys(row[0] for row in BOUNDARY_CHECKS), "lemmas", "identities", "all")
 
 
 def run_suite(
@@ -502,75 +514,53 @@ def run_suite(
     rng = np.random.default_rng(seed)
     boundaries = [random_boundary(rng) for _ in range(n_boundaries)]
     results = []
-
-    def stamp(res):
-        res.seed = seed
-        results.append(res)
-
-    if name in ("growth", "all"):
-        stamp(merge_results("growth", [check_growth(params, f, hp, nodes=nodes) for f in boundaries]))
-    if name in ("means", "all"):
-        cases = [check_integral_means(params, f, hp, nodes=nodes) for f in boundaries]
-        cases.append(check_integral_means(params, from_fourier({0: 1.0}), hp, nodes=nodes))
-        stamp(merge_results("integral_means", cases))
-        stamp(
-            merge_results(
-                "means_partials",
-                [check_means_partials(params, f, hp, nodes=nodes) for f in boundaries],
-            )
-        )
-    if name in ("distortion", "all"):
-        if params.beta > -1.0:
-            stamp(
-                merge_results(
-                    "distortion", [check_distortion(params, f, hp, nodes=nodes) for f in boundaries]
-                )
-            )
-    if name in ("partials", "all"):
-        stamp(
-            merge_results("partials", [check_partials(params, f, hp, nodes=nodes) for f in boundaries])
-        )
+    for suite, result, check in sorted(BOUNDARY_CHECKS, key=lambda row: SUITE_NAMES.index(row[0])):
+        # the distortion bound needs beta > -1
+        if name not in (suite, "all") or (check is check_distortion and params.beta <= -1.0):
+            continue
+        cases = [check(params, f, hp, nodes=nodes) for f in boundaries]
+        if check is check_integral_means:
+            cases.append(check(params, from_fourier({0: 1.0}), hp, nodes=nodes))
+        results.append(merge_results(result, cases))
     if name in ("lemmas", "all"):
         ratio = [check_hypergeometric_ratio_lemma(params, k) for k in (2, 3, 5)]
-        stamp(merge_results("hypergeometric_ratio_lemma", ratio))
+        results.append(merge_results("hypergeometric_ratio_lemma", ratio))
         osc = [
             check_oscillatory_maximum_lemmas(m, k, a_off, 1.0)
             for m in (0.5, 1.0, 2.0)
             for k, a_off in ((1.0, 0.0), (2.0, 0.3))
         ]
-        stamp(merge_results("oscillatory_maximum", osc))
+        results.append(merge_results("oscillatory_maximum", osc))
     if name in ("identities", "all"):
         idents = [
             check_integral_identities(2.0, 0.5),
             check_integral_identities(1.0, 1.0),
             check_integral_identities(3.5, -0.4),
         ]
-        stamp(merge_results("integral_identities", idents))
-        stamp(check_kernel_mean_and_residual(params, boundaries[0]))
+        results.append(merge_results("integral_identities", idents))
+        results.append(check_kernel_mean_and_residual(params, boundaries[0]))
+    for res in results:
+        res.seed = seed
     return results
 
 
 def standard_suite(seed: int = DEFAULT_SEED, n_boundaries: int = 100, nodes: int = AUDIT_NODES) -> list:
     """The cross-parameter inequality sweep: 100 seeded boundaries cycled
-    round-robin over the standard weight pairs and exponents."""
+    round-robin over the standard weight pairs and exponents, each drawn
+    and checked in turn."""
     rng = np.random.default_rng(seed)
     combos = [
         (make_params(a, b), HolderPair.from_p(p))
         for (a, b) in STANDARD_PAIRS
         for p in STANDARD_EXPONENTS
     ]
-    buckets = {name: [] for name in ("growth", "integral_means", "distortion", "partials", "means_partials")}
+    cases = [[] for _ in BOUNDARY_CHECKS]
     for i in range(n_boundaries):
         f = random_boundary(rng)
         params, hp = combos[i % len(combos)]
-        buckets["growth"].append(check_growth(params, f, hp, nodes=nodes))
-        buckets["integral_means"].append(check_integral_means(params, f, hp, nodes=nodes))
-        buckets["distortion"].append(check_distortion(params, f, hp, nodes=nodes))
-        buckets["partials"].append(check_partials(params, f, hp, nodes=nodes))
-        buckets["means_partials"].append(check_means_partials(params, f, hp, nodes=nodes))
-    out = []
-    for name, cases in buckets.items():
-        merged = merge_results(name, cases)
-        merged.seed = seed
-        out.append(merged)
+        for col, (_, _, check) in zip(cases, BOUNDARY_CHECKS):
+            col.append(check(params, f, hp, nodes=nodes))
+    out = [merge_results(result, col) for col, (_, result, _) in zip(cases, BOUNDARY_CHECKS)]
+    for res in out:
+        res.seed = seed
     return out

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 from . import boundary
 from ._quad import DEFAULT_NODES
-from .audit import SUITE_NAMES, run_suite
+from .audit import SUITE_NAMES, details_csv_rows, merge_results, run_suite
 from .bounds import HolderPair, full_report
 from .errors import BoundaryFileError, ConvergenceError, DomainError, ParameterError
 from .harmonic import check_nodes, coefficients_from_boundary, export_grid_csv, poisson_extension
@@ -123,14 +123,13 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_audit(args, suite=None) -> int:
+def cmd_audit(args) -> int:
     params = make_params(args.alpha, args.beta)
     hp = HolderPair.from_p(args.p)
-    suite = suite or args.suite
-    results = run_suite(suite, params, hp, seed=args.seed, nodes=args.nodes)
+    results = run_suite(args.suite, params, hp, seed=args.seed, nodes=args.nodes)
     violations = sum(r.cases_violated for r in results)
     doc = {
-        "suite": suite,
+        "suite": args.suite,
         "alpha": params.alpha,
         "beta": params.beta,
         "p": "inf" if math.isinf(hp.p) else hp.p,
@@ -142,9 +141,7 @@ def cmd_audit(args, suite=None) -> int:
     _emit_json(doc, args.out)
     csv_path = getattr(args, "csv", None)
     if csv_path:
-        from .audit import details_csv_rows, merge_results
-
-        merged = merge_results(suite, results)
+        merged = merge_results(args.suite, results)
         with _open_out(csv_path) as fh:
             csv.writer(fh).writerows(details_csv_rows(merged))
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
@@ -197,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("identities", help="run the identity checks")
     _add_common(s)
-    s.set_defaults(handler=lambda args: cmd_audit(args, suite="identities"))
+    s.set_defaults(handler=cmd_audit, suite="identities")
     return parser
 
 

@@ -196,12 +196,11 @@ class PoissonExtension:
     def __call__(self, z):
         return poisson_integral(self.params, self.f, z, self.nodes)
 
-    def circle_values(self, r: float, n_theta: int | None = None, phase: float = 0.0) -> np.ndarray:
+    def circle_values(self, r: float, n_theta: int, phase: float = 0.0) -> np.ndarray:
         """u(r e^{i(theta_j + phase)}) on the uniform n_theta grid."""
         if not 0.0 <= r < 1.0:
             raise DomainError(f"circle radius must be in [0, 1), got {r}")
         n = self.nodes
-        n_theta = n if n_theta is None else n_theta
         if n % n_theta:
             return self(r * np.exp(1j * (circle_nodes(n_theta) + phase)))
         kern = unnormalized_kernel(self.params, r * np.exp(1j * (circle_nodes(n) + phase)))

@@ -302,6 +302,26 @@ class TestSuites:
         assert radii == set(R_GRID) | {SUP}
         assert {r for res in results for _, r, _ in res.details} == set(R_GRID)
 
+    @pytest.mark.parametrize(
+        "check, constant, calls",
+        [
+            (check_growth, "growth_constant", 3),
+            (check_distortion, "distortion_constant", 3),
+            (check_partials, "partial_constant", 9),  # three kinds on each ring
+        ],
+    )
+    def test_constants_asked_once_per_ring(self, monkeypatch, check, constant, calls):
+        asked = []
+
+        def counted(*args, fn=getattr(bnd, constant), **kwargs):
+            asked.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(bnd, constant, counted)
+        f = random_boundary(np.random.default_rng(2))
+        check(PHH, f, HolderPair.from_p(2.0), nodes=256)
+        assert len(asked) == calls
+
     def test_merge_and_csv(self):
         rng = np.random.default_rng(1)
         hp = HolderPair.from_p(2.0)

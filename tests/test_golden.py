@@ -14,9 +14,10 @@ moved: a stored float that still matches within the pin is kept as it is,
 and the number of floats written anew is printed.  `--diff` writes
 nothing: it prints the path of every non-float field that differs from
 the stored section, the number of floats compared and the worst relative
-float difference |got - ref| / max(1, |ref|):
+float difference |got - ref| / max(1, |ref|); without a section name it
+does so for every section, each under its name:
 
-    PYTHONPATH=src python tests/test_golden.py --diff SECTION
+    PYTHONPATH=src python tests/test_golden.py --diff [SECTION]
     PYTHONPATH=src python tests/test_golden.py --write SECTION
 """
 
@@ -333,6 +334,18 @@ def _diff(section: str) -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3 or sys.argv[1] not in ("--diff", "--write") or sys.argv[2] not in SECTIONS:
-        sys.exit(f"usage: python tests/test_golden.py --diff|--write {{{'|'.join(SECTIONS)}}}")
-    (_diff if sys.argv[1] == "--diff" else _write)(sys.argv[2])
+    mode, names = sys.argv[1:2], sys.argv[2:]
+    valid = mode == ["--write"] and len(names) == 1 or mode == ["--diff"] and len(names) <= 1
+    if not (valid and set(names) <= set(SECTIONS)):
+        sys.exit(
+            "usage: python tests/test_golden.py --diff [SECTION] | --write SECTION; "
+            f"SECTION is one of {', '.join(SECTIONS)}"
+        )
+    if mode == ["--write"]:
+        _write(names[0])
+    elif names:
+        _diff(names[0])
+    else:
+        for section in SECTIONS:
+            print(f"{section}:")
+            _diff(section)
