@@ -1,8 +1,11 @@
+import collections
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import abharmonic.audit as audit
 import abharmonic.bounds as bnd
 from abharmonic.audit import (
     R_GRID,
@@ -301,6 +304,46 @@ class TestSuites:
         # the distortion constant also reads its endpoint moment at r = 1
         assert radii == set(R_GRID) | {SUP}
         assert {r for res in results for _, r, _ in res.details} == set(R_GRID)
+
+    def test_standard_suite_checks_one_boundary_at_a_time(self, monkeypatch):
+        # a boundary keeps its sample grids, so drawing every boundary
+        # first would keep every boundary's grids alive
+        drawn, alive = [], []
+
+        def draw(rng, draw=audit.random_boundary):
+            alive.append(sum(ref() is not None for ref in drawn))
+            f = draw(rng)
+            drawn.append(weakref.ref(f))
+            return f
+
+        monkeypatch.setattr(audit, "random_boundary", draw)
+        standard_suite(n_boundaries=4)
+        # the previous boundary is still bound while the next is drawn
+        assert alive == [0, 1, 1, 1]
+
+    def test_suites_call_the_checks_the_module_holds(self, monkeypatch):
+        # a tracer or test wraps a check by replacing it on the module
+        names = (
+            "check_growth",
+            "check_integral_means",
+            "check_distortion",
+            "check_partials",
+            "check_means_partials",
+        )
+        called = collections.Counter()
+        for name in names:
+
+            def counted(*args, check=getattr(audit, name), name=name, **kwargs):
+                called[name] += 1
+                return check(*args, **kwargs)
+
+            monkeypatch.setattr(audit, name, counted)
+        standard_suite(n_boundaries=2, nodes=256)
+        assert called == dict.fromkeys(names, 2)
+        called.clear()
+        run_suite("means", PHH, HolderPair.from_p(2.0), n_boundaries=1, nodes=256)
+        # integral_means also checks the constant boundary
+        assert called == {"check_integral_means": 2, "check_means_partials": 1}
 
     @pytest.mark.parametrize(
         "check, constant, calls",
