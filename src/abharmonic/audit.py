@@ -488,6 +488,7 @@ def check_coefficient_inequalities(params: AlphaBeta, coeffs, flags: dict) -> Au
 # ---------------------------------------------------------------------------
 # suites
 
+
 def _boundary_checks() -> tuple:
     """The five boundary checks as (suite, result name, check) in
     standard_suite's order, looked up at each call so that a check
