@@ -11,11 +11,12 @@ Matching the radial limits of the series against the Fourier data of f
 gives c_k = f_hat(k) / F(.; 1), which makes the two routes agree inside
 the disk for trigonometric-polynomial data.
 
-Derivative and operator measurements use central finite differences and
-treat the function under test as an opaque evaluation callback.  The
-evaluation rule: a PoissonExtension evaluates arrays and rings itself
-(a ring through its FFT circle convolution); any other callable is
-called once per point.
+Derivative and operator measurements take a point or an array of points,
+use central finite differences, and treat the function under test as an
+opaque evaluation callback that gets every stencil point of the array at
+once.  The evaluation rule: a PoissonExtension evaluates arrays and
+rings itself (a ring through its FFT circle convolution); any other
+callable is called once per point.
 """
 
 from __future__ import annotations
@@ -60,8 +61,12 @@ class DiskPoint:
         return math.atan2(self.z.imag, self.z.real)
 
 
-def _as_z(z) -> complex:
-    return (z if isinstance(z, DiskPoint) else DiskPoint(complex(z))).z
+def _disk_array(z) -> np.ndarray:
+    """A point, DiskPoint or array of points as a complex array in the open disk."""
+    z = np.asarray(z.z if isinstance(z, DiskPoint) else z, dtype=complex)
+    if not np.all(np.abs(z) < 1.0):
+        raise DomainError(f"|z| must be < 1, got {np.max(np.abs(z))}")
+    return z
 
 
 @dataclass
@@ -163,9 +168,7 @@ def _conj_roots(nodes: int) -> np.ndarray:
 def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
     """Poisson integral of f at z: a complex for a scalar or DiskPoint z, else an array."""
     roots = _conj_roots(check_nodes(nodes))
-    z = np.asarray(z.z if isinstance(z, DiskPoint) else z, dtype=complex)
-    if not np.all(np.abs(z) < 1.0):
-        raise DomainError(f"|z| must be < 1, got {np.max(np.abs(z))}")
+    z = _disk_array(z)
     fvals = f.values_on_grid(nodes)
     flat = z.reshape(-1)
     means = np.empty(flat.shape, dtype=complex)
@@ -216,7 +219,7 @@ def poisson_extension(params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAU
 
 def evaluate_expansion(params: AlphaBeta, coeffs: SeriesCoefficients, z) -> complex:
     """Series route: evaluate the two-sided expansion at one point."""
-    z = _as_z(z)
+    z = complex(_disk_array(z))
     x = abs(z) ** 2
     total = 0j
     zk = 1.0 + 0j
@@ -274,10 +277,10 @@ def snapshot(params: AlphaBeta, coeffs: SeriesCoefficients, r: float) -> Harmoni
 
 
 def _eval_many(u, zs: np.ndarray) -> np.ndarray:
-    """u at each of the points zs (a 1-d array)."""
+    """u at each of the points zs (an array of any shape)."""
     if isinstance(u, PoissonExtension):
         return u(zs)
-    return np.array([u(z) for z in zs], dtype=complex)
+    return np.array([u(z) for z in zs.flat], dtype=complex).reshape(zs.shape)
 
 
 def _ring(u, r: float, n_theta: int) -> np.ndarray:
@@ -285,6 +288,23 @@ def _ring(u, r: float, n_theta: int) -> np.ndarray:
     if isinstance(u, PoissonExtension):
         return u.circle_values(r, n_theta)
     return _eval_many(u, r * np.exp(1j * circle_nodes(n_theta)))
+
+
+def _cmul(x, y):
+    """x * y rounded as for complex scalars (numpy's array loop can fuse multiply-adds)."""
+    return x.real * y.real - x.imag * y.imag + 1j * (x.real * y.imag + x.imag * y.real)
+
+
+def _stencil(u, z, h: float, reach: float, points):
+    """z as an array, |z|, and u on the stencil points(z, |z|) of each z in
+    one evaluation, as one array per stencil point (scalars for a point z).
+    Every stencil needs |z| + reach < 1."""
+    z = _disk_array(z)
+    r = np.hypot(z.real, z.imag)  # abs() of each z; np.abs of an array can differ by an ulp
+    if np.max(r) + reach >= 1.0:
+        raise StencilError(f"stencil leaves the disk at |z| = {np.max(r)}, h = {h}")
+    vals = _eval_many(u, points(z[..., None], r[..., None]))
+    return z, r, np.moveaxis(vals, -1, 0)
 
 
 def _wirtinger_pair(up, um, vp, vm, h: float):
@@ -304,42 +324,31 @@ def wirtinger_derivatives(u, z, h: float = DEFAULT_STEP, richardson: bool = Fals
         c1, c1b = wirtinger_derivatives(u, z, h)
         c2, c2b = wirtinger_derivatives(u, z, 0.5 * h)
         return (4.0 * c2 - c1) / 3.0, (4.0 * c2b - c1b) / 3.0
-    z = _as_z(z)
-    if abs(z) + h >= 1.0:
-        raise StencilError(f"stencil leaves the disk at |z| = {abs(z)}, h = {h}")
-    pts = np.array([z + h, z - h, z + 1j * h, z - 1j * h], dtype=complex)
-    return _wirtinger_pair(*_eval_many(u, pts), h)
+    _, _, vals = _stencil(u, z, h, h, lambda z, r: z + h * np.array([1, -1, 1j, -1j]))
+    return _wirtinger_pair(*vals, h)
 
 
-def jacobian_norm(u, z, h: float = DEFAULT_STEP) -> float:
+def jacobian_norm(u, z, h: float = DEFAULT_STEP):
     """Operator norm |Du| = |u_z| + |u_zbar|."""
     uz, uzb = wirtinger_derivatives(u, z, h)
-    return abs(uz) + abs(uzb)
+    return np.hypot(uz.real, uz.imag) + np.hypot(uzb.real, uzb.imag)
 
 
 def radial_angular_derivatives(u, z, h: float = DEFAULT_STEP):
     """(u_r, u_theta) by central differences in polar coordinates."""
-    z = _as_z(z)
-    r, theta = abs(z), math.atan2(z.imag, z.real)
-    if r < h:
-        raise StencilError(f"radial stencil needs r >= h, got r = {r}")
-    if r + h >= 1.0:
-        raise StencilError(f"stencil leaves the disk at r = {r}, h = {h}")
-    e = complex(math.cos(theta), math.sin(theta))
-    pts = np.array(
-        [
-            (r + h) * e,
-            (r - h) * e,
-            r * np.exp(1j * (theta + h)),
-            r * np.exp(1j * (theta - h)),
-        ],
-        dtype=complex,
-    )
-    rp, rm, tp, tm = _eval_many(u, pts)
+
+    def polar(z, r):
+        if np.min(r) < h:
+            raise StencilError(f"radial stencil needs r >= h, got r = {np.min(r)}")
+        # math.atan2 per point: np.arctan2 can differ from it by an ulp
+        phi = np.vectorize(math.atan2)(z.imag, z.real)
+        return (r + h * np.array([1, -1, 0, 0])) * np.exp(1j * (phi + h * np.array([0, 0, 1, -1])))
+
+    _, _, (rp, rm, tp, tm) = _stencil(u, z, h, h, polar)
     return (rp - rm) / (2.0 * h), (tp - tm) / (2.0 * h)
 
 
-def operator_residual(params: AlphaBeta, u, z, h: float = DEFAULT_STEP, richardson: bool = False) -> complex:
+def operator_residual(params: AlphaBeta, u, z, h: float = DEFAULT_STEP, richardson: bool = False):
     """Finite-difference value of the weighted operator applied to u at z.
 
     Uses u_{z zbar} = Laplacian/4 on the five-point stencil and returns
@@ -351,19 +360,16 @@ def operator_residual(params: AlphaBeta, u, z, h: float = DEFAULT_STEP, richards
         r1 = operator_residual(params, u, z, h)
         r2 = operator_residual(params, u, z, 0.5 * h)
         return (4.0 * r2 - r1) / 3.0
-    z = _as_z(z)
-    if abs(z) + 2.0 * h >= 1.0:
-        raise StencilError(f"stencil leaves the disk at |z| = {abs(z)}, h = {h}")
-    pts = np.array([z, z + h, z - h, z + 1j * h, z - 1j * h], dtype=complex)
-    u0, up, um, vp, vm = _eval_many(u, pts)
-    lap = (up + um + vp + vm - 4.0 * u0) / (h * h)
-    uzzb = 0.25 * lap
+    five = lambda z, r: z + h * np.array([0, 1, -1, 1j, -1j])  # noqa: E731
+    z, r, (u0, up, um, vp, vm) = _stencil(u, z, h, 2.0 * h, five)
+    uzzb = 0.25 * (up + um + vp + vm - 4.0 * u0) / (h * h)
     uz, uzb = _wirtinger_pair(up, um, vp, vm, h)
-    one_minus = 1.0 - abs(z) ** 2
+    # float_power is pow(|z|, 2) as on a float; r**2 squares, which can differ by an ulp
+    one_minus = 1.0 - np.float_power(r, 2)
     return one_minus * (
         one_minus * uzzb
-        + params.alpha * z * uz
-        + params.beta * np.conj(z) * uzb
+        + _cmul(params.alpha * z, uz)
+        + _cmul(params.beta * np.conj(z), uzb)
         - params.alpha * params.beta * u0
     )
 

@@ -7,6 +7,8 @@ import pytest
 
 import abharmonic.audit as audit
 import abharmonic.bounds as bnd
+import abharmonic.harmonic as harmonic
+from abharmonic._quad import circle_nodes
 from abharmonic.audit import (
     R_GRID,
     AuditResult,
@@ -26,7 +28,7 @@ from abharmonic.audit import (
     run_suite,
     standard_suite,
 )
-from abharmonic.boundary import from_fourier
+from abharmonic.boundary import from_fourier, from_samples
 from abharmonic.bounds import (
     HEINZ_LOWER_BOUND,
     SUP,
@@ -110,6 +112,19 @@ class TestDerivativeChecks:
         for check in (check_distortion, check_partials, check_means_partials):
             assert check(p, f, hp).cases_violated == 0
 
+    @pytest.mark.parametrize("check, calls", [(check_distortion, 1), (check_partials, 2)])
+    def test_one_poisson_evaluation_per_stencil(self, monkeypatch, check, calls):
+        # each stencil takes the whole Z_GRID in one evaluation
+        shapes = []
+
+        def counted(*args, fn=harmonic.poisson_integral, **kwargs):
+            shapes.append(np.shape(args[2]))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(harmonic, "poisson_integral", counted)
+        check(PHH, random_boundary(np.random.default_rng(6)), HolderPair.from_p(2.0), nodes=256)
+        assert shapes == [audit.Z_GRID.shape + (4,)] * calls
+
     def test_asymmetric_weights_covered(self):
         # regression: the antiholomorphic derivative needs the swapped
         # prefactor, which the symmetrized constants provide
@@ -120,6 +135,30 @@ class TestDerivativeChecks:
             f = random_boundary(rng)
             assert check_partials(p, f, hp).cases_violated == 0
             assert check_means_partials(p, f, hp).cases_violated == 0
+
+
+def gaussian_bump(width=0.05, n=1024):
+    """exp(-(d/width)^2) on n samples, d the distance to the angle 0."""
+    t = circle_nodes(n)
+    return from_samples(np.exp(-((np.minimum(t, 2 * math.pi - t) / width) ** 2)))
+
+
+class TestDistortionAtPOne:
+    """At p = 1 the distortion constant is the q = inf branch of
+    bounds.distortion_constant; a narrow bump is close to extremal."""
+
+    @pytest.mark.parametrize("pair", [(0.0, 0.0), (0.5, 0.5)])
+    def test_equal_weights_hold(self, pair):
+        assert check_distortion(make_params(*pair), gaussian_bump(), HolderPair.from_p(1.0)).passed
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the q = inf distortion constant is not symmetric in (alpha, beta) and falls "
+        "short of sup |DP| at (0.3, -0.2); max(B(alpha, beta), B(beta, alpha)) covers it",
+    )
+    def test_standard_pair_holds(self):
+        res = check_distortion(make_params(0.3, -0.2), gaussian_bump(), HolderPair.from_p(1.0))
+        assert res.cases_violated == 0
 
 
 class TestRatioLemma:
@@ -344,6 +383,17 @@ class TestSuites:
         run_suite("means", PHH, HolderPair.from_p(2.0), n_boundaries=1, nodes=256)
         # integral_means also checks the constant boundary
         assert called == {"check_integral_means": 2, "check_means_partials": 1}
+
+    def test_residual_orders_from_one_call_per_step(self, monkeypatch):
+        steps = []
+
+        def counted(params, u, z, h, fn=audit.operator_residual):
+            steps.append((np.shape(z), h))
+            return fn(params, u, z, h)
+
+        monkeypatch.setattr(audit, "operator_residual", counted)
+        check_kernel_mean_and_residual(PHH, random_boundary(np.random.default_rng(7)))
+        assert steps == [((4,), h) for h in audit.RESIDUAL_STEPS]
 
     @pytest.mark.parametrize(
         "check, constant, calls",

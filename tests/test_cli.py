@@ -163,6 +163,18 @@ class TestAudit:
         assert lines[0] == "case,r,margin"
         assert len(lines) > 10
 
+    @pytest.mark.parametrize("beta", ["-0.8", "-1.5"])
+    @pytest.mark.parametrize("suite", ["all", "distortion"])
+    def test_undefined_distortion_constant_skips_distortion(self, tmp_path, suite, beta):
+        # at p = 2 the distortion moment diverges for beta = -0.8, and the
+        # estimate needs beta > -1; bounds says so and the audit skips it
+        out = tmp_path / "audit.json"
+        args = ["audit", "--suite", suite, "--alpha", "1", f"--beta={beta}", "--p", "2"]
+        assert main(args + ["--nodes", "256", "--out", str(out)]) == 0
+        names = [r["name"] for r in json.loads(out.read_text())["results"]]
+        assert "distortion" not in names
+        assert ("partials" in names) == (suite == "all")
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         args = ["audit", "--suite", "identities", "--seed", "5", "--nodes", "1024"]

@@ -327,6 +327,116 @@ class TestDerivatives:
             radial_angular_derivatives(lambda z: z, 1e-5)
 
 
+class TestArrayStencils:
+    # three rings of five points: 60 or more stencil points, several
+    # blocks of a dense Poisson evaluation at 1,024 nodes and many at 4,096
+    ZS = np.array([[r * cmath.exp(1j * (0.4 + 1.3 * j)) for j in range(5)] for r in (0.2, 0.5, 0.8)])
+
+    @staticmethod
+    def measures(p, u, z):
+        return [
+            *wirtinger_derivatives(u, z),
+            *wirtinger_derivatives(u, z, richardson=True),
+            *radial_angular_derivatives(u, z),
+            jacobian_norm(u, z),
+            operator_residual(p, u, z),
+            operator_residual(p, u, z, richardson=True),
+        ]
+
+    def assert_per_point(self, p, u):
+        whole = self.measures(p, u, self.ZS)
+        for idx in np.ndindex(self.ZS.shape):
+            for arr, val in zip(whole, self.measures(p, u, complex(self.ZS[idx]))):
+                assert arr.shape == self.ZS.shape
+                assert arr[idx].tobytes() == val.tobytes()
+
+    @pytest.mark.parametrize("nodes", [1024, 4096])
+    def test_poisson_extension_equals_per_point_calls(self, nodes):
+        p = make_params(0.3, -0.2)
+        self.assert_per_point(p, poisson_extension(p, seeded_boundary(np.random.default_rng(8)), nodes))
+
+    def test_scalar_callable_equals_per_point_calls(self):
+        p = make_params(0.5, 0.5)
+        c = coefficients_from_boundary(p, seeded_boundary(np.random.default_rng(9), order=4))
+        self.assert_per_point(p, lambda z: evaluate_expansion(p, c, z))
+
+    def test_point_gives_scalars(self):
+        u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
+        for z in (0.3 + 0.1j, DiskPoint(0.3 + 0.1j)):
+            values = self.measures(PHH, u, z)
+            assert type(values.pop(6)) is np.float64  # the Jacobian norm
+            assert all(type(v) is np.complex128 for v in values)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda u, z: wirtinger_derivatives(u, z),
+            lambda u, z: radial_angular_derivatives(u, z),
+            lambda u, z: jacobian_norm(u, z),
+            lambda u, z: operator_residual(PHH, u, z),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(0.9995, StencilError), (1.2, DomainError), (complex("nan"), DomainError)],
+    )
+    def test_one_bad_point_raises_before_evaluating(self, measure, bad, error):
+        calls = []
+        zs = np.array([0.3, 0.5j, bad, -0.2])
+        with pytest.raises(error):
+            measure(lambda z: calls.append(z) or z, zs)
+        assert calls == []
+
+    def test_radial_stencil_needs_r_at_least_h(self):
+        with pytest.raises(StencilError):
+            radial_angular_derivatives(lambda z: z, np.array([0.3, 1e-5j, 0.5]))
+
+
+class TestStencilsRoundAsScalars:
+    """Array stencils build their points and combine their values with the
+    rounding of complex and float scalars, so a point gives the same bits
+    as a per-point computation on Python numbers."""
+
+    ZS = 0.9 * np.sqrt(np.random.default_rng(3).uniform(size=4000)) * np.exp(
+        2j * np.pi * np.random.default_rng(4).uniform(size=4000)
+    )
+    H = 1e-3
+
+    def recorded(self, measure, n):
+        calls = []
+        measure(lambda w: calls.append(w) or 1.0 + 0j, self.ZS[:n])
+        return np.array(calls).reshape(n, -1)
+
+    def test_cartesian_points(self):
+        h = self.H
+        pts = self.recorded(wirtinger_derivatives, 500)
+        five = self.recorded(lambda u, z: operator_residual(PHH, u, z, h), 500)
+        for z, row, row5 in zip(map(complex, self.ZS), pts, five):
+            assert list(row) == [z + h, z - h, z + 1j * h, z - 1j * h]
+            assert list(row5) == [z, *row]
+
+    def test_polar_points(self):
+        h = self.H
+        for z, row in zip(map(complex, self.ZS), self.recorded(radial_angular_derivatives, 500)):
+            r, t = abs(z), math.atan2(z.imag, z.real)
+            e = complex(math.cos(t), math.sin(t))
+            angular = [r * cmath.exp(1j * (t + h)), r * cmath.exp(1j * (t - h))]
+            assert list(row) == [(r + h) * e, (r - h) * e, *angular]
+
+    def test_jacobian_adds_scalar_moduli(self):
+        u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5j}), 256)
+        zs = self.ZS[:200]
+        uz, uzb = wirtinger_derivatives(u, zs)
+        expected = [abs(complex(a)) + abs(complex(b)) for a, b in zip(uz, uzb)]
+        assert list(jacobian_norm(u, zs)) == expected
+
+    def test_operator_weight(self):
+        # on constant data only the -alpha beta u term survives
+        res = operator_residual(PHH, lambda _: 1.0 + 0j, self.ZS)
+        ab = PHH.alpha * PHH.beta
+        assert list(res.real) == [(1.0 - abs(z) ** 2) * -ab for z in map(complex, self.ZS)]
+
+
 class TestIntegralMeans:
     def test_identity_map(self):
         assert integral_means(lambda z: z, 0.5, 2.0) == pytest.approx(0.5, rel=1e-12)
