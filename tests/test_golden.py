@@ -1,9 +1,11 @@
 """Golden outputs of the bound constants, the moment-based audits, the
-audit suites and the evaluation layer.
+audit suites, the evaluation layer and the series route.
 
 The reference file pins what `bounds`, the lemma/identity audits, the
-named audit suites, the inequality sweep, `solve` and the
-finite-difference measurements produce, so that a refactor can be checked against the numbers it must
+named audit suites, the inequality sweep, `solve`, the
+finite-difference measurements and the series route (`expand`, the
+expansion, its circle snapshots, the hypergeometric ratio lemma and the
+conjectured coefficient bounds) produce, so that a refactor can be checked against the numbers it must
 keep.  Names, sources, methods, node counts, notes, flagged sets and
 case ids must match exactly; floats must match within
 1e-12 * max(1, |ref|).
@@ -37,6 +39,7 @@ from abharmonic.boundary import from_fourier
 from abharmonic.bounds import (
     SUP,
     HolderPair,
+    coefficient_bound,
     distortion_constant,
     full_report,
     growth_constant,
@@ -44,13 +47,15 @@ from abharmonic.bounds import (
     partial_constant,
 )
 from abharmonic.cli import main
-from abharmonic.errors import ParameterError
+from abharmonic._quad import circle_nodes
+from abharmonic.errors import ConvergenceError, ParameterError
 from abharmonic.harmonic import (
     coefficients_from_boundary,
     evaluate_expansion,
     integral_means,
     operator_residual,
     radial_angular_derivatives,
+    snapshot,
     wirtinger_derivatives,
 )
 from abharmonic.kernel import make_params
@@ -72,17 +77,28 @@ MEANS_EXPONENTS = (1.0, 2.0, math.inf)
 # the ratio lemma has no case
 SUITE_POINTS = ((0.3, -0.2, math.inf, audit.SUITE_NAMES), (1.0, -1.5, 2.0, ("all", "distortion")))
 
+SERIES_PAIRS = ((0.0, 0.0), (0.5, 0.5), (-0.5, 1.0), (0.3, -0.2), (2.7, -1.4), (-0.3, -0.6))
+SERIES_DOCUMENTS = {
+    "linear": {"1": [1.0, 0.0]},
+    "mixed": {"0": [0.4, 0.1], "1": [1.0, -0.5], "-2": [0.25, 0.0], "5": [0.0, 0.2]},
+    "negative": {"-4": [0.3, -0.2], "-1": [0.5, 0.5], "1": [0.7, 0.0], "2": [0.0, -0.1]},
+}
+SNAPSHOT_RADII = (0.5, 0.9, 1.0)
+# the monotone-ratio regimes of acceptance criterion 08
+RATIO_LEMMA_CASES = (((0.0, 0.7), 4), ((-0.5, 0.5), 3), ((-0.3, -0.6), 2), ((0.0, -0.4), 3), ((0.0, 0.8), 5))
+CONJECTURE_ORDERS = (2, 3, 5)
+
 
 def _key(*parts) -> str:
     return " ".join(str(p) for p in parts)
 
 
 def _attempt(fn, *args, **kwargs):
-    """Value of fn, or the name of the parameter error it raises."""
+    """Value of fn, or the name of the parameter or convergence error it raises."""
     try:
         return fn(*args, **kwargs)
-    except ParameterError:
-        return "ParameterError"
+    except (ParameterError, ConvergenceError) as exc:
+        return type(exc).__name__
 
 
 def _full_reports() -> dict:
@@ -211,12 +227,52 @@ def _evaluation() -> dict:
     return out
 
 
+def _series() -> dict:
+    """`expand` without its timestamp, the expansion, its circle
+    snapshots, the ratio lemma and the conjectured coefficient bounds."""
+    out = {}
+    theta = circle_nodes(12)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, fourier in SERIES_DOCUMENTS.items():
+            doc_path, json_path = Path(tmp) / f"{name}.json", Path(tmp) / "expand.json"
+            doc_path.write_text(json.dumps({"fourier": fourier}), encoding="utf-8")
+            f = from_fourier({int(k): complex(*v) for k, v in fourier.items()})
+            for a, b in SERIES_PAIRS:
+                argv = ["expand", str(doc_path), "--alpha", str(a), "--beta", str(b)]
+                assert main(argv + ["--out", str(json_path)]) == 0
+                doc = json.loads(json_path.read_text(encoding="utf-8"))
+                del doc["timestamp"]
+                out[_key("expand", name, a, b)] = doc
+                params = make_params(a, b)
+                coeffs = coefficients_from_boundary(params, f)
+                out[_key("expansion", name, a, b)] = [
+                    _pair(evaluate_expansion(params, coeffs, z)) for z in EVAL_POINTS
+                ]
+                for r in SNAPSHOT_RADII:
+                    snap = snapshot(params, coeffs, r)
+                    ratios = snap.normalized_ratios()
+                    out[_key("snapshot", name, a, b, r)] = {
+                        "circle_values": [_pair(v) for v in snap.circle_values(theta)],
+                        "normalized_ratios": [[_pair(v) for v in part] for part in ratios],
+                    }
+    for pair, k in RATIO_LEMMA_CASES:
+        res = audit.check_hypergeometric_ratio_lemma(make_params(*pair), k)
+        out[_key("ratio_lemma", *pair, k)] = res.to_dict()
+    for a, b in SERIES_PAIRS:
+        params = make_params(a, b)
+        for kind in ("conjecture_ck", "conjecture_cmk"):
+            for k in CONJECTURE_ORDERS:
+                out[_key(kind, a, b, k)] = _attempt(coefficient_bound, params, kind, k)
+    return out
+
+
 SECTIONS = {
     "full_report": _full_reports,
     "audit_constants": _audit_constants,
     "audit_margins": _audit_margins,
     "suites": _suites,
     "evaluation": _evaluation,
+    "series": _series,
 }
 
 
