@@ -40,7 +40,7 @@ from .harmonic import (
     radial_angular_derivatives,
     wirtinger_derivatives,
 )
-from .kernel import AlphaBeta, make_params
+from .kernel import AlphaBeta, _mode_hyp, make_params
 from .specfun import gamma, gauss_2f1
 
 VALUE_TOL = 1e-8
@@ -263,9 +263,13 @@ def check_means_partials(
         uz = 0.5 * eminus * (ur - 1j * ut / r)
         uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
         blow = norm / (1.0 - r * r)
+        bound = {
+            which: bnd.means_constant(params, which, r, CONSTANT_NODES) * blow
+            for which in PARTIAL_KINDS[:3]
+        }
         for which, vals in zip(PARTIAL_KINDS, (ur, ut, uz, uzb)):
-            bound = bnd.means_constant(params, which, r, CONSTANT_NODES) * blow
-            records.append((f"r={r}:{which}", r, _normalized(bound - p_mean(vals, hp.p), bound)))
+            margin = _normalized(bound[which] - p_mean(vals, hp.p), bound[which])
+            records.append((f"r={r}:{which}", r, margin))
     return _collect("means_partials", records, DERIVATIVE_TOL)
 
 
@@ -276,13 +280,12 @@ def check_means_partials(
 def check_hypergeometric_ratio_lemma(params: AlphaBeta, k: int) -> AuditResult:
     """Monotonicity of F_k/F_1 and E_k/F_1 in each stated weight regime.
 
-    F_k(t) = F(-alpha, k-beta; k+1; t), E_k(t) = F(-beta, k-alpha; k+1; t).
+    F_k(t) = F(-alpha, k-beta; k+1; t) and E_k(t) = F(-beta, k-alpha; k+1; t)
+    are the hypergeometric factors of series modes k and -k.
     """
     a, b = params.alpha, params.beta
     t_grid = RATIO_T_GRID
-    f1 = np.array([gauss_2f1((-a, 1.0 - b, 2.0), t) for t in t_grid])
-    fk = np.array([gauss_2f1((-a, k - b, k + 1.0), t) for t in t_grid])
-    ek = np.array([gauss_2f1((-b, k - a, k + 1.0), t) for t in t_grid])
+    f1, fk, ek = (np.array([gauss_2f1(_mode_hyp(params, m), t) for t in t_grid]) for m in (1, k, -k))
     records = []
     notes = []
 
@@ -384,11 +387,11 @@ def check_kernel_mean_and_residual(
     of f.
 
     The modulus mean equals |c| F(-(a+b)/2, -(a+b)/2; 1; r^2); the plain
-    mean equals c F(-alpha, -beta; 1; r^2); both scale with c, so their
-    errors are graded relative to max(1, |closed form|).  Residual
-    orders are graded as margin = 0.3 - |order - 2|.
+    mean equals c F(-alpha, -beta; 1; r^2), the factor of series mode 0;
+    both scale with c, so their errors are graded relative to
+    max(1, |closed form|).  Residual orders are graded as
+    margin = 0.3 - |order - 2|.
     """
-    a, b = params.alpha, params.beta
     one = from_fourier({0: 1.0})
     records = []
     for r in r_grid:
@@ -396,7 +399,7 @@ def check_kernel_mean_and_residual(
         closed = bnd.mp_growth_factor(params, r)
         records.append((f"modulus-mean r={r}", r, -abs(mod_mean - closed) / max(1.0, abs(closed))))
         plain = poisson_integral(params, one, r, CONSTANT_NODES)
-        closed = params.c_norm * gauss_2f1((-a, -b, 1.0), r * r)
+        closed = params.c_norm * gauss_2f1(_mode_hyp(params, 0), r * r)
         records.append((f"plain-mean r={r}", r, -abs(plain - closed) / max(1.0, abs(closed))))
 
     u = poisson_extension(params, f, CONSTANT_NODES)

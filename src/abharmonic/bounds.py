@@ -35,7 +35,7 @@ import numpy as np
 
 from ._quad import DEFAULT_NODES, base_plus, circle_integral, integrate
 from .errors import ParameterError
-from .kernel import AlphaBeta
+from .kernel import AlphaBeta, _mode_hyp
 from .specfun import gamma, gauss_2f1, gauss_2f1_at_one
 
 HEINZ_LOWER_BOUND = 27.0 / (4.0 * math.pi**2)
@@ -235,8 +235,8 @@ def coefficient_bound(params: AlphaBeta, kind: str, k: int = 2, extra: complex |
             if kind == "conjecture_ck"
             else (2 * k - 1) * (k - 1) / 6.0
         )
-        num = (-a, 1 - b, 2.0)
-        den = (-a, k - b, k + 1.0) if kind == "conjecture_ck" else (-b, k - a, k + 1.0)
+        num = _mode_hyp(params, 1)
+        den = _mode_hyp(params, k if kind == "conjecture_ck" else -k)
         if -1.0 < b < a < 0.0:
             # monotone regime: the infimum sits at the r -> 1 endpoint
             inf_val = gauss_2f1_at_one(num) / gauss_2f1_at_one(den)

@@ -101,7 +101,7 @@ def cmd_expand(args) -> int:
     doc = {
         "alpha": params.alpha,
         "beta": params.beta,
-        "coefficients": {str(k): [v.real, v.imag] for k, v in sorted(coeffs.to_dict().items())},
+        "coefficients": {str(k): [v.real, v.imag] for k, v in sorted(coeffs.coeffs.items())},
         "timestamp": _timestamp(),
     }
     _emit_json(doc, args.out)

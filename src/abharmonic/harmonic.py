@@ -7,8 +7,11 @@ The two routes to a weighted-harmonic function u with boundary data f are
 * the two-sided series u(z) = sum_k c_k F(-alpha, k-beta; k+1; |z|^2) z^k
   + sum_k c_{-k} F(-beta, k-alpha; k+1; |z|^2) conj(z)^k.
 
-Matching the radial limits of the series against the Fourier data of f
-gives c_k = f_hat(k) / F(.; 1), which makes the two routes agree inside
+The series is indexed by a signed mode k: a mode k < 0 is the conjugate
+mode |k|, conj(z)^|k| in place of z^|k|, with the weights swapped, so
+one triple (kernel._mode_hyp) serves both signs.  Matching the radial
+limits of the series against the Fourier data of f gives
+c_k = f_hat(k) / F(mode k; 1), which makes the two routes agree inside
 the disk for trigonometric-polynomial data.
 
 Derivative and operator measurements take a point or an array of points,
@@ -31,8 +34,8 @@ import numpy as np
 from ._quad import DEFAULT_NODES, circle_nodes, p_mean
 from .boundary import BoundaryFunction
 from .errors import DomainError, StencilError
-from .kernel import AlphaBeta, unnormalized_kernel
-from .specfun import HypParams, gauss_2f1, gauss_2f1_at_one
+from .kernel import AlphaBeta, _mode_hyp, unnormalized_kernel
+from .specfun import gauss_2f1, gauss_2f1_at_one
 
 DEFAULT_STEP = 1e-3
 # kernel points per block of a dense Poisson evaluation (at least one
@@ -71,83 +74,51 @@ def _disk_array(z) -> np.ndarray:
 
 @dataclass
 class SeriesCoefficients:
-    """Truncated two-sided coefficient sequence c_{-K} ... c_K.
+    """Truncated two-sided coefficient sequence: coeffs[k] = c_k for signed k."""
 
-    pos holds c_0 ... c_K, neg holds c_{-1} ... c_{-K}.
-    """
-
-    pos: list
-    neg: list
+    coeffs: dict
 
     def __post_init__(self):
-        self.pos = [complex(v) for v in self.pos]
-        self.neg = [complex(v) for v in self.neg]
-        if not self.pos:
-            self.pos = [0j]
-        while len(self.neg) < max(len(self.pos) - 1, 1):
-            self.neg.append(0j)
+        self.coeffs = {int(k): complex(v) for k, v in self.coeffs.items()}
 
     @property
     def order(self) -> int:
-        return max(len(self.pos) - 1, len(self.neg))
+        return max((abs(k) for k in self.coeffs), default=0)
 
     def c(self, k: int) -> complex:
-        if k >= 0:
-            return self.pos[k] if k < len(self.pos) else 0j
-        return self.neg[-k - 1] if -k - 1 < len(self.neg) else 0j
-
-    @classmethod
-    def from_dict(cls, coeffs: dict) -> "SeriesCoefficients":
-        coeffs = {int(k): complex(v) for k, v in coeffs.items()}
-        kmax = max((abs(k) for k in coeffs), default=1)
-        return cls(
-            [coeffs.get(k, 0j) for k in range(kmax + 1)],
-            [coeffs.get(-k, 0j) for k in range(1, kmax + 1)],
-        )
-
-    def to_dict(self) -> dict:
-        out = {k: v for k, v in enumerate(self.pos)}
-        out.update({-(i + 1): v for i, v in enumerate(self.neg)})
-        return out
+        return self.coeffs.get(k, 0j)
 
 
 @dataclass
 class HarmonicSnapshot:
     """Coefficients of the plain-harmonic circle match at radius r.
 
-    A[k] = c_k F(-alpha, k-beta; k+1; r^2) r^k for k = 0..K and
-    B[k-1] = c_{-k} F(-beta, k-alpha; k+1; r^2) r^k for k = 1..K; these
-    are the coefficients of the harmonic function sharing u's values on
-    |z| = r, written in powers of e^{i theta}.
+    coeffs[k] = c_k F(mode k; r^2) r^|k| for signed k; these are the
+    coefficients of the harmonic function sharing u's values on |z| = r,
+    written in powers of e^{i theta}.
     """
 
     r: float
-    A: list
-    B: list
+    coeffs: dict
 
     def circle_values(self, theta) -> np.ndarray:
-        coeffs = dict(enumerate(self.A))
-        coeffs.update({-(i + 1): b for i, b in enumerate(self.B)})
-        return BoundaryFunction(coeffs).evaluate(theta)
+        return BoundaryFunction(self.coeffs).evaluate(theta)
 
     def normalized_ratios(self):
-        """(A_k/A_1 for k >= 2, B_k/A_1 for k >= 1); requires A_1 != 0."""
-        a1 = self.A[1]
+        """(coeffs[k]/coeffs[1] for k >= 2, coeffs[-k]/coeffs[1] for k >= 1);
+        requires coeffs[1] != 0."""
+        a1 = self.coeffs.get(1, 0j)
         if a1 == 0:
-            raise DomainError("normalization requires A_1 != 0")
-        return [a / a1 for a in self.A[2:]], [b / a1 for b in self.B]
+            raise DomainError("normalization requires coeffs[1] != 0")
+        order = max(abs(k) for k in self.coeffs)
+        return (
+            [self.coeffs.get(k, 0j) / a1 for k in range(2, order + 1)],
+            [self.coeffs.get(-k, 0j) / a1 for k in range(1, order + 1)],
+        )
 
 
 # ---------------------------------------------------------------------------
 # the two solution routes
-
-
-def _pos_hyp(params: AlphaBeta, k: int) -> HypParams:
-    return HypParams(-params.alpha, k - params.beta, k + 1.0)
-
-
-def _neg_hyp(params: AlphaBeta, k: int) -> HypParams:
-    return HypParams(-params.beta, k - params.alpha, k + 1.0)
 
 
 def check_nodes(nodes: int) -> int:
@@ -222,54 +193,41 @@ def evaluate_expansion(params: AlphaBeta, coeffs: SeriesCoefficients, z) -> comp
     z = complex(_disk_array(z))
     x = abs(z) ** 2
     total = 0j
-    zk = 1.0 + 0j
-    for k in range(len(coeffs.pos)):
-        ck = coeffs.pos[k]
-        if ck != 0:
-            total += ck * gauss_2f1(_pos_hyp(params, k), x) * zk
-        zk *= z
-    zbk = np.conj(z)
-    for i in range(len(coeffs.neg)):
-        k = i + 1
-        cmk = coeffs.neg[i]
-        if cmk != 0:
-            total += cmk * gauss_2f1(_neg_hyp(params, k), x) * zbk
-        zbk *= np.conj(z)
+    K = coeffs.order
+    zbar = np.conj(z)
+    # modes 0..K, then -1..-K, each power one product on from the last:
+    # another summation order or w ** |k| moves the sum by an ulp
+    for ks, w, wk in ((range(K + 1), z, 1.0 + 0j), (range(-1, -K - 1, -1), zbar, zbar)):
+        for k in ks:
+            ck = coeffs.c(k)
+            if ck != 0:
+                total += ck * gauss_2f1(_mode_hyp(params, k), x) * wk
+            wk *= w
     return complex(total)
 
 
 def coefficients_from_boundary(params: AlphaBeta, f: BoundaryFunction) -> SeriesCoefficients:
     """Series coefficients whose radial limit reproduces f.
 
-    c_k = f_hat(k) / F(-alpha, k-beta; k+1; 1) for k >= 0 and
-    c_{-k} = f_hat(-k) / F(-beta, k-alpha; k+1; 1); the limits exist
-    because c - a - b = 1 + alpha + beta > 0 throughout.
+    c_k = f_hat(k) / F(mode k; 1) for every signed k up to the order; the
+    limits exist because c - a - b = 1 + alpha + beta > 0 for every mode.
     """
     order = max(f.order, 1)
-    pos = []
-    for k in range(order + 1):
+    coeffs = {}
+    for k in range(-order, order + 1):
         fk = f.fourier.get(k, 0j)
-        pos.append(fk / gauss_2f1_at_one(_pos_hyp(params, k)) if fk != 0 else 0j)
-    neg = []
-    for k in range(1, order + 1):
-        fk = f.fourier.get(-k, 0j)
-        neg.append(fk / gauss_2f1_at_one(_neg_hyp(params, k)) if fk != 0 else 0j)
-    return SeriesCoefficients(pos, neg)
+        coeffs[k] = fk / gauss_2f1_at_one(_mode_hyp(params, k)) if fk != 0 else 0j
+    return SeriesCoefficients(coeffs)
 
 
 def snapshot(params: AlphaBeta, coeffs: SeriesCoefficients, r: float) -> HarmonicSnapshot:
-    """Circle-match coefficients A_k(r), B_k(r); r = 1 uses the x -> 1 limits."""
+    """Circle-match coefficients at radius r; r = 1 uses the x -> 1 limits."""
     if not (0.0 < r <= 1.0):
         raise DomainError(f"snapshot radius must be in (0, 1], got {r}")
-
-    def hyp(p: HypParams) -> float:
-        if r == 1.0:
-            return gauss_2f1_at_one(p)
-        return gauss_2f1(p, r * r)
-
-    A = [coeffs.c(k) * hyp(_pos_hyp(params, k)) * r**k for k in range(len(coeffs.pos))]
-    B = [coeffs.c(-k) * hyp(_neg_hyp(params, k)) * r**k for k in range(1, len(coeffs.neg) + 1)]
-    return HarmonicSnapshot(r, A, B)
+    hyp = gauss_2f1_at_one if r == 1.0 else functools.partial(gauss_2f1, x=r * r)
+    return HarmonicSnapshot(
+        r, {k: c * hyp(_mode_hyp(params, k)) * r ** abs(k) for k, c in coeffs.coeffs.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .specfun import gamma, _nonpositive_int
+from .specfun import HypParams, gamma, _nonpositive_int
 
 UNIT_MODULUS_TOL = 1e-12
 _CANCELLATION_BELOW = 0.0625
@@ -48,6 +48,14 @@ class AlphaBeta:
     def sigma(self) -> float:
         """alpha + beta + 2, the exponent driving every kernel estimate."""
         return self.alpha + self.beta + 2.0
+
+
+def _mode_hyp(params: AlphaBeta, k: int) -> HypParams:
+    """Triple (-a, |k| - b, |k| + 1) of series mode k, with (a, b) =
+    (alpha, beta) for k >= 0 and (beta, alpha) for k < 0: mode -k is the
+    conjugate of mode k with the weights swapped."""
+    a, b = (params.alpha, params.beta) if k >= 0 else (params.beta, params.alpha)
+    return HypParams(-a, abs(k) - b, abs(k) + 1.0)
 
 
 def normalizing_constant(alpha: float, beta: float) -> float:

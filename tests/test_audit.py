@@ -284,15 +284,17 @@ class TestKernelMeanAndResidual:
 class TestCoefficientInequalities:
     def test_starlike_equality_for_extremal_coefficients(self):
         kmax = 6
-        pos = [0.0, 1.0] + [(2 * k + 1) * (k + 1) / 6.0 for k in range(2, kmax + 1)]
-        neg = [0.0] + [(2 * k - 1) * (k - 1) / 6.0 for k in range(2, kmax + 1)]
-        coeffs = SeriesCoefficients(pos, neg)
+        coeffs = SeriesCoefficients(
+            {1: 1.0}
+            | {k: (2 * k + 1) * (k + 1) / 6.0 for k in range(2, kmax + 1)}
+            | {-k: (2 * k - 1) * (k - 1) / 6.0 for k in range(2, kmax + 1)}
+        )
         res = check_coefficient_inequalities(P00, coeffs, {"starlike": True})
         assert res.cases_violated == 0
         assert res.worst_margin == pytest.approx(0.0, abs=1e-10)
 
     def test_identity_map_heinz_margin(self):
-        coeffs = SeriesCoefficients([0.0, 1.0], [0.0])
+        coeffs = SeriesCoefficients({0: 0.0, 1: 1.0, -1: 0.0})
         res = check_coefficient_inequalities(P00, coeffs, {"onto_disk": True})
         assert res.worst_margin == pytest.approx(1.0 - HEINZ_LOWER_BOUND, rel=1e-12)
 
@@ -300,13 +302,11 @@ class TestCoefficientInequalities:
         rng = np.random.default_rng(3)
         p = make_params(-0.25, -0.5)
         for _ in range(5):
-            pos = [0.0, 1.0] + [
-                0.9 * coefficient_bound(p, "starlike_ck", k) * rng.uniform() for k in range(2, 5)
-            ]
-            neg = [0.0] + [
-                0.9 * coefficient_bound(p, "starlike_cmk", k) * rng.uniform() for k in range(2, 5)
-            ]
-            coeffs = SeriesCoefficients(pos, neg)
+            coeffs = SeriesCoefficients(
+                {1: 1.0}
+                | {k: 0.9 * coefficient_bound(p, "starlike_ck", k) * rng.uniform() for k in range(2, 5)}
+                | {-k: 0.9 * coefficient_bound(p, "starlike_cmk", k) * rng.uniform() for k in range(2, 5)}
+            )
             res = check_coefficient_inequalities(
                 p, coeffs, {"starlike": True, "typically_real": False, "in_s0": True}
             )
@@ -401,6 +401,7 @@ class TestSuites:
             (check_growth, "growth_constant", 3),
             (check_distortion, "distortion_constant", 3),
             (check_partials, "partial_constant", 9),  # three kinds on each ring
+            (check_means_partials, "means_constant", 9),
         ],
     )
     def test_constants_asked_once_per_ring(self, monkeypatch, check, constant, calls):

@@ -155,6 +155,17 @@ class TestCoefficientBounds:
         )
         assert val <= lead * scan + 1e-9
 
+    # 1 + alpha + beta is an integer here, so gauss_2f1 falls back to the
+    # direct series, which does not converge on the grid's x ~ 0.999
+    @pytest.mark.xfail(
+        raises=ConvergenceError, strict=True, reason="no connection formula for integer c - a - b"
+    )
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind", ["conjecture_ck", "conjecture_cmk"])
+    @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.25, 0.75), (1.5, -0.5)])
+    def test_conjecture_at_integer_weight_sum(self, pair, kind, k):
+        assert math.isfinite(coefficient_bound(make_params(*pair), kind, k))
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             coefficient_bound(P00, "bogus")

@@ -56,13 +56,9 @@ class TestDiskPoint:
 
 class TestSeriesCoefficients:
     def test_accessor(self):
-        c = SeriesCoefficients([1.0, 2.0], [3.0])
+        c = SeriesCoefficients({0: 1.0, 1: 2.0, -1: 3.0})
         assert c.c(0) == 1.0 and c.c(1) == 2.0 and c.c(-1) == 3.0
         assert c.c(5) == 0.0 and c.c(-5) == 0.0
-
-    def test_from_dict_round_trip(self):
-        c = SeriesCoefficients.from_dict({0: 1.0, 2: 1j, -1: 0.5})
-        assert c.to_dict()[2] == 1j and c.to_dict()[-1] == 0.5
 
 
 class TestPoissonIntegral:
@@ -131,18 +127,18 @@ class TestPoissonIntegral:
 
 class TestExpansion:
     def test_first_mode_classical(self):
-        c = SeriesCoefficients([0.0, 1.0], [0.0])
+        c = SeriesCoefficients({0: 0.0, 1: 1.0, -1: 0.0})
         for z in (0.3, 0.2 - 0.5j):
             assert evaluate_expansion(P00, c, z) == pytest.approx(z, rel=1e-14)
 
     def test_constant_term_at_origin(self):
-        c = SeriesCoefficients([1.0], [0.0])
+        c = SeriesCoefficients({0: 1.0, -1: 0.0})
         assert evaluate_expansion(PHH, c, 0.0) == pytest.approx(1.0)
 
     def test_antiholomorphic_terminating_value(self):
         # c_{-1} = 1 under weights (0, 1): F(-1, 1; 2; 0.25) * conj(0.5)
         p = make_params(0.0, 1.0)
-        c = SeriesCoefficients([0.0], [1.0])
+        c = SeriesCoefficients({0: 0.0, -1: 1.0})
         assert evaluate_expansion(p, c, 0.5) == pytest.approx(0.4375, rel=1e-13)
 
 
@@ -188,25 +184,25 @@ class TestCoefficientsFromBoundary:
 
 class TestSnapshot:
     def test_unweighted_single_mode(self):
-        c = SeriesCoefficients([0.0, 1.0], [0.0])
+        c = SeriesCoefficients({0: 0.0, 1: 1.0, -1: 0.0})
         snap = snapshot(P00, c, 0.6)
-        assert snap.A[1] == pytest.approx(0.6)
-        assert snap.A[0] == 0.0 and all(b == 0.0 for b in snap.B)
+        assert snap.coeffs[1] == pytest.approx(0.6)
+        assert snap.coeffs[0] == 0.0 and snap.coeffs[-1] == 0.0
 
     def test_small_radius_recovers_coefficients(self):
         p = make_params(0.3, -0.2)
-        c = SeriesCoefficients([1.0, 2.0, 0.5j], [1j, 0.25])
+        c = SeriesCoefficients({0: 1.0, 1: 2.0, 2: 0.5j, -1: 1j, -2: 0.25})
         r = 1e-4
         snap = snapshot(p, c, r)
         for k in range(3):
-            assert snap.A[k] / r**k == pytest.approx(c.c(k), rel=1e-6)
+            assert snap.coeffs[k] / r**k == pytest.approx(c.c(k), rel=1e-6)
         for k in (1, 2):
-            assert snap.B[k - 1] / r**k == pytest.approx(c.c(-k), rel=1e-6)
+            assert snap.coeffs[-k] / r**k == pytest.approx(c.c(-k), rel=1e-6)
 
     def test_limit_radius_uses_hypergeometric_limits(self):
-        c = SeriesCoefficients([0.0, 1.0], [0.0])
+        c = SeriesCoefficients({0: 0.0, 1: 1.0, -1: 0.0})
         snap = snapshot(PHH, c, 1.0)
-        assert snap.A[1] == pytest.approx(A1_AT_ONE_EQUAL_HALF, rel=1e-13)
+        assert snap.coeffs[1] == pytest.approx(A1_AT_ONE_EQUAL_HALF, rel=1e-13)
 
     def test_circle_consistency_with_expansion(self):
         p = make_params(-0.5, 1.0)
@@ -221,15 +217,15 @@ class TestSnapshot:
             )
 
     def test_normalized_ratios(self):
-        c = SeriesCoefficients([0.0, 2.0, 1.0], [0.5])
+        c = SeriesCoefficients({0: 0.0, 1: 2.0, 2: 1.0, -1: 0.5})
         snap = snapshot(P00, c, 0.5)
         ratios_a, ratios_b = snap.normalized_ratios()
-        assert ratios_a[0] == pytest.approx(snap.A[2] / snap.A[1])
-        assert ratios_b[0] == pytest.approx(snap.B[0] / snap.A[1])
+        assert ratios_a[0] == pytest.approx(snap.coeffs[2] / snap.coeffs[1])
+        assert ratios_b[0] == pytest.approx(snap.coeffs[-1] / snap.coeffs[1])
 
     def test_radius_domain(self):
         with pytest.raises(DomainError):
-            snapshot(P00, SeriesCoefficients([1.0], [0.0]), 0.0)
+            snapshot(P00, SeriesCoefficients({0: 1.0, -1: 0.0}), 0.0)
 
 
 class TestOperatorResidual:
@@ -281,7 +277,7 @@ class TestDerivatives:
 
     def test_wirtinger_of_expansion_at_origin(self):
         p = make_params(0.0, 1.0)
-        c = SeriesCoefficients([0.0, 1.0], [0.0])
+        c = SeriesCoefficients({0: 0.0, 1: 1.0, -1: 0.0})
         uz, _ = wirtinger_derivatives(lambda z: evaluate_expansion(p, c, z), 0.0)
         assert uz == pytest.approx(1.0, abs=1e-9)
 
@@ -479,10 +475,14 @@ class TestConjugationLaw:
         rng = np.random.default_rng(12)
         f = seeded_boundary(rng, order=4)
         fbar = from_fourier({-k: np.conj(v) for k, v in f.fourier.items()})
+        ca, cb = coefficients_from_boundary(pa, f), coefficients_from_boundary(pb, fbar)
         for z in (0.3, 0.5 - 0.2j, -0.4 + 0.6j):
             lhs = poisson_integral(pb, fbar, z)
             rhs = np.conj(poisson_integral(pa, f, z))
             assert lhs == pytest.approx(rhs, abs=1e-10)
+            # the series route: mode -k under (beta, alpha) is mode k under (alpha, beta)
+            lhs = evaluate_expansion(pb, cb, z)
+            assert lhs == pytest.approx(np.conj(evaluate_expansion(pa, ca, z)), abs=1e-14)
 
 
 class TestNodeRule:
