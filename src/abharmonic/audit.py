@@ -32,13 +32,11 @@ from .bounds import HolderPair
 from .errors import ParameterError
 from .harmonic import (
     DEFAULT_STEP,
+    _wirtinger_pair,
     integral_means,
-    jacobian_norm,
     operator_residual,
     poisson_extension,
     poisson_integral,
-    radial_angular_derivatives,
-    wirtinger_derivatives,
 )
 from .kernel import AlphaBeta, _mode_hyp, make_params
 from .specfun import gamma, gauss_2f1
@@ -164,12 +162,42 @@ def random_boundary(rng, order: int = 8) -> BoundaryFunction:
 # growth / means / distortion / partials
 
 
+# Each Z_GRID row is its first point turned eight times by 2pi/8, so the
+# row stencils below are rotation orbits (PoissonExtension.orbit_values),
+# one kernel row per orbit instead of one per stencil point.  They are the
+# central differences of harmonic.wirtinger_derivatives and
+# radial_angular_derivatives at the default step, taken at turned points
+# a few ulps off the stored ones, so they agree with those to rounding.
+
+
+def _row_wirtinger(u):
+    """(u_z, u_zbar) on Z_GRID.  The Cartesian stencil point z_j + h i^k
+    is i^k (z_{j-2k} + h), so the m = 4 orbits of the 24 points Z_GRID + h
+    hold all 96 stencil points."""
+    h = DEFAULT_STEP
+    vals = u.orbit_values(Z_GRID + h, 4)
+    up, vp, um, vm = (np.roll(vals[..., k], 2 * k, axis=1) for k in range(4))
+    return _wirtinger_pair(up, um, vp, vm, h)
+
+
+def _row_polar(u):
+    """(u_r, u_theta) on Z_GRID from the m = 8 orbits of each row's four
+    polar stencil points (r +- h) e^{i theta_0} and r e^{i (theta_0 +- h)}."""
+    h = DEFAULT_STEP
+    z0 = Z_GRID[:, :1]
+    r = np.hypot(z0.real, z0.imag)
+    theta = np.vectorize(math.atan2)(z0.imag, z0.real)
+    reps = (r + h * np.array([1, -1, 0, 0])) * np.exp(1j * (theta + h * np.array([0, 0, 1, -1])))
+    rp, rm, tp, tm = np.moveaxis(u.orbit_values(reps, 8), 1, 0)
+    return (rp - rm) / (2.0 * h), (tp - tm) / (2.0 * h)
+
+
 def check_growth(
     params: AlphaBeta, f: BoundaryFunction, hp: HolderPair, nodes: int = AUDIT_NODES
 ) -> AuditResult:
     """|u(z)| against the growth bound at every grid point."""
     norm = lp_norm(f, hp.p)
-    uvals = poisson_integral(params, f, Z_GRID, nodes)
+    uvals = poisson_extension(params, f, nodes).orbit_values(Z_GRID[:, 0], 8)
     records = []
     inv_p = 0.0 if math.isinf(hp.p) else 1.0 / hp.p
     for k, (r, row) in enumerate(zip(R_GRID, uvals)):
@@ -211,7 +239,9 @@ def check_distortion(
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
     records = []
-    for k, (r, row) in enumerate(zip(R_GRID, jacobian_norm(u, Z_GRID))):
+    uz, uzb = _row_wirtinger(u)
+    jnorm = np.hypot(uz.real, uz.imag) + np.hypot(uzb.real, uzb.imag)
+    for k, (r, row) in enumerate(zip(R_GRID, jnorm)):
         coef = bnd.distortion_constant(params, hp, r, CONSTANT_NODES)
         bound = coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
         for i, jn in enumerate(row, len(row) * k):
@@ -226,7 +256,7 @@ def check_partials(
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
     records = []
-    grids = zip(R_GRID, *radial_angular_derivatives(u, Z_GRID), *wirtinger_derivatives(u, Z_GRID))
+    grids = zip(R_GRID, *_row_polar(u), *_row_wirtinger(u))
     for k, (r, *rows) in enumerate(grids):
         blow = (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
         bound = {
@@ -251,7 +281,7 @@ def check_means_partials(
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
     n, h = MEANS_THETAS, DEFAULT_STEP
-    theta = circle_nodes(n)
+    eminus = np.exp(-1j * circle_nodes(n))
     records = []
 
     for r in R_GRID:
@@ -259,7 +289,6 @@ def check_means_partials(
         # exact polar chain rule for the Wirtinger pair
         ur = (u.circle_values(r + h, n) - u.circle_values(r - h, n)) / (2.0 * h)
         ut = (u.circle_values(r, n, phase=h) - u.circle_values(r, n, phase=-h)) / (2.0 * h)
-        eminus = np.exp(-1j * theta)
         uz = 0.5 * eminus * (ur - 1j * ut / r)
         uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
         blow = norm / (1.0 - r * r)

@@ -70,9 +70,21 @@ def _parse_grid(text: str):
     return nr, nt
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None: JSON has no NaN
+    or infinity, and a non-finite audit margin is already a violation."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _emit_json(doc: dict, out_path) -> None:
     with _open_out(out_path) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n")
 
 
 def _timestamp() -> str:

@@ -17,9 +17,10 @@ the disk for trigonometric-polynomial data.
 Derivative and operator measurements take a point or an array of points,
 use central finite differences, and treat the function under test as an
 opaque evaluation callback that gets every stencil point of the array at
-once.  The evaluation rule: a PoissonExtension evaluates arrays and
-rings itself (a ring through its FFT circle convolution); any other
-callable is called once per point.
+once.  The evaluation rule: a PoissonExtension evaluates arrays,
+rings and rotation orbits itself (a ring through its FFT circle
+convolution, the m turns of a point by 2pi/m through one kernel row
+shifted by nodes/m places); any other callable is called once per point.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .kernel import AlphaBeta, _mode_hyp, unnormalized_kernel
 from .specfun import gauss_2f1, gauss_2f1_at_one
 
 DEFAULT_STEP = 1e-3
-# kernel points per block of a dense Poisson evaluation (at least one
-# row of nodes): a block's temporaries stay in cache and in reused heap
+# kernel-row products per block of a dense Poisson evaluation (at least
+# one row of nodes; a point's orbit of m turns takes m products per
+# kernel point): a block's temporaries stay in cache and in reused heap
 # memory instead of being fresh multi-megabyte arrays whose page faults
 # cost as much as the kernel
 _BLOCK_POINTS = 8192
@@ -136,18 +138,27 @@ def _conj_roots(nodes: int) -> np.ndarray:
     return roots
 
 
-def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
-    """Poisson integral of f at z: a complex for a scalar or DiskPoint z, else an array."""
-    roots = _conj_roots(check_nodes(nodes))
-    z = _disk_array(z)
-    fvals = f.values_on_grid(nodes)
+def _turned_means(params: AlphaBeta, fvals: np.ndarray, z: np.ndarray, m: int) -> np.ndarray:
+    """mean_l P(z e^{-i t_l}) f[(l + k n/m) mod n] for each z and k < m, of
+    shape z.shape + (m,): one kernel row per z, evaluated in blocks of at
+    most _BLOCK_POINTS products (or one z)."""
+    n = fvals.size
+    roots = _conj_roots(n)
+    frot = fvals[(np.arange(n) + (n // m) * np.arange(m)[:, None]) % n]
     flat = z.reshape(-1)
-    means = np.empty(flat.shape, dtype=complex)
-    step = max(1, _BLOCK_POINTS // nodes)
+    means = np.empty((flat.size, m), dtype=complex)
+    step = max(1, _BLOCK_POINTS // (n * m))
     for i in range(0, flat.size, step):
         kern = unnormalized_kernel(params, flat[i : i + step, None] * roots)
-        means[i : i + step] = np.mean(kern * fvals, axis=-1)
-    vals = params.c_norm * means.reshape(z.shape)
+        means[i : i + step] = np.mean(kern[:, None, :] * frot, axis=-1)
+    return means.reshape(z.shape + (m,))
+
+
+def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
+    """Poisson integral of f at z: a complex for a scalar or DiskPoint z, else an array."""
+    check_nodes(nodes)
+    z = _disk_array(z)
+    vals = params.c_norm * _turned_means(params, f.values_on_grid(nodes), z, 1)[..., 0]
     return complex(vals) if vals.ndim == 0 else vals
 
 
@@ -157,9 +168,10 @@ class PoissonExtension:
     Calling it evaluates the Poisson integral at scalar or array
     arguments.  circle_values exploits that the integral on a uniform
     circle grid is a circular convolution of the kernel with the
-    boundary samples, so one FFT replaces a dense kernel matrix.  Both
-    paths read f only on its nodes-point grid; a ring's phase goes
-    through the kernel.
+    boundary samples, so one FFT replaces a dense kernel matrix;
+    orbit_values exploits the same rotation structure for the m turns
+    of a point.  Every path reads f only on its nodes-point grid; a
+    ring's phase goes through the kernel.
     """
 
     def __init__(self, params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES):
@@ -170,6 +182,25 @@ class PoissonExtension:
     def __call__(self, z):
         return poisson_integral(self.params, self.f, z, self.nodes)
 
+    @functools.cached_property
+    def _fhat(self) -> np.ndarray:
+        """FFT of the boundary samples, shared by every ring."""
+        return np.fft.fft(self.f.values_on_grid(self.nodes))
+
+    def orbit_values(self, z, m: int) -> np.ndarray:
+        """u(z e^{2 pi i k/m}) for k = 0..m-1, of shape z.shape + (m,).
+
+        Turning z by 2 pi k/m shifts its kernel row P(z e^{-i t_l}) by
+        k nodes/m places, so each z costs one kernel row and m sums of
+        that row against the turned samples f[(l + k nodes/m) mod nodes];
+        column 0 is poisson_integral(z) bit for bit.
+        """
+        n = self.nodes
+        if m < 1 or n % m:
+            raise DomainError(f"orbit size must divide nodes = {n}, got {m}")
+        z = _disk_array(z)
+        return self.params.c_norm * _turned_means(self.params, self.f.values_on_grid(n), z, m)
+
     def circle_values(self, r: float, n_theta: int, phase: float = 0.0) -> np.ndarray:
         """u(r e^{i(theta_j + phase)}) on the uniform n_theta grid."""
         if not 0.0 <= r < 1.0:
@@ -178,8 +209,7 @@ class PoissonExtension:
         if n % n_theta:
             return self(r * np.exp(1j * (circle_nodes(n_theta) + phase)))
         kern = unnormalized_kernel(self.params, r * np.exp(1j * (circle_nodes(n) + phase)))
-        fvals = self.f.values_on_grid(n)
-        vals = self.params.c_norm * np.fft.ifft(np.fft.fft(kern) * np.fft.fft(fvals)) / n
+        vals = self.params.c_norm * np.fft.ifft(np.fft.fft(kern) * self._fhat) / n
         return vals[:: n // n_theta]
 
 

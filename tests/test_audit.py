@@ -11,6 +11,8 @@ import abharmonic.harmonic as harmonic
 from abharmonic._quad import circle_nodes
 from abharmonic.audit import (
     R_GRID,
+    STANDARD_PAIRS,
+    Z_GRID,
     AuditResult,
     check_coefficient_inequalities,
     check_distortion,
@@ -112,18 +114,50 @@ class TestDerivativeChecks:
         for check in (check_distortion, check_partials, check_means_partials):
             assert check(p, f, hp).cases_violated == 0
 
-    @pytest.mark.parametrize("check, calls", [(check_distortion, 1), (check_partials, 2)])
-    def test_one_poisson_evaluation_per_stencil(self, monkeypatch, check, calls):
-        # each stencil takes the whole Z_GRID in one evaluation
-        shapes = []
+    @pytest.mark.parametrize(
+        "check, orbits, kernel_rows",
+        [
+            (check_growth, [((3,), 8)], 3),
+            (check_distortion, [((3, 8), 4)], 24),
+            (check_partials, [((3, 4), 8), ((3, 8), 4)], 12 + 24),
+        ],
+    )
+    def test_one_orbit_evaluation_per_stencil(self, monkeypatch, check, orbits, kernel_rows):
+        # each row stencil is one orbit_values call on its representatives,
+        # one kernel row per representative
+        nodes = 256
+        calls, rows = [], []
 
-        def counted(*args, fn=harmonic.poisson_integral, **kwargs):
-            shapes.append(np.shape(args[2]))
-            return fn(*args, **kwargs)
+        def orbit(u, z, m, fn=harmonic.PoissonExtension.orbit_values):
+            calls.append((np.shape(z), m))
+            return fn(u, z, m)
 
-        monkeypatch.setattr(harmonic, "poisson_integral", counted)
-        check(PHH, random_boundary(np.random.default_rng(6)), HolderPair.from_p(2.0), nodes=256)
-        assert shapes == [audit.Z_GRID.shape + (4,)] * calls
+        def kernel(params, w, fn=harmonic.unnormalized_kernel):
+            assert np.shape(w)[-1] == nodes
+            rows.append(np.size(w) // nodes)
+            return fn(params, w)
+
+        monkeypatch.setattr(harmonic.PoissonExtension, "orbit_values", orbit)
+        monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
+        check(PHH, random_boundary(np.random.default_rng(6)), HolderPair.from_p(2.0), nodes=nodes)
+        assert calls == orbits
+        assert sum(rows) == kernel_rows
+
+    @pytest.mark.parametrize("nodes", [256, 1024])
+    @pytest.mark.parametrize("pair", [*STANDARD_PAIRS, (2.7, -1.4)])
+    def test_row_stencils_match_the_point_stencils(self, pair, nodes):
+        # the turned stencil points are ulps off the stored ones, and a
+        # difference quotient divides that by h
+        f = random_boundary(np.random.default_rng(6))
+        u = harmonic.poisson_extension(make_params(*pair), f, nodes)
+        rows = (*audit._row_wirtinger(u), *audit._row_polar(u))
+        points = (
+            *harmonic.wirtinger_derivatives(u, Z_GRID),
+            *harmonic.radial_angular_derivatives(u, Z_GRID),
+        )
+        for row, ref in zip(rows, points):
+            assert row.shape == Z_GRID.shape
+            assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_asymmetric_weights_covered(self):
         # regression: the antiholomorphic derivative needs the swapped

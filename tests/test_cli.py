@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abharmonic import audit
 from abharmonic.cli import main
 
 
@@ -174,6 +175,24 @@ class TestAudit:
         names = [r["name"] for r in json.loads(out.read_text())["results"]]
         assert "distortion" not in names
         assert ("partials" in names) == (suite == "all")
+
+    def test_nan_margin_written_as_null(self, tmp_path, monkeypatch):
+        def planted(*args, check=audit.check_growth, **kwargs):
+            res = check(*args, **kwargs)
+            case, r, _ = res.details[0]
+            return audit._collect(res.name, [(case, r, math.nan), *res.details[1:]], res.tolerance)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        monkeypatch.setattr(audit, "check_growth", planted)
+        out = tmp_path / "audit.json"
+        assert main(["audit", "--suite", "growth", "--nodes", "256", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        (growth,) = doc["results"]
+        # one planted case per boundary, each counted as violated
+        assert doc["violations"] == growth["cases_violated"] == 10
+        assert growth["worst_margin"] is None and growth["margins"][0][2] is None
 
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,9 +6,11 @@ import pytest
 
 from abharmonic import harmonic
 from abharmonic._quad import circle_nodes
+from abharmonic.audit import STANDARD_PAIRS, Z_GRID, random_boundary
 from abharmonic.boundary import from_fourier
 from abharmonic.errors import DomainError, StencilError
 from abharmonic.harmonic import (
+    DEFAULT_STEP,
     DiskPoint,
     SeriesCoefficients,
     check_nodes,
@@ -123,6 +125,42 @@ class TestPoissonIntegral:
         assert vals.shape == (1, n)
         np.testing.assert_array_equal(vals[0], [poisson_integral(PHH, f, w, nodes) for w in z[0]])
         assert poisson_integral(PHH, f, np.zeros((2, 0)), nodes).shape == (2, 0)
+
+
+class TestOrbitValues:
+    # the audit's orbits: the Cartesian stencil points Z_GRID + h turned by
+    # i^k, and the first point of each Z_GRID row turned by 2 pi k/8
+    ORBITS = (
+        (Z_GRID + DEFAULT_STEP, np.array([1, 1j, -1, -1j])),
+        (Z_GRID[:, 0], np.exp(2j * np.pi * np.arange(8) / 8)),
+    )
+
+    @pytest.mark.parametrize("nodes", [256, 1024])
+    @pytest.mark.parametrize("pair", [*STANDARD_PAIRS, (2.7, -1.4)])
+    def test_columns_are_the_turned_points(self, pair, nodes):
+        p = make_params(*pair)
+        f = random_boundary(np.random.default_rng(6))
+        u = poisson_extension(p, f, nodes)
+        for z, turns in self.ORBITS:
+            vals = u.orbit_values(z, turns.size)
+            assert vals.shape == z.shape + turns.shape
+            assert np.array_equal(vals[..., 0], poisson_integral(p, f, z, nodes))
+            # a turned kernel row is a few ulps off the row at the turned
+            # point, which moves u by about eps times the kernel's log
+            # derivative, 2 sigma / (1 - r): 6.5e-15 on this data at
+            # (2.7, -1.4), r = 0.9, 256 nodes
+            ref = poisson_integral(p, f, z[..., None] * turns, nodes)
+            assert np.max(np.abs(vals - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_point_gives_one_orbit(self):
+        u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
+        assert u.orbit_values(0.3 + 0.1j, 4).shape == (4,)
+
+    @pytest.mark.parametrize("m", [0, 3, 512])
+    def test_orbit_size_must_divide_nodes(self, m):
+        u = poisson_extension(PHH, from_fourier({1: 1.0}), 256)
+        with pytest.raises(DomainError):
+            u.orbit_values(0.5, m)
 
 
 class TestExpansion:
@@ -445,6 +483,21 @@ class TestIntegralMeans:
         f = from_fourier({1: 1.0, -1: 1.0})
         u = poisson_extension(P00, f, 1024)
         assert integral_means(u, 0.5, 2.0) == pytest.approx(math.sqrt(0.5), rel=1e-10)
+
+    def test_boundary_fft_once_per_extension(self, monkeypatch):
+        u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
+        first = u.circle_values(0.5, 64)
+        calls = []
+
+        def counted(x, fn=np.fft.fft):
+            calls.append(x)
+            return fn(x)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        assert np.array_equal(u.circle_values(0.5, 64), first)
+        u.circle_values(0.7, 64, phase=0.1)
+        # one kernel FFT per ring; the samples' FFT is kept
+        assert len(calls) == 2
 
     def test_fast_path_matches_generic(self):
         f = from_fourier({1: 1.0, -2: 0.5})
