@@ -51,6 +51,17 @@ R_GRID = (0.3, 0.6, 0.9)
 # one row of eight angles, offset from the axes, per radius of R_GRID; a
 # row is graded at its ring radius, since abs(z) can be one ulp off it
 Z_GRID = np.array([[r * np.exp(2j * math.pi * (j + 0.37) / 8) for j in range(8)] for r in R_GRID])
+# the point sets of the Z_GRID row stencils (see _row_wirtinger and
+# _row_polar), built once so that every check and boundary asks the
+# kernel table for the same keys: the Cartesian points z + h, and the
+# polar points (r +- h) e^{i theta_0}, r e^{i (theta_0 +- h)} of each
+# row's first point, the angle by math.atan2 (np.arctan2 can differ by an ulp)
+CARTESIAN_STENCIL = Z_GRID + DEFAULT_STEP
+_R0 = np.hypot(Z_GRID[:, :1].real, Z_GRID[:, :1].imag)
+_THETA0 = np.array([[math.atan2(z.imag, z.real)] for z in Z_GRID[:, 0]])
+POLAR_STENCIL = (_R0 + DEFAULT_STEP * np.array([1, -1, 0, 0])) * np.exp(
+    1j * (_THETA0 + DEFAULT_STEP * np.array([0, 0, 1, -1]))
+)
 MEANS_THETAS = 256  # ring points of the means-of-partials stencils
 PARTIAL_KINDS = ("radial", "angular", "wirtinger", "wirtinger")  # of u_r, u_theta, u_z, u_zbar
 RATIO_T_GRID = np.linspace(0.01, 0.99, 99)
@@ -137,7 +148,8 @@ def merge_results(name: str, results) -> AuditResult:
         out.notes.extend(r.notes)
         out.details.extend(r.details)
         for k, v in r.extras.items():
-            if k not in out.extras or v > out.extras[k]:
+            # a NaN extra wins whatever its place: it is never a pass
+            if k not in out.extras or v > out.extras[k] or math.isnan(v):
                 out.extras[k] = v
     return out
 
@@ -172,23 +184,18 @@ def random_boundary(rng, order: int = 8) -> BoundaryFunction:
 
 def _row_wirtinger(u):
     """(u_z, u_zbar) on Z_GRID.  The Cartesian stencil point z_j + h i^k
-    is i^k (z_{j-2k} + h), so the m = 4 orbits of the 24 points Z_GRID + h
-    hold all 96 stencil points."""
-    h = DEFAULT_STEP
-    vals = u.orbit_values(Z_GRID + h, 4)
+    is i^k (z_{j-2k} + h), so the m = 4 orbits of the 24 points
+    CARTESIAN_STENCIL hold all 96 stencil points."""
+    vals = u.orbit_values(CARTESIAN_STENCIL, 4)
     up, vp, um, vm = (np.roll(vals[..., k], 2 * k, axis=1) for k in range(4))
-    return _wirtinger_pair(up, um, vp, vm, h)
+    return _wirtinger_pair(up, um, vp, vm, DEFAULT_STEP)
 
 
 def _row_polar(u):
     """(u_r, u_theta) on Z_GRID from the m = 8 orbits of each row's four
-    polar stencil points (r +- h) e^{i theta_0} and r e^{i (theta_0 +- h)}."""
+    polar stencil points POLAR_STENCIL."""
     h = DEFAULT_STEP
-    z0 = Z_GRID[:, :1]
-    r = np.hypot(z0.real, z0.imag)
-    theta = np.vectorize(math.atan2)(z0.imag, z0.real)
-    reps = (r + h * np.array([1, -1, 0, 0])) * np.exp(1j * (theta + h * np.array([0, 0, 1, -1])))
-    rp, rm, tp, tm = np.moveaxis(u.orbit_values(reps, 8), 1, 0)
+    rp, rm, tp, tm = np.moveaxis(u.orbit_values(POLAR_STENCIL, 8), 1, 0)
     return (rp - rm) / (2.0 * h), (tp - tm) / (2.0 * h)
 
 
@@ -287,8 +294,9 @@ def check_means_partials(
     for r in R_GRID:
         # circle stencils: radial and angular central differences, then the
         # exact polar chain rule for the Wirtinger pair
-        ur = (u.circle_values(r + h, n) - u.circle_values(r - h, n)) / (2.0 * h)
-        ut = (u.circle_values(r, n, phase=h) - u.circle_values(r, n, phase=-h)) / (2.0 * h)
+        rp, rm, tp, tm = u._circles([(r + h, 0.0), (r - h, 0.0), (r, h), (r, -h)], n)
+        ur = (rp - rm) / (2.0 * h)
+        ut = (tp - tm) / (2.0 * h)
         uz = 0.5 * eminus * (ur - 1j * ut / r)
         uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
         blow = norm / (1.0 - r * r)

@@ -1,4 +1,5 @@
-"""Shared high-precision oracles for the test suite.
+"""Shared high-precision oracles for the test suite, and a fixture that
+starts every test with an empty kernel table.
 
 The hypergeometric oracle sums the defining series in 50-digit arithmetic
 with at least 200 terms, continuing until the terms fall below 1e-30 of
@@ -9,7 +10,17 @@ at the 1e-10 level.
 import mpmath as mp
 import pytest
 
+from abharmonic import harmonic
+
 mp.mp.dps = 50
+
+
+@pytest.fixture(autouse=True)
+def cold_kernel_table():
+    """Each test starts without kernel rows or ring kernels kept from
+    another, so a test that counts kernel work or patches the kernel or
+    np.fft sees every evaluation."""
+    harmonic._kernel_table.cache_clear()
 
 
 def mp_gauss_2f1(a, b, c, x, min_terms=200):

@@ -123,8 +123,9 @@ class TestDerivativeChecks:
         ],
     )
     def test_one_orbit_evaluation_per_stencil(self, monkeypatch, check, orbits, kernel_rows):
-        # each row stencil is one orbit_values call on its representatives,
-        # one kernel row per representative
+        # each row stencil is one orbit_values call on its point set; the
+        # kernel rows of a point set are evaluated once per (params, nodes),
+        # whatever the boundary
         nodes = 256
         calls, rows = [], []
 
@@ -139,9 +140,26 @@ class TestDerivativeChecks:
 
         monkeypatch.setattr(harmonic.PoissonExtension, "orbit_values", orbit)
         monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
-        check(PHH, random_boundary(np.random.default_rng(6)), HolderPair.from_p(2.0), nodes=nodes)
-        assert calls == orbits
-        assert sum(rows) == kernel_rows
+        rng = np.random.default_rng(6)
+        for params in (PHH, PHH, P00):
+            check(params, random_boundary(rng), HolderPair.from_p(2.0), nodes=nodes)
+        assert calls == 3 * orbits
+        assert sum(rows) == 2 * kernel_rows
+
+    def test_distortion_and_partials_share_one_point_set(self, monkeypatch):
+        # the Cartesian rows check_distortion evaluated serve check_partials,
+        # which then adds only the 12 polar rows
+        rows = []
+
+        def kernel(params, w, fn=harmonic.unnormalized_kernel):
+            rows.append(np.size(w) // 256)
+            return fn(params, w)
+
+        monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
+        f, hp = random_boundary(np.random.default_rng(6)), HolderPair.from_p(2.0)
+        check_distortion(PHH, f, hp, nodes=256)
+        check_partials(PHH, f, hp, nodes=256)
+        assert sum(rows) == 24 + 12
 
     @pytest.mark.parametrize("nodes", [256, 1024])
     @pytest.mark.parametrize("pair", [*STANDARD_PAIRS, (2.7, -1.4)])
@@ -394,6 +412,38 @@ class TestSuites:
         # the previous boundary is still bound while the next is drawn
         assert alive == [0, 1, 1, 1]
 
+    def test_standard_suite_kernel_work_per_weight_pair(self, monkeypatch):
+        # 20 boundaries visit each standard pair once, four boundaries in a
+        # row; a pair costs 39 orbit rows (growth 3, Cartesian 24, polar 12)
+        # and 15 ring kernels (3 integral-means and 12 means-partials rings)
+        orbit_rows, ring_kernels = [], []
+
+        def kernel(params, w, fn=harmonic.unnormalized_kernel):
+            if np.ndim(w) == 1:
+                ring_kernels.append(params)
+            else:
+                orbit_rows.extend([params] * np.shape(w)[0])
+            return fn(params, w)
+
+        monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
+        standard_suite(n_boundaries=20, nodes=256)
+        pairs = [make_params(*pair) for pair in STANDARD_PAIRS]
+        assert collections.Counter(orbit_rows) == dict.fromkeys(pairs, 39)
+        assert collections.Counter(ring_kernels) == dict.fromkeys(pairs, 15)
+
+    def test_warm_table_margins_equal_cold(self, monkeypatch):
+        warm = standard_suite(n_boundaries=8, nodes=256)
+        for _, _, check in audit._boundary_checks():
+
+            def cold(*args, check=check, **kwargs):
+                harmonic._kernel_table.cache_clear()
+                return check(*args, **kwargs)
+
+            monkeypatch.setattr(audit, check.__name__, cold)
+        for w, c in zip(warm, standard_suite(n_boundaries=8, nodes=256), strict=True):
+            assert w.name == c.name
+            assert np.array_equal([m for *_, m in w.details], [m for *_, m in c.details])
+
     def test_suites_call_the_checks_the_module_holds(self, monkeypatch):
         # a tracer or test wraps a check by replacing it on the module
         names = (
@@ -483,6 +533,13 @@ class TestNonFiniteMargins:
         res = _collect("x", [(f"c{i}", None, m) for i, m in enumerate(margins)], 1e-8)
         assert res.cases_violated == violated
         assert res.worst_margin == pytest.approx(worst, nan_ok=True)
+
+    def test_merged_nan_extra_is_kept(self):
+        parts = [
+            AuditResult("a", 1, 0, 0.0, 1e-8, extras={"sharpness_gap": gap}) for gap in (1e-3, math.nan)
+        ]
+        for order in (parts, parts[::-1]):
+            assert math.isnan(merge_results("m", order).extras["sharpness_gap"])
 
     def test_merged_worst_margin_is_order_free(self):
         parts = [AuditResult("a", 1, 1, math.nan, 1e-8), AuditResult("b", 1, 1, -1.0, 1e-8)]

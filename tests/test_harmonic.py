@@ -1,5 +1,6 @@
 import cmath
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from abharmonic.harmonic import (
     snapshot,
     wirtinger_derivatives,
 )
-from abharmonic.kernel import make_params
+from abharmonic.kernel import make_params, unnormalized_kernel
 from abharmonic.specfun import gamma, gauss_2f1
 
 P00 = make_params(0.0, 0.0)
@@ -485,6 +486,8 @@ class TestIntegralMeans:
         assert integral_means(u, 0.5, 2.0) == pytest.approx(math.sqrt(0.5), rel=1e-10)
 
     def test_boundary_fft_once_per_extension(self, monkeypatch):
+        # one samples' FFT per extension, one kernel FFT per (params,
+        # nodes, r, phase) whatever the extension
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
         first = u.circle_values(0.5, 64)
         calls = []
@@ -495,9 +498,15 @@ class TestIntegralMeans:
 
         monkeypatch.setattr(np.fft, "fft", counted)
         assert np.array_equal(u.circle_values(0.5, 64), first)
+        assert len(calls) == 0
         u.circle_values(0.7, 64, phase=0.1)
-        # one kernel FFT per ring; the samples' FFT is kept
+        assert len(calls) == 1
+        v = poisson_extension(PHH, from_fourier({0: 2.0, 3: 1j}), 256)
+        v.circle_values(0.5, 64)
+        v.circle_values(0.7, 64, phase=0.1)
         assert len(calls) == 2
+        poisson_extension(P00, from_fourier({0: 2.0, 3: 1j}), 256).circle_values(0.5, 64)
+        assert len(calls) == 4
 
     def test_fast_path_matches_generic(self):
         f = from_fourier({1: 1.0, -2: 0.5})
@@ -562,3 +571,67 @@ class TestCircleValues:
             dense = u(r * np.exp(1j * (circle_nodes(n_theta) + phase)))
             ring = u.circle_values(r, n_theta, phase=phase)
             assert np.max(np.abs(ring - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n_theta", [256, 60])
+    @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.3, -0.2), (2.7, -1.4)])
+    def test_rings_in_one_call_match_one_ring_each(self, pair, n_theta):
+        # one 2-d inverse FFT over four rings is bit for bit the 1-d
+        # transform of each ring (n_theta = 60 takes the dense path)
+        p, n, h = make_params(*pair), 1024, DEFAULT_STEP
+        f = seeded_boundary(np.random.default_rng(5))
+        u = poisson_extension(p, f, n)
+        rings = [(0.6 + h, 0.0), (0.6 - h, 0.0), (0.6, h), (0.6, -h)]
+        fhat = np.fft.fft(f.values_on_grid(n))
+        for (r, phase), row in zip(rings, u._circles(rings, n_theta)):
+            if n_theta == 60:
+                ref = u(r * np.exp(1j * (circle_nodes(n_theta) + phase)))
+            else:
+                kern = unnormalized_kernel(p, r * np.exp(1j * (circle_nodes(n) + phase)))
+                ref = (p.c_norm * np.fft.ifft(np.fft.fft(kern) * fhat) / n)[:: n // n_theta]
+            assert np.array_equal(row, ref)
+
+
+class TestKernelTable:
+    F = from_fourier({1: 1.0, -2: 0.5})
+
+    def test_one_table_alive_after_a_pair_change(self):
+        poisson_extension(PHH, self.F, 256).circle_values(0.5, 64)
+        first = weakref.ref(harmonic._kernel_table(PHH, 256))
+        for params, nodes in ((P00, 256), (P00, 512)):
+            poisson_extension(params, self.F, nodes).orbit_values(Z_GRID, 8)
+            assert harmonic._kernel_table.cache_info().currsize == 1
+        assert first() is None
+        assert len(harmonic._kernel_table(P00, 512).entries) == 1
+
+    def test_point_sets_of_one_shape_kept_apart(self):
+        u = poisson_extension(PHH, self.F, 256)
+        for z in (Z_GRID, Z_GRID + DEFAULT_STEP, Z_GRID):
+            np.testing.assert_array_equal(u.orbit_values(z, 4)[..., 0], poisson_integral(PHH, self.F, z, 256))
+        assert len(harmonic._kernel_table(PHH, 256).entries) == 2
+
+    def test_cached_arrays_read_only(self):
+        u = poisson_extension(PHH, self.F, 256)
+        u.orbit_values(Z_GRID, 8)
+        u.circle_values(0.5, 64)
+        entries = harmonic._kernel_table(PHH, 256).entries
+        assert [key[0] for key in entries] == ["rows", "ring"]
+        for arr in entries.values():
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_byte_budget_evicts_the_oldest(self, monkeypatch):
+        # room for three 256-node ring kernels; an orbit point set whose
+        # rows exceed the budget is evaluated block by block and not kept
+        monkeypatch.setattr(harmonic, "_TABLE_BYTES", 3 * 256 * 16)
+        u = poisson_extension(PHH, self.F, 256)
+        radii = (0.1, 0.2, 0.3, 0.4, 0.5)
+        rings = [u.circle_values(r, 64) for r in radii]
+        table = harmonic._kernel_table(PHH, 256)
+        assert list(table.entries) == [("ring", r, 0.0) for r in radii[2:]]
+        assert table.nbytes == 3 * 256 * 16
+        z = Z_GRID[:, :4]
+        np.testing.assert_array_equal(u.orbit_values(z, 8)[..., 0], poisson_integral(PHH, self.F, z, 256))
+        assert list(table.entries) == [("ring", r, 0.0) for r in radii[2:]]
+        harmonic._kernel_table.cache_clear()
+        for r, ring in zip(radii, rings):
+            assert np.array_equal(u.circle_values(r, 64), ring)
