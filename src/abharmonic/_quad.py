@@ -8,7 +8,9 @@ Two rules cover everything this package integrates:
   kinks (``|cos|`` factors) or integrable algebraic endpoint
   singularities (weights like ``(2 - 2*cos b)**m`` with ``m > -1/2``).
 
-Integrands are expected to accept numpy arrays.
+Integrands are expected to accept numpy arrays.  Tanh-sinh nodes and
+weights are placed once per (a, b, n) in a small per-process cache, so
+repeated integrals over the same piece only evaluate the integrand.
 """
 
 from __future__ import annotations
@@ -59,22 +61,37 @@ def _tanh_sinh_rule(n: int, tmax: float = 3.6):
     return w, dist, upper
 
 
+@functools.lru_cache(maxsize=64)
+def _tanh_sinh_nodes(a: float, b: float, n: int):
+    # The rule of _tanh_sinh_rule(n) placed on (a, b): the nodes that do not
+    # collapse onto an endpoint in floating point, and their weights (still
+    # to be scaled by (b - a) / 2).  Read-only, as every caller shares them.
+    w, dist, upper = _tanh_sinh_rule(n)
+    half = 0.5 * (b - a)
+    x = np.where(upper, b - half * dist, a + half * dist)
+    keep = (x != a) & (x != b)
+    x, w = x[keep], w[keep]
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def integrate(fn, a: float, b: float, nodes: int = 600) -> float:
     """Integral of fn over (a, b) by the tanh-sinh rule.
 
     Handles integrable endpoint singularities; interior kinks should be
     turned into endpoints via integrate_piecewise.  Nodes that collapse
     onto an endpoint in floating point are dropped (their weights are at
-    the level of double rounding).
+    the level of double rounding).  A non-finite limit raises DomainError.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration limits must be finite, got ({a}, {b})")
     if b <= a:
         return 0.0
-    w, dist, upper = _tanh_sinh_rule(max(nodes, 51))
+    x, w = _tanh_sinh_nodes(a, b, max(nodes, 51))
     half = 0.5 * (b - a)
-    x = np.where(upper, b - half * dist, a + half * dist)
-    keep = (x != a) & (x != b)
-    vals = np.asarray(fn(x[keep]))
-    return float(half * np.sum(w[keep] * vals))
+    vals = np.asarray(fn(x))
+    return float(half * np.sum(w * vals))
 
 
 def integrate_piecewise(fn, breaks, nodes: int = DEFAULT_NODES) -> float:

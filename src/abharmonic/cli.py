@@ -11,12 +11,17 @@ Subcommands:
 Exit codes: 0 success / audit pass, 1 audit violations, 2 bad arguments,
 3 malformed input file.  Output is deterministic for a fixed seed and
 configuration up to the `timestamp` field of JSON reports.
+
+`main` builds the argument parser once per process, on its first call,
+and looks up the subcommand's handler at each call, so a replaced
+`cmd_*` function takes effect at once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -187,37 +192,46 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("boundary", help="boundary-data JSON document")
     s.add_argument("--grid", type=_parse_grid, default=(16, 64), help="NRxNT polar grid")
     s.add_argument("--rmax", type=float, default=0.95, help="outermost grid radius")
-    s.set_defaults(handler=cmd_solve)
 
     s = subs.add_parser("expand", help="boundary data to series coefficients")
     _add_common(s)
     s.add_argument("boundary", help="boundary-data JSON document")
-    s.set_defaults(handler=cmd_expand)
 
     s = subs.add_parser("bounds", help="report all bound constants")
     _add_common(s)
-    s.set_defaults(handler=cmd_bounds)
 
     s = subs.add_parser("audit", help="run a named check suite")
     _add_common(s)
     s.add_argument("--suite", choices=SUITE_NAMES, default="all")
     s.add_argument("--csv", default=None, help="also write per-case margins as CSV")
-    s.set_defaults(handler=cmd_audit)
 
     s = subs.add_parser("identities", help="run the identity checks")
     _add_common(s)
-    s.set_defaults(handler=cmd_audit, suite="identities")
+    s.set_defaults(suite="identities")
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_ARGS if exc.code not in (0,) else EXIT_OK
+    # the handlers are looked up at each call, not kept in the cached parser
+    handlers = {
+        "solve": cmd_solve,
+        "expand": cmd_expand,
+        "bounds": cmd_bounds,
+        "audit": cmd_audit,
+        "identities": cmd_audit,
+    }
     try:
-        return args.handler(args)
+        return handlers[args.command](args)
     except BoundaryFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abharmonic import audit
+from abharmonic import audit, cli
 from abharmonic.cli import main
 
 
@@ -220,6 +220,69 @@ class TestParsing:
 
     def test_no_command_exit_2(self):
         assert main([]) == 2
+
+
+def _run(argv):
+    """Exit code, stdout (a JSON document without its timestamp) and stderr of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    return code, _strip_timestamp(text) if text.startswith("{") else text, err.getvalue()
+
+
+class TestParserCache:
+    SEQUENCE = [
+        ["bounds", "--alpha", "0.3", "--beta=-0.2", "--p", "3"],
+        ["bounds", "--nodes", "banana"],
+        ["--help"],
+        ["identities"],
+        ["audit", "--suite", "growth"],
+        ["bounds", "--alpha", "0.3", "--beta=-0.2", "--p", "3"],
+    ]
+
+    def test_warm_parser_gives_cold_outputs(self):
+        cold = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            cold.append(_run(argv))
+        cli._parser.cache_clear()
+        warm = [_run(argv) for argv in self.SEQUENCE]
+        assert [c[0] for c in cold] == [0, 2, 0, 0, 0, 0]
+        assert warm == cold
+
+    def test_no_defaults_leak_between_calls(self, monkeypatch):
+        suites = []
+        monkeypatch.setattr(cli, "cmd_audit", lambda args: suites.append(args.suite) or 0)
+        assert main(["identities"]) == 0
+        assert main(["audit"]) == 0
+        assert main(["identities"]) == 0
+        assert suites == ["identities", "all", "identities"]
+
+    def test_parser_built_once(self, monkeypatch):
+        build, builds = cli.build_parser, []
+
+        def counted_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: 0)
+        cli._parser.cache_clear()
+        try:
+            argvs = (["bounds"], ["bounds", "--p", "4"], ["bounds", "--nodes", "3"], ["bounds"])
+            codes = [_run(argv)[0] for argv in argvs]
+        finally:
+            cli._parser.cache_clear()
+        assert codes == [0, 0, 2, 0]
+        assert len(builds) == 1
+
+    def test_handler_replaced_after_first_call_runs(self, monkeypatch):
+        assert _run(["bounds", "--nodes", "64"])[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.p) or 0)
+        assert main(["bounds", "--p", "4"]) == 0
+        assert seen == [4.0]
 
 
 class TestInputBoundary:
