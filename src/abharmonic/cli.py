@@ -14,7 +14,9 @@ configuration up to the `timestamp` field of JSON reports.
 
 `main` builds the argument parser once per process, on its first call,
 and looks up the subcommand's handler at each call, so a replaced
-`cmd_*` function takes effect at once.
+`cmd_*` function takes effect at once.  This saves time only where one
+process calls `main` many times, as the tests and perfbench do; the
+`abharmonic` console script calls it once per process.
 """
 
 from __future__ import annotations
