@@ -11,6 +11,13 @@ Two rules cover everything this package integrates:
 Integrands are expected to accept numpy arrays.  Tanh-sinh nodes and
 weights are placed once per (a, b, n) in a small per-process cache, so
 repeated integrals over the same piece only evaluate the integrand.
+
+Circle integrals split [0, 2pi] by one rule, shared by circle_integral and
+base_integral.  The kernel moments go through base_integral, whose
+integrands are functions of |cos(s - x)| and cos((s - y)/2)^2 only; a
+second small per-process cache holds those two read-only factor arrays per
+piece of the rule and phase (x, y), so a moment evaluates only its own
+powers.
 """
 
 from __future__ import annotations
@@ -80,9 +87,10 @@ def integrate(fn, a: float, b: float, nodes: int = 600) -> float:
     """Integral of fn over (a, b) by the tanh-sinh rule.
 
     Handles integrable endpoint singularities; interior kinks should be
-    turned into endpoints via integrate_piecewise.  Nodes that collapse
-    onto an endpoint in floating point are dropped (their weights are at
-    the level of double rounding).  A non-finite limit raises DomainError.
+    turned into endpoints, as circle_integral does with its break points.
+    Nodes that collapse onto an endpoint in floating point are dropped
+    (their weights are at the level of double rounding).  A non-finite
+    limit raises DomainError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration limits must be finite, got ({a}, {b})")
@@ -94,12 +102,28 @@ def integrate(fn, a: float, b: float, nodes: int = 600) -> float:
     return float(half * np.sum(w * vals))
 
 
-def integrate_piecewise(fn, breaks, nodes: int = DEFAULT_NODES) -> float:
-    """Integral of fn over [breaks[0], breaks[-1]], tanh-sinh on each piece."""
-    breaks = sorted(breaks)
-    pieces = [(a, b) for a, b in zip(breaks[:-1], breaks[1:]) if b - a > 1e-13]
+def _circle_pieces(breaks, nodes: int) -> list:
+    # The tanh-sinh pieces (a, b, n) of [0, 2pi] split at the break points
+    # taken modulo 2 pi, with the node budget shared among them.
+    pts = {0.0, TWO_PI}
+    for s in breaks:
+        s = float(s)
+        if not math.isfinite(s):
+            raise DomainError(f"break points must be finite, got {s}")
+        pts.add(s % TWO_PI)
+    pts = sorted(pts)
+    pieces = [(a, b) for a, b in zip(pts[:-1], pts[1:]) if b - a > 1e-13]
     per = max(nodes // max(len(pieces), 1), 201)
-    return sum(integrate(fn, a, b, per) for a, b in pieces)
+    return [(a, b, per) for a, b in pieces]
+
+
+def _circle_sum(integrand_on, breaks, nodes: int) -> float:
+    # The one circle rule: trapezoid on the n-point grid, piece = (n,), with
+    # no break points, else tanh-sinh on each piece (a, b, n) of the split
+    # circle; integrand_on(piece) is the integrand on that piece.
+    if not breaks:
+        return float(TWO_PI * circle_mean(integrand_on((nodes,)), nodes))
+    return sum(integrate(integrand_on(piece), *piece) for piece in _circle_pieces(breaks, nodes))
 
 
 def circle_integral(fn, breaks=(), nodes: int = DEFAULT_NODES) -> float:
@@ -107,21 +131,55 @@ def circle_integral(fn, breaks=(), nodes: int = DEFAULT_NODES) -> float:
 
     With no interior break points the periodic trapezoid rule is used;
     otherwise the interval is split at the (normalized) break points and
-    each smooth piece handled by tanh-sinh.
+    each smooth piece handled by tanh-sinh.  A non-finite break point
+    raises DomainError.
     """
-    if not breaks:
-        return float(TWO_PI * circle_mean(fn, nodes))
-    pts = {0.0, TWO_PI}
-    for s in breaks:
-        pts.add(float(s) % TWO_PI)
-    return integrate_piecewise(fn, sorted(pts), nodes)
+    return _circle_sum(lambda piece: fn, breaks, nodes)
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_factors(piece, x: float, y: float):
+    # |cos(s - x)| and cos((s - y) / 2)^2 at the nodes s of one piece of the
+    # circle rule: the n-point grid for piece = (n,), the kept tanh-sinh
+    # nodes of (a, b, n) otherwise.  Read-only, as every caller shares them.
+    s = circle_nodes(*piece) if len(piece) == 1 else _tanh_sinh_nodes(*piece)[0]
+    ca = np.abs(np.cos(s - x))
+    c2 = np.cos(0.5 * (s - y)) ** 2
+    ca.flags.writeable = False
+    c2.flags.writeable = False
+    return ca, c2
+
+
+def base_integral(
+    term, r: float, x: float, y: float, breaks=(), nodes: int = DEFAULT_NODES
+) -> float:
+    """circle_integral of term(|cos(s - x)|, |1 + r e^{i(s - y)}|^2).
+
+    Neither cosine depends on r or on term, so both are tabulated once per
+    piece of the circle rule and phase (x, y); a call evaluates only term
+    and the base, on the same nodes and with the same floats as the
+    integrand written out in s.
+    """
+
+    def integrand_on(piece):
+        ca, c2 = _phase_factors(piece, x, y)
+        # the factors were taken at this piece's nodes, the s passed in
+        return lambda s: term(ca, _base(r, c2))
+
+    return _circle_sum(integrand_on, breaks, nodes)
+
+
+def _base(r: float, sq) -> np.ndarray:
+    # (1 - r)^2 + 4 r sq: the base 1 + r^2 -+ 2 r cos(s) from the square of
+    # cos(s / 2) or sin(s / 2)
+    return (1.0 - r) ** 2 + 4.0 * r * sq
 
 
 def base_plus(r: float, s) -> np.ndarray:
     """1 + r^2 + 2 r cos(s), written to stay accurate near s = pi."""
-    return (1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * np.asarray(s)) ** 2
+    return _base(r, np.cos(0.5 * np.asarray(s)) ** 2)
 
 
 def base_minus(r: float, s) -> np.ndarray:
     """1 + r^2 - 2 r cos(s), written to stay accurate near s = 0."""
-    return (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * np.asarray(s)) ** 2
+    return _base(r, np.sin(0.5 * np.asarray(s)) ** 2)

@@ -9,7 +9,10 @@ are built from two circle integrals of the kernel base |1 + r e^{is}|^(2m):
 plain_moment, whose mean has the closed form F(-m, -m; 1; r^2) and the
 r -> 1 limit Gamma(1 + 2m) / Gamma(1 + m)^2 (plain_moment_closed), and
 oscillatory_moment, the base weighted by (off + amp |cos(s - x)|)^k, which
-is computed by quadrature only.
+is computed by quadrature only.  Both are integrated by _quad.base_integral,
+which tabulates |cos(s - x)| and the base's cos((s - y)/2)^2 once per node
+set of the circle rule and phase (x, y), so a moment evaluates only its two
+powers; each distinct moment is integrated once per process.
 
 Wherever a closed form exists alongside a defining integral, both are
 computed; BoundReport pairs them and flags disagreements above 1e-6, and
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import DEFAULT_NODES, base_plus, circle_integral, integrate
+from ._quad import DEFAULT_NODES, base_integral, base_plus, integrate
 from .errors import ParameterError
 from .kernel import AlphaBeta, _mode_hyp
 from .specfun import gamma, gauss_2f1, gauss_2f1_at_one
@@ -130,7 +133,7 @@ def plain_moment(m: float, r, nodes: int = DEFAULT_NODES) -> float:
     """
     r = _radius(r)
     breaks = (math.pi,) if (r > 0.9 or m < 0) else ()
-    return circle_integral(lambda s: base_plus(r, s) ** m, breaks, nodes)
+    return base_integral(lambda ca, base: base**m, r, 0.0, 0.0, breaks, nodes)
 
 
 @_moment_cache
@@ -148,14 +151,10 @@ def oscillatory_moment(m, k, off, amp, r, x=0.0, y=0.0, nodes: int = DEFAULT_NOD
     """Integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m)
     over the circle, split at the kinks x + pi/2, x + 3 pi/2 and, for
     r > 0.9, at the base minimum y + pi."""
-
-    def fn(s):
-        return (off + amp * np.abs(np.cos(s - x))) ** k * base_plus(r, s - y) ** m
-
     breaks = [x + 0.5 * math.pi, x + 1.5 * math.pi]
     if r > 0.9:
         breaks.append(y + math.pi)
-    return circle_integral(fn, breaks, nodes)
+    return base_integral(lambda ca, base: (off + amp * ca) ** k * base**m, r, x, y, breaks, nodes)
 
 
 # ---------------------------------------------------------------------------

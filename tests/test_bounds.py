@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abharmonic.bounds as bnd
-from abharmonic._quad import base_plus, circle_integral, circle_nodes
+from abharmonic import _quad
+from abharmonic._quad import DEFAULT_NODES, base_integral, base_plus, circle_integral, circle_nodes
 from abharmonic.bounds import (
     HEINZ_LOWER_BOUND,
     SUP,
@@ -55,12 +56,12 @@ def _count_integrations(monkeypatch) -> dict:
     _clear_moment_caches()
     counts = {"plain": 0, "oscillatory": 0}
 
-    def counted(fn, breaks, nodes):
+    def counted(term, r, x, y, breaks, nodes):
         # an oscillatory moment always breaks at its two |cos| kinks
         counts["oscillatory" if len(breaks) >= 2 else "plain"] += 1
-        return circle_integral(fn, breaks, nodes)
+        return base_integral(term, r, x, y, breaks, nodes)
 
-    monkeypatch.setattr(bnd, "circle_integral", counted)
+    monkeypatch.setattr(bnd, "base_integral", counted)
     return counts
 
 
@@ -471,6 +472,71 @@ class TestKernelMoments:
             assert oscillatory_moment(m, k, off, 1.0, r, y=t) == pytest.approx(
                 oscillatory_moment(m, k, off, 1.0, r, x=-t), rel=1e-12, abs=1e-12
             )
+
+    # the moments as integrands written out in s, through circle_integral
+    @staticmethod
+    def base(r, s):
+        return (1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * s) ** 2
+
+    def closure_plain(self, m, r, nodes):
+        breaks = (math.pi,) if (r > 0.9 or m < 0) else ()
+        return circle_integral(lambda s: self.base(r, s) ** m, breaks, nodes)
+
+    def closure_oscillatory(self, m, k, off, amp, r, x, y, nodes):
+        def fn(s):
+            return (off + amp * np.abs(np.cos(s - x))) ** k * self.base(r, s - y) ** m
+
+        breaks = [x + 0.5 * math.pi, x + 1.5 * math.pi] + ([y + math.pi] if r > 0.9 else [])
+        return circle_integral(fn, breaks, nodes)
+
+    @staticmethod
+    def cold_and_warm(moment, *args):
+        # the moment with its phase factors placed anew, then reused
+        _quad._phase_factors.cache_clear()
+        _clear_moment_caches()
+        cold = moment(*args)
+        _clear_moment_caches()
+        return cold, moment(*args)
+
+    @pytest.mark.parametrize("nodes", [DEFAULT_NODES, 2048])
+    @pytest.mark.parametrize("r", [0.0, 0.6, 0.95, 1.0])
+    @pytest.mark.parametrize("m", [-0.4, 0.37, 2.5])
+    def test_plain_moment_gives_closure_bits(self, m, r, nodes):
+        # r <= 0.9 with m >= 0 takes the trapezoid rule, the rest the split circle
+        expected = self.closure_plain(m, r, nodes)
+        assert math.isfinite(expected)
+        assert self.cold_and_warm(bnd.plain_moment, m, r, nodes) == (expected, expected)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        # the bound constants' phases, then lemma-style ones off the quarter turns
+        [
+            (0.0, 0.0),
+            (-0.5 * math.pi, 0.0),
+            (0.5 * math.pi, 0.0),
+            (0.7, 0.0),
+            (0.0, 1.3),
+            (2.1, -0.4),
+        ],
+    )
+    @pytest.mark.parametrize("r", [0.0, 0.6, 0.95, 1.0])
+    @pytest.mark.parametrize(
+        "m, k, off, amp", [(-0.4, 1.0, 0.0, 1.0), (0.37, 1.7, 0.3, 2.5), (2.5, 1.0, 0.2, 1.0)]
+    )
+    def test_oscillatory_moment_gives_closure_bits(self, m, k, off, amp, r, x, y):
+        expected = self.closure_oscillatory(m, k, off, amp, r, x, y, 2048)
+        assert math.isfinite(expected)
+        args = (m, k, off, amp, r, x, y, 2048)
+        assert self.cold_and_warm(oscillatory_moment, *args) == (expected, expected)
+
+    def test_moments_share_phase_factors(self):
+        # two moments at one phase place the factors of its pieces once
+        _quad._phase_factors.cache_clear()
+        _clear_moment_caches()
+        oscillatory_moment(0.37, 1.7, 0.3, 2.5, 0.6, 0.7, 0.0, 2048)
+        oscillatory_moment(2.5, 1.0, 0.2, 1.0, 0.5, 0.7, 0.0, 2048)
+        info = _quad._phase_factors.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
 
 
 class TestNonFiniteFlags:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abharmonic import _quad
-from abharmonic._quad import DEFAULT_NODES, integrate
+from abharmonic._quad import DEFAULT_NODES, base_integral, circle_integral, integrate
 from abharmonic.errors import DomainError
 
 HALF_PI = 0.5 * math.pi
@@ -92,3 +92,35 @@ def test_non_finite_limit_raises(a, b):
     with pytest.raises(DomainError):
         integrate(lambda t: calls.append(t) or np.ones_like(t), a, b)
     assert calls == [] and _quad._tanh_sinh_nodes.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_break_point_raises(bad):
+    calls = []
+    with pytest.raises(DomainError):
+        circle_integral(lambda s: calls.append(s) or np.ones_like(s), breaks=(1.0, bad))
+    with pytest.raises(DomainError):
+        base_integral(lambda ca, base: calls.append(ca) or base, 0.5, 0.0, 0.0, (bad,))
+    assert calls == []
+
+
+@pytest.mark.parametrize("piece", [(256,), (0.0, math.pi, 256)])
+def test_phase_factors_are_read_only(piece):
+    for arr in _quad._phase_factors(piece, 0.7, -0.4):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("piece", [(256,), BOUNDS_PIECES[4]])
+def test_phase_factors_are_the_written_out_cosines(piece):
+    s = _quad.circle_nodes(256) if len(piece) == 1 else _quad._tanh_sinh_nodes(*piece)[0]
+    ca, c2 = _quad._phase_factors(piece, 0.7, -0.4)
+    assert np.array_equal(ca, np.abs(np.cos(s - 0.7)))
+    assert np.array_equal(c2, np.cos(0.5 * (s + 0.4)) ** 2)
+
+
+def test_phase_cache_is_bounded():
+    for k in range(128):
+        base_integral(lambda ca, base: ca * base, 0.5, k / 64.0, 0.0, (), 64)
+    info = _quad._phase_factors.cache_info()
+    assert info.maxsize == info.currsize == 64
