@@ -48,8 +48,14 @@ def p_mean(vals, p: float) -> float:
     if not p >= 1.0:
         raise DomainError(f"p-means require p >= 1 or p = inf, got {p}")
     a = np.abs(vals)
+    top = float(a.max())
     if math.isinf(p):
-        return float(a.max())
+        return top
+    # |vals|^p and their sum stay normal floats while p log2(max |vals|)
+    # lies well inside the exponent range; beyond it they would overflow or
+    # underflow, so the samples are scaled by their maximum first
+    if 0.0 < top < math.inf and not -1000.0 < p * math.log2(top) < 1000.0 - math.log2(a.size):
+        return top * float(np.mean((a / top) ** p) ** (1.0 / p))
     return float(np.mean(a**p) ** (1.0 / p))
 
 

@@ -15,8 +15,10 @@ set of the circle rule and phase (x, y), so a moment evaluates only its two
 powers; each distinct moment is integrated once per process.
 
 Wherever a closed form exists alongside a defining integral, both are
-computed; BoundReport pairs them and flags disagreements above 1e-6, and
-a non-finite value on either side always counts as a disagreement.  The one
+computed; BoundReport.add_pair writes them as X and X_quadrature and notes,
+so flags, X when they disagree by more than 1e-6, a non-finite value on
+either side always counting as a disagreement.  An entry's method is
+quadrature exactly when it carries a node count.  The one
 systematic offender is the growth sup constant, whose reference closed
 form disagrees with its defining integral already at
 (alpha, beta) = (0, 0), p = inf (1/2 versus 1): the supremum of the
@@ -47,6 +49,7 @@ DISCREPANCY_TOL = 1e-6
 SUP_GRID_SIZE = 512
 
 SUP = "sup"
+KINDS = ("radial", "angular", "wirtinger")  # the derivative kinds
 
 
 @dataclass(frozen=True)
@@ -72,14 +75,25 @@ class HolderPair:
         return math.isinf(self.q)
 
 
+def _disagree(closed: float, other: float) -> bool:
+    """True when two values differ beyond the discrepancy tolerance; a
+    non-finite value on either side, so an infinite tolerance, disagrees."""
+    return not abs(closed - other) <= DISCREPANCY_TOL * max(1.0, abs(closed)) < math.inf
+
+
 @dataclass
 class BoundEntry:
     name: str
     value: float
     source: str
-    method: str  # closed_form | quadrature
     nodes: int | None = None
     note: str | None = None
+
+    @property
+    def method(self) -> str:
+        """How the value was computed: by quadrature where nodes is set,
+        else in closed form."""
+        return "closed_form" if self.nodes is None else "quadrature"
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "value": self.value, "source": self.source, "method": self.method}
@@ -94,8 +108,19 @@ class BoundEntry:
 class BoundReport:
     entries: list = field(default_factory=list)
 
-    def add(self, name, value, source, method, nodes=None, note=None):
-        self.entries.append(BoundEntry(name, float(value), source, method, nodes, note))
+    def add(self, name, value, source, nodes=None, note=None):
+        """One entry; nodes marks it as computed by quadrature."""
+        self.entries.append(BoundEntry(name, float(value), source, nodes, note))
+
+    def add_pair(self, name, closed, quad, source, nodes):
+        """A closed form as name and its defining integral as
+        name_quadrature; the closed form is noted, and so flagged, when the
+        two disagree."""
+        note = None
+        if _disagree(closed, quad):
+            note = f"closed form and defining integral disagree by {abs(closed - quad):.3e}"
+        self.add(name, closed, source, note=note)
+        self.add(name + "_quadrature", quad, source + " (defining integral)", nodes)
 
     def get(self, name: str) -> BoundEntry:
         for e in self.entries:
@@ -259,16 +284,14 @@ def geometric_constants(params: AlphaBeta) -> BoundReport:
         "omit_radius_full_class",
         2.0 * math.pi * math.sqrt(6.0) / 9.0 * fac,
         "omitted-value radius, full normalized class",
-        "closed_form",
     )
     rep.add(
         "omit_radius_normalized_class",
         2.0 * math.pi * math.sqrt(3.0) / 9.0 * fac,
         "omitted-value radius, vanishing antiholomorphic derivative",
-        "closed_form",
     )
-    rep.add("covering_radius", fac / 16.0, "guaranteed covered disk radius", "closed_form")
-    rep.add("area_lower_bound", math.pi / 2.0 * fac, "minimal image area", "closed_form")
+    rep.add("covering_radius", fac / 16.0, "guaranteed covered disk radius")
+    rep.add("area_lower_bound", math.pi / 2.0 * fac, "minimal image area")
     return rep
 
 
@@ -520,89 +543,62 @@ def means_constant(params: AlphaBeta, which: str, r=SUP, nodes: int = DEFAULT_NO
 # assembled report
 
 
-def _disagree(closed: float, other: float) -> bool:
-    """True when two values differ beyond the discrepancy tolerance; a
-    non-finite value on either side always disagrees."""
-    return not abs(closed - other) <= DISCREPANCY_TOL * max(1.0, abs(closed))
-
-
-def _add_pair(rep, name, closed, quad, source, nodes):
-    note = None
-    if _disagree(closed, quad):
-        note = f"closed form and defining integral disagree by {abs(closed - quad):.3e}"
-    rep.add(name, closed, source, "closed_form", note=note)
-    rep.add(name + "_quadrature", quad, source + " (defining integral)", "quadrature", nodes=nodes)
-
-
 def full_report(
     params: AlphaBeta, hp: HolderPair, r: float = 0.6, nodes: int = DEFAULT_NODES
 ) -> BoundReport:
     """Every constant at one (alpha, beta, p), closed forms paired with
     their defining integrals."""
     finite_q = not hp.q_is_inf
-    absc = abs(params.c_norm)
-    half = _half_weight(params)
     m = _kernel_exponent(params, hp) if finite_q else None
-    rep = BoundReport()
+    pair_radii = ((r, f"at r = {r}"), (SUP, "at r = 1"))
+    coefficient_radii = ((r, "r", f" at r = {r}"), (SUP, "sup", ", supremum"))
 
-    def add_pairs(names, source, e, scale, power=1.0):
-        """scale(rad) * mean ** power at r and, given a second name, at
-        r = 1, with mean the circle mean of the plain moment of exponent e
-        in closed form and from its integral."""
-        for name, rad, where in zip(names, (r, SUP), (f"at r = {r}", "at r = 1")):
-            closed = scale(rad) * plain_moment_closed(e, rad) ** power
-            quad = scale(rad) * (plain_moment(e, rad, nodes) / (2.0 * math.pi)) ** power
-            _add_pair(rep, name, closed, quad, f"{source} {where}", nodes)
+    def circle_means(e, rad):
+        """The circle mean of the plain moment of exponent e at rad, in
+        closed form and from its integral."""
+        return plain_moment_closed(e, rad), plain_moment(e, rad, nodes) / (2.0 * math.pi)
 
     def one_sided(rad):
         # the holomorphic-derivative prefactor; partial_constant and
         # means_constant symmetrize it to cover the antiholomorphic side
-        return absc * _wirtinger_prefactor(params, rad, True)
+        return abs(params.c_norm) * _wirtinger_prefactor(params, rad, True)
 
-    def add_coefficients(prefix, source, value):
-        """The three derivative kinds, at r and as suprema."""
-        for which in ("radial", "angular", "wirtinger"):
-            method, n = ("closed_form", None) if which == "wirtinger" else ("quadrature", nodes)
-            for rad, tag, where in ((r, "r", f" at r = {r}"), (SUP, "sup", ", supremum")):
-                name = f"{prefix}_{which}_{tag}"
-                rep.add(name, value(which, rad), f"{source} ({which}){where}", method, n)
-
-    rep.add("heinz_lower_bound", HEINZ_LOWER_BOUND, "Heinz coefficient inequality", "closed_form")
+    rep = BoundReport()
+    rep.add("heinz_lower_bound", HEINZ_LOWER_BOUND, "Heinz coefficient inequality")
     rep.entries.extend(geometric_constants(params).entries)
     rep.add(
         "rado_radius_unit",
         rado_radius_bound(params, 1.0, 0.0),
         "maximal univalent image radius at unit first coefficient",
-        "closed_form",
     )
-    for kind, nm in (("starlike_ck", "starlike_c2"), ("starlike_cmk", "starlike_cm2")):
-        rep.add(nm, coefficient_bound(params, kind, 2), "starlike coefficient bound, k = 2", "closed_form")
+    rep.add("starlike_c2", coefficient_bound(params, "starlike_ck", 2), "starlike coefficient bound, k = 2")
+    rep.add("starlike_cm2", coefficient_bound(params, "starlike_cmk", 2), "starlike coefficient bound, k = 2")
     try:
-        rep.add("c_minus2_bound", coefficient_bound(params, "c_minus2"), "second-coefficient bound", "closed_form")
-        rep.add("c2_bound", coefficient_bound(params, "c2"), "second-coefficient bound", "closed_form")
+        rep.add("c_minus2_bound", coefficient_bound(params, "c_minus2"), "second-coefficient bound")
+        rep.add("c2_bound", coefficient_bound(params, "c2"), "second-coefficient bound")
     except ParameterError:
         pass
 
     # integral-means factor
-    _add_pair(
-        rep,
+    rep.add_pair(
         "mp_factor_r",
         mp_growth_factor(params, r),
         mp_growth_factor_quadrature(params, r, nodes),
         f"integral-means factor at r = {r}",
         nodes,
     )
-    rep.add(
-        "mp_factor_limit",
-        mp_growth_factor(params, SUP),
-        "integral-means factor, r -> 1",
-        "closed_form",
-    )
+    rep.add("mp_factor_limit", mp_growth_factor(params, SUP), "integral-means factor, r -> 1")
 
     # growth
     grid = growth_sup_grid(params, hp)
     if finite_q:
-        add_pairs(("growth_r",), "growth coefficient", m, lambda rad: absc, 1.0 / hp.q)
+        rep.add_pair(
+            "growth_r",
+            growth_constant(params, hp, r),
+            growth_constant_quadrature(params, hp, r, nodes),
+            f"growth coefficient at r = {r}",
+            nodes,
+        )
         reference = growth_sup_reference(params, hp)
         note = None
         if _disagree(grid, reference):
@@ -610,47 +606,47 @@ def full_report(
                 f"closed-form reference {reference:.12g} disagrees with the "
                 f"defining-integral supremum {grid:.12g}; the supremum is authoritative"
             )
-        rep.add("growth_sup_reference", reference, "growth supremum, closed-form reference", "closed_form", note=note)
-        rep.add("growth_sup_grid", grid, "growth supremum, r -> 1 limit", "closed_form")
+        rep.add("growth_sup_reference", reference, "growth supremum, closed-form reference", note=note)
+        rep.add("growth_sup_grid", grid, "growth supremum, r -> 1 limit")
     else:
-        rep.add("growth_r", growth_constant(params, hp, r), "growth coefficient at fixed r (p = 1)", "closed_form")
-        rep.add("growth_sup_grid", grid, "growth supremum (p = 1)", "closed_form")
+        rep.add("growth_r", growth_constant(params, hp, r), "growth coefficient at fixed r (p = 1)")
+        rep.add("growth_sup_grid", grid, "growth supremum (p = 1)")
 
     # distortion
     try:
         if finite_q:
-            _add_pair(
-                rep,
+            rep.add_pair(
                 "distortion_up",
                 distortion_up(params, hp),
                 distortion_up_quadrature(params, hp, nodes),
                 "distortion endpoint moment",
                 nodes,
             )
-        rep.add("distortion_r", distortion_constant(params, hp, r, nodes), f"distortion coefficient at r = {r}", "quadrature", nodes=nodes)
-        rep.add("distortion_sup", distortion_constant(params, hp, SUP, nodes), "distortion coefficient supremum", "quadrature", nodes=nodes)
+        rep.add("distortion_r", distortion_constant(params, hp, r, nodes), f"distortion coefficient at r = {r}", nodes)
+        rep.add("distortion_sup", distortion_constant(params, hp, SUP, nodes), "distortion coefficient supremum", nodes)
     except ParameterError:
         pass
 
     # partials
     if finite_q:
-        add_pairs(("i12_r", "i12_sup"), "shared kernel moment", m, lambda rad: 2.0 * math.pi)
-    add_coefficients(
-        "partial",
-        "partial-derivative coefficient",
-        lambda which, rad: partial_constant(params, hp, which, rad, nodes),
-    )
+        for name, (rad, where) in zip(("i12_r", "i12_sup"), pair_radii):
+            closed, quad = circle_means(m, rad)
+            source = f"shared kernel moment {where}"
+            rep.add_pair(name, 2.0 * math.pi * closed, 2.0 * math.pi * quad, source, nodes)
+    for which in KINDS:
+        for rad, tag, where in coefficient_radii:
+            value = partial_constant(params, hp, which, rad, nodes)
+            source = f"partial-derivative coefficient ({which}){where}"
+            rep.add(f"partial_{which}_{tag}", value, source, None if which == "wirtinger" else nodes)
     if finite_q:
-        add_pairs(
-            ("partial_wirtinger_one_sided", "partial_wirtinger_one_sided_sup"),
-            "one-sided wirtinger coefficient",
-            m,
-            one_sided,
-            1.0 / hp.q,
-        )
+        names = ("partial_wirtinger_one_sided", "partial_wirtinger_one_sided_sup")
+        for name, (rad, where) in zip(names, pair_radii):
+            closed, quad = circle_means(m, rad)
+            scale, power = one_sided(rad), 1.0 / hp.q
+            source = f"one-sided wirtinger coefficient {where}"
+            rep.add_pair(name, scale * closed**power, scale * quad**power, source, nodes)
         if params.alpha == params.beta:
-            _add_pair(
-                rep,
+            rep.add_pair(
                 "partial_angular_diagonal",
                 partial_angular_diagonal_closed(params, hp, r),
                 partial_constant(params, hp, "angular", r, nodes),
@@ -659,15 +655,14 @@ def full_report(
             )
 
     # integral means of partials
-    add_pairs(
-        ("means_wirtinger_one_sided", "means_wirtinger_one_sided_sup"),
-        "one-sided wirtinger means coefficient",
-        half,
-        one_sided,
-    )
-    add_coefficients(
-        "means",
-        "integral-means coefficient",
-        lambda which, rad: means_constant(params, which, rad, nodes),
-    )
+    names = ("means_wirtinger_one_sided", "means_wirtinger_one_sided_sup")
+    for name, (rad, where) in zip(names, pair_radii):
+        closed, quad = circle_means(_half_weight(params), rad)
+        source = f"one-sided wirtinger means coefficient {where}"
+        rep.add_pair(name, one_sided(rad) * closed, one_sided(rad) * quad, source, nodes)
+    for which in KINDS:
+        for rad, tag, where in coefficient_radii:
+            value = means_constant(params, which, rad, nodes)
+            source = f"integral-means coefficient ({which}){where}"
+            rep.add(f"means_{which}_{tag}", value, source, None if which == "wirtinger" else nodes)
     return rep

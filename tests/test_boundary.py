@@ -95,6 +95,11 @@ class TestLpNorm:
         for p in (1.0, 2.0, 4.0, math.inf):
             assert lp_norm(f, p) == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [700.0, 5000.0, 1e308])
+    def test_constant_large_p(self, p):
+        # 0.5^p underflows from p = 1075 on; the norm must not
+        assert lp_norm(from_fourier({0: 0.5}), p) == pytest.approx(0.5, rel=1e-12)
+
     def test_unimodular(self):
         assert lp_norm(from_fourier({1: 1.0}), 2.0) == pytest.approx(1.0, rel=1e-12)
 

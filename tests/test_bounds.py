@@ -31,7 +31,6 @@ from abharmonic.bounds import (
     partial_angular_diagonal_closed,
     partial_constant,
     rado_radius_bound,
-    _add_pair,
 )
 from abharmonic.errors import ConvergenceError, ParameterError
 from abharmonic.kernel import make_params
@@ -422,14 +421,17 @@ class TestFullReport:
         assert rep.get("growth_sup_grid").value == pytest.approx(1.0, abs=1e-8)
         assert rep.get("growth_sup_reference").value == pytest.approx(0.5, rel=1e-12)
 
-    def test_serialization(self):
-        rep = full_report(P00, HolderPair.from_p(2.0))
+    @pytest.mark.parametrize("p_exp", [1.0, 2.0, math.inf])
+    def test_serialization(self, p_exp):
+        rep = full_report(P00, HolderPair.from_p(p_exp))
         doc = rep.to_dict()
         assert {"entries", "flagged"} <= doc.keys()
         entry = doc["entries"][0]
         assert {"name", "value", "source", "method"} <= entry.keys()
-        quad_entries = [e for e in doc["entries"] if e["method"] == "quadrature"]
-        assert all("nodes" in e for e in quad_entries)
+        # an entry is a quadrature exactly when it carries a node count
+        for e in doc["entries"]:
+            assert (e["method"] == "quadrature") == ("nodes" in e), e
+        assert {e["method"] for e in doc["entries"]} == {"closed_form", "quadrature"}
 
     def test_each_plain_moment_integrated_once(self, monkeypatch):
         # and each oscillatory one: at finite q, exponents (alpha + beta)/2
@@ -542,11 +544,13 @@ class TestKernelMoments:
 class TestNonFiniteFlags:
     def test_nan_pair_is_flagged(self):
         rep = BoundReport()
-        _add_pair(rep, "x", 1.0, math.nan, "source", 64)
-        _add_pair(rep, "y", math.nan, 1.0, "source", 64)
-        assert rep.flagged == ["x", "y"]
+        pairs = ((1.0, math.nan), (math.nan, 1.0), (math.inf, math.inf), (math.inf, 1.0), (1.0, -math.inf))
+        for i, (closed, quad) in enumerate(pairs):
+            rep.add_pair(f"x{i}", closed, quad, "source", 64)
+        assert rep.flagged == [f"x{i}" for i in range(len(pairs))]
 
-    def test_nan_growth_supremum_is_flagged(self, monkeypatch):
-        monkeypatch.setattr(bnd, "growth_sup_grid", lambda params, hp: math.nan)
+    @pytest.mark.parametrize("grid", [math.nan, math.inf])
+    def test_nan_growth_supremum_is_flagged(self, monkeypatch, grid):
+        monkeypatch.setattr(bnd, "growth_sup_grid", lambda params, hp: grid)
         rep = full_report(make_params(0.5, 0.5), HolderPair.from_p(2.0))
         assert "growth_sup_reference" in rep.flagged

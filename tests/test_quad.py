@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abharmonic import _quad
-from abharmonic._quad import DEFAULT_NODES, base_integral, circle_integral, integrate
+from abharmonic._quad import DEFAULT_NODES, base_integral, circle_integral, integrate, p_mean
 from abharmonic.errors import DomainError
 
 HALF_PI = 0.5 * math.pi
@@ -124,3 +124,35 @@ def test_phase_cache_is_bounded():
         base_integral(lambda ca, base: ca * base, 0.5, k / 64.0, 0.0, (), 64)
     info = _quad._phase_factors.cache_info()
     assert info.maxsize == info.currsize == 64
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 50.0])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_p_mean_in_range_keeps_the_plain_formula(p, scale):
+    # where |vals|^p cannot overflow or underflow, the mean is the one
+    # expression it always was, bit for bit
+    vals = scale * np.random.default_rng(3).normal(size=512)
+    a = np.abs(vals)
+    assert p_mean(vals, p) == float(np.mean(a**p) ** (1.0 / p))
+
+
+@pytest.mark.parametrize(
+    "vals, p, expected",
+    [
+        # the largest sample dominates: max * (count of maxima / n)^(1/p)
+        ([3.0, 1.0, 2.0, 0.5], 700.0, 3.0 * 4.0 ** (-1.0 / 700.0)),
+        ([3.0, 1.0, 2.0, 0.5], 5000.0, 3.0 * 4.0 ** (-1.0 / 5000.0)),
+        ([3.0, 1.0, 2.0, 0.5], 1e308, 3.0),
+        ([0.5, 0.5], 5000.0, 0.5),
+        ([0.5, 0.5], 1e308, 0.5),
+        # samples so small that their fourth powers underflow
+        ([1e-300, 2e-300], 4.0, 2e-300 * (0.5 * (1.0 + 0.5**4)) ** 0.25),
+    ],
+)
+def test_p_mean_at_extreme_exponents(vals, p, expected):
+    assert p_mean(np.array(vals), p) == pytest.approx(expected, rel=1e-14)
+
+
+def test_p_mean_of_zeros_and_non_finite_samples():
+    assert p_mean(np.zeros(4), 700.0) == 0.0
+    assert p_mean(np.array([1.0, math.inf]), 700.0) == math.inf
