@@ -122,9 +122,13 @@ def from_samples(samples) -> BoundaryFunction:
     n = len(samples)
     if not _is_power_of_two(n):
         raise ParameterError(f"sample count must be a power of two, got {n}")
-    coeffs = fourier_from_samples(samples, n // 2 - 1)
-    coeffs = {k: v for k, v in coeffs.items() if k == 0 or abs(v) > 1e-14}
-    return BoundaryFunction(coeffs, samples)
+    # the fourier_from_samples modes up to n/2 - 1, in ascending order, each
+    # kept unless negligible (mode 0 always); hypot is abs() of a complex
+    order = max(n // 2 - 1, 0)
+    ks = np.arange(-order, order + 1)
+    spec = (np.fft.fft(samples) / n)[ks % n]
+    keep = (ks == 0) | (np.hypot(spec.real, spec.imag) > 1e-14)
+    return BoundaryFunction(dict(zip(ks[keep].tolist(), spec[keep].tolist())), samples)
 
 
 def lp_norm(f: BoundaryFunction, p: float, nodes: int = DEFAULT_NODES) -> float:
@@ -149,6 +153,22 @@ def _complex_pair(v) -> complex:
     return complex(re, im)
 
 
+def _sample_array(raw: list) -> np.ndarray:
+    """The [re, im] entries of raw as a complex array: one numpy conversion
+    when every entry is a finite pair, else entry by entry through
+    _complex_pair, which names the first bad entry."""
+    if all(isinstance(v, (list, tuple)) for v in raw):
+        try:
+            pairs = np.array(raw, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if pairs.shape == (len(raw), 2) and np.isfinite(pairs).all():
+                # a view of the (re, im) pairs keeps signed zeros that re + 1j * im can flip
+                return pairs.view(complex)[:, 0]
+    return np.array([_complex_pair(v) for v in raw])
+
+
 def parse_document(doc) -> BoundaryFunction:
     if not isinstance(doc, dict):
         raise BoundaryFileError("boundary document must be an object")
@@ -158,7 +178,7 @@ def parse_document(doc) -> BoundaryFunction:
     if "samples" in doc:
         if not isinstance(doc["samples"], list) or not doc["samples"]:
             raise BoundaryFileError("'samples' must be a non-empty list")
-        samples = [_complex_pair(v) for v in doc["samples"]]
+        samples = _sample_array(doc["samples"])
     coeffs = {}
     if "fourier" in doc:
         raw = doc["fourier"]

@@ -18,15 +18,18 @@ Derivative and operator measurements take a point or an array of points,
 use central finite differences, and treat the function under test as an
 opaque evaluation callback that gets every stencil point of the array at
 once.  The evaluation rule: a PoissonExtension evaluates arrays,
-rings and rotation orbits itself (a ring through its FFT circle
-convolution, the m turns of a point by 2pi/m through one kernel row
-shifted by nodes/m places); any other callable is called once per point.
+rings and rotation orbits itself (the m turns of a point by 2pi/m
+through one kernel row shifted by nodes/m places; a ring whose angle
+count divides the nodes through its FFT circle convolution, any other
+ring as the orbits of a few base points); any other callable is called
+once per point.
 
 Orbit kernel rows and ring-kernel FFTs depend on the weights, the nodes
 and the points, not on f, so they are kept per weight pair: a table of
 the latest (params, nodes) serves every extension at that pair, and
 each boundary pays only for its own sums and inverse FFTs.  The dense
-path (poisson_integral, calls on arrays) keeps no table.
+path (poisson_integral, calls on arrays) and the base-point rows of a
+ring whose angle count does not divide the nodes keep no table.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quad import DEFAULT_NODES, circle_nodes, p_mean
 from .boundary import BoundaryFunction
@@ -192,19 +196,26 @@ def _turned_means(params: AlphaBeta, fvals: np.ndarray, z: np.ndarray, m: int, r
     """mean_l P(z e^{-i t_l}) f[(l + k n/m) mod n] for each z and k < m, of
     shape z.shape + (m,): one kernel row per z (the given rows, or rows
     evaluated block by block), summed in blocks of at most _BLOCK_POINTS
-    products (or one z)."""
+    products (or one z and one turn)."""
     n = fvals.size
     roots = _conj_roots(n)
-    frot = fvals[(np.arange(n) + (n // m) * np.arange(m)[:, None]) % n]
+    step = max(1, _BLOCK_POINTS // (n * m))
+    turns = max(1, _BLOCK_POINTS // n)
+    # row k, the samples turned by k n/m places, is a view of the samples
+    # repeated once, so many turns take no m x n copy; when one block holds
+    # every turn, a contiguous copy multiplies faster than the strided view
+    frot = sliding_window_view(np.concatenate((fvals, fvals[:-1])), n)[:: n // m]
+    if m <= turns:
+        frot = np.ascontiguousarray(frot)
     flat = z.reshape(-1)
     means = np.empty((flat.size, m), dtype=complex)
-    step = max(1, _BLOCK_POINTS // (n * m))
     for i in range(0, flat.size, step):
         if rows is None:
             kern = unnormalized_kernel(params, flat[i : i + step, None] * roots)
         else:
             kern = rows[i : i + step]
-        means[i : i + step] = np.mean(kern[:, None, :] * frot, axis=-1)
+        for k in range(0, m, turns):
+            means[i : i + step, k : k + turns] = np.mean(kern[:, None, :] * frot[k : k + turns], axis=-1)
     return means.reshape(z.shape + (m,))
 
 
@@ -220,12 +231,13 @@ class PoissonExtension:
     """The extension of f as a reusable evaluation callback.
 
     Calling it evaluates the Poisson integral at scalar or array
-    arguments.  circle_values exploits that the integral on a uniform
-    circle grid is a circular convolution of the kernel with the
-    boundary samples, so one FFT replaces a dense kernel matrix;
-    orbit_values exploits the same rotation structure for the m turns
-    of a point.  Every path reads f only on its nodes-point grid; a
-    ring's phase goes through the kernel.
+    arguments.  orbit_values exploits that turning a point by 2 pi/m,
+    with m dividing the nodes, shifts its kernel row against the
+    boundary samples; circle_values uses the same rotation structure,
+    so a ring costs one FFT circle convolution when its angle count
+    divides the nodes, and otherwise one kernel row per orbit of
+    turns, never one per angle.  Every path reads f only on its
+    nodes-point grid; a ring's phase goes through the kernel.
     """
 
     def __init__(self, params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES):
@@ -265,15 +277,26 @@ class PoissonExtension:
         return self._circles([(r, phase)], n_theta)[0]
 
     def _circles(self, rings, n_theta: int) -> np.ndarray:
-        """circle_values at each (r, phase) of rings, one row per ring: the
-        ring kernels' FFTs come from the table of (params, nodes), and one
-        inverse FFT serves every ring."""
+        """circle_values at each (r, phase) of rings, one row per ring.
+
+        With g = gcd(nodes, n_theta) and d = n_theta/g, angle a + d k of a
+        ring is its base point r e^{i(phase + 2 pi a/n_theta)} turned k
+        times by 2 pi/g.  When n_theta divides nodes (d = 1), the ring
+        kernels' FFTs come from the table of (params, nodes) and one
+        inverse FFT serves every ring; otherwise each ring is the g-turn
+        orbits of its d base points, d kernel rows that are not kept.
+        """
+        _check_angles(n_theta)
         for r, _ in rings:
             if not 0.0 <= r < 1.0:
                 raise DomainError(f"circle radius must be in [0, 1), got {r}")
         n = self.nodes
-        if n % n_theta:
-            return self(np.array([r * np.exp(1j * (circle_nodes(n_theta) + phase)) for r, phase in rings]))
+        g = math.gcd(n, n_theta)
+        d = n_theta // g
+        if d > 1:
+            base = np.array([r * np.exp(1j * (circle_nodes(n_theta)[:d] + phase)) for r, phase in rings])
+            means = _turned_means(self.params, self.f.values_on_grid(n), base, g)
+            return self.params.c_norm * np.swapaxes(means, 1, 2).reshape(len(rings), n_theta)
         table = _kernel_table(self.params, n)
 
         def ring_fft(r, phase):
@@ -342,10 +365,17 @@ def _eval_many(u, zs: np.ndarray) -> np.ndarray:
     return np.array([u(z) for z in zs.flat], dtype=complex).reshape(zs.shape)
 
 
+def _check_angles(n_theta: int) -> None:
+    """Raise DomainError unless a ring has at least one angle."""
+    if n_theta < 1:
+        raise DomainError(f"n_theta must be a positive angle count, got {n_theta}")
+
+
 def _ring(u, r: float, n_theta: int) -> np.ndarray:
     """u at r e^{i theta_j} on the uniform n_theta grid."""
     if isinstance(u, PoissonExtension):
         return u.circle_values(r, n_theta)
+    _check_angles(n_theta)
     return _eval_many(u, r * np.exp(1j * circle_nodes(n_theta)))
 
 

@@ -169,6 +169,55 @@ class TestDocuments:
         with pytest.raises(BoundaryFileError):
             parse_document(doc)
 
+    # each bad entry raises the message the entry-by-entry reader gives,
+    # alone and between good entries
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([3, None], "non-numeric entry [3, None]"),
+            ([3, "inf"], "non-finite entry [3, 'inf']"),
+            ([3], "expected [re, im], got [3]"),
+            ("ab", "expected [re, im], got 'ab'"),
+            ([1, 2, 3], "expected [re, im], got [1, 2, 3]"),
+            ([[1, 2], [3, 4]], "non-numeric entry [[1, 2], [3, 4]]"),
+            ([10**400, 0], f"non-numeric entry {[10**400, 0]!r}"),
+        ],
+    )
+    @pytest.mark.parametrize("at", [None, 1])
+    def test_bad_sample_entry_message(self, entry, message, at):
+        samples = [entry] if at is None else [[0.5, 0.0], entry, [1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(BoundaryFileError) as info:
+            parse_document({"samples": samples})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 4096])
+    def test_samples_document_is_from_samples_bit_for_bit(self, n):
+        # random values with signed zeros in both parts, read through JSON
+        rng = np.random.default_rng(n)
+        pairs = rng.normal(size=(n, 2)) * (rng.random((n, 2)) < 0.7)
+        pairs[rng.random((n, 2)) < 0.3] *= -1.0
+        pairs[0] = (-0.0, -0.0)
+        doc = json.loads(json.dumps({"samples": pairs.tolist()}))
+        f = parse_document(doc)
+        g = from_samples([complex(re, im) for re, im in doc["samples"]])
+        assert list(f.fourier) == list(g.fourier)
+        assert np.array(list(f.fourier.values())).tobytes() == np.array(list(g.fourier.values())).tobytes()
+        for m in {64, n, 4096}:
+            assert f.values_on_grid(m).tobytes() == g.values_on_grid(m).tobytes()
+        assert np.signbit(f.values_on_grid(n)[0].real) and np.signbit(f.values_on_grid(n)[0].imag)
+
+    def test_from_samples_keeps_modes_above_the_cut(self):
+        # modes below n/2 in ascending order, those of modulus up to 1e-14
+        # dropped, mode 0 kept even when it is 0; the mode n/2 is never kept
+        t = circle_nodes(64)
+        vals = np.exp(1j * t) + 1.1e-14 * np.exp(-3j * t) + 0.9e-14 * np.exp(5j * t)
+        vals += 0.5 * np.exp(31j * t) - 0.25j * np.exp(-31j * t) + 0.125 * np.exp(32j * t)
+        f = from_samples(vals)
+        assert list(f.fourier) == [-31, -3, 0, 1, 31]
+        assert abs(f.fourier[0]) < 1e-14
+        assert f.fourier[31] == pytest.approx(0.5, abs=1e-14)
+        assert f.fourier[-31] == pytest.approx(-0.25j, abs=1e-14)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(BoundaryFileError):
             load(tmp_path / "nope.json")

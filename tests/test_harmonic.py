@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -561,8 +562,11 @@ class TestNodeRule:
 
 
 class TestCircleValues:
-    # 256 angles divide the 1024 nodes (FFT path), 60 do not (dense path)
-    @pytest.mark.parametrize("n_theta", [256, 60])
+    # on 1,024 nodes: 256 angles divide the nodes (FFT path); 60, 96 and
+    # 2,048 do not (the orbits of 15, 3 and 2 base points turned 4, 32 and
+    # 1,024 times), and 63 is coprime to 1,024 (63 one-point orbits, the
+    # dense sum)
+    @pytest.mark.parametrize("n_theta", [256, 60, 63, 96, 2048])
     @pytest.mark.parametrize("phase", [0.0, 1e-3, -1e-3, 0.7])
     @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.3, -0.2)])
     def test_matches_dense_evaluation(self, pair, phase, n_theta):
@@ -576,7 +580,8 @@ class TestCircleValues:
     @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.3, -0.2), (2.7, -1.4)])
     def test_rings_in_one_call_match_one_ring_each(self, pair, n_theta):
         # one 2-d inverse FFT over four rings is bit for bit the 1-d
-        # transform of each ring (n_theta = 60 takes the dense path)
+        # transform of each ring; with 60 angles on 1,024 nodes, angle
+        # a + 15 k of each ring is u at base point a turned k times by pi/2
         p, n, h = make_params(*pair), 1024, DEFAULT_STEP
         f = seeded_boundary(np.random.default_rng(5))
         u = poisson_extension(p, f, n)
@@ -584,11 +589,43 @@ class TestCircleValues:
         fhat = np.fft.fft(f.values_on_grid(n))
         for (r, phase), row in zip(rings, u._circles(rings, n_theta)):
             if n_theta == 60:
-                ref = u(r * np.exp(1j * (circle_nodes(n_theta) + phase)))
+                base = r * np.exp(1j * (circle_nodes(n_theta)[:15] + phase))
+                ref = u.orbit_values(base, 4).T.reshape(-1)
             else:
                 kern = unnormalized_kernel(p, r * np.exp(1j * (circle_nodes(n) + phase)))
                 ref = (p.c_norm * np.fft.ifft(np.fft.fft(kern) * fhat) / n)[:: n // n_theta]
             assert np.array_equal(row, ref)
+
+    @pytest.mark.parametrize("n_theta", [60, 63, 96, 512])
+    def test_ring_off_the_nodes_keeps_no_kernel(self, n_theta):
+        u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
+        u.circle_values(0.5, n_theta)
+        u._circles([(0.3, 0.0), (0.6, 0.1)], n_theta)
+        assert harmonic._kernel_table(PHH, 256).entries == {}
+
+    def test_many_turns_stay_in_small_blocks(self):
+        # 8,192 angles on 4,096 nodes are two base points turned 4,096
+        # times; the turned samples of all turns at once would take 268 MB
+        u = poisson_extension(make_params(0.3, -0.2), from_fourier({1: 1.0, -2: 0.5}), 4096)
+        u.circle_values(0.5, 64)  # the node and sample caches
+        tracemalloc.start()
+        try:
+            ring = u.circle_values(0.5, 8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        dense = u(0.5 * np.exp(1j * circle_nodes(8192)[::97]))
+        assert np.max(np.abs(ring[::97] - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n_theta", [0, -4, -60])
+    def test_non_positive_angle_count_rejected(self, n_theta):
+        u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
+        with pytest.raises(DomainError, match="n_theta"):
+            u.circle_values(0.5, n_theta)
+        for v in (u, lambda z: z):
+            with pytest.raises(DomainError, match="n_theta"):
+                integral_means(v, 0.5, 2.0, nodes=n_theta)
 
 
 class TestKernelTable:
