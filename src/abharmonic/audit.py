@@ -39,7 +39,7 @@ from .harmonic import (
     poisson_integral,
 )
 from .kernel import AlphaBeta, _mode_hyp, make_params
-from .specfun import gamma, gauss_2f1
+from .specfun import beta, gauss_2f1, pochhammer
 
 VALUE_TOL = 1e-8
 DERIVATIVE_TOL = 1e-4
@@ -206,11 +206,10 @@ def check_growth(
     norm = lp_norm(f, hp.p)
     uvals = poisson_extension(params, f, nodes).orbit_values(Z_GRID[:, 0], 8)
     records = []
-    inv_p = 0.0 if math.isinf(hp.p) else 1.0 / hp.p
     for k, (r, row) in enumerate(zip(R_GRID, uvals)):
         # at p = inf this is |u| <= A(r) ||f||, A(r) the kernel-modulus
         # mass, which reduces to the classical |u| <= ||f|| at (0, 0)
-        bound = bnd.growth_constant(params, hp, r) * (1.0 - r * r) ** (-inv_p) * norm
+        bound = bnd.growth_constant(params, hp, r) * (1.0 - r * r) ** (-1.0 / hp.p) * norm
         records += [(f"z{i}", r, bound - abs(uv)) for i, uv in enumerate(row, len(row) * k)]
     return _collect("growth", records, VALUE_TOL)
 
@@ -268,7 +267,7 @@ def check_partials(
         blow = (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
         bound = {
             which: bnd.partial_constant(params, hp, which, r, CONSTANT_NODES) * blow
-            for which in PARTIAL_KINDS[:3]
+            for which in bnd.KINDS
         }
         for i, observed in enumerate(zip(*rows), len(rows[0]) * k):
             for which, v in zip(PARTIAL_KINDS, observed):
@@ -302,7 +301,7 @@ def check_means_partials(
         blow = norm / (1.0 - r * r)
         bound = {
             which: bnd.means_constant(params, which, r, CONSTANT_NODES) * blow
-            for which in PARTIAL_KINDS[:3]
+            for which in bnd.KINDS
         }
         for which, vals in zip(PARTIAL_KINDS, (ur, ut, uz, uzb)):
             margin = _normalized(bound[which] - p_mean(vals, hp.p), bound[which])
@@ -406,9 +405,7 @@ def check_integral_identities(mu: float, nu: float, r_grid=IDENTITY_RADII) -> Au
             math.pi,
             CONSTANT_NODES,
         )
-        rhs = gamma(0.5 * mu) * gamma(0.5) / gamma(0.5 * (mu + 1.0)) * gauss_2f1(
-            (nu, nu + 0.5 * (1.0 - mu), 0.5 * (1.0 + mu)), r * r
-        )
+        rhs = beta(0.5 * mu, 0.5) * gauss_2f1((nu, nu + 0.5 * (1.0 - mu), 0.5 * (1.0 + mu)), r * r)
         records.append((f"sine-power r={r}", r, -abs(lhs - rhs) / max(1.0, abs(rhs))))
         lhs2 = 0.5 * bnd.plain_moment(-nu, r, CONSTANT_NODES)
         rhs2 = math.pi * bnd.plain_moment_closed(-nu, r)
@@ -473,10 +470,7 @@ def check_coefficient_inequalities(params: AlphaBeta, coeffs, flags: dict) -> Au
     if flags.get("typically_real"):
         cm1 = coeffs.c(-1)
         for k in range(2, order + 1):
-            lhs = abs(
-                gamma(1 + a) * coeffs.c(k) / gamma(k + 1 + a)
-                - gamma(1 + b) * coeffs.c(-k) / gamma(k + 1 + b)
-            )
+            lhs = abs(coeffs.c(k) / pochhammer(1 + a, k) - coeffs.c(-k) / pochhammer(1 + b, k))
             rhs = bnd.coefficient_bound(params, "typically_real", k, cm1)
             records.append((f"typically_real k={k}", None, rhs - lhs))
     if flags.get("starlike"):

@@ -4,12 +4,16 @@ A boundary function is held as finite Fourier data (a map k -> f_hat(k))
 and as uniform samples on t_j = 2*pi*j/N, sampled once per N and kept
 read-only.  Trigonometric polynomials are the intended scope, so Fourier
 evaluation is exact and all circle quadrature below is the plain
-periodic trapezoid rule.
+periodic trapezoid rule.  On the N-point grid exp(i k t_j) depends only
+on k mod N, so there the Fourier data act folded onto N bins (_folded).
 
 Document format (JSON-style):
 
     {"fourier": {"0": [1.0, 0.0], "-2": [0.5, 0.0]}}
     {"samples": [[re, im], [re, im], ...]}
+
+Given both, the samples' DFT must match the folded data within 1e-10 at
+every bin, whatever the order.
 
 CSV export uses columns t, re, im.
 """
@@ -28,33 +32,48 @@ from .errors import BoundaryFileError, ParameterError
 _CONSISTENCY_TOL = 1e-10
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _read_only_grid(samples) -> np.ndarray:
+    """A read-only complex copy of samples, whose count must be a power of two."""
+    samples = np.array(samples, dtype=complex)
+    n = len(samples)
+    if n < 1 or n & (n - 1):
+        raise ParameterError(f"sample count must be a power of two, got {n}")
+    samples.flags.writeable = False
+    return samples
+
+
+def _dft(samples: np.ndarray, ks) -> np.ndarray:
+    """(1/N) sum_j samples_j exp(-i k t_j) at each k of ks: FFT bin k mod N."""
+    return (np.fft.fft(samples) / len(samples))[np.asarray(ks) % len(samples)]
+
+
+def _folded(fourier: dict, n: int) -> np.ndarray:
+    """The Fourier data on n bins, f_hat(k) added into bin k mod n."""
+    spectrum = np.zeros(n, dtype=complex)
+    for k, v in fourier.items():
+        spectrum[k % n] += v
+    return spectrum
 
 
 class BoundaryFunction:
-    """Circle function with Fourier data; given samples are its grid for their N."""
+    """Circle function with Fourier data; given samples are its grid for
+    their N and must agree with the data at every bin."""
 
     def __init__(self, fourier: dict[int, complex], samples=None):
-        if not fourier and samples is None:
-            raise ParameterError("need fourier coefficients or samples")
+        if not fourier:
+            raise ParameterError("need fourier coefficients")
         self.fourier = {int(k): complex(v) for k, v in sorted(fourier.items())}
-        self.order = max((abs(k) for k in self.fourier), default=0)
+        self.order = max(abs(k) for k in self.fourier)
         self._grids = {}
         if samples is not None:
-            samples = np.array(samples, dtype=complex)
+            samples = _read_only_grid(samples)
             n = len(samples)
-            if not _is_power_of_two(n):
-                raise ParameterError(f"sample count must be a power of two, got {n}")
-            if self.fourier and self.order < n // 2:
-                recomputed = fourier_from_samples(samples, self.order)
-                for k, v in self.fourier.items():
-                    if abs(recomputed.get(k, 0.0) - v) > _CONSISTENCY_TOL:
-                        raise ParameterError(
-                            "fourier data and samples disagree at "
-                            f"k = {k}: {v} vs {recomputed.get(k, 0.0)}"
-                        )
-            samples.flags.writeable = False
+            gap = np.abs(_dft(samples, np.arange(n)) - _folded(self.fourier, n))
+            j = int(np.argmax(gap))  # the first NaN, if any
+            if not gap[j] <= _CONSISTENCY_TOL:
+                raise ParameterError(
+                    f"fourier data and samples disagree by {gap[j]:.3e} at modes k = {j} mod {n}"
+                )
             self._grids[n] = samples
 
     def evaluate(self, t):
@@ -72,15 +91,11 @@ class BoundaryFunction:
     def values_on_grid(self, n: int) -> np.ndarray:
         """The read-only samples on t_j = 2*pi*j/n, computed on first use.
 
-        One inverse FFT builds the grid: f_hat(k) goes to index k mod n,
-        which is exact for any order because exp(i k t_j) depends only on
-        k mod n.
+        One inverse FFT of the folded data builds the grid, which is exact
+        for any order because exp(i k t_j) depends only on k mod n.
         """
         if n not in self._grids:
-            spectrum = np.zeros(n, dtype=complex)
-            for k, v in self.fourier.items():
-                spectrum[k % n] += v
-            grid = np.fft.ifft(spectrum, norm="forward")
+            grid = np.fft.ifft(_folded(self.fourier, n), norm="forward")
             grid.flags.writeable = False
             self._grids[n] = grid
         return self._grids[n]
@@ -98,7 +113,8 @@ def from_fourier(coeffs: dict) -> BoundaryFunction:
 
 
 def fourier_from_samples(samples, order: int) -> dict[int, complex]:
-    """DFT coefficients f_hat(k) = (1/N) sum_j samples_j exp(-i k t_j).
+    """DFT coefficients f_hat(k) = (1/N) sum_j samples_j exp(-i k t_j) for
+    k = 0, 1, -1, ..., order, -order, in that order.
 
     Exact for band-limited input; requires order < N/2 to avoid aliasing.
     """
@@ -108,27 +124,25 @@ def fourier_from_samples(samples, order: int) -> dict[int, complex]:
         raise ParameterError(
             f"aliasing: truncation order {order} needs more than {n} samples"
         )
-    spec = np.fft.fft(samples) / n
-    out = {0: complex(spec[0])}
-    for k in range(1, order + 1):
-        out[k] = complex(spec[k])
-        out[-k] = complex(spec[n - k])
-    return out
+    up = np.arange(1, order + 1)
+    ks = np.concatenate(([0], np.column_stack((up, -up)).ravel()))
+    return dict(zip(ks.tolist(), _dft(samples, ks).tolist()))
 
 
 def from_samples(samples) -> BoundaryFunction:
-    """Boundary function from uniform samples, keeping all resolvable modes."""
-    samples = np.asarray(samples, dtype=complex)
+    """Boundary function from uniform samples, keeping all resolvable modes;
+    the samples are its grid for their N."""
+    samples = _read_only_grid(samples)
     n = len(samples)
-    if not _is_power_of_two(n):
-        raise ParameterError(f"sample count must be a power of two, got {n}")
     # the fourier_from_samples modes up to n/2 - 1, in ascending order, each
     # kept unless negligible (mode 0 always); hypot is abs() of a complex
     order = max(n // 2 - 1, 0)
     ks = np.arange(-order, order + 1)
-    spec = (np.fft.fft(samples) / n)[ks % n]
+    spec = _dft(samples, ks)
     keep = (ks == 0) | (np.hypot(spec.real, spec.imag) > 1e-14)
-    return BoundaryFunction(dict(zip(ks[keep].tolist(), spec[keep].tolist())), samples)
+    f = BoundaryFunction(dict(zip(ks[keep].tolist(), spec[keep].tolist())))
+    f._grids[n] = samples  # unchecked: the dropped modes need not be zero
+    return f
 
 
 def lp_norm(f: BoundaryFunction, p: float, nodes: int = DEFAULT_NODES) -> float:

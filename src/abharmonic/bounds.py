@@ -41,7 +41,7 @@ import numpy as np
 from ._quad import DEFAULT_NODES, base_integral, base_plus, integrate
 from .errors import ParameterError
 from .kernel import AlphaBeta, _mode_hyp
-from .specfun import gamma, gauss_2f1, gauss_2f1_at_one
+from .specfun import beta, gauss_2f1, gauss_2f1_at_one, pochhammer
 
 HEINZ_LOWER_BOUND = 27.0 / (4.0 * math.pi**2)
 HARMONIC_A2_BOUND = 20.9197  # second-coefficient estimate for the plain class
@@ -190,8 +190,7 @@ def heinz_functional(params: AlphaBeta, c0: complex, c1: complex, cm1: complex) 
     """Weighted coefficient sum whose lower bound is 27/(4 pi^2) for
     univalent self-maps of the disk fixing the origin's image class."""
     a, b = params.alpha, params.beta
-    scale = (gamma(1 + a + b) / (gamma(1 + a) * gamma(1 + b))) ** 2
-    return scale * (
+    return params.c_norm**-2 * (
         abs(c1) ** 2 / (1 + a) ** 2
         + 3.0 * math.sqrt(3.0) / math.pi * abs(c0) ** 2
         + abs(cm1) ** 2 / (1 + b) ** 2
@@ -229,7 +228,7 @@ def coefficient_bound(params: AlphaBeta, kind: str, k: int = 2, extra: complex |
         if k < 2:
             raise ParameterError("typically_real bound needs k >= 2")
         cm1 = 0j if extra is None else complex(extra)
-        return 1.0 / gamma(float(k)) * abs(1.0 / (1 + a) - cm1 / (1 + b))
+        return 1.0 / math.factorial(k - 1) * abs(1.0 / (1 + a) - cm1 / (1 + b))
     if kind in ("c_minus2", "c2"):
         if not (-1.0 < b <= a <= 0.0):
             raise ParameterError(
@@ -241,16 +240,11 @@ def coefficient_bound(params: AlphaBeta, kind: str, k: int = 2, extra: complex |
     if kind == "starlike_ck":
         if k < 2:
             raise ParameterError("starlike bounds need k >= 2")
-        return (2 * k + 1) * (k + 1) * gamma(k + 1 + a) / (6.0 * math.factorial(k) * gamma(2 + a))
+        return (2 * k + 1) * (k + 1) * pochhammer(2 + a, k - 1) / (6.0 * math.factorial(k))
     if kind == "starlike_cmk":
         if k < 2:
             raise ParameterError("starlike bounds need k >= 2")
-        return (
-            (2 * k - 1)
-            * (k - 1)
-            * gamma(k + 1 + b)
-            / (6.0 * (1 + a) * math.factorial(k) * gamma(1 + b))
-        )
+        return (2 * k - 1) * (k - 1) * pochhammer(1 + b, k) / (6.0 * (1 + a) * math.factorial(k))
     if kind in ("conjecture_ck", "conjecture_cmk"):
         if k < 2:
             raise ParameterError("conjectured bounds need k >= 2")
@@ -270,15 +264,11 @@ def coefficient_bound(params: AlphaBeta, kind: str, k: int = 2, extra: complex |
     raise ParameterError(f"unknown coefficient bound kind {kind!r}")
 
 
-def _gamma_factor_normalized(params: AlphaBeta) -> float:
-    a, b = params.alpha, params.beta
-    return gamma(1 + a + b) / abs(gamma(2 + a) * gamma(1 + b))
-
-
 def geometric_constants(params: AlphaBeta) -> BoundReport:
     """Omit radii, covering radius, and minimal image area for the
     normalized univalent classes."""
-    fac = _gamma_factor_normalized(params)
+    # Gamma(1 + a + b) / |Gamma(2 + a) Gamma(1 + b)|
+    fac = 1.0 / abs((1 + params.alpha) * params.c_norm)
     rep = BoundReport()
     rep.add(
         "omit_radius_full_class",
@@ -298,10 +288,8 @@ def geometric_constants(params: AlphaBeta) -> BoundReport:
 def rado_radius_bound(params: AlphaBeta, c1: complex, cm1: complex) -> float:
     """Largest disk radius compatible with univalence, from the first
     coefficients; scales linearly in (c1, cm1)."""
-    a, b = params.alpha, params.beta
-    g = gamma(1 + a + b)
-    t1 = abs(c1) * g / abs(gamma(2 + a) * gamma(1 + b))
-    t2 = abs(cm1) * g / abs(gamma(1 + a) * gamma(2 + b))
+    t1 = abs(c1) / abs((1 + params.alpha) * params.c_norm)
+    t2 = abs(cm1) / abs((1 + params.beta) * params.c_norm)
     return math.sqrt((t1**2 + t2**2) / HEINZ_LOWER_BOUND)
 
 
@@ -500,7 +488,7 @@ def partial_angular_diagonal_closed(params: AlphaBeta, hp: HolderPair, r: float)
     if hp.q_is_inf:
         raise ParameterError("closed angular form needs finite q")
     q = hp.q
-    bval = gamma(0.5 * (1 + q)) * gamma(0.5) / gamma(1.0 + 0.5 * q)
+    bval = beta(0.5 * (1 + q), 0.5)
     fval = gauss_2f1((1.0 - (a + 1.0) * q, 1.0 - (a + 1.5) * q, 1.0 + 0.5 * q), r * r)
     return (
         abs(params.c_norm)

@@ -198,7 +198,6 @@ def _turned_means(params: AlphaBeta, fvals: np.ndarray, z: np.ndarray, m: int, r
     evaluated block by block), summed in blocks of at most _BLOCK_POINTS
     products (or one z and one turn)."""
     n = fvals.size
-    roots = _conj_roots(n)
     step = max(1, _BLOCK_POINTS // (n * m))
     turns = max(1, _BLOCK_POINTS // n)
     # row k, the samples turned by k n/m places, is a view of the samples
@@ -210,10 +209,7 @@ def _turned_means(params: AlphaBeta, fvals: np.ndarray, z: np.ndarray, m: int, r
     flat = z.reshape(-1)
     means = np.empty((flat.size, m), dtype=complex)
     for i in range(0, flat.size, step):
-        if rows is None:
-            kern = unnormalized_kernel(params, flat[i : i + step, None] * roots)
-        else:
-            kern = rows[i : i + step]
+        kern = _kernel_rows(params, flat[i : i + step], n) if rows is None else rows[i : i + step]
         for k in range(0, m, turns):
             means[i : i + step, k : k + turns] = np.mean(kern[:, None, :] * frot[k : k + turns], axis=-1)
     return means.reshape(z.shape + (m,))

@@ -158,7 +158,7 @@ def gauss_2f1(p, x: float) -> float:
     cab = c - a - b
     if cab > 0.0 and abs(cab - round(cab)) >= _DEGENERATE_GAP:
         y = 1.0 - x
-        coef1 = gamma(c) * gamma(cab) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
+        coef1 = gauss_2f1_at_one(p)
         coef2 = gamma(c) * gamma(-cab) * reciprocal_gamma(a) * reciprocal_gamma(b)
         total = 0.0
         if coef1 != 0.0:

@@ -22,6 +22,11 @@ from abharmonic._quad import circle_nodes
 from abharmonic.errors import BoundaryFileError, DomainError, ParameterError
 
 
+def _pairs(values):
+    """A document's [re, im] sample entries."""
+    return [[v.real, v.imag] for v in np.asarray(values, dtype=complex)]
+
+
 class TestConstruction:
     def test_constant(self):
         f = from_fourier({0: 1.0})
@@ -40,6 +45,9 @@ class TestConstruction:
     def test_needs_data(self):
         with pytest.raises(ParameterError):
             BoundaryFunction({})
+        # samples alone made the zero function with a stored grid: u(0.5) was 0.5 on 64 nodes, 0 on 128
+        with pytest.raises(ParameterError):
+            BoundaryFunction({}, 0.5 * np.ones(64))
 
     def test_sample_count_power_of_two(self):
         with pytest.raises(ParameterError):
@@ -75,6 +83,14 @@ class TestFourierFromSamples:
     def test_aliasing_guard(self):
         with pytest.raises(ParameterError):
             fourier_from_samples(np.ones(16), 8)
+
+    def test_modes_in_order_from_one_fft(self):
+        rng = np.random.default_rng(5)
+        samples = rng.normal(size=32) + 1j * rng.normal(size=32)
+        coeffs = fourier_from_samples(samples, 3)
+        assert list(coeffs) == [0, 1, -1, 2, -2, 3, -3]
+        spec = np.fft.fft(samples) / 32
+        assert all(coeffs[k] == spec[k % 32] for k in coeffs)
 
     @given(st.integers(0, 6))
     @settings(max_examples=20, deadline=None)
@@ -163,6 +179,16 @@ class TestDocuments:
             {"samples": [[1.0, 0.0]] * 3},
             {"fourier": {"0": [1.0, 0.0]}, "samples": 5},
             {"fourier": {"0": [1.0, 0.0]}, "samples": [[2.0, 0.0]] * 4},
+            # Fourier data and samples must agree at every bin: a mode the data
+            # leave out, an order at or above n/2, -70 against the bin of 6
+            # (it folds onto -6), and the right bin off by 2e-10 in bin 0
+            {"fourier": {"0": [1.0, 0.0]}, "samples": _pairs(1.0 + np.exp(1j * circle_nodes(16)))},
+            {"fourier": {"40": [1.0, 0.0]}, "samples": [[0.0, 0.0]] * 64},
+            {
+                "fourier": {"0": [1.0, 0.0], "-70": [0.5, 0.0]},
+                "samples": _pairs(1.0 + 0.5 * np.exp(6j * circle_nodes(64))),
+            },
+            {"fourier": {"40": [1.0, 0.0]}, "samples": _pairs(np.exp(-24j * circle_nodes(64)) + 2e-10)},
         ],
     )
     def test_malformed(self, doc):
@@ -217,6 +243,17 @@ class TestDocuments:
         assert abs(f.fourier[0]) < 1e-14
         assert f.fourier[31] == pytest.approx(0.5, abs=1e-14)
         assert f.fourier[-31] == pytest.approx(-0.25j, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "fourier", [{"40": [1.0, 0.0]}, {"0": [0.5, 0.0], "-70": [0.25, -0.5], "100": [0.0, 1.0]}]
+    )
+    def test_high_order_document_that_agrees_loads(self, fourier):
+        # exp(i k t_j) = exp(i (k mod 64) t_j): samples from the folded data agree at every bin
+        coeffs = {int(k): complex(*v) for k, v in fourier.items()}
+        values = from_fourier(coeffs).values_on_grid(64)
+        f = parse_document({"fourier": fourier, "samples": _pairs(values)})
+        assert f.fourier == coeffs
+        np.testing.assert_array_equal(f.values_on_grid(64), values)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(BoundaryFileError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,67 @@ class TestRado:
     def test_homogeneity(self, s):
         base = rado_radius_bound(P00, 1.0, 0.5j)
         assert rado_radius_bound(P00, s, 0.5j * s) == pytest.approx(s * base, rel=1e-12)
+
+
+# weight pairs with alpha in (-2, -1), a negative beta, and both positive
+GAMMA_PAIRS = [(-1.37, 0.62), (-1.5, 0.7), (0.3, -0.2), (2.5, -0.6), (-0.4, -0.35), (1.7, 2.2)]
+
+
+def _mp_gamma_quotient(num, den):
+    """prod Gamma(num) / prod Gamma(den) in 50-digit arithmetic, as a float."""
+    out = mp.mpf(1)
+    for x in num:
+        out *= mp.gamma(mp.mpf(x))
+    for x in den:
+        out /= mp.gamma(mp.mpf(x))
+    return out
+
+
+class TestGammaQuotientsAgainstMpmath:
+    """The bound constants' Gamma quotients, formed through pochhammer and
+    the normalizing constant, against the quotients written with Gamma."""
+
+    @pytest.mark.parametrize("pair", GAMMA_PAIRS)
+    def test_coefficient_bounds(self, pair):
+        p = make_params(*pair)
+        a, b = (mp.mpf(w) for w in pair)
+        cm1 = 0.3 - 0.2j
+        for k in range(2, 31):
+            ck = (2 * k + 1) * (k + 1) * _mp_gamma_quotient([k + 1 + a], [2 + a]) / (6 * mp.factorial(k))
+            cmk = (2 * k - 1) * (k - 1) * _mp_gamma_quotient([k + 1 + b], [1 + b]) / (
+                6 * (1 + a) * mp.factorial(k)
+            )
+            typ = abs(1 / (1 + a) - mp.mpc(cm1) / (1 + b)) / mp.gamma(k)
+            assert coefficient_bound(p, "starlike_ck", k) == pytest.approx(float(ck), rel=1e-13)
+            assert coefficient_bound(p, "starlike_cmk", k) == pytest.approx(float(cmk), rel=1e-13)
+            assert coefficient_bound(p, "typically_real", k, cm1) == pytest.approx(float(typ), rel=1e-13)
+
+    @pytest.mark.parametrize("pair", GAMMA_PAIRS)
+    def test_geometric_rado_and_heinz(self, pair):
+        p = make_params(*pair)
+        a, b = (mp.mpf(w) for w in pair)
+        fac = abs(_mp_gamma_quotient([1 + a + b], [2 + a, 1 + b]))
+        rep = geometric_constants(p)
+        expected = {
+            "omit_radius_full_class": 2 * mp.pi * mp.sqrt(6) / 9 * fac,
+            "omit_radius_normalized_class": 2 * mp.pi * mp.sqrt(3) / 9 * fac,
+            "covering_radius": fac / 16,
+            "area_lower_bound": mp.pi / 2 * fac,
+        }
+        for name, value in expected.items():
+            assert rep.get(name).value == pytest.approx(float(value), rel=1e-13)
+
+        c0, c1, cm1 = 0.2 - 0.1j, 1.0 + 0.5j, -0.3 + 0.4j
+        t1 = abs(c1) * fac
+        t2 = abs(cm1) * abs(_mp_gamma_quotient([1 + a + b], [1 + a, 2 + b]))
+        rado = mp.sqrt((t1**2 + t2**2) / (mp.mpf(27) / (4 * mp.pi**2)))
+        assert rado_radius_bound(p, c1, cm1) == pytest.approx(float(rado), rel=1e-13)
+
+        scale = _mp_gamma_quotient([1 + a + b], [1 + a, 1 + b]) ** 2
+        heinz = scale * (
+            abs(c1) ** 2 / (1 + a) ** 2 + 3 * mp.sqrt(3) / mp.pi * abs(c0) ** 2 + abs(cm1) ** 2 / (1 + b) ** 2
+        )
+        assert heinz_functional(p, c0, c1, cm1) == pytest.approx(float(heinz), rel=1e-13)
 
 
 class TestGrowth:

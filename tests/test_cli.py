@@ -25,6 +25,11 @@ def mode_boundary(tmp_path):
     return str(path)
 
 
+def _mode_samples(k, n, const=0.0):
+    """[re, im] samples of const + e^{ikt} on n points."""
+    return [[const + math.cos(2 * math.pi * k * j / n), math.sin(2 * math.pi * k * j / n)] for j in range(n)]
+
+
 def _strip_timestamp(text: str) -> str:
     doc = json.loads(text)
     doc.pop("timestamp", None)
@@ -95,6 +100,21 @@ class TestExpand:
         re, im = doc["coefficients"]["1"]
         assert re == pytest.approx(1.1780972450961724644, rel=1e-12)
         assert im == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "fourier, samples, code",
+        [
+            # 1 + e^{it} against the constant 1, and mode 40 against zeros: exit 3
+            ({"0": [1, 0]}, _mode_samples(1, 16, 1.0), 3),
+            ({"40": [1, 0]}, [[0.0, 0.0]] * 64, 3),
+            # mode 40 against its own samples: loads
+            ({"40": [1, 0]}, _mode_samples(40, 64), 0),
+        ],
+    )
+    def test_fourier_and_samples_must_agree(self, tmp_path, fourier, samples, code):
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({"fourier": fourier, "samples": samples}))
+        assert main(["expand", str(path), "--out", str(tmp_path / "coeffs.json")]) == code
 
 
 class TestBounds:
