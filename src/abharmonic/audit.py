@@ -154,12 +154,6 @@ def merge_results(name: str, results) -> AuditResult:
     return out
 
 
-def details_csv_rows(result: AuditResult):
-    yield ("case", "r", "margin")
-    for case, r, margin in result.details:
-        yield (case, "" if r is None else f"{r:.17g}", f"{margin:.17g}")
-
-
 def random_boundary(rng, order: int = 8) -> BoundaryFunction:
     """Seeded trig polynomial with coefficients uniform in the unit disk,
     scaled by 1/(1+|k|) to keep the functions tame."""

@@ -14,19 +14,16 @@ Document format (JSON-style):
 
 Given both, the samples' DFT must match the folded data within 1e-10 at
 every bin, whatever the order.
-
-CSV export uses columns t, re, im.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 
 import numpy as np
 
-from ._quad import DEFAULT_NODES, circle_nodes, p_mean
+from ._quad import DEFAULT_NODES, p_mean
 from .errors import BoundaryFileError, ParameterError
 
 _CONSISTENCY_TOL = 1e-10
@@ -152,7 +149,7 @@ def lp_norm(f: BoundaryFunction, p: float, nodes: int = DEFAULT_NODES) -> float:
 
 
 # ---------------------------------------------------------------------------
-# document and CSV interfaces
+# document interface
 
 
 def _complex_pair(v) -> complex:
@@ -221,13 +218,3 @@ def load(path) -> BoundaryFunction:
 
 def document(f: BoundaryFunction) -> dict:
     return {"fourier": {str(k): [v.real, v.imag] for k, v in f.fourier.items()}}
-
-
-def save_samples_csv(f: BoundaryFunction, path, nodes: int = 256) -> None:
-    t = circle_nodes(nodes)
-    vals = f.values_on_grid(nodes)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re", "im"])
-        for tj, vj in zip(t, vals):
-            writer.writerow([f"{tj:.17g}", f"{vj.real:.17g}", f"{vj.imag:.17g}"])

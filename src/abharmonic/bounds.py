@@ -41,7 +41,7 @@ import numpy as np
 from ._quad import DEFAULT_NODES, base_integral, base_plus, integrate
 from .errors import ParameterError
 from .kernel import AlphaBeta, _mode_hyp
-from .specfun import beta, gauss_2f1, gauss_2f1_at_one, pochhammer
+from .specfun import beta, gauss_2f1, gauss_2f1_at_one, pochhammer_ratio
 
 HEINZ_LOWER_BOUND = 27.0 / (4.0 * math.pi**2)
 HARMONIC_A2_BOUND = 20.9197  # second-coefficient estimate for the plain class
@@ -228,7 +228,8 @@ def coefficient_bound(params: AlphaBeta, kind: str, k: int = 2, extra: complex |
         if k < 2:
             raise ParameterError("typically_real bound needs k >= 2")
         cm1 = 0j if extra is None else complex(extra)
-        return 1.0 / math.factorial(k - 1) * abs(1.0 / (1 + a) - cm1 / (1 + b))
+        # 1/(k-1)! as a product of reciprocals underflows where the factorial would overflow
+        return math.prod(1.0 / j for j in range(2, k)) * abs(1.0 / (1 + a) - cm1 / (1 + b))
     if kind in ("c_minus2", "c2"):
         if not (-1.0 < b <= a <= 0.0):
             raise ParameterError(
@@ -237,22 +238,15 @@ def coefficient_bound(params: AlphaBeta, kind: str, k: int = 2, extra: complex |
         if kind == "c_minus2":
             return (2 + b) * (1 + b) / (4.0 * (1 + a))
         return HARMONIC_A2_BOUND * (1.0 + a / 2.0)
-    if kind == "starlike_ck":
+    if kind in ("starlike_ck", "starlike_cmk", "conjecture_ck", "conjecture_cmk"):
         if k < 2:
-            raise ParameterError("starlike bounds need k >= 2")
-        return (2 * k + 1) * (k + 1) * pochhammer(2 + a, k - 1) / (6.0 * math.factorial(k))
-    if kind == "starlike_cmk":
-        if k < 2:
-            raise ParameterError("starlike bounds need k >= 2")
-        return (2 * k - 1) * (k - 1) * pochhammer(1 + b, k) / (6.0 * (1 + a) * math.factorial(k))
-    if kind in ("conjecture_ck", "conjecture_cmk"):
-        if k < 2:
-            raise ParameterError("conjectured bounds need k >= 2")
-        lead = (
-            (2 * k + 1) * (k + 1) / 6.0
-            if kind == "conjecture_ck"
-            else (2 * k - 1) * (k - 1) / 6.0
-        )
+            raise ParameterError(f"{kind} bound needs k >= 2")
+        lead = (2 * k + 1) * (k + 1) / 6.0 if kind.endswith("_ck") else (2 * k - 1) * (k - 1) / 6.0
+        # k! = (2)_{k-1} = (1)_k, divided into the rising factorial term by term
+        if kind == "starlike_ck":
+            return lead * pochhammer_ratio(2 + a, 2.0, k - 1)
+        if kind == "starlike_cmk":
+            return lead / (1 + a) * pochhammer_ratio(1 + b, 1.0, k)
         num = _mode_hyp(params, 1)
         den = _mode_hyp(params, k if kind == "conjecture_ck" else -k)
         if -1.0 < b < a < 0.0:

@@ -12,6 +12,11 @@ Exit codes: 0 success / audit pass, 1 audit violations, 2 bad arguments,
 3 malformed input file.  Output is deterministic for a fixed seed and
 configuration up to the `timestamp` field of JSON reports.
 
+Each command computes its whole result, then writes it through one of
+two writers, `_emit_json` and `_write_csv`; no output is opened before
+its result exists, so a command that exits 2 or 3 on its arguments or
+input file leaves its `--out` and `--csv` files untouched.
+
 `main` builds the argument parser once per process, on its first call,
 and looks up the subcommand's handler at each call, so a replaced
 `cmd_*` function takes effect at once.  This saves time only where one
@@ -30,12 +35,14 @@ import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import boundary
-from ._quad import DEFAULT_NODES
-from .audit import DEFAULT_SEED, SUITE_NAMES, details_csv_rows, merge_results, run_suite
+from ._quad import DEFAULT_NODES, circle_nodes
+from .audit import DEFAULT_SEED, SUITE_NAMES, merge_results, run_suite
 from .bounds import HolderPair, full_report
 from .errors import BoundaryFileError, ConvergenceError, DomainError, ParameterError
-from .harmonic import check_nodes, coefficients_from_boundary, export_grid_csv, poisson_extension
+from .harmonic import check_nodes, coefficients_from_boundary, poisson_extension
 from .kernel import make_params
 
 EXIT_OK = 0
@@ -90,8 +97,20 @@ def _finite_or_null(obj):
 
 
 def _emit_json(doc: dict, out_path) -> None:
+    text = json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n"
     with _open_out(out_path) as fh:
-        fh.write(json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n")
+        fh.write(text)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write header, then each row: a float to 17 significant digits, a
+    string as it is, None as an empty field.  Rows may be a generator;
+    each is formatted as it is written."""
+    with _open_out(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        # csv writes None as an empty field
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _timestamp() -> str:
@@ -108,8 +127,16 @@ def cmd_solve(args) -> int:
     f = boundary.load(args.boundary)
     u = poisson_extension(params, f, args.nodes)
     nr, nt = args.grid
-    with _open_out(args.out) as fh:
-        export_grid_csv(u, fh, nr, nt, args.rmax)
+    radii = [(i + 1) / (nr + 1) * args.rmax for i in range(nr)]
+    # every ring before any point: a bad radius raises before a file is opened
+    rings = [u.circle_values(r, nt) for r in radii]
+    thetas = circle_nodes(nt)
+    rows = (
+        (z.real, z.imag, v.real, v.imag)
+        for r, vals in zip(radii, rings)
+        for z, v in zip(r * np.exp(1j * thetas), vals)
+    )
+    _write_csv(args.out, ("x", "y", "re", "im"), rows)
     return EXIT_OK
 
 
@@ -160,9 +187,7 @@ def cmd_audit(args) -> int:
     _emit_json(doc, args.out)
     csv_path = getattr(args, "csv", None)
     if csv_path:
-        merged = merge_results(args.suite, results)
-        with _open_out(csv_path) as fh:
-            csv.writer(fh).writerows(details_csv_rows(merged))
+        _write_csv(csv_path, ("case", "r", "margin"), merge_results(args.suite, results).details)
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
 
 

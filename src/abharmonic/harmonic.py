@@ -34,7 +34,6 @@ ring whose angle count does not divide the nodes keep no table.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -464,19 +463,3 @@ def integral_means(u, r: float, p: float, nodes: int = 1024) -> float:
     if not (0.0 < r < 1.0):
         raise DomainError(f"integral_means requires 0 < r < 1, got {r}")
     return p_mean(_ring(u, r, nodes), p)
-
-
-def export_grid_csv(u, out, n_radial: int = 16, n_angular: int = 64, r_max: float = 0.95):
-    """Evaluate u on a polar grid and write x, y, re, im rows to the open
-    text stream out (opened with newline="" when it is a file); a bad
-    radius raises before any row is written."""
-    radii = [(i + 1) / (n_radial + 1) * r_max for i in range(n_radial)]
-    thetas = circle_nodes(n_angular)
-    rings = [_ring(u, r, n_angular) for r in radii]
-    writer = csv.writer(out)
-    writer.writerow(["x", "y", "re", "im"])
-    for r, vals in zip(radii, rings):
-        for z, v in zip(r * np.exp(1j * thetas), vals):
-            writer.writerow(
-                [f"{z.real:.17g}", f"{z.imag:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"]
-            )

@@ -1,4 +1,5 @@
-"""Real special functions: Gamma, Beta, Pochhammer, and Gauss 2F1.
+"""Real special functions: Gamma, Beta, Pochhammer symbols and their
+ratios, and Gauss 2F1.
 
 The hypergeometric evaluator follows the classical strategy for real
 arguments on (-1, 1):
@@ -78,6 +79,17 @@ def pochhammer(a: float, n: int) -> float:
     out = 1.0
     for k in range(n):
         out *= a + k
+    return out
+
+
+def pochhammer_ratio(a: float, b: float, n: int) -> float:
+    """(a)_n / (b)_n as the product of (a + j) / (b + j) over j < n, so it
+    stays finite where (a)_n and (b)_n overflow apart; no b + j may be 0."""
+    if n < 0:
+        raise DomainError("pochhammer_ratio requires n >= 0")
+    out = 1.0
+    for j in range(n):
+        out *= (a + j) / (b + j)
     return out
 
 

@@ -16,7 +16,6 @@ from abharmonic.boundary import (
     load,
     lp_norm,
     parse_document,
-    save_samples_csv,
 )
 from abharmonic._quad import circle_nodes
 from abharmonic.errors import BoundaryFileError, DomainError, ParameterError
@@ -265,39 +264,20 @@ class TestDocuments:
         with pytest.raises(BoundaryFileError):
             load(path)
 
-    def test_csv_export(self, tmp_path):
-        f = from_fourier({1: 1.0})
-        path = tmp_path / "samples.csv"
-        save_samples_csv(f, path, nodes=8)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,re,im"
-        assert len(lines) == 9
-        t, re, im = map(float, lines[3].split(","))
-        assert re == pytest.approx(math.cos(t)) and im == pytest.approx(math.sin(t))
-
-    @staticmethod
-    def _read_csv(path):
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        t = np.array([float(row[0]) for row in rows])
-        return t, np.array([complex(float(row[1]), float(row[2])) for row in rows])
-
     @pytest.mark.parametrize("k, n", [(1000, 4096), (70, 64), (-3, 8)])
-    def test_csv_rows_are_the_fft_grid(self, tmp_path, k, n):
+    def test_grid_holds_mode_k_mod_n(self, k, n):
         # evaluate's exp(i k t) from the rounded product k t is off the grid
-        # by 1.1e-12 at k = 1000, n = 4096; the rows must be the grid itself
+        # by 1.1e-12 at k = 1000, n = 4096; the grid is the folded FFT grid
         f = from_fourier({0: 0.25, k: 1.0 - 0.5j})
-        path = tmp_path / "samples.csv"
-        save_samples_csv(f, path, nodes=n)
-        t, vals = self._read_csv(path)
-        assert np.array_equal(t, circle_nodes(n))
-        assert np.array_equal(vals, f.values_on_grid(n))
+        grid = f.values_on_grid(n)
+        assert np.array_equal(grid, from_fourier({0: 0.25, k % n: 1.0 - 0.5j}).values_on_grid(n))
+        exact = 0.25 + (1.0 - 0.5j) * np.exp(2j * np.pi * (k * np.arange(n) % n) / n)
+        assert np.max(np.abs(grid - exact)) < 4e-15
 
-    def test_csv_of_samples_document_reproduces_its_samples(self, tmp_path):
+    def test_samples_document_grid_is_its_samples(self):
         rng = np.random.default_rng(3)
         samples = rng.normal(size=64) + 1j * rng.normal(size=64)
-        path = tmp_path / "samples.csv"
-        save_samples_csv(parse_document({"samples": [[v.real, v.imag] for v in samples]}), path, 64)
-        assert np.array_equal(self._read_csv(path)[1], samples)
+        assert np.array_equal(parse_document({"samples": _pairs(samples)}).values_on_grid(64), samples)
 
 
 class TestGridSampling:

@@ -1,14 +1,20 @@
 import contextlib
+import csv
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abharmonic import audit, cli
+from abharmonic._quad import circle_nodes
+from abharmonic.boundary import load
 from abharmonic.cli import main
+from abharmonic.harmonic import poisson_extension
+from abharmonic.kernel import make_params
 
 
 @pytest.fixture
@@ -241,6 +247,69 @@ class TestAudit:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert _strip_timestamp(out1.read_text()) == _strip_timestamp(out2.read_text())
+
+
+class TestCsvOutput:
+    """Both CSV layouts come from cli._write_csv: floats to 17 significant
+    digits, which read back exactly, and None as an empty field."""
+
+    @staticmethod
+    def _rows(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    def test_solve_rows_are_the_rings(self, tmp_path, capsys):
+        doc = tmp_path / "f.json"
+        doc.write_text(json.dumps({"fourier": {"0": [0.5, 0.0], "1": [1.0, -0.3], "-2": [0.0, 0.25]}}))
+        out = tmp_path / "grid.csv"
+        args = ["solve", str(doc), "--alpha", "0.3", "--beta=-0.2", "--grid", "3x8", "--nodes", "256"]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        header, *rows = self._rows(out)
+        assert header == ["x", "y", "re", "im"]
+        assert len(rows) == 3 * 8
+        u = poisson_extension(make_params(0.3, -0.2), load(doc), 256)
+        for i in range(3):
+            r = (i + 1) / 4 * 0.95
+            points, values = r * np.exp(1j * circle_nodes(8)), u.circle_values(r, 8)
+            for row, z, v in zip(rows[8 * i : 8 * (i + 1)], points, values):
+                assert [float(x) for x in row] == [z.real, z.imag, v.real, v.imag]
+
+    def test_audit_rows_are_the_report_margins(self, tmp_path):
+        # the ratio lemma's cases (a regime applies at alpha < 0) have no radius
+        out, margins = tmp_path / "audit.json", tmp_path / "margins.csv"
+        args = ["audit", "--suite", "lemmas", "--alpha=-0.25", "--beta=-0.5"]
+        assert main(args + ["--out", str(out), "--csv", str(margins)]) == 0
+        results = json.loads(out.read_text())["results"]
+        expected = [m for res in results for m in res["margins"]]
+        header, *rows = self._rows(margins)
+        assert header == ["case", "r", "margin"]
+        assert len(rows) == len(expected) == sum(res["cases_total"] for res in results)
+        for (case, r, margin), (want_case, want_r, want_margin) in zip(rows, expected):
+            assert case == want_case
+            assert (r == "") == (want_r is None) == case.startswith(("Fk/F1", "Ek"))
+            assert r == "" or float(r) == want_r
+            assert float(margin) == want_margin
+        assert any(r == "" for _, r, _ in rows) and any(r != "" for _, r, _ in rows)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "{doc}", "--rmax=-0.5", "--out", "{out}"], 2),
+            (["solve", "{doc}", "--rmax", "inf", "--out", "{out}"], 2),
+            (["solve", "{missing}", "--out", "{out}"], 3),
+            (["bounds", "--p", "0.5", "--out", "{out}"], 2),
+            (["audit", "--suite", "growth", "--alpha", "-1", "--out", "{out}", "--csv", "{out}"], 2),
+        ],
+    )
+    def test_failing_command_leaves_output_untouched(self, tmp_path, constant_boundary, argv, code):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"x,y\r\n1,2\r\n")
+        paths = {"doc": constant_boundary, "missing": str(tmp_path / "absent.json"), "out": str(out)}
+        assert main([a.format(**paths) for a in argv]) == code
+        assert out.read_bytes() == b"x,y\r\n1,2\r\n"
 
 
 class TestParsing:

@@ -517,20 +517,6 @@ class TestIntegralMeans:
         assert fast == pytest.approx(slow, rel=1e-12)
 
 
-class TestGridExport:
-    def test_csv_columns_and_values(self, tmp_path):
-        from abharmonic.harmonic import export_grid_csv
-
-        path = tmp_path / "grid.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            export_grid_csv(lambda z: z, fh, n_radial=2, n_angular=4)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,re,im"
-        assert len(lines) == 1 + 2 * 4
-        x, y, re, im = map(float, lines[1].split(","))
-        assert re == pytest.approx(x) and im == pytest.approx(y)
-
-
 class TestConjugationLaw:
     def test_swapped_weights(self):
         pa = make_params(0.6, -0.1)

@@ -13,6 +13,7 @@ from abharmonic.specfun import (
     gauss_2f1_at_one,
     gauss_2f1_derivative,
     pochhammer,
+    pochhammer_ratio,
     reciprocal_gamma,
 )
 
@@ -104,6 +105,24 @@ class TestPochhammer:
     @settings(max_examples=60, deadline=None)
     def test_recurrence(self, a, n):
         assert pochhammer(a, n + 1) == pytest.approx(pochhammer(a, n) * (a + n), rel=1e-12, abs=1e-12)
+
+
+class TestPochhammerRatio:
+    @pytest.mark.parametrize("a, b, n", [(2.3, 2.0, 5), (-0.5, 1.0, 3), (0.7, -1.5, 4)])
+    def test_quotient_of_symbols(self, a, b, n):
+        assert pochhammer_ratio(a, b, n) == pytest.approx(pochhammer(a, n) / pochhammer(b, n), rel=1e-14)
+
+    def test_finite_where_both_symbols_overflow(self):
+        mp = pytest.importorskip("mpmath")
+        # (2.3)_400 and (2)_400 are both above 1e800
+        assert pochhammer(2.3, 400) == pochhammer(2.0, 400) == float("inf")
+        expected = float(mp.rf(mp.mpf(2.3), 400) / mp.rf(2, 400))
+        assert pochhammer_ratio(2.3, 2.0, 400) == pytest.approx(expected, rel=1e-13)
+
+    def test_domain(self):
+        assert pochhammer_ratio(0.3, 0.7, 0) == 1.0
+        with pytest.raises(DomainError):
+            pochhammer_ratio(0.3, 0.7, -1)
 
 
 class TestHypParams:
