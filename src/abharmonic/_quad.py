@@ -13,11 +13,17 @@ weights are placed once per (a, b, n) in a small per-process cache, so
 repeated integrals over the same piece only evaluate the integrand.
 
 Circle integrals split [0, 2pi] by one rule, shared by circle_integral and
-base_integral.  The kernel moments go through base_integral, whose
-integrands are functions of |cos(s - x)| and cos((s - y)/2)^2 only; a
-second small per-process cache holds those two read-only factor arrays per
-piece of the rule and phase (x, y), so a moment evaluates only its own
-powers.
+base_integral: the trapezoid grid without break points, else a tanh-sinh
+piece between each two neighbouring break points.  The nodes of all its
+pieces are kept as one read-only array per rule (per-process caches of
+256 splits and 64 rules), so an integrand is evaluated once per integral,
+on every node at once; each piece is then summed on its own slice, which
+gives the same bits as integrating the pieces one by one, as elementwise
+ufuncs and numpy's pairwise sum of a contiguous slice do not depend on
+what lies around the slice.  The kernel moments go through base_integral,
+whose integrands are functions of |cos(s - x)| and cos((s - y)/2)^2 only;
+a further cache holds those two read-only factor arrays per rule and
+phase (x, y) (64 entries), so a moment evaluates only its own powers.
 """
 
 from __future__ import annotations
@@ -108,9 +114,17 @@ def integrate(fn, a: float, b: float, nodes: int = 600) -> float:
     return float(half * np.sum(w * vals))
 
 
-def _circle_pieces(breaks, nodes: int) -> list:
-    # The tanh-sinh pieces (a, b, n) of [0, 2pi] split at the break points
-    # taken modulo 2 pi, with the node budget shared among them.
+@functools.lru_cache(maxsize=256)
+def _circle_pieces(breaks: tuple, nodes: int) -> tuple:
+    # The pieces of the circle rule: ((nodes,),), the n-point trapezoid
+    # grid, with no break points, else the tanh-sinh pieces (a, b, n) of
+    # [0, 2pi] split at the break points taken modulo 2 pi, with the node
+    # budget shared among them.  A bad argument raises on every call, as
+    # lru_cache keeps no exception.
+    if not nodes >= 1:
+        raise DomainError(f"circle integrals need nodes >= 1, got {nodes}")
+    if not breaks:
+        return ((nodes,),)
     pts = {0.0, TWO_PI}
     for s in breaks:
         s = float(s)
@@ -120,16 +134,44 @@ def _circle_pieces(breaks, nodes: int) -> list:
     pts = sorted(pts)
     pieces = [(a, b) for a, b in zip(pts[:-1], pts[1:]) if b - a > 1e-13]
     per = max(nodes // max(len(pieces), 1), 201)
-    return [(a, b, per) for a, b in pieces]
+    return tuple((a, b, per) for a, b in pieces)
 
 
-def _circle_sum(integrand_on, breaks, nodes: int) -> float:
-    # The one circle rule: trapezoid on the n-point grid, piece = (n,), with
-    # no break points, else tanh-sinh on each piece (a, b, n) of the split
-    # circle; integrand_on(piece) is the integrand on that piece.
-    if not breaks:
-        return float(TWO_PI * circle_mean(integrand_on((nodes,)), nodes))
-    return sum(integrate(integrand_on(piece), *piece) for piece in _circle_pieces(breaks, nodes))
+@functools.lru_cache(maxsize=64)
+def _circle_rule(pieces):
+    # The nodes s of every piece of the circle rule in one read-only array,
+    # their weights w and each piece's (start, stop, half): the n-point grid
+    # and w = None for the trapezoid piece (n,), else the kept tanh-sinh
+    # nodes of each piece (a, b, n) in piece order, weights still to be
+    # scaled by half = (b - a) / 2.
+    if len(pieces[0]) == 1:
+        s = circle_nodes(*pieces[0])
+        s.flags.writeable = False
+        return s, None, ()
+    xs, ws = zip(*(_tanh_sinh_nodes(*piece) for piece in pieces))
+    s, w = np.concatenate(xs), np.concatenate(ws)
+    s.flags.writeable = False
+    w.flags.writeable = False
+    spans, start = [], 0
+    for (a, b, _), x in zip(pieces, xs):
+        spans.append((start, start + x.size, 0.5 * (b - a)))
+        start += x.size
+    return s, w, tuple(spans)
+
+
+def _circle_sum(vals, rule) -> float:
+    # The circle rule applied to the integrand's values at its nodes: each
+    # piece's weighted sum is numpy's pairwise sum of a contiguous slice,
+    # which depends only on the slice, so it is the bits of integrate on
+    # that piece alone; the pieces are added in order from 0.
+    _, w, spans = rule
+    if w is None:
+        return float(TWO_PI * np.mean(vals))
+    wv = w * vals
+    total = 0
+    for a, b, half in spans:
+        total += half * float(np.add.reduce(wv[a:b]))
+    return total
 
 
 def circle_integral(fn, breaks=(), nodes: int = DEFAULT_NODES) -> float:
@@ -137,18 +179,19 @@ def circle_integral(fn, breaks=(), nodes: int = DEFAULT_NODES) -> float:
 
     With no interior break points the periodic trapezoid rule is used;
     otherwise the interval is split at the (normalized) break points and
-    each smooth piece handled by tanh-sinh.  A non-finite break point
-    raises DomainError.
+    each smooth piece handled by tanh-sinh.  fn is evaluated once, on the
+    read-only array of every node of the rule.  A non-finite break point
+    or nodes < 1 raises DomainError.
     """
-    return _circle_sum(lambda piece: fn, breaks, nodes)
+    rule = _circle_rule(_circle_pieces(tuple(breaks), nodes))
+    return _circle_sum(fn(rule[0]), rule)
 
 
 @functools.lru_cache(maxsize=64)
-def _phase_factors(piece, x: float, y: float):
-    # |cos(s - x)| and cos((s - y) / 2)^2 at the nodes s of one piece of the
-    # circle rule: the n-point grid for piece = (n,), the kept tanh-sinh
-    # nodes of (a, b, n) otherwise.  Read-only, as every caller shares them.
-    s = circle_nodes(*piece) if len(piece) == 1 else _tanh_sinh_nodes(*piece)[0]
+def _phase_factors(pieces, x: float, y: float):
+    # |cos(s - x)| and cos((s - y) / 2)^2 at the nodes s of the circle rule
+    # of these pieces.  Read-only, as every caller shares them.
+    s = _circle_rule(pieces)[0]
     ca = np.abs(np.cos(s - x))
     c2 = np.cos(0.5 * (s - y)) ** 2
     ca.flags.writeable = False
@@ -162,17 +205,13 @@ def base_integral(
     """circle_integral of term(|cos(s - x)|, |1 + r e^{i(s - y)}|^2).
 
     Neither cosine depends on r or on term, so both are tabulated once per
-    piece of the circle rule and phase (x, y); a call evaluates only term
-    and the base, on the same nodes and with the same floats as the
-    integrand written out in s.
+    circle rule and phase (x, y); a call evaluates term and the base once,
+    on every node of the rule and with the same floats as the integrand
+    written out in s.
     """
-
-    def integrand_on(piece):
-        ca, c2 = _phase_factors(piece, x, y)
-        # the factors were taken at this piece's nodes, the s passed in
-        return lambda s: term(ca, _base(r, c2))
-
-    return _circle_sum(integrand_on, breaks, nodes)
+    pieces = _circle_pieces(tuple(breaks), nodes)
+    ca, c2 = _phase_factors(pieces, x, y)
+    return _circle_sum(term(ca, _base(r, c2)), _circle_rule(pieces))
 
 
 def _base(r: float, sq) -> np.ndarray:

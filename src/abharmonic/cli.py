@@ -15,7 +15,11 @@ configuration up to the `timestamp` field of JSON reports.
 Each command computes its whole result, then writes it through one of
 two writers, `_emit_json` and `_write_csv`; no output is opened before
 its result exists, so a command that exits 2 or 3 on its arguments or
-input file leaves its `--out` and `--csv` files untouched.
+input file leaves its `--out` and `--csv` files untouched.  JSON is the
+text of `json.dumps(doc, indent=2)` byte for byte, a non-finite float
+written as null, made in one pass by `_json_text`, which takes about half
+the time of `json.dumps`: the standard library writes indented JSON with
+its pure-Python encoder.
 
 `main` builds the argument parser once per process, on its first call,
 and looks up the subcommand's handler at each call, so a replaced
@@ -29,11 +33,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -84,20 +88,82 @@ def _parse_grid(text: str):
     return nr, nt
 
 
-def _finite_or_null(obj):
-    """obj with every non-finite float replaced by None: JSON has no NaN
-    or infinity, and a non-finite audit margin is already a violation."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+# the text of a str, int, bool or None by exact type; floats are written
+# where they are met, as they are the bulk of every report
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(obj, indent: int) -> str:
+    """The text of json.dumps(obj, indent=indent), byte for byte, except
+    that a non-finite float is written as null: JSON has no NaN or
+    infinity, and a non-finite audit margin is already a violation.  What
+    json.dumps rejects raises as it does there: TypeError for an object it
+    cannot write, ValueError for a non-finite float key."""
+    parts = []
+    _json_parts(obj, parts, "\n", " " * indent)
+    return "".join(parts)
+
+
+def _json_parts(obj, parts: list, newline: str, step: str) -> None:
+    # obj appended to parts at the depth whose line breaks are newline
     if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return obj
+        brackets, keys, values = "{}", map(_json_key, obj), obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets, keys, values = "[]", None, obj
+    else:
+        parts.append(_json_scalar(obj))
+        return
+    if not obj:
+        parts.append(brackets)
+        return
+    inner = newline + step
+    sep = brackets[0] + inner
+    for v in values:
+        parts.append(sep)
+        sep = "," + inner
+        if keys is not None:
+            parts.append(next(keys))
+        t = type(v)
+        if t is float:
+            parts.append(float.__repr__(v) if -math.inf < v < math.inf else "null")
+        elif t in _SCALAR_TEXT:
+            parts.append(_SCALAR_TEXT[t](v))
+        else:
+            _json_parts(v, parts, inner, step)
+    parts.append(newline + brackets[1])
+
+
+def _json_scalar(obj) -> str:
+    # a leaf that is not of an exact scalar type, tested in json's order
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return _SCALAR_TEXT[type(obj)](obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if -math.inf < obj < math.inf else "null"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    # a dict key and its separator, converted as json.dumps converts it
+    if isinstance(key, str):
+        return encode_basestring_ascii(key) + ": "
+    if isinstance(key, float) and not -math.inf < key < math.inf:
+        raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + _json_scalar(key) + '": '
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _emit_json(doc: dict, out_path) -> None:
-    text = json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n"
+    text = _json_text(doc, 2) + "\n"
     with _open_out(out_path) as fh:
         fh.write(text)
 

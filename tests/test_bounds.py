@@ -33,7 +33,7 @@ from abharmonic.bounds import (
     partial_constant,
     rado_radius_bound,
 )
-from abharmonic.errors import ConvergenceError, ParameterError
+from abharmonic.errors import ConvergenceError, DomainError, ParameterError
 from abharmonic.kernel import make_params
 from abharmonic.specfun import gamma
 
@@ -558,7 +558,8 @@ class TestKernelMoments:
 
     @staticmethod
     def cold_and_warm(moment, *args):
-        # the moment with its phase factors placed anew, then reused
+        # the moment with its rule and phase factors placed anew, then reused
+        _quad._circle_rule.cache_clear()
         _quad._phase_factors.cache_clear()
         _clear_moment_caches()
         cold = moment(*args)
@@ -597,13 +598,23 @@ class TestKernelMoments:
         assert self.cold_and_warm(oscillatory_moment, *args) == (expected, expected)
 
     def test_moments_share_phase_factors(self):
-        # two moments at one phase place the factors of its pieces once
+        # two moments at one phase and rule place its factors once
         _quad._phase_factors.cache_clear()
         _clear_moment_caches()
         oscillatory_moment(0.37, 1.7, 0.3, 2.5, 0.6, 0.7, 0.0, 2048)
         oscillatory_moment(2.5, 1.0, 0.2, 1.0, 0.5, 0.7, 0.0, 2048)
         info = _quad._phase_factors.cache_info()
-        assert (info.misses, info.hits) == (3, 3)
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("nodes", [0, -4, -4096])
+    @pytest.mark.parametrize("r", [0.5, 0.95])
+    def test_node_count_below_one_raises(self, r, nodes):
+        # on the trapezoid grid (r <= 0.9) and the halved circle, and no
+        # value is cached
+        _clear_moment_caches()
+        with pytest.raises(DomainError, match="nodes"):
+            bnd.plain_moment(0.3, r, nodes)
+        assert bnd.plain_moment.cache_info().currsize == 0
 
 
 class TestNonFiniteFlags:

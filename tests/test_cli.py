@@ -312,6 +312,71 @@ class TestCsvOutput:
         assert out.read_bytes() == b"x,y\r\n1,2\r\n"
 
 
+def _nulled(obj):
+    """obj with every non-finite float replaced by None, tuples as lists."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _nulled(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(v) for v in obj]
+    return obj
+
+
+# non-ASCII, quotes, backslashes and control characters
+JSON_STRINGS = st.one_of(
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é", "\u2028", "\U0001f600"])
+)
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf]),
+)
+JSON_LEAVES = st.one_of(
+    JSON_STRINGS, st.integers(-(2**80), 2**80), st.booleans(), st.none(), JSON_FLOATS
+)
+JSON_OBJECTS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(JSON_STRINGS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """cli._json_text writes the bytes of json.dumps(indent=2), with every
+    non-finite float as null."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(JSON_OBJECTS)
+    def test_text_is_json_dumps(self, obj):
+        assert cli._json_text(obj, 2) == json.dumps(_nulled(obj), indent=2, allow_nan=False)
+
+    def test_numpy_float_is_a_float(self):
+        obj = {"a": np.float64(0.1), "b": [np.float64(math.nan), np.float64(-0.0)]}
+        expected = json.dumps({"a": 0.1, "b": [None, -0.0]}, indent=2)
+        assert cli._json_text(obj, 2) == expected
+
+    @pytest.mark.parametrize("leaf", [np.int64(3), np.bool_(True), object()])
+    def test_what_json_rejects_raises(self, leaf):
+        with pytest.raises(TypeError):
+            json.dumps(leaf)
+        with pytest.raises(TypeError):
+            cli._json_text({"a": [leaf]}, 2)
+        with pytest.raises(TypeError):
+            cli._json_text(leaf, 2)
+
+    def test_keys_convert_as_json_does(self):
+        obj = {1: 0, 2.5: 1, True: 2, None: 3, "x": 4}
+        assert cli._json_text(obj, 2) == json.dumps(obj, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text({(1,): 0}, 2)
+        with pytest.raises(ValueError):
+            cli._json_text({math.nan: 0}, 2)
+
+
 class TestParsing:
     def test_p_inf_token(self, tmp_path):
         out = tmp_path / "bounds.json"

@@ -104,19 +104,40 @@ def test_non_finite_break_point_raises(bad):
     assert calls == []
 
 
-@pytest.mark.parametrize("piece", [(256,), (0.0, math.pi, 256)])
-def test_phase_factors_are_read_only(piece):
-    for arr in _quad._phase_factors(piece, 0.7, -0.4):
+# two rules of each kind: the 256-point trapezoid grid, the circle halved at
+# pi, and the quarter turns split at x + pi/2, x + 3 pi/2 and y + pi of a
+# bounds report's oscillatory moment at r > 0.9
+RULES = [
+    ((256,),),
+    _quad._circle_pieces((math.pi,), 512),
+    _quad._circle_pieces((HALF_PI, 3.0 * HALF_PI, math.pi), 4096),
+]
+
+
+@pytest.mark.parametrize("pieces", RULES)
+def test_phase_factors_are_read_only(pieces):
+    for arr in _quad._phase_factors(pieces, 0.7, -0.4):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
-@pytest.mark.parametrize("piece", [(256,), BOUNDS_PIECES[4]])
-def test_phase_factors_are_the_written_out_cosines(piece):
-    s = _quad.circle_nodes(256) if len(piece) == 1 else _quad._tanh_sinh_nodes(*piece)[0]
-    ca, c2 = _quad._phase_factors(piece, 0.7, -0.4)
+@pytest.mark.parametrize("pieces", [RULES[0], RULES[2]])
+def test_phase_factors_are_the_written_out_cosines(pieces):
+    if len(pieces[0]) == 1:
+        s = _quad.circle_nodes(256)
+    else:
+        s = np.concatenate([_quad._tanh_sinh_nodes(*piece)[0] for piece in pieces])
+    ca, c2 = _quad._phase_factors(pieces, 0.7, -0.4)
     assert np.array_equal(ca, np.abs(np.cos(s - 0.7)))
     assert np.array_equal(c2, np.cos(0.5 * (s + 0.4)) ** 2)
+
+
+@pytest.mark.parametrize("pieces", RULES)
+def test_circle_rule_is_read_only(pieces):
+    s, w, _ = _quad._circle_rule(pieces)
+    for arr in (s,) if w is None else (s, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_phase_cache_is_bounded():
@@ -124,6 +145,79 @@ def test_phase_cache_is_bounded():
         base_integral(lambda ca, base: ca * base, 0.5, k / 64.0, 0.0, (), 64)
     info = _quad._phase_factors.cache_info()
     assert info.maxsize == info.currsize == 64
+
+
+def test_rule_cache_is_bounded():
+    for k in range(128):
+        circle_integral(np.cos, (k / 64.0,), 512)
+    info = _quad._circle_rule.cache_info()
+    assert info.maxsize == info.currsize == 64
+
+
+# break sets with wrap-around (negative and beyond 2 pi), duplicates, breaks
+# at 0 and 2 pi, a single break, and a report's four quarter-turn pieces
+BREAK_SETS = [
+    (math.pi,),
+    (-1.0, 2.0 * math.pi + 0.5, 3.0),
+    (0.3, 0.3, 0.3 + 2.0 * math.pi, 4.0),
+    (0.0, 2.0 * math.pi, 1.7),
+    (0.0,),
+    (HALF_PI, 3.0 * HALF_PI, math.pi),
+]
+
+
+def piecewise_formula(fn, breaks, nodes):
+    """The circle rule written out piece by piece from the placed nodes."""
+    total = 0
+    for a, b, n in _quad._circle_pieces(breaks, nodes):
+        x, w = _quad._tanh_sinh_nodes(a, b, n)
+        total += float(0.5 * (b - a) * np.sum(w * fn(x)))
+    return total
+
+
+@pytest.mark.parametrize("nodes", [64, 2048, DEFAULT_NODES])
+@pytest.mark.parametrize("breaks", BREAK_SETS)
+def test_circle_integral_gives_piecewise_bits(breaks, nodes):
+    calls = []
+
+    def fn(s):
+        calls.append(s.size)
+        return integrand(s)
+
+    assert circle_integral(fn, breaks, nodes) == piecewise_formula(integrand, breaks, nodes)
+    # one call, on every kept node of every piece
+    rule = _quad._circle_rule(_quad._circle_pieces(breaks, nodes))
+    assert calls == [rule[0].size]
+
+
+@pytest.mark.parametrize("nodes", [64, 2048, DEFAULT_NODES])
+@pytest.mark.parametrize("r", [0.6, 0.95, 1.0])
+@pytest.mark.parametrize("breaks", BREAK_SETS)
+def test_base_integral_gives_piecewise_bits(breaks, r, nodes):
+    x, y, m, k = 0.7, -0.4, -0.3, 1.7
+    calls = []
+
+    def term(ca, base):
+        calls.append(ca.size)
+        return (0.2 + ca) ** k * base**m
+
+    def written_out(s):
+        base = (1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * (s - y)) ** 2
+        return (0.2 + np.abs(np.cos(s - x))) ** k * base**m
+
+    assert base_integral(term, r, x, y, breaks, nodes) == piecewise_formula(written_out, breaks, nodes)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nodes", [0, -4, -4096])
+@pytest.mark.parametrize("breaks", [(), (math.pi,)])
+def test_node_count_below_one_raises(breaks, nodes):
+    calls = []
+    with pytest.raises(DomainError, match="nodes"):
+        circle_integral(lambda s: calls.append(s) or np.ones_like(s), breaks, nodes)
+    with pytest.raises(DomainError, match="nodes"):
+        base_integral(lambda ca, base: calls.append(ca) or base, 0.5, 0.0, 0.0, breaks, nodes)
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 50.0])
