@@ -8,22 +8,24 @@ Two rules cover everything this package integrates:
   kinks (``|cos|`` factors) or integrable algebraic endpoint
   singularities (weights like ``(2 - 2*cos b)**m`` with ``m > -1/2``).
 
-Integrands are expected to accept numpy arrays.  Tanh-sinh nodes and
-weights are placed once per (a, b, n) in a small per-process cache, so
-repeated integrals over the same piece only evaluate the integrand.
+Integrands are expected to accept numpy arrays.  The standard tanh-sinh
+rule of n nodes on (-1, 1) is kept per n in a small per-process cache;
+integrate places it on (a, b) on every call.
 
 Circle integrals split [0, 2pi] by one rule, shared by circle_integral and
 base_integral: the trapezoid grid without break points, else a tanh-sinh
 piece between each two neighbouring break points.  The nodes of all its
-pieces are kept as one read-only array per rule (per-process caches of
-256 splits and 64 rules), so an integrand is evaluated once per integral,
-on every node at once; each piece is then summed on its own slice, which
-gives the same bits as integrating the pieces one by one, as elementwise
-ufuncs and numpy's pairwise sum of a contiguous slice do not depend on
-what lies around the slice.  The kernel moments go through base_integral,
-whose integrands are functions of |cos(s - x)| and cos((s - y)/2)^2 only;
-a further cache holds those two read-only factor arrays per rule and
-phase (x, y) (64 entries), so a moment evaluates only its own powers.
+pieces are kept as one read-only array per rule, in a per-process cache
+of 64 rules keyed on the break tuple as the caller passes it and the node
+count (the split and the placement run only when a rule is built), so an
+integrand is evaluated once per integral, on every node at once; each
+piece is then summed on its own slice, which gives the same bits as
+integrating the pieces one by one, as elementwise ufuncs and numpy's
+pairwise sum of a contiguous slice do not depend on what lies around the
+slice.  The kernel moments go through base_integral, whose integrands are
+functions of |cos(s - x)| and cos((s - y)/2)^2 only; a further cache holds
+those two read-only factor arrays per rule and phase (x, y) (64 entries),
+so a moment evaluates only its own powers.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ def circle_nodes(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
-def circle_mean(fn, nodes: int = DEFAULT_NODES):
-    """Mean value (1/2pi) * integral of fn over [0, 2pi), trapezoid rule."""
-    return np.mean(fn(circle_nodes(nodes)))
-
-
 def p_mean(vals, p: float) -> float:
     """(mean |vals|^p)^(1/p) over circle-grid samples; p = inf takes max |vals|."""
     if not p >= 1.0:
@@ -66,33 +63,32 @@ def p_mean(vals, p: float) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _tanh_sinh_rule(n: int, tmax: float = 3.6):
-    # Nodes u = tanh(v), v = (pi/2) sinh t.  The distance of a node to the
-    # nearer endpoint, 1 - |u|, is computed without cancellation so that
-    # integrands singular at an endpoint are evaluated at honest positions.
-    t = np.linspace(-tmax, tmax, n)
+def _tanh_sinh_rule(n: int):
+    # Nodes u = tanh(v), v = (pi/2) sinh t on n steps of t in [-3.6, 3.6].
+    # The distance of a node to the nearer endpoint, 1 - |u|, is computed
+    # without cancellation so that integrands singular at an endpoint are
+    # evaluated at honest positions.  Read-only, as every caller shares it.
+    t = np.linspace(-3.6, 3.6, n)
     h = t[1] - t[0]
     v = 0.5 * np.pi * np.sinh(t)
     w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(v) ** 2
     ev = np.exp(-2.0 * np.abs(v))
     dist = 2.0 * ev / (1.0 + ev)  # = 1 - |u|
     upper = t >= 0.0
+    for arr in (w, dist, upper):
+        arr.flags.writeable = False
     return w, dist, upper
 
 
-@functools.lru_cache(maxsize=64)
 def _tanh_sinh_nodes(a: float, b: float, n: int):
     # The rule of _tanh_sinh_rule(n) placed on (a, b): the nodes that do not
     # collapse onto an endpoint in floating point, and their weights (still
-    # to be scaled by (b - a) / 2).  Read-only, as every caller shares them.
+    # to be scaled by (b - a) / 2).
     w, dist, upper = _tanh_sinh_rule(n)
     half = 0.5 * (b - a)
     x = np.where(upper, b - half * dist, a + half * dist)
     keep = (x != a) & (x != b)
-    x, w = x[keep], w[keep]
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return x[keep], w[keep]
 
 
 def integrate(fn, a: float, b: float, nodes: int = 600) -> float:
@@ -114,17 +110,9 @@ def integrate(fn, a: float, b: float, nodes: int = 600) -> float:
     return float(half * np.sum(w * vals))
 
 
-@functools.lru_cache(maxsize=256)
-def _circle_pieces(breaks: tuple, nodes: int) -> tuple:
-    # The pieces of the circle rule: ((nodes,),), the n-point trapezoid
-    # grid, with no break points, else the tanh-sinh pieces (a, b, n) of
-    # [0, 2pi] split at the break points taken modulo 2 pi, with the node
-    # budget shared among them.  A bad argument raises on every call, as
-    # lru_cache keeps no exception.
-    if not nodes >= 1:
-        raise DomainError(f"circle integrals need nodes >= 1, got {nodes}")
-    if not breaks:
-        return ((nodes,),)
+def _circle_pieces(breaks: tuple, nodes: int) -> list:
+    # The tanh-sinh pieces (a, b, n) of [0, 2pi] split at the break points
+    # taken modulo 2 pi, with the node budget shared among them.
     pts = {0.0, TWO_PI}
     for s in breaks:
         s = float(s)
@@ -134,20 +122,26 @@ def _circle_pieces(breaks: tuple, nodes: int) -> tuple:
     pts = sorted(pts)
     pieces = [(a, b) for a, b in zip(pts[:-1], pts[1:]) if b - a > 1e-13]
     per = max(nodes // max(len(pieces), 1), 201)
-    return tuple((a, b, per) for a, b in pieces)
+    return [(a, b, per) for a, b in pieces]
 
 
 @functools.lru_cache(maxsize=64)
-def _circle_rule(pieces):
+def _circle_rule(breaks: tuple, nodes: int):
     # The nodes s of every piece of the circle rule in one read-only array,
-    # their weights w and each piece's (start, stop, half): the n-point grid
-    # and w = None for the trapezoid piece (n,), else the kept tanh-sinh
-    # nodes of each piece (a, b, n) in piece order, weights still to be
-    # scaled by half = (b - a) / 2.
-    if len(pieces[0]) == 1:
-        s = circle_nodes(*pieces[0])
+    # their weights w and each piece's (start, stop, half): the n-point
+    # trapezoid grid and w = None without break points, else the kept
+    # tanh-sinh nodes of each piece (a, b, n) of _circle_pieces in piece
+    # order, weights still to be scaled by half = (b - a) / 2.  Keyed on
+    # the break tuple as passed, so break sets that split the circle alike
+    # hold equal rules under separate keys.  A bad argument raises on every
+    # call, as lru_cache keeps no exception.
+    if not nodes >= 1:
+        raise DomainError(f"circle integrals need nodes >= 1, got {nodes}")
+    if not breaks:
+        s = circle_nodes(nodes)
         s.flags.writeable = False
         return s, None, ()
+    pieces = _circle_pieces(breaks, nodes)
     xs, ws = zip(*(_tanh_sinh_nodes(*piece) for piece in pieces))
     s, w = np.concatenate(xs), np.concatenate(ws)
     s.flags.writeable = False
@@ -183,15 +177,15 @@ def circle_integral(fn, breaks=(), nodes: int = DEFAULT_NODES) -> float:
     read-only array of every node of the rule.  A non-finite break point
     or nodes < 1 raises DomainError.
     """
-    rule = _circle_rule(_circle_pieces(tuple(breaks), nodes))
+    rule = _circle_rule(tuple(breaks), nodes)
     return _circle_sum(fn(rule[0]), rule)
 
 
 @functools.lru_cache(maxsize=64)
-def _phase_factors(pieces, x: float, y: float):
+def _phase_factors(breaks: tuple, nodes: int, x: float, y: float):
     # |cos(s - x)| and cos((s - y) / 2)^2 at the nodes s of the circle rule
-    # of these pieces.  Read-only, as every caller shares them.
-    s = _circle_rule(pieces)[0]
+    # _circle_rule(breaks, nodes).  Read-only, as every caller shares them.
+    s = _circle_rule(breaks, nodes)[0]
     ca = np.abs(np.cos(s - x))
     c2 = np.cos(0.5 * (s - y)) ** 2
     ca.flags.writeable = False
@@ -209,9 +203,9 @@ def base_integral(
     on every node of the rule and with the same floats as the integrand
     written out in s.
     """
-    pieces = _circle_pieces(tuple(breaks), nodes)
-    ca, c2 = _phase_factors(pieces, x, y)
-    return _circle_sum(term(ca, _base(r, c2)), _circle_rule(pieces))
+    breaks = tuple(breaks)
+    ca, c2 = _phase_factors(breaks, nodes, x, y)
+    return _circle_sum(term(ca, _base(r, c2)), _circle_rule(breaks, nodes))
 
 
 def _base(r: float, sq) -> np.ndarray:

@@ -15,7 +15,9 @@ configuration up to the `timestamp` field of JSON reports.
 Each command computes its whole result, then writes it through one of
 two writers, `_emit_json` and `_write_csv`; no output is opened before
 its result exists, so a command that exits 2 or 3 on its arguments or
-input file leaves its `--out` and `--csv` files untouched.  JSON is the
+input file leaves its `--out` and `--csv` files untouched.  `audit`, whose
+`--out` and `--csv` are two outputs, makes both texts first and writes
+them all or none through `_write_outputs`.  JSON is the
 text of `json.dumps(doc, indent=2)` byte for byte, a non-finite float
 written as null, made in one pass by `_json_text`, which takes about half
 the time of `json.dumps`: the standard library writes indented JSON with
@@ -32,10 +34,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
+import io
 import math
+import os
 import sys
-from contextlib import nullcontext
+import tempfile
+from contextlib import nullcontext, suppress
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 
@@ -168,15 +174,54 @@ def _emit_json(doc: dict, out_path) -> None:
         fh.write(text)
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write header, then each row: a float to 17 significant digits, a
-    string as it is, None as an empty field.  Rows may be a generator;
-    each is formatted as it is written."""
-    with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # csv writes None as an empty field
-        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+def _write_csv(fh, header, rows) -> None:
+    """Write header, then each row, to the text stream fh: a float to 17
+    significant digits, a string as it is, None as an empty field.  Rows
+    may be a generator; each is formatted as it is written."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    # csv writes None as an empty field
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _write_outputs(outputs) -> None:
+    """Write each text of outputs, (path, text) pairs, to its path, or to
+    stdout where the path is empty: all or none.  Each file's text goes to
+    a new temporary file beside it, with the mode a new file gets, and the
+    temporary files replace their targets only once all are written;
+    stdout is written last.  So an output that cannot be written leaves
+    every output as it was."""
+    mask = os.umask(0)
+    os.umask(mask)
+    made = []
+    try:
+        for path, text in outputs:
+            if not path:
+                continue
+            try:
+                # os.replace would fail on a directory only after the other
+                # outputs were replaced
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                head, tail = os.path.split(path)
+                fd, tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head or ".")
+            except OSError as exc:
+                # name the output, not its temporary file
+                raise OSError(exc.errno, exc.strerror, path) from None
+            made.append((tmp, path))
+            with open(fd, "w", newline="", encoding="utf-8") as fh:
+                os.fchmod(fd, 0o666 & ~mask)
+                fh.write(text)
+        for tmp, path in made:
+            os.replace(tmp, path)
+    finally:
+        # the temporary files not moved into place
+        for tmp, _ in made:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+    for path, text in outputs:
+        if not path:
+            sys.stdout.write(text)
 
 
 def _timestamp() -> str:
@@ -202,7 +247,8 @@ def cmd_solve(args) -> int:
         for r, vals in zip(radii, rings)
         for z, v in zip(r * np.exp(1j * thetas), vals)
     )
-    _write_csv(args.out, ("x", "y", "re", "im"), rows)
+    with _open_out(args.out) as fh:
+        _write_csv(fh, ("x", "y", "re", "im"), rows)
     return EXIT_OK
 
 
@@ -250,10 +296,13 @@ def cmd_audit(args) -> int:
         "results": [r.to_dict() for r in results],
         "timestamp": _timestamp(),
     }
-    _emit_json(doc, args.out)
+    outputs = [(args.out, _json_text(doc, 2) + "\n")]
     csv_path = getattr(args, "csv", None)
     if csv_path:
-        _write_csv(csv_path, ("case", "r", "margin"), merge_results(args.suite, results).details)
+        buf = io.StringIO(newline="")
+        _write_csv(buf, ("case", "r", "margin"), merge_results(args.suite, results).details)
+        outputs.append((csv_path, buf.getvalue()))
+    _write_outputs(outputs)
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
 
 

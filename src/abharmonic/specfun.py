@@ -9,12 +9,17 @@ arguments on (-1, 1):
 * direct term recurrence for |x| <= 0.8,
 * the Pfaff map x -> x/(x-1) for x < -0.8,
 * the connection formula toward argument 1-x for 0.8 < x < 1 when
-  c - a - b > 0 and safely away from the integer-degenerate case; for
-  near-integer c - a - b the direct series is kept (it still converges
+  c - a - b > 0 and safely away from the integer-degenerate case,
+* Euler's transformation F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x)
+  (DLMF 15.8.1) for 0.8 < x < 1 when c - a - b < 0 away from integers,
+  which turns c - a - b into a + b - c > 0 for the connection formula;
+  for near-integer c - a - b the direct series is kept (it still converges
   for x < 1 and the connection coefficients would cancel catastrophically).
 
-A ConvergenceError is raised when the term budget runs out, which happens
-only for x very close to 1 with no usable transformation.
+A ConvergenceError is raised when the term budget of MAX_TERMS runs out.
+For 0.8 < x < 1 and moderate parameters that happens only where c - a - b
+lies within _DEGENERATE_GAP of an integer, once x is close enough to 1:
+the direct series needs about 1/(1-x) terms there.
 """
 
 from __future__ import annotations
@@ -168,21 +173,25 @@ def gauss_2f1(p, x: float) -> float:
         return (1.0 - x) ** (-a) * gauss_2f1(HypParams(a, c - b, c), x / (x - 1.0))
 
     cab = c - a - b
-    if cab > 0.0 and abs(cab - round(cab)) >= _DEGENERATE_GAP:
-        y = 1.0 - x
-        coef1 = gauss_2f1_at_one(p)
-        coef2 = gamma(c) * gamma(-cab) * reciprocal_gamma(a) * reciprocal_gamma(b)
-        total = 0.0
-        if coef1 != 0.0:
-            total += coef1 * _series(a, b, a + b - c + 1.0, y)
-        if coef2 != 0.0:
-            total += coef2 * y**cab * _series(c - a, c - b, cab + 1.0, y)
-        return total
+    if abs(cab - round(cab)) < _DEGENERATE_GAP:
+        # Near-integer c-a-b: connection coefficients are singular, so fall
+        # back to the direct series, which converges for x < 1 and fails
+        # loudly via ConvergenceError only as x -> 1.
+        return _series(a, b, c, x)
 
-    # Near-integer (or non-positive) c-a-b: connection coefficients are
-    # singular, so fall back to the direct series, which converges for
-    # x < 1 and fails loudly via ConvergenceError only as x -> 1.
-    return _series(a, b, c, x)
+    if cab < 0.0:
+        # Euler: the new triple has c - a - b = -cab > 0, away from integers
+        return (1.0 - x) ** cab * gauss_2f1(HypParams(c - a, c - b, c), x)
+
+    y = 1.0 - x
+    coef1 = gauss_2f1_at_one(p)
+    coef2 = gamma(c) * gamma(-cab) * reciprocal_gamma(a) * reciprocal_gamma(b)
+    total = 0.0
+    if coef1 != 0.0:
+        total += coef1 * _series(a, b, a + b - c + 1.0, y)
+    if coef2 != 0.0:
+        total += coef2 * y**cab * _series(c - a, c - b, cab + 1.0, y)
+    return total
 
 
 def gauss_2f1_at_one(p) -> float:

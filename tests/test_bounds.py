@@ -519,6 +519,27 @@ class TestFullReport:
         cold = full_report(params, hp).to_dict()
         assert full_report(params, hp).to_dict() == cold
 
+    def test_every_report_warm_equals_cold(self):
+        # every cache of _quad and bounds, found by its cache_clear, is
+        # emptied before each cold report; the warm pass then reuses what
+        # all nine reports left behind, rules and phase factors included
+        caches = [
+            fn for mod in (_quad, bnd) for fn in vars(mod).values() if hasattr(fn, "cache_clear")
+        ]
+        assert {fn.__name__ for fn in caches} >= {"_circle_rule", "_phase_factors", "plain_moment"}
+        cases = [
+            (make_params(*pair), HolderPair.from_p(p_exp))
+            for pair in ((0.3, -0.2), (0.5, 0.5), (-0.3, -0.6))
+            for p_exp in (1.0, 3.0, math.inf)
+        ]
+        cold = []
+        for params, hp in cases:
+            for fn in caches:
+                fn.cache_clear()
+            cold.append(repr(full_report(params, hp).to_dict()))
+        for _ in range(2):
+            assert [repr(full_report(params, hp).to_dict()) for params, hp in cases] == cold
+
     def test_shared_moment_independent_of_order(self):
         # at the supremum, radial and angular bounds share one moment
         params, hp = make_params(0.3, -0.2), HolderPair.from_p(2.0)

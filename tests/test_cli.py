@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import stat
 
 import numpy as np
 import pytest
@@ -294,6 +295,15 @@ class TestCsvOutput:
             assert float(margin) == want_margin
         assert any(r == "" for _, r, _ in rows) and any(r != "" for _, r, _ in rows)
 
+    def test_audit_outputs_get_the_mode_of_a_new_file(self, tmp_path):
+        # written through temporary files, which are made private (0600)
+        out, margins, plain = tmp_path / "a.json", tmp_path / "m.csv", tmp_path / "plain"
+        plain.write_text("")
+        args = ["audit", "--suite", "growth", "--nodes", "256", "--out", str(out), "--csv", str(margins)]
+        assert main(args) == 0
+        modes = {stat.S_IMODE(p.stat().st_mode) for p in (out, margins, plain)}
+        assert len(modes) == 1
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -302,14 +312,26 @@ class TestCsvOutput:
             (["solve", "{missing}", "--out", "{out}"], 3),
             (["bounds", "--p", "0.5", "--out", "{out}"], 2),
             (["audit", "--suite", "growth", "--alpha", "-1", "--out", "{out}", "--csv", "{out}"], 2),
+            # an output that cannot be written leaves the other as it was
+            (["audit", "--suite", "growth", "--nodes", "256", "--out", "{out}", "--csv", "{nodir}"], 3),
+            (["audit", "--suite", "growth", "--nodes", "256", "--out", "{nodir}", "--csv", "{out}"], 3),
+            (["audit", "--suite", "growth", "--nodes", "256", "--out", "{out}", "--csv", "{dir}"], 3),
         ],
     )
     def test_failing_command_leaves_output_untouched(self, tmp_path, constant_boundary, argv, code):
         out = tmp_path / "keep.csv"
         out.write_bytes(b"x,y\r\n1,2\r\n")
-        paths = {"doc": constant_boundary, "missing": str(tmp_path / "absent.json"), "out": str(out)}
+        paths = {
+            "doc": constant_boundary,
+            "missing": str(tmp_path / "absent.json"),
+            "out": str(out),
+            "nodir": str(tmp_path / "nodir" / "m.csv"),
+            "dir": str(tmp_path),
+        }
         assert main([a.format(**paths) for a in argv]) == code
         assert out.read_bytes() == b"x,y\r\n1,2\r\n"
+        # and no temporary file is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv", "one.json"]
 
 
 def _nulled(obj):

@@ -45,34 +45,36 @@ def integrand(t):
 
 
 @pytest.mark.parametrize("a, b, nodes", PIECES)
-def test_cached_nodes_give_placed_bits(a, b, nodes):
-    _quad._tanh_sinh_nodes.cache_clear()
+def test_integrate_gives_placed_bits(a, b, nodes):
+    _quad._tanh_sinh_rule.cache_clear()
     expected = placed_formula(integrand, a, b, nodes)
-    cold = integrate(integrand, a, b, nodes)
-    warm = integrate(integrand, a, b, nodes)
-    assert cold == expected and warm == expected
-    info = _quad._tanh_sinh_nodes.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    # on a cold and on a warm standard rule
+    assert integrate(integrand, a, b, nodes) == expected
+    assert integrate(integrand, a, b, nodes) == expected
 
 
 def test_collapsed_nodes_are_dropped():
-    x, w = _quad._tanh_sinh_nodes(1.0, 1.0 + 1e-12, 600)
-    assert 0 < x.size < 600 and x.size == w.size
+    seen = []
+    integrate(lambda x: seen.append(x) or np.ones_like(x), 1.0, 1.0 + 1e-12, 600)
+    (x,) = seen
+    assert 0 < x.size < 600
     assert np.all((x > 1.0) & (x < 1.0 + 1e-12))
 
 
-def test_cached_arrays_are_read_only():
-    x, w = _quad._tanh_sinh_nodes(0.0, math.pi, 256)
-    for arr in (x, w):
+@pytest.mark.parametrize("nodes", [51, 600, 2048])
+def test_standard_rule_is_read_only(nodes):
+    for arr in _quad._tanh_sinh_rule(nodes):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
-def test_cache_is_bounded():
+def test_integrate_keeps_only_the_standard_rule():
+    # nodes are placed on every call: 128 intervals add one entry, the rule
+    _quad._tanh_sinh_rule.cache_clear()
     for k in range(128):
         integrate(np.cos, 0.0, 1.0 + k / 256.0, 64)
-    info = _quad._tanh_sinh_nodes.cache_info()
-    assert info.maxsize == info.currsize == 64
+    info = _quad._tanh_sinh_rule.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -87,11 +89,11 @@ def test_cache_is_bounded():
     ],
 )
 def test_non_finite_limit_raises(a, b):
-    _quad._tanh_sinh_nodes.cache_clear()
+    _quad._tanh_sinh_rule.cache_clear()
     calls = []
     with pytest.raises(DomainError):
         integrate(lambda t: calls.append(t) or np.ones_like(t), a, b)
-    assert calls == [] and _quad._tanh_sinh_nodes.cache_info().currsize == 0
+    assert calls == [] and _quad._tanh_sinh_rule.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -104,37 +106,45 @@ def test_non_finite_break_point_raises(bad):
     assert calls == []
 
 
-# two rules of each kind: the 256-point trapezoid grid, the circle halved at
-# pi, and the quarter turns split at x + pi/2, x + 3 pi/2 and y + pi of a
-# bounds report's oscillatory moment at r > 0.9
+def placed_nodes(breaks, nodes):
+    """The nodes of the circle rule, each piece placed anew."""
+    if not breaks:
+        return _quad.circle_nodes(nodes)
+    pieces = []
+    for a, b, n in _quad._circle_pieces(breaks, nodes):
+        integrate(lambda x: pieces.append(x) or np.ones_like(x), a, b, n)
+    return np.concatenate(pieces)
+
+
+# (breaks, nodes) of two rules of each kind: the 256-point trapezoid grid,
+# the circle halved at pi, and the quarter turns split at x + pi/2,
+# x + 3 pi/2 and y + pi of a bounds report's oscillatory moment at r > 0.9
 RULES = [
-    ((256,),),
-    _quad._circle_pieces((math.pi,), 512),
-    _quad._circle_pieces((HALF_PI, 3.0 * HALF_PI, math.pi), 4096),
+    ((), 256),
+    ((math.pi,), 512),
+    ((HALF_PI, 3.0 * HALF_PI, math.pi), 4096),
 ]
 
 
-@pytest.mark.parametrize("pieces", RULES)
-def test_phase_factors_are_read_only(pieces):
-    for arr in _quad._phase_factors(pieces, 0.7, -0.4):
+@pytest.mark.parametrize("breaks, nodes", RULES)
+def test_phase_factors_are_read_only(breaks, nodes):
+    for arr in _quad._phase_factors(breaks, nodes, 0.7, -0.4):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
-@pytest.mark.parametrize("pieces", [RULES[0], RULES[2]])
-def test_phase_factors_are_the_written_out_cosines(pieces):
-    if len(pieces[0]) == 1:
-        s = _quad.circle_nodes(256)
-    else:
-        s = np.concatenate([_quad._tanh_sinh_nodes(*piece)[0] for piece in pieces])
-    ca, c2 = _quad._phase_factors(pieces, 0.7, -0.4)
+@pytest.mark.parametrize("breaks, nodes", RULES)
+def test_phase_factors_are_the_written_out_cosines(breaks, nodes):
+    s = placed_nodes(breaks, nodes)
+    ca, c2 = _quad._phase_factors(breaks, nodes, 0.7, -0.4)
     assert np.array_equal(ca, np.abs(np.cos(s - 0.7)))
     assert np.array_equal(c2, np.cos(0.5 * (s + 0.4)) ** 2)
 
 
-@pytest.mark.parametrize("pieces", RULES)
-def test_circle_rule_is_read_only(pieces):
-    s, w, _ = _quad._circle_rule(pieces)
+@pytest.mark.parametrize("breaks, nodes", RULES)
+def test_circle_rule_is_read_only(breaks, nodes):
+    s, w, _ = _quad._circle_rule(breaks, nodes)
+    assert np.array_equal(s, placed_nodes(breaks, nodes))
     for arr in (s,) if w is None else (s, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -167,11 +177,10 @@ BREAK_SETS = [
 
 
 def piecewise_formula(fn, breaks, nodes):
-    """The circle rule written out piece by piece from the placed nodes."""
+    """The circle rule written out piece by piece: integrate on each."""
     total = 0
     for a, b, n in _quad._circle_pieces(breaks, nodes):
-        x, w = _quad._tanh_sinh_nodes(a, b, n)
-        total += float(0.5 * (b - a) * np.sum(w * fn(x)))
+        total += integrate(fn, a, b, n)
     return total
 
 
@@ -186,8 +195,24 @@ def test_circle_integral_gives_piecewise_bits(breaks, nodes):
 
     assert circle_integral(fn, breaks, nodes) == piecewise_formula(integrand, breaks, nodes)
     # one call, on every kept node of every piece
-    rule = _quad._circle_rule(_quad._circle_pieces(breaks, nodes))
-    assert calls == [rule[0].size]
+    assert calls == [placed_nodes(breaks, nodes).size]
+
+
+@pytest.mark.parametrize("nodes", [64, 2048])
+def test_break_sets_that_split_alike_give_equal_bits(nodes):
+    # each tuple as passed is its own key, so four entries hold equal rules
+    x, y = 0.7, -0.4
+    alike = [(math.pi,), (-math.pi,), (3.0 * math.pi,), (math.pi, 2.0 * math.pi)]
+    _quad._circle_rule.cache_clear()
+    _quad._phase_factors.cache_clear()
+    circles = {circle_integral(integrand, breaks, nodes) for breaks in alike}
+    bases = {
+        base_integral(lambda ca, base: (0.2 + ca) * base**-0.3, 0.95, x, y, breaks, nodes)
+        for breaks in alike
+    }
+    assert len(circles) == len(bases) == 1
+    assert _quad._circle_rule.cache_info().currsize == 4
+    assert _quad._phase_factors.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("nodes", [64, 2048, DEFAULT_NODES])

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from abharmonic.errors import ConvergenceError, DomainError, ParameterError, PoleError
 from abharmonic.specfun import (
+    _DEGENERATE_GAP,
     MAX_TERMS,
     HypParams,
     beta,
@@ -188,10 +191,30 @@ class TestGauss2F1:
         assert all(d2 >= d1 - 1e-14 for d1, d2 in zip(increasing, increasing[1:]))
 
     def test_convergence_error_reported(self):
-        # c - a - b < 0 and x close to 1: no transformation applies and the
-        # direct series exhausts its budget
+        # c - a - b = -1 is an integer and x is close to 1: no transformation
+        # applies and the direct series exhausts its budget
         with pytest.raises(ConvergenceError):
-            gauss_2f1((1.0, 1.0, 1.5), 0.999999)
+            gauss_2f1((1.0, 1.0, 1.0), 0.999999)
+
+    def test_negative_c_minus_a_minus_b_near_one_against_mpmath(self):
+        # 0.8 < x < 1 with c - a - b < 0 away from integers, where the direct
+        # series would need about 1/(1 - x) terms (up to 1e8 here): Euler's
+        # transformation hands the connection formula c - a - b > 0
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(3)
+        cases = 0
+        for _ in range(400):
+            a, b, c = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0)
+            x = 1.0 - 10.0 ** -rng.uniform(1.0, 8.0)
+            cab = c - a - b
+            if cab >= 0.0 or abs(cab - round(cab)) < _DEGENERATE_GAP:
+                continue
+            cases += 1
+            with mp.workdps(40):
+                expected = float(mp.hyp2f1(a, b, c, x))
+            assert gauss_2f1((a, b, c), x) == pytest.approx(expected, rel=1e-12), (a, b, c, x)
+        # the draw must reach the regime, or the test checks nothing
+        assert cases >= 50
 
     def test_convergence_error_attributes(self):
         # c - a - b = 2 is an integer, so only the direct series applies
