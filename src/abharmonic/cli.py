@@ -39,8 +39,8 @@ import functools
 import io
 import math
 import os
+import stat
 import sys
-import tempfile
 from contextlib import nullcontext, suppress
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -186,35 +186,51 @@ def _write_csv(fh, header, rows) -> None:
 
 def _write_outputs(outputs) -> None:
     """Write each text of outputs, (path, text) pairs, to its path, or to
-    stdout where the path is empty: all or none.  Each file's text goes to
-    a new temporary file beside it, with the mode a new file gets, and the
-    temporary files replace their targets only once all are written;
-    stdout is written last.  So an output that cannot be written leaves
-    every output as it was."""
-    mask = os.umask(0)
-    os.umask(mask)
-    made = []
+    stdout where the path is empty: all or none.  A path that names no
+    file, or a regular file through any symlinks, gets its text in a new
+    file beside the file it names, with that file's mode or, for a new
+    file, the mode `open` gives; these files replace their targets only
+    once all are written.  Any other path, such as os.devnull, a FIFO or
+    /dev/fd/N, is opened before anything is replaced and written after;
+    stdout is written last.  So an output that cannot be created or
+    opened leaves every output as it was.  A replaced file is a new file:
+    it belongs to the writer, and its other hard links keep the old text."""
+    made, opened = [], []
     try:
-        for path, text in outputs:
+        for i, (path, text) in enumerate(outputs):
             if not path:
                 continue
             try:
-                # os.replace would fail on a directory only after the other
-                # outputs were replaced
-                if os.path.isdir(path):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                head, tail = os.path.split(path)
-                fd, tmp = tempfile.mkstemp(prefix=f".{tail}.", suffix=".tmp", dir=head or ".")
+                st = os.stat(path)
+            except FileNotFoundError:
+                st = None
+            if st is not None and not stat.S_ISREG(st.st_mode):
+                # written through; open refuses a directory
+                opened.append((open(path, "w", newline="", encoding="utf-8"), text))
+                continue
+            if st is not None and not os.access(path, os.W_OK):
+                # where open(path, "w") would be refused
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            target = os.path.realpath(path)
+            head, tail = os.path.split(target)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
+            try:
+                fh = open(tmp, "x", newline="", encoding="utf-8")
             except OSError as exc:
                 # name the output, not its temporary file
                 raise OSError(exc.errno, exc.strerror, path) from None
-            made.append((tmp, path))
-            with open(fd, "w", newline="", encoding="utf-8") as fh:
-                os.fchmod(fd, 0o666 & ~mask)
+            made.append((tmp, target))
+            with fh:
+                if st is not None:
+                    os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
                 fh.write(text)
-        for tmp, path in made:
-            os.replace(tmp, path)
+        for tmp, target in made:
+            os.replace(tmp, target)
+        for fh, text in opened:
+            fh.write(text)
     finally:
+        for fh, _ in opened:
+            fh.close()
         # the temporary files not moved into place
         for tmp, _ in made:
             with suppress(FileNotFoundError):

@@ -10,11 +10,13 @@ arguments on (-1, 1):
 * the Pfaff map x -> x/(x-1) for x < -0.8,
 * the connection formula toward argument 1-x for 0.8 < x < 1 when
   c - a - b > 0 and safely away from the integer-degenerate case,
-* Euler's transformation F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x)
-  (DLMF 15.8.1) for 0.8 < x < 1 when c - a - b < 0 away from integers,
-  which turns c - a - b into a + b - c > 0 for the connection formula;
-  for near-integer c - a - b the direct series is kept (it still converges
-  for x < 1 and the connection coefficients would cancel catastrophically).
+* for 0.8 < x < 1 when c - a - b < 0 away from integers, the direct
+  series where it converges within MAX_TERMS terms, and otherwise Euler's
+  transformation F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x)
+  (DLMF 15.8.1), which turns c - a - b into a + b - c > 0 for the
+  connection formula;
+* for near-integer c - a - b, the direct series (it still converges for
+  x < 1 and the connection coefficients would cancel catastrophically).
 
 A ConvergenceError is raised when the term budget of MAX_TERMS runs out.
 For 0.8 < x < 1 and moderate parameters that happens only where c - a - b
@@ -180,8 +182,12 @@ def gauss_2f1(p, x: float) -> float:
         return _series(a, b, c, x)
 
     if cab < 0.0:
+        # The direct series, where it converges within its budget; otherwise
         # Euler: the new triple has c - a - b = -cab > 0, away from integers
-        return (1.0 - x) ** cab * gauss_2f1(HypParams(c - a, c - b, c), x)
+        try:
+            return _series(a, b, c, x)
+        except ConvergenceError:
+            return (1.0 - x) ** cab * gauss_2f1(HypParams(c - a, c - b, c), x)
 
     y = 1.0 - x
     coef1 = gauss_2f1_at_one(p)

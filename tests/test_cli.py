@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import stat
 
 import numpy as np
@@ -295,14 +296,63 @@ class TestCsvOutput:
             assert float(margin) == want_margin
         assert any(r == "" for _, r, _ in rows) and any(r != "" for _, r, _ in rows)
 
-    def test_audit_outputs_get_the_mode_of_a_new_file(self, tmp_path):
-        # written through temporary files, which are made private (0600)
+    _AUDIT = ["audit", "--suite", "growth", "--nodes", "256"]
+
+    def test_audit_outputs_keep_their_mode(self, tmp_path):
+        # a replaced output keeps the old file's mode, and a new one gets
+        # the mode open gives a new file
         out, margins, plain = tmp_path / "a.json", tmp_path / "m.csv", tmp_path / "plain"
         plain.write_text("")
-        args = ["audit", "--suite", "growth", "--nodes", "256", "--out", str(out), "--csv", str(margins)]
-        assert main(args) == 0
-        modes = {stat.S_IMODE(p.stat().st_mode) for p in (out, margins, plain)}
-        assert len(modes) == 1
+        out.write_text("")
+        out.chmod(0o600)
+        assert main(self._AUDIT + ["--out", str(out), "--csv", str(margins)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert stat.S_IMODE(margins.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    @pytest.mark.parametrize("option", ["--out", "--csv"])
+    def test_audit_writes_through_a_device(self, tmp_path, option):
+        # os.devnull is written through, not replaced by a regular file
+        paths = {"--out": str(tmp_path / "a.json"), "--csv": str(tmp_path / "m.csv")}
+        paths[option] = os.devnull
+        assert main(self._AUDIT + [a for item in paths.items() for a in item]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        if option == "--out":
+            assert (tmp_path / "m.csv").read_text().startswith("case,r,margin")
+        else:
+            assert json.loads((tmp_path / "a.json").read_text())["results"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json" if option == "--csv" else "m.csv"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_audit_writes_through_a_pipe(self, tmp_path):
+        # the /dev/fd/N path a shell's process substitution passes; the
+        # text is far below a pipe's buffer, so nothing blocks
+        margins = tmp_path / "m.csv"
+        assert main(self._AUDIT + ["--csv", str(margins)]) == 0
+        r, w = os.pipe()
+        try:
+            assert main(self._AUDIT + ["--out", str(tmp_path / "a.json"), "--csv", f"/dev/fd/{w}"]) == 0
+        finally:
+            os.close(w)
+        with open(r, "rb") as fh:
+            assert fh.read() == margins.read_bytes()
+
+    def test_audit_writes_through_a_symlink(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("")
+        link.symlink_to(real)
+        assert main(self._AUDIT + ["--out", str(tmp_path / "a.json"), "--csv", str(link)]) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("case,r,margin")
+
+    def test_audit_refuses_a_read_only_output(self, tmp_path):
+        out, margins = tmp_path / "a.json", tmp_path / "m.csv"
+        out.write_text("keep")
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):
+            pytest.skip("this user may write a read-only file")
+        assert main(self._AUDIT + ["--out", str(out), "--csv", str(margins)]) == 3
+        assert out.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -10,6 +10,7 @@ from abharmonic.specfun import (
     _DEGENERATE_GAP,
     MAX_TERMS,
     HypParams,
+    _series,
     beta,
     gamma,
     gauss_2f1,
@@ -197,24 +198,30 @@ class TestGauss2F1:
             gauss_2f1((1.0, 1.0, 1.0), 0.999999)
 
     def test_negative_c_minus_a_minus_b_near_one_against_mpmath(self):
-        # 0.8 < x < 1 with c - a - b < 0 away from integers, where the direct
-        # series would need about 1/(1 - x) terms (up to 1e8 here): Euler's
-        # transformation hands the connection formula c - a - b > 0
+        # 0.8 < x < 1 with c - a - b < 0 away from integers: the direct series
+        # where it converges within MAX_TERMS terms; nearer 1, where it would
+        # need about 1/(1 - x) terms (up to 1e8 here), Euler's transformation
+        # hands the connection formula c - a - b > 0
         mp = pytest.importorskip("mpmath")
         rng = random.Random(3)
-        cases = 0
+        euler = 0
         for _ in range(400):
             a, b, c = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.2, 5.0)
             x = 1.0 - 10.0 ** -rng.uniform(1.0, 8.0)
             cab = c - a - b
             if cab >= 0.0 or abs(cab - round(cab)) < _DEGENERATE_GAP:
                 continue
-            cases += 1
+            value = gauss_2f1((a, b, c), x)
+            try:
+                # the series' own bits wherever it returns
+                assert value == _series(a, b, c, x)
+            except ConvergenceError:
+                euler += 1
             with mp.workdps(40):
                 expected = float(mp.hyp2f1(a, b, c, x))
-            assert gauss_2f1((a, b, c), x) == pytest.approx(expected, rel=1e-12), (a, b, c, x)
-        # the draw must reach the regime, or the test checks nothing
-        assert cases >= 50
+            assert value == pytest.approx(expected, rel=1e-12), (a, b, c, x)
+        # the draw must reach the transformed regime, or the test checks nothing
+        assert euler >= 30
 
     def test_convergence_error_attributes(self):
         # c - a - b = 2 is an integer, so only the direct series applies
