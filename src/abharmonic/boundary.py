@@ -92,6 +92,8 @@ class BoundaryFunction:
         for any order because exp(i k t_j) depends only on k mod n.
         """
         if n not in self._grids:
+            if n < 1:
+                raise ParameterError(f"grid size must be a positive count, got n = {n}")
             grid = np.fft.ifft(_folded(self.fourier, n), norm="forward")
             grid.flags.writeable = False
             self._grids[n] = grid

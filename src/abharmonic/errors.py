@@ -23,7 +23,8 @@ class ConvergenceError(ArithmeticError):
 
 
 class StencilError(DomainError):
-    """A finite-difference stencil would leave the open unit disk."""
+    """A finite-difference stencil has a step that is not finite and
+    positive, or would leave the open unit disk."""
 
 
 class BoundaryFileError(ValueError):

@@ -17,19 +17,19 @@ the disk for trigonometric-polynomial data.
 Derivative and operator measurements take a point or an array of points,
 use central finite differences, and treat the function under test as an
 opaque evaluation callback that gets every stencil point of the array at
-once.  The evaluation rule: a PoissonExtension evaluates arrays,
-rings and rotation orbits itself (the m turns of a point by 2pi/m
-through one kernel row shifted by nodes/m places; a ring whose angle
-count divides the nodes through its FFT circle convolution, any other
-ring as the orbits of a few base points); any other callable is called
-once per point.
+once.  The evaluation rule: a PoissonExtension evaluates arrays, rings
+and rotation orbits itself, each through one routine
+(PoissonExtension._orbits): the m turns of a point by 2 pi/m shift its
+kernel row by nodes/m places, so an orbit is one kernel row and m-point
+FFTs, an array is m = 1 orbits, and a ring is the orbits of a few base
+points; any other callable is called once per point.
 
-Orbit kernel rows and ring-kernel FFTs depend on the weights, the nodes
-and the points, not on f, so they are kept per weight pair: a table of
-the latest (params, nodes) serves every extension at that pair, and
-each boundary pays only for its own sums and inverse FFTs.  The dense
-path (poisson_integral, calls on arrays) and the base-point rows of a
-ring whose angle count does not divide the nodes keep no table.
+A point set's transformed kernel rows depend on the weights, the nodes,
+m and the points, not on f, so orbit point sets and rings whose angle
+count divides the nodes keep them per weight pair: a table of the latest
+(params, nodes) serves every extension at that pair, and each boundary
+pays only for its own sums and FFTs.  Arrays and the other rings keep
+no table.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quad import DEFAULT_NODES, circle_nodes, p_mean
 from .boundary import BoundaryFunction
@@ -48,14 +47,13 @@ from .kernel import AlphaBeta, _mode_hyp, unnormalized_kernel
 from .specfun import gauss_2f1, gauss_2f1_at_one
 
 DEFAULT_STEP = 1e-3
-# kernel-row products per block of a dense Poisson evaluation (at least
-# one row of nodes; a point's orbit of m turns takes m products per
-# kernel point): a block's temporaries stay in cache and in reused heap
-# memory instead of being fresh multi-megabyte arrays whose page faults
+# kernel points per block of a kernel-row evaluation (at least one row):
+# a block's complex temporaries (64 KiB) stay in cache and below the
+# 128 KiB at which glibc's malloc maps fresh pages, whose faults would
 # cost as much as the kernel
-_BLOCK_POINTS = 8192
-# bytes of kernel arrays the table of one (params, nodes) keeps: the
-# audit's 39 orbit rows and 15 ring kernels take 3.5 MB at 4,096 nodes
+_BLOCK_POINTS = 4096
+# bytes of transformed kernel rows the table of one (params, nodes) keeps:
+# the audit's 39 orbit rows and 15 ring rows take 3.5 MB at 4,096 nodes
 _TABLE_BYTES = 4 << 20
 
 
@@ -179,46 +177,23 @@ def _kernel_table(params: AlphaBeta, nodes: int) -> _KernelTable:
     return _KernelTable()
 
 
-def _kernel_rows(params: AlphaBeta, z: np.ndarray, n: int) -> np.ndarray:
-    """P(z e^{-i t_l}) on the n-point grid, one row per z, shape (z.size, n),
-    evaluated in blocks of at most _BLOCK_POINTS (or one row)."""
+def _orbit_rows(params: AlphaBeta, z: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The kernel rows P(z e^{-i t_l}) of the flat points z on the n-point
+    grid, row l = b n/m + a held at [b, a] and transformed by an m-point
+    inverse FFT along b, of shape (z.size, m, n/m); evaluated in blocks
+    of at most _BLOCK_POINTS kernel points (or one row)."""
     roots = _conj_roots(n)
-    flat = z.reshape(-1)
-    rows = np.empty((flat.size, n), dtype=complex)
+    out = np.empty((z.size, m, n // m), dtype=complex)
     step = max(1, _BLOCK_POINTS // n)
-    for i in range(0, flat.size, step):
-        rows[i : i + step] = unnormalized_kernel(params, flat[i : i + step, None] * roots)
-    return rows
-
-
-def _turned_means(params: AlphaBeta, fvals: np.ndarray, z: np.ndarray, m: int, rows=None) -> np.ndarray:
-    """mean_l P(z e^{-i t_l}) f[(l + k n/m) mod n] for each z and k < m, of
-    shape z.shape + (m,): one kernel row per z (the given rows, or rows
-    evaluated block by block), summed in blocks of at most _BLOCK_POINTS
-    products (or one z and one turn)."""
-    n = fvals.size
-    step = max(1, _BLOCK_POINTS // (n * m))
-    turns = max(1, _BLOCK_POINTS // n)
-    # row k, the samples turned by k n/m places, is a view of the samples
-    # repeated once, so many turns take no m x n copy; when one block holds
-    # every turn, a contiguous copy multiplies faster than the strided view
-    frot = sliding_window_view(np.concatenate((fvals, fvals[:-1])), n)[:: n // m]
-    if m <= turns:
-        frot = np.ascontiguousarray(frot)
-    flat = z.reshape(-1)
-    means = np.empty((flat.size, m), dtype=complex)
-    for i in range(0, flat.size, step):
-        kern = _kernel_rows(params, flat[i : i + step], n) if rows is None else rows[i : i + step]
-        for k in range(0, m, turns):
-            means[i : i + step, k : k + turns] = np.mean(kern[:, None, :] * frot[k : k + turns], axis=-1)
-    return means.reshape(z.shape + (m,))
+    for i in range(0, z.size, step):
+        rows = unnormalized_kernel(params, z[i : i + step, None] * roots)
+        out[i : i + step] = np.fft.ifft(rows.reshape(-1, m, n // m), axis=1)
+    return out
 
 
 def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
     """Poisson integral of f at z: a complex for a scalar or DiskPoint z, else an array."""
-    check_nodes(nodes)
-    z = _disk_array(z)
-    vals = params.c_norm * _turned_means(params, f.values_on_grid(nodes), z, 1)[..., 0]
+    vals = PoissonExtension(params, f, nodes)._orbits(_disk_array(z), 1, keep=False)[..., 0]
     return complex(vals) if vals.ndim == 0 else vals
 
 
@@ -226,13 +201,13 @@ class PoissonExtension:
     """The extension of f as a reusable evaluation callback.
 
     Calling it evaluates the Poisson integral at scalar or array
-    arguments.  orbit_values exploits that turning a point by 2 pi/m,
-    with m dividing the nodes, shifts its kernel row against the
-    boundary samples; circle_values uses the same rotation structure,
-    so a ring costs one FFT circle convolution when its angle count
-    divides the nodes, and otherwise one kernel row per orbit of
-    turns, never one per angle.  Every path reads f only on its
-    nodes-point grid; a ring's phase goes through the kernel.
+    arguments.  orbit_values and circle_values evaluate rotation orbits:
+    turning a point by 2 pi/m, with m dividing the nodes, shifts its
+    kernel row against the boundary samples by nodes/m places, so an
+    orbit costs one kernel row and m-point FFTs, and a ring is the
+    orbits of a few base points, never one kernel row per angle.  Every
+    path reads f only on its nodes-point grid; a ring's phase goes
+    through the kernel.
     """
 
     def __init__(self, params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES):
@@ -243,29 +218,44 @@ class PoissonExtension:
     def __call__(self, z):
         return poisson_integral(self.params, self.f, z, self.nodes)
 
-    @functools.cached_property
-    def _fhat(self) -> np.ndarray:
-        """FFT of the boundary samples, shared by every ring."""
-        return np.fft.fft(self.f.values_on_grid(self.nodes))
+    def _orbits(self, z: np.ndarray, m: int, keep: bool) -> np.ndarray:
+        """u(z e^{2 pi i k/m}) for k < m, of shape z.shape + (m,), with m
+        dividing the nodes n.
+
+        With s = n/m, row l = b s + a and f_j = f[j mod n], turn k is
+        (c/n) sum_a sum_b R[b s + a] f[(b + k) s + a] for z's kernel row
+        R: a circular correlation along b, so it is one inverse FFT of
+        the sum over a of the transformed rows times the m-point FFT of
+        the samples.  With keep, a point set's transformed rows come from
+        the table of (params, nodes) unless they outgrow it; otherwise
+        they are evaluated in blocks of at most _BLOCK_POINTS kernel
+        points (or one row) and not kept.
+        """
+        n = self.nodes
+        s = n // m
+        fhat = np.fft.fft(self.f.values_on_grid(n).reshape(m, s), axis=0)
+        flat = z.reshape(-1)
+        rows = None
+        if keep and flat.size * _conj_roots(n).nbytes <= _TABLE_BYTES:
+            key = (m, z.shape, z.tobytes())
+            rows = _kernel_table(self.params, n).get(key, lambda: _orbit_rows(self.params, flat, m, n))
+        sums = np.empty((flat.size, m), dtype=complex)
+        step = max(1, _BLOCK_POINTS // n)
+        for i in range(0, flat.size, step):
+            block = _orbit_rows(self.params, flat[i : i + step], m, n) if rows is None else rows[i : i + step]
+            sums[i : i + step] = np.sum(block * fhat, axis=-1)
+        return (self.params.c_norm / s * np.fft.ifft(sums, axis=-1)).reshape(z.shape + (m,))
 
     def orbit_values(self, z, m: int) -> np.ndarray:
         """u(z e^{2 pi i k/m}) for k = 0..m-1, of shape z.shape + (m,).
 
-        Turning z by 2 pi k/m shifts its kernel row P(z e^{-i t_l}) by
-        k nodes/m places, so each z costs one kernel row and m sums of
-        that row against the turned samples f[(l + k nodes/m) mod nodes];
-        column 0 is poisson_integral(z) bit for bit.  The rows of a point
-        set come from the table of (params, nodes) unless they outgrow it.
+        Each z costs one kernel row, transformed once per point set and
+        kept per (params, nodes), and m-point FFTs per boundary.
         """
         n = self.nodes
         if m < 1 or n % m:
             raise DomainError(f"orbit size must divide nodes = {n}, got {m}")
-        z = _disk_array(z)
-        rows = None
-        if z.size * _conj_roots(n).nbytes <= _TABLE_BYTES:
-            key = ("rows", z.shape, z.tobytes())
-            rows = _kernel_table(self.params, n).get(key, lambda: _kernel_rows(self.params, z, n))
-        return self.params.c_norm * _turned_means(self.params, self.f.values_on_grid(n), z, m, rows)
+        return self._orbits(_disk_array(z), m, keep=True)
 
     def circle_values(self, r: float, n_theta: int, phase: float = 0.0) -> np.ndarray:
         """u(r e^{i(theta_j + phase)}) on the uniform n_theta grid."""
@@ -276,30 +266,20 @@ class PoissonExtension:
 
         With g = gcd(nodes, n_theta) and d = n_theta/g, angle a + d k of a
         ring is its base point r e^{i(phase + 2 pi a/n_theta)} turned k
-        times by 2 pi/g.  When n_theta divides nodes (d = 1), the ring
-        kernels' FFTs come from the table of (params, nodes) and one
-        inverse FFT serves every ring; otherwise each ring is the g-turn
-        orbits of its d base points, d kernel rows that are not kept.
+        times by 2 pi/g, so a ring is the g-turn orbits of its d base
+        points.  The rings are kept in the table when n_theta divides the
+        nodes (d = 1), and otherwise not: d rows per ring would add to
+        the peak memory of a many-ring solve.
         """
         _check_angles(n_theta)
         for r, _ in rings:
             if not 0.0 <= r < 1.0:
                 raise DomainError(f"circle radius must be in [0, 1), got {r}")
-        n = self.nodes
-        g = math.gcd(n, n_theta)
+        g = math.gcd(self.nodes, n_theta)
         d = n_theta // g
-        if d > 1:
-            base = np.array([r * np.exp(1j * (circle_nodes(n_theta)[:d] + phase)) for r, phase in rings])
-            means = _turned_means(self.params, self.f.values_on_grid(n), base, g)
-            return self.params.c_norm * np.swapaxes(means, 1, 2).reshape(len(rings), n_theta)
-        table = _kernel_table(self.params, n)
-
-        def ring_fft(r, phase):
-            return np.fft.fft(unnormalized_kernel(self.params, r * np.exp(1j * (circle_nodes(n) + phase))))
-
-        kfft = np.array([table.get(("ring", r, phase), lambda: ring_fft(r, phase)) for r, phase in rings])
-        vals = self.params.c_norm * np.fft.ifft(kfft * self._fhat) / n
-        return vals[:, :: n // n_theta]
+        base = np.array([r * np.exp(1j * (circle_nodes(n_theta)[:d] + phase)) for r, phase in rings])
+        vals = self._orbits(base, g, keep=d == 1)
+        return np.swapaxes(vals, 1, 2).reshape(len(rings), n_theta)
 
 
 def poisson_extension(params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES) -> PoissonExtension:
@@ -382,7 +362,9 @@ def _cmul(x, y):
 def _stencil(u, z, h: float, reach: float, points):
     """z as an array, |z|, and u on the stencil points(z, |z|) of each z in
     one evaluation, as one array per stencil point (scalars for a point z).
-    Every stencil needs |z| + reach < 1."""
+    Every stencil needs a finite step h > 0 and |z| + reach < 1."""
+    if not 0.0 < h < math.inf:
+        raise StencilError(f"stencil step must be finite and positive, got h = {h}")
     z = _disk_array(z)
     r = np.hypot(z.real, z.imag)  # abs() of each z; np.abs of an array can differ by an ulp
     if np.max(r) + reach >= 1.0:

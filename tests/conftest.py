@@ -17,9 +17,9 @@ mp.mp.dps = 50
 
 @pytest.fixture(autouse=True)
 def cold_kernel_table():
-    """Each test starts without kernel rows or ring kernels kept from
-    another, so a test that counts kernel work or patches the kernel or
-    np.fft sees every evaluation."""
+    """Each test starts without transformed kernel rows kept from
+    another, so a test that counts kernel work or patches the kernel
+    sees every evaluation."""
     harmonic._kernel_table.cache_clear()
 
 

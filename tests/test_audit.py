@@ -413,22 +413,19 @@ class TestSuites:
 
     def test_standard_suite_kernel_work_per_weight_pair(self, monkeypatch):
         # 20 boundaries visit each standard pair once, four boundaries in a
-        # row; a pair costs 39 orbit rows (growth 3, Cartesian 24, polar 12)
-        # and 15 ring kernels (3 integral-means and 12 means-partials rings)
-        orbit_rows, ring_kernels = [], []
+        # row; a pair costs 54 kernel rows: 39 orbit rows (growth 3,
+        # Cartesian 24, polar 12) and 15 ring rows (3 integral-means and
+        # 12 means-partials rings)
+        rows = []
 
         def kernel(params, w, fn=harmonic.unnormalized_kernel):
-            if np.ndim(w) == 1:
-                ring_kernels.append(params)
-            else:
-                orbit_rows.extend([params] * np.shape(w)[0])
+            rows.extend([params] * (np.size(w) // 256))
             return fn(params, w)
 
         monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
         standard_suite(n_boundaries=20, nodes=256)
         pairs = [make_params(*pair) for pair in STANDARD_PAIRS]
-        assert collections.Counter(orbit_rows) == dict.fromkeys(pairs, 39)
-        assert collections.Counter(ring_kernels) == dict.fromkeys(pairs, 15)
+        assert collections.Counter(rows) == dict.fromkeys(pairs, 54)
 
     def test_warm_table_margins_equal_cold(self, monkeypatch):
         warm = standard_suite(n_boundaries=8, nodes=256)

@@ -302,6 +302,14 @@ class TestGridSampling:
         assert len(calls) <= 2 * 2
         assert len({id(g) for g in grids}) == 2 * 2 < len(grids)
 
+    @pytest.mark.parametrize("n", [0, -1, -64])
+    def test_grid_size_must_be_positive(self, n):
+        f = from_fourier({1: 1.0, -2: 0.5j})
+        with pytest.raises(ParameterError, match=f"n = {n}"):
+            f.values_on_grid(n)
+        with pytest.raises(ParameterError, match=f"n = {n}"):
+            lp_norm(f, 2.0, nodes=n)
+
     def test_grid_is_stored_read_only(self):
         f = from_fourier({1: 1.0, -2: 0.5j})
         grid = f.values_on_grid(64)

@@ -1,6 +1,8 @@
 import cmath
+import functools
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -27,7 +29,7 @@ from abharmonic.harmonic import (
     snapshot,
     wirtinger_derivatives,
 )
-from abharmonic.kernel import make_params, unnormalized_kernel
+from abharmonic.kernel import make_params
 from abharmonic.specfun import gamma, gauss_2f1
 
 P00 = make_params(0.0, 0.0)
@@ -146,13 +148,24 @@ class TestOrbitValues:
         for z, turns in self.ORBITS:
             vals = u.orbit_values(z, turns.size)
             assert vals.shape == z.shape + turns.shape
-            assert np.array_equal(vals[..., 0], poisson_integral(p, f, z, nodes))
-            # a turned kernel row is a few ulps off the row at the turned
-            # point, which moves u by about eps times the kernel's log
-            # derivative, 2 sigma / (1 - r): 6.5e-15 on this data at
-            # (2.7, -1.4), r = 0.9, 256 nodes
+            # each column is a circular correlation through m-point FFTs,
+            # a few ulps of the kernel's largest values off the dense sum
             ref = poisson_integral(p, f, z[..., None] * turns, nodes)
-            assert np.max(np.abs(vals - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nodes", [64, 1024, 4096])
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, "nodes"])
+    def test_matches_dense_evaluation(self, m, nodes):
+        # every orbit size from one turn to one per node; of the larger
+        # orbits every (m/64)-th turn is checked
+        m = nodes if m == "nodes" else m
+        p = make_params(2.7, -1.4)
+        f = seeded_boundary(np.random.default_rng(8))
+        z = np.array([0.0, 0.3 - 0.2j, 0.9j, -0.6 + 0.62j])
+        vals = poisson_extension(p, f, nodes).orbit_values(z, m)
+        k = np.arange(0, m, max(1, m // 64))
+        ref = poisson_integral(p, f, z[:, None] * np.exp(2j * np.pi * k / m), nodes)
+        assert np.max(np.abs(vals[:, k] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_point_gives_one_orbit(self):
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
@@ -423,6 +436,21 @@ class TestArrayStencils:
             measure(lambda z: calls.append(z) or z, zs)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "measure",
+        [wirtinger_derivatives, radial_angular_derivatives, jacobian_norm, functools.partial(operator_residual, PHH)],
+    )
+    @pytest.mark.parametrize("h", [0.0, -0.5, -1e-3, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, measure, h):
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StencilError, match=f"h = {h}"):
+                measure(lambda z: calls.append(z) or z, np.array([0.3, 0.5j]), h)
+            with pytest.raises(StencilError, match=f"h = {h}"):
+                measure(poisson_extension(PHH, from_fourier({1: 1.0}), 256), 0.3, h)
+        assert calls == []
+
     def test_radial_stencil_needs_r_at_least_h(self):
         with pytest.raises(StencilError):
             radial_angular_derivatives(lambda z: z, np.array([0.3, 1e-5j, 0.5]))
@@ -486,28 +514,28 @@ class TestIntegralMeans:
         u = poisson_extension(P00, f, 1024)
         assert integral_means(u, 0.5, 2.0) == pytest.approx(math.sqrt(0.5), rel=1e-10)
 
-    def test_boundary_fft_once_per_extension(self, monkeypatch):
-        # one samples' FFT per extension, one kernel FFT per (params,
-        # nodes, r, phase) whatever the extension
+    def test_ring_kernel_once_per_pair(self, monkeypatch):
+        # one kernel row per (params, nodes, r, phase) whatever the
+        # extension; each extension pays only for its own FFTs
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
         first = u.circle_values(0.5, 64)
-        calls = []
+        rows = []
 
-        def counted(x, fn=np.fft.fft):
-            calls.append(x)
-            return fn(x)
+        def kernel(params, w, fn=harmonic.unnormalized_kernel):
+            rows.append(np.size(w) // 256)
+            return fn(params, w)
 
-        monkeypatch.setattr(np.fft, "fft", counted)
+        monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
         assert np.array_equal(u.circle_values(0.5, 64), first)
-        assert len(calls) == 0
+        assert sum(rows) == 0
         u.circle_values(0.7, 64, phase=0.1)
-        assert len(calls) == 1
+        assert sum(rows) == 1
         v = poisson_extension(PHH, from_fourier({0: 2.0, 3: 1j}), 256)
         v.circle_values(0.5, 64)
         v.circle_values(0.7, 64, phase=0.1)
-        assert len(calls) == 2
+        assert sum(rows) == 1
         poisson_extension(P00, from_fourier({0: 2.0, 3: 1j}), 256).circle_values(0.5, 64)
-        assert len(calls) == 4
+        assert sum(rows) == 2
 
     def test_fast_path_matches_generic(self):
         f = from_fourier({1: 1.0, -2: 0.5})
@@ -548,10 +576,10 @@ class TestNodeRule:
 
 
 class TestCircleValues:
-    # on 1,024 nodes: 256 angles divide the nodes (FFT path); 60, 96 and
-    # 2,048 do not (the orbits of 15, 3 and 2 base points turned 4, 32 and
-    # 1,024 times), and 63 is coprime to 1,024 (63 one-point orbits, the
-    # dense sum)
+    # on 1,024 nodes: 256 angles divide the nodes (one base point turned
+    # 256 times); 60, 96 and 2,048 do not (the orbits of 15, 3 and 2 base
+    # points turned 4, 32 and 1,024 times), and 63 is coprime to 1,024
+    # (63 one-point orbits, the dense sum)
     @pytest.mark.parametrize("n_theta", [256, 60, 63, 96, 2048])
     @pytest.mark.parametrize("phase", [0.0, 1e-3, -1e-3, 0.7])
     @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.3, -0.2)])
@@ -565,22 +593,14 @@ class TestCircleValues:
     @pytest.mark.parametrize("n_theta", [256, 60])
     @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.3, -0.2), (2.7, -1.4)])
     def test_rings_in_one_call_match_one_ring_each(self, pair, n_theta):
-        # one 2-d inverse FFT over four rings is bit for bit the 1-d
-        # transform of each ring; with 60 angles on 1,024 nodes, angle
-        # a + 15 k of each ring is u at base point a turned k times by pi/2
-        p, n, h = make_params(*pair), 1024, DEFAULT_STEP
-        f = seeded_boundary(np.random.default_rng(5))
-        u = poisson_extension(p, f, n)
+        # the four rings of a means-partials stencil in one call are bit
+        # for bit each ring alone: with 256 angles on 1,024 nodes each is
+        # one base point turned 256 times, with 60 fifteen turned 4 times
+        u = poisson_extension(make_params(*pair), seeded_boundary(np.random.default_rng(5)), 1024)
+        h = DEFAULT_STEP
         rings = [(0.6 + h, 0.0), (0.6 - h, 0.0), (0.6, h), (0.6, -h)]
-        fhat = np.fft.fft(f.values_on_grid(n))
         for (r, phase), row in zip(rings, u._circles(rings, n_theta)):
-            if n_theta == 60:
-                base = r * np.exp(1j * (circle_nodes(n_theta)[:15] + phase))
-                ref = u.orbit_values(base, 4).T.reshape(-1)
-            else:
-                kern = unnormalized_kernel(p, r * np.exp(1j * (circle_nodes(n) + phase)))
-                ref = (p.c_norm * np.fft.ifft(np.fft.fft(kern) * fhat) / n)[:: n // n_theta]
-            assert np.array_equal(row, ref)
+            assert np.array_equal(row, u.circle_values(r, n_theta, phase=phase))
 
     @pytest.mark.parametrize("n_theta", [60, 63, 96, 512])
     def test_ring_off_the_nodes_keeps_no_kernel(self, n_theta):
@@ -591,7 +611,7 @@ class TestCircleValues:
 
     def test_many_turns_stay_in_small_blocks(self):
         # 8,192 angles on 4,096 nodes are two base points turned 4,096
-        # times; the turned samples of all turns at once would take 268 MB
+        # times: two kernel rows and their 4,096-point transforms
         u = poisson_extension(make_params(0.3, -0.2), from_fourier({1: 1.0, -2: 0.5}), 4096)
         u.circle_values(0.5, 64)  # the node and sample caches
         tracemalloc.start()
@@ -628,33 +648,41 @@ class TestKernelTable:
 
     def test_point_sets_of_one_shape_kept_apart(self):
         u = poisson_extension(PHH, self.F, 256)
-        for z in (Z_GRID, Z_GRID + DEFAULT_STEP, Z_GRID):
-            np.testing.assert_array_equal(u.orbit_values(z, 4)[..., 0], poisson_integral(PHH, self.F, z, 256))
-        assert len(harmonic._kernel_table(PHH, 256).entries) == 2
+        first = u.orbit_values(Z_GRID, 4)
+        u.orbit_values(Z_GRID + DEFAULT_STEP, 4)
+        assert np.array_equal(u.orbit_values(Z_GRID, 4), first)
+        u.orbit_values(Z_GRID, 8)
+        keys = [(4, Z_GRID), (4, Z_GRID + DEFAULT_STEP), (8, Z_GRID)]
+        assert list(harmonic._kernel_table(PHH, 256).entries) == [(m, z.shape, z.tobytes()) for m, z in keys]
 
     def test_cached_arrays_read_only(self):
+        # a point set's rows, transformed, of shape z.shape + (m, nodes/m)
         u = poisson_extension(PHH, self.F, 256)
         u.orbit_values(Z_GRID, 8)
         u.circle_values(0.5, 64)
         entries = harmonic._kernel_table(PHH, 256).entries
-        assert [key[0] for key in entries] == ["rows", "ring"]
+        assert [(key[0], arr.shape) for key, arr in entries.items()] == [(8, (24, 8, 32)), (64, (1, 64, 4))]
         for arr in entries.values():
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_byte_budget_evicts_the_oldest(self, monkeypatch):
-        # room for three 256-node ring kernels; an orbit point set whose
-        # rows exceed the budget is evaluated block by block and not kept
-        monkeypatch.setattr(harmonic, "_TABLE_BYTES", 3 * 256 * 16)
+        # room for three 256-node ring rows; an orbit point set whose rows
+        # exceed the budget is evaluated block by block and not kept, bit
+        # for bit as from the table
         u = poisson_extension(PHH, self.F, 256)
+        z = Z_GRID[:, :4]
+        kept = u.orbit_values(z, 8)
+        harmonic._kernel_table.cache_clear()
+        monkeypatch.setattr(harmonic, "_TABLE_BYTES", 3 * 256 * 16)
         radii = (0.1, 0.2, 0.3, 0.4, 0.5)
         rings = [u.circle_values(r, 64) for r in radii]
         table = harmonic._kernel_table(PHH, 256)
-        assert list(table.entries) == [("ring", r, 0.0) for r in radii[2:]]
+        ring_keys = [(64, (1, 1), np.array([[r]], dtype=complex).tobytes()) for r in radii[2:]]
+        assert list(table.entries) == ring_keys
         assert table.nbytes == 3 * 256 * 16
-        z = Z_GRID[:, :4]
-        np.testing.assert_array_equal(u.orbit_values(z, 8)[..., 0], poisson_integral(PHH, self.F, z, 256))
-        assert list(table.entries) == [("ring", r, 0.0) for r in radii[2:]]
+        assert np.array_equal(u.orbit_values(z, 8), kept)
+        assert list(table.entries) == ring_keys
         harmonic._kernel_table.cache_clear()
         for r, ring in zip(radii, rings):
             assert np.array_equal(u.circle_values(r, 64), ring)
