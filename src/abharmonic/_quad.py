@@ -12,20 +12,13 @@ Integrands are expected to accept numpy arrays.  The standard tanh-sinh
 rule of n nodes on (-1, 1) is kept per n in a small per-process cache;
 integrate places it on (a, b) on every call.
 
-Circle integrals split [0, 2pi] by one rule, shared by circle_integral and
-base_integral: the trapezoid grid without break points, else a tanh-sinh
-piece between each two neighbouring break points.  The nodes of all its
-pieces are kept as one read-only array per rule, in a per-process cache
-of 64 rules keyed on the break tuple as the caller passes it and the node
-count (the split and the placement run only when a rule is built), so an
-integrand is evaluated once per integral, on every node at once; each
-piece is then summed on its own slice, which gives the same bits as
-integrating the pieces one by one, as elementwise ufuncs and numpy's
-pairwise sum of a contiguous slice do not depend on what lies around the
-slice.  The kernel moments go through base_integral, whose integrands are
-functions of |cos(s - x)| and cos((s - y)/2)^2 only; a further cache holds
-those two read-only factor arrays per rule and phase (x, y) (64 entries),
-so a moment evaluates only its own powers.
+circle_integral integrates over [0, 2pi] by the trapezoid grid without
+break points, else by integrate on each piece between two neighbouring
+break points.  The kernel moments go through base_integral, whose
+integrands are functions of |cos(s - x)| and cos((s - y)/2)^2 only: a
+per-process cache of 64 tables, keyed on (breaks, nodes, x, y), holds both
+at every node of that rule with the nodes' weights, so a moment evaluates
+only its own powers, once, and gets circle_integral's bits.
 """
 
 from __future__ import annotations
@@ -98,10 +91,12 @@ def integrate(fn, a: float, b: float, nodes: int = 600) -> float:
     turned into endpoints, as circle_integral does with its break points.
     Nodes that collapse onto an endpoint in floating point are dropped
     (their weights are at the level of double rounding).  A non-finite
-    limit raises DomainError.
+    limit or nodes < 1 raises DomainError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration limits must be finite, got ({a}, {b})")
+    if not nodes >= 1:
+        raise DomainError(f"quadrature needs nodes >= 1, got {nodes}")
     if b <= a:
         return 0.0
     x, w = _tanh_sinh_nodes(a, b, max(nodes, 51))
@@ -110,9 +105,14 @@ def integrate(fn, a: float, b: float, nodes: int = 600) -> float:
     return float(half * np.sum(w * vals))
 
 
-def _circle_pieces(breaks: tuple, nodes: int) -> list:
+def _circle_pieces(breaks: tuple, nodes: int):
     # The tanh-sinh pieces (a, b, n) of [0, 2pi] split at the break points
-    # taken modulo 2 pi, with the node budget shared among them.
+    # taken modulo 2 pi, with the node budget shared among them; None, for
+    # the trapezoid grid, without break points.
+    if not nodes >= 1:
+        raise DomainError(f"quadrature needs nodes >= 1, got {nodes}")
+    if not breaks:
+        return None
     pts = {0.0, TWO_PI}
     for s in breaks:
         s = float(s)
@@ -125,72 +125,50 @@ def _circle_pieces(breaks: tuple, nodes: int) -> list:
     return [(a, b, per) for a, b in pieces]
 
 
-@functools.lru_cache(maxsize=64)
-def _circle_rule(breaks: tuple, nodes: int):
-    # The nodes s of every piece of the circle rule in one read-only array,
-    # their weights w and each piece's (start, stop, half): the n-point
-    # trapezoid grid and w = None without break points, else the kept
-    # tanh-sinh nodes of each piece (a, b, n) of _circle_pieces in piece
-    # order, weights still to be scaled by half = (b - a) / 2.  Keyed on
-    # the break tuple as passed, so break sets that split the circle alike
-    # hold equal rules under separate keys.  A bad argument raises on every
-    # call, as lru_cache keeps no exception.
-    if not nodes >= 1:
-        raise DomainError(f"circle integrals need nodes >= 1, got {nodes}")
-    if not breaks:
-        s = circle_nodes(nodes)
-        s.flags.writeable = False
-        return s, None, ()
-    pieces = _circle_pieces(breaks, nodes)
-    xs, ws = zip(*(_tanh_sinh_nodes(*piece) for piece in pieces))
-    s, w = np.concatenate(xs), np.concatenate(ws)
-    s.flags.writeable = False
-    w.flags.writeable = False
-    spans, start = [], 0
-    for (a, b, _), x in zip(pieces, xs):
-        spans.append((start, start + x.size, 0.5 * (b - a)))
-        start += x.size
-    return s, w, tuple(spans)
-
-
-def _circle_sum(vals, rule) -> float:
-    # The circle rule applied to the integrand's values at its nodes: each
-    # piece's weighted sum is numpy's pairwise sum of a contiguous slice,
-    # which depends only on the slice, so it is the bits of integrate on
-    # that piece alone; the pieces are added in order from 0.
-    _, w, spans = rule
-    if w is None:
-        return float(TWO_PI * np.mean(vals))
-    wv = w * vals
-    total = 0
-    for a, b, half in spans:
-        total += half * float(np.add.reduce(wv[a:b]))
-    return total
-
-
 def circle_integral(fn, breaks=(), nodes: int = DEFAULT_NODES) -> float:
     """Integral of fn over [0, 2pi].
 
     With no interior break points the periodic trapezoid rule is used;
     otherwise the interval is split at the (normalized) break points and
-    each smooth piece handled by tanh-sinh.  fn is evaluated once, on the
-    read-only array of every node of the rule.  A non-finite break point
-    or nodes < 1 raises DomainError.
+    each smooth piece handled by integrate, the pieces added in order from
+    0.  A non-finite break point or nodes < 1 raises DomainError before fn
+    is called.
     """
-    rule = _circle_rule(tuple(breaks), nodes)
-    return _circle_sum(fn(rule[0]), rule)
+    pieces = _circle_pieces(tuple(breaks), nodes)
+    if pieces is None:
+        return float(TWO_PI * np.mean(fn(circle_nodes(nodes))))
+    total = 0
+    for a, b, n in pieces:
+        total += integrate(fn, a, b, n)
+    return total
 
 
 @functools.lru_cache(maxsize=64)
-def _phase_factors(breaks: tuple, nodes: int, x: float, y: float):
-    # |cos(s - x)| and cos((s - y) / 2)^2 at the nodes s of the circle rule
-    # _circle_rule(breaks, nodes).  Read-only, as every caller shares them.
-    s = _circle_rule(breaks, nodes)[0]
+def _moment_rule(breaks: tuple, nodes: int, x: float, y: float):
+    # |cos(s - x)|, cos((s - y) / 2)^2 and the weights w at the nodes s of
+    # circle_integral's rule, and each piece's (start, stop, half): w = None
+    # on the trapezoid grid, else the kept tanh-sinh weights of each piece
+    # of _circle_pieces in order, still to be scaled by half = (b - a) / 2.
+    # Read-only, as every caller shares them.  Keyed on the break tuple as
+    # passed, so break sets that split the circle alike hold equal tables
+    # under separate keys; lru_cache keeps no exception, so a bad argument
+    # raises on every call.
+    pieces = _circle_pieces(breaks, nodes)
+    if pieces is None:
+        s, w, spans = circle_nodes(nodes), None, ()
+    else:
+        xs, ws = zip(*(_tanh_sinh_nodes(*piece) for piece in pieces))
+        s, w = np.concatenate(xs), np.concatenate(ws)
+        w.flags.writeable = False
+        spans, start = [], 0
+        for (a, b, _), piece in zip(pieces, xs):
+            spans.append((start, start + piece.size, 0.5 * (b - a)))
+            start += piece.size
     ca = np.abs(np.cos(s - x))
     c2 = np.cos(0.5 * (s - y)) ** 2
-    ca.flags.writeable = False
-    c2.flags.writeable = False
-    return ca, c2
+    for arr in (ca, c2):
+        arr.flags.writeable = False
+    return ca, c2, w, tuple(spans)
 
 
 def base_integral(
@@ -198,14 +176,22 @@ def base_integral(
 ) -> float:
     """circle_integral of term(|cos(s - x)|, |1 + r e^{i(s - y)}|^2).
 
-    Neither cosine depends on r or on term, so both are tabulated once per
-    circle rule and phase (x, y); a call evaluates term and the base once,
-    on every node of the rule and with the same floats as the integrand
-    written out in s.
+    Neither cosine depends on r or on term, so both are tabulated with the
+    rule's weights once per rule and phase (x, y); a call evaluates term
+    and the base once, on every node of the rule and with the same floats
+    as the integrand written out in s.  Each piece's weighted sum is
+    numpy's pairwise sum of a contiguous slice, which depends only on the
+    slice, so it has the bits of integrate on that piece alone.
     """
-    breaks = tuple(breaks)
-    ca, c2 = _phase_factors(breaks, nodes, x, y)
-    return _circle_sum(term(ca, _base(r, c2)), _circle_rule(breaks, nodes))
+    ca, c2, w, spans = _moment_rule(tuple(breaks), nodes, x, y)
+    vals = term(ca, _base(r, c2))
+    if w is None:
+        return float(TWO_PI * np.mean(vals))
+    wv = w * vals
+    total = 0
+    for a, b, half in spans:
+        total += half * float(np.add.reduce(wv[a:b]))
+    return total
 
 
 def _base(r: float, sq) -> np.ndarray:

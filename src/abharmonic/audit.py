@@ -532,9 +532,12 @@ def run_suite(
     n_boundaries: int = 10,
     nodes: int = AUDIT_NODES,
 ) -> list:
-    """Run one named suite at a single parameter point."""
+    """Run one named suite at a single parameter point; n_boundaries < 1
+    raises ParameterError."""
     if name not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if not n_boundaries >= 1:  # no boundary would pass on zero cases
+        raise ParameterError(f"suites need n_boundaries >= 1, got {n_boundaries}")
     rng = np.random.default_rng(seed)
     boundaries = [random_boundary(rng) for _ in range(n_boundaries)]
     results = []
@@ -575,7 +578,10 @@ def run_suite(
 
 def standard_suite(seed: int = DEFAULT_SEED, n_boundaries: int = 100, nodes: int = AUDIT_NODES) -> list:
     """The cross-parameter inequality sweep: 100 seeded boundaries cycled
-    round-robin over the standard weight pairs and exponents."""
+    round-robin over the standard weight pairs and exponents;
+    n_boundaries < 1 raises ParameterError."""
+    if not n_boundaries >= 1:
+        raise ParameterError(f"suites need n_boundaries >= 1, got {n_boundaries}")
     rng = np.random.default_rng(seed)
     combos = [
         (make_params(a, b), HolderPair.from_p(p))

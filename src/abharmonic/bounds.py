@@ -10,10 +10,10 @@ plain_moment, whose mean has the closed form F(-m, -m; 1; r^2) and the
 r -> 1 limit Gamma(1 + 2m) / Gamma(1 + m)^2 (plain_moment_closed), and
 oscillatory_moment, the base weighted by (off + amp |cos(s - x)|)^k, which
 is computed by quadrature only.  Both are integrated by _quad.base_integral,
-which tabulates |cos(s - x)| and the base's cos((s - y)/2)^2 once per
-circle rule and phase (x, y), so a moment evaluates only its two powers,
-in one pass over every node of its rule; each distinct moment is
-integrated once per process.
+which keeps |cos(s - x)|, the base's cos((s - y)/2)^2 and the weights in
+one table per circle rule and phase (x, y), so a moment evaluates only its
+two powers, in one pass over every node of its rule; each distinct moment
+is integrated once per process.
 
 Wherever a closed form exists alongside a defining integral, both are
 computed; BoundReport.add_pair writes them as X and X_quadrature and notes,

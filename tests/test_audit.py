@@ -377,6 +377,18 @@ class TestSuites:
         with pytest.raises(ParameterError):
             run_suite("bogus", P00, HolderPair.from_p(2.0))
 
+    @pytest.mark.parametrize("n_boundaries", [0, -1])
+    @pytest.mark.parametrize("name", ["growth", "lemmas", "identities", "all"])
+    def test_suite_without_boundaries_raises(self, name, n_boundaries):
+        # a suite without boundaries would pass on zero cases
+        with pytest.raises(ParameterError, match="n_boundaries"):
+            run_suite(name, P00, HolderPair.from_p(2.0), n_boundaries=n_boundaries, nodes=256)
+
+    @pytest.mark.parametrize("n_boundaries", [0, -1])
+    def test_standard_suite_without_boundaries_raises(self, n_boundaries):
+        with pytest.raises(ParameterError, match="n_boundaries"):
+            standard_suite(n_boundaries=n_boundaries, nodes=256)
+
     def test_standard_suite_grades_at_ring_radii(self, monkeypatch):
         # abs(z) of a Z_GRID point can be one ulp off its ring radius, which
         # would ask for every bound constant at a second radius

@@ -522,11 +522,11 @@ class TestFullReport:
     def test_every_report_warm_equals_cold(self):
         # every cache of _quad and bounds, found by its cache_clear, is
         # emptied before each cold report; the warm pass then reuses what
-        # all nine reports left behind, rules and phase factors included
+        # all nine reports left behind, moment tables included
         caches = [
             fn for mod in (_quad, bnd) for fn in vars(mod).values() if hasattr(fn, "cache_clear")
         ]
-        assert {fn.__name__ for fn in caches} >= {"_circle_rule", "_phase_factors", "plain_moment"}
+        assert {fn.__name__ for fn in caches} >= {"_moment_rule", "plain_moment"}
         cases = [
             (make_params(*pair), HolderPair.from_p(p_exp))
             for pair in ((0.3, -0.2), (0.5, 0.5), (-0.3, -0.6))
@@ -579,9 +579,8 @@ class TestKernelMoments:
 
     @staticmethod
     def cold_and_warm(moment, *args):
-        # the moment with its rule and phase factors placed anew, then reused
-        _quad._circle_rule.cache_clear()
-        _quad._phase_factors.cache_clear()
+        # the moment with its table placed anew, then reused
+        _quad._moment_rule.cache_clear()
         _clear_moment_caches()
         cold = moment(*args)
         _clear_moment_caches()
@@ -618,13 +617,13 @@ class TestKernelMoments:
         args = (m, k, off, amp, r, x, y, 2048)
         assert self.cold_and_warm(oscillatory_moment, *args) == (expected, expected)
 
-    def test_moments_share_phase_factors(self):
-        # two moments at one phase and rule place its factors once
-        _quad._phase_factors.cache_clear()
+    def test_moments_share_a_moment_table(self):
+        # two moments at one phase and rule place its table once
+        _quad._moment_rule.cache_clear()
         _clear_moment_caches()
         oscillatory_moment(0.37, 1.7, 0.3, 2.5, 0.6, 0.7, 0.0, 2048)
         oscillatory_moment(2.5, 1.0, 0.2, 1.0, 0.5, 0.7, 0.0, 2048)
-        info = _quad._phase_factors.cache_info()
+        info = _quad._moment_rule.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("nodes", [0, -4, -4096])
@@ -636,6 +635,12 @@ class TestKernelMoments:
         with pytest.raises(DomainError, match="nodes"):
             bnd.plain_moment(0.3, r, nodes)
         assert bnd.plain_moment.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("nodes", [1, 0, -4096])
+    def test_distortion_quadrature_below_one_node_raises(self, nodes):
+        # it integrates on nodes // 2 nodes, so nodes = 1 asks for none
+        with pytest.raises(DomainError, match="nodes"):
+            distortion_up_quadrature(make_params(0.3, -0.2), HolderPair.from_p(2.0), nodes)
 
 
 class TestNonFiniteFlags:

@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import abharmonic
 from abharmonic import _quad
 from abharmonic._quad import DEFAULT_NODES, base_integral, circle_integral, integrate, p_mean
 from abharmonic.errors import DomainError
@@ -77,6 +80,17 @@ def test_integrate_keeps_only_the_standard_rule():
     assert (info.currsize, info.misses) == (1, 1)
 
 
+@pytest.mark.parametrize("nodes", [0, -4, -4096])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0)])
+def test_integrate_node_count_below_one_raises(a, b, nodes):
+    # before a rule is built or the integrand called, as on the circle
+    _quad._tanh_sinh_rule.cache_clear()
+    calls = []
+    with pytest.raises(DomainError, match="nodes"):
+        integrate(lambda t: calls.append(t) or np.ones_like(t), a, b, nodes)
+    assert calls == [] and _quad._tanh_sinh_rule.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize(
     "a, b",
     [
@@ -106,14 +120,19 @@ def test_non_finite_break_point_raises(bad):
     assert calls == []
 
 
-def placed_nodes(breaks, nodes):
-    """The nodes of the circle rule, each piece placed anew."""
+def placed_pieces(breaks, nodes):
+    """The nodes of each piece of the circle rule, placed anew."""
     if not breaks:
-        return _quad.circle_nodes(nodes)
+        return [_quad.circle_nodes(nodes)]
     pieces = []
     for a, b, n in _quad._circle_pieces(breaks, nodes):
         integrate(lambda x: pieces.append(x) or np.ones_like(x), a, b, n)
-    return np.concatenate(pieces)
+    return pieces
+
+
+def placed_nodes(breaks, nodes):
+    """The nodes of the circle rule, each piece placed anew."""
+    return np.concatenate(placed_pieces(breaks, nodes))
 
 
 # (breaks, nodes) of two rules of each kind: the 256-point trapezoid grid,
@@ -127,40 +146,27 @@ RULES = [
 
 
 @pytest.mark.parametrize("breaks, nodes", RULES)
-def test_phase_factors_are_read_only(breaks, nodes):
-    for arr in _quad._phase_factors(breaks, nodes, 0.7, -0.4):
+def test_moment_rule_is_read_only(breaks, nodes):
+    ca, c2, w, _ = _quad._moment_rule(breaks, nodes, 0.7, -0.4)
+    for arr in (ca, c2) if w is None else (ca, c2, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
 @pytest.mark.parametrize("breaks, nodes", RULES)
-def test_phase_factors_are_the_written_out_cosines(breaks, nodes):
+def test_moment_rule_holds_the_written_out_cosines(breaks, nodes):
     s = placed_nodes(breaks, nodes)
-    ca, c2 = _quad._phase_factors(breaks, nodes, 0.7, -0.4)
+    ca, c2, _, _ = _quad._moment_rule(breaks, nodes, 0.7, -0.4)
     assert np.array_equal(ca, np.abs(np.cos(s - 0.7)))
     assert np.array_equal(c2, np.cos(0.5 * (s + 0.4)) ** 2)
 
 
-@pytest.mark.parametrize("breaks, nodes", RULES)
-def test_circle_rule_is_read_only(breaks, nodes):
-    s, w, _ = _quad._circle_rule(breaks, nodes)
-    assert np.array_equal(s, placed_nodes(breaks, nodes))
-    for arr in (s,) if w is None else (s, w):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-
-
-def test_phase_cache_is_bounded():
+def test_moment_table_is_bounded():
+    # phases on the trapezoid grid and break points of split rules
     for k in range(128):
         base_integral(lambda ca, base: ca * base, 0.5, k / 64.0, 0.0, (), 64)
-    info = _quad._phase_factors.cache_info()
-    assert info.maxsize == info.currsize == 64
-
-
-def test_rule_cache_is_bounded():
-    for k in range(128):
-        circle_integral(np.cos, (k / 64.0,), 512)
-    info = _quad._circle_rule.cache_info()
+        base_integral(lambda ca, base: ca * base, 0.5, 0.0, 0.0, (k / 64.0,), 512)
+    info = _quad._moment_rule.cache_info()
     assert info.maxsize == info.currsize == 64
 
 
@@ -194,25 +200,23 @@ def test_circle_integral_gives_piecewise_bits(breaks, nodes):
         return integrand(s)
 
     assert circle_integral(fn, breaks, nodes) == piecewise_formula(integrand, breaks, nodes)
-    # one call, on every kept node of every piece
-    assert calls == [placed_nodes(breaks, nodes).size]
+    # one call per piece, on every kept node of the piece
+    assert calls == [x.size for x in placed_pieces(breaks, nodes)]
 
 
 @pytest.mark.parametrize("nodes", [64, 2048])
 def test_break_sets_that_split_alike_give_equal_bits(nodes):
-    # each tuple as passed is its own key, so four entries hold equal rules
+    # each tuple as passed is its own key, so four entries hold equal tables
     x, y = 0.7, -0.4
     alike = [(math.pi,), (-math.pi,), (3.0 * math.pi,), (math.pi, 2.0 * math.pi)]
-    _quad._circle_rule.cache_clear()
-    _quad._phase_factors.cache_clear()
+    _quad._moment_rule.cache_clear()
     circles = {circle_integral(integrand, breaks, nodes) for breaks in alike}
     bases = {
         base_integral(lambda ca, base: (0.2 + ca) * base**-0.3, 0.95, x, y, breaks, nodes)
         for breaks in alike
     }
     assert len(circles) == len(bases) == 1
-    assert _quad._circle_rule.cache_info().currsize == 4
-    assert _quad._phase_factors.cache_info().currsize == 4
+    assert _quad._moment_rule.cache_info().currsize == 4
 
 
 @pytest.mark.parametrize("nodes", [64, 2048, DEFAULT_NODES])
@@ -275,3 +279,30 @@ def test_p_mean_at_extreme_exponents(vals, p, expected):
 def test_p_mean_of_zeros_and_non_finite_samples():
     assert p_mean(np.zeros(4), 700.0) == 0.0
     assert p_mean(np.array([1.0, math.inf]), 700.0) == math.inf
+
+
+# every per-process cache of the package
+CACHES = {
+    "_quad._tanh_sinh_rule",
+    "_quad._moment_rule",
+    "bounds.plain_moment",
+    "bounds.plain_moment_closed",
+    "bounds.oscillatory_moment",
+    "harmonic._conj_roots",
+    "harmonic._kernel_table",
+    "cli._parser",
+}
+
+
+def test_cache_inventory():
+    # module-level functions and class members that carry cache_info,
+    # each counted in the module that defines it; every one is bounded
+    found = {}
+    for info in pkgutil.iter_modules(abharmonic.__path__):
+        mod = importlib.import_module(f"abharmonic.{info.name}")
+        for obj in vars(mod).values():
+            for fn in vars(obj).values() if isinstance(obj, type) else (obj,):
+                if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
+                    found[f"{info.name}.{fn.__name__}"] = fn.cache_info().maxsize
+    assert set(found) == CACHES
+    assert all(maxsize is not None for maxsize in found.values()), found
