@@ -33,7 +33,6 @@ from .errors import ParameterError
 from .harmonic import (
     DEFAULT_STEP,
     _wirtinger_pair,
-    integral_means,
     operator_residual,
     poisson_extension,
     poisson_integral,
@@ -219,8 +218,9 @@ def check_integral_means(
     records = []
     gaps = []
     equality_expected = f.is_constant and params.alpha == params.beta
-    for r in R_GRID:
-        mp = integral_means(u, r, hp.p, nodes=nodes)
+    rings = u._circles([(r, 0.0) for r in R_GRID], nodes)
+    for r, ring in zip(R_GRID, rings):
+        mp = p_mean(ring, hp.p)
         bound = bnd.mp_growth_factor(params, r) * norm
         records.append((f"r={r}", r, bound - mp))
         if equality_expected:
@@ -285,10 +285,11 @@ def check_means_partials(
     eminus = np.exp(-1j * circle_nodes(n))
     records = []
 
-    for r in R_GRID:
-        # circle stencils: radial and angular central differences, then the
-        # exact polar chain rule for the Wirtinger pair
-        rp, rm, tp, tm = u._circles([(r + h, 0.0), (r - h, 0.0), (r, h), (r, -h)], n)
+    # circle stencils, all twelve rings in one call: radial and angular
+    # central differences, then the exact polar chain rule for the Wirtinger pair
+    stencils = [ring for r in R_GRID for ring in ((r + h, 0.0), (r - h, 0.0), (r, h), (r, -h))]
+    rings = u._circles(stencils, n).reshape(len(R_GRID), 4, n)
+    for r, (rp, rm, tp, tm) in zip(R_GRID, rings):
         ur = (rp - rm) / (2.0 * h)
         ut = (tp - tm) / (2.0 * h)
         uz = 0.5 * eminus * (ur - 1j * ut / r)

@@ -62,6 +62,8 @@ class BoundaryFunction:
         self.fourier = {int(k): complex(v) for k, v in sorted(fourier.items())}
         self.order = max(abs(k) for k in self.fourier)
         self._grids = {}
+        self._spectra = {}
+        self._norms = {}
         if samples is not None:
             samples = _read_only_grid(samples)
             n = len(samples)
@@ -98,6 +100,16 @@ class BoundaryFunction:
             grid.flags.writeable = False
             self._grids[n] = grid
         return self._grids[n]
+
+    def spectrum(self, n: int, m: int) -> np.ndarray:
+        """The read-only m-point FFTs along the first axis of the n-point
+        grid held as an (m, n/m) array, computed on first use; m = n gives
+        the grid's n-point FFT as one column."""
+        if (n, m) not in self._spectra:
+            spec = np.fft.fft(self.values_on_grid(n).reshape(m, n // m), axis=0)
+            spec.flags.writeable = False
+            self._spectra[n, m] = spec
+        return self._spectra[n, m]
 
     @property
     def is_constant(self) -> bool:
@@ -146,8 +158,10 @@ def from_samples(samples) -> BoundaryFunction:
 
 def lp_norm(f: BoundaryFunction, p: float, nodes: int = DEFAULT_NODES) -> float:
     """Circle L^p norm; p = inf uses the grid maximum (a lower bound that
-    converges from below under grid refinement)."""
-    return p_mean(f.values_on_grid(nodes), p)
+    converges from below under grid refinement); kept on f per (p, nodes)."""
+    if (p, nodes) not in f._norms:
+        f._norms[p, nodes] = p_mean(f.values_on_grid(nodes), p)
+    return f._norms[p, nodes]
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,21 @@ Derivative and operator measurements take a point or an array of points,
 use central finite differences, and treat the function under test as an
 opaque evaluation callback that gets every stencil point of the array at
 once.  The evaluation rule: a PoissonExtension evaluates arrays, rings
-and rotation orbits itself, each through one routine
+and rotation orbits itself.  Arrays and orbits go through one routine
 (PoissonExtension._orbits): the m turns of a point by 2 pi/m shift its
 kernel row by nodes/m places, so an orbit is one kernel row and m-point
-FFTs, an array is m = 1 orbits, and a ring is the orbits of a few base
-points; any other callable is called once per point.
+FFTs, and an array is m = 1 orbits.  A ring |z| = r goes through the
+convolution theorem (PoissonExtension._circles): the kernel on the ring
+is analytic and periodic, so its Fourier coefficients decay like r^|q|,
+and a few hundred kernel samples fix them to rounding, whatever the
+nodes and the angle count.  Any other callable is called once per point.
 
-A point set's transformed kernel rows depend on the weights, the nodes,
-m and the points, not on f, so orbit point sets and rings whose angle
-count divides the nodes keep them per weight pair: a table of the latest
+A point set's transformed kernel rows and a ring's kernel coefficients
+depend on the weights, the nodes and the points, not on f, so orbit
+point sets and rings keep them per weight pair: a table of the latest
 (params, nodes) serves every extension at that pair, and each boundary
-pays only for its own sums and FFTs.  Arrays and the other rings keep
-no table.
+pays only for its own sums and FFTs, on the sample spectra it keeps
+(BoundaryFunction.spectrum).  Arrays keep no table.
 """
 
 from __future__ import annotations
@@ -52,9 +55,14 @@ DEFAULT_STEP = 1e-3
 # 128 KiB at which glibc's malloc maps fresh pages, whose faults would
 # cost as much as the kernel
 _BLOCK_POINTS = 4096
-# bytes of transformed kernel rows the table of one (params, nodes) keeps:
-# the audit's 39 orbit rows and 15 ring rows take 3.5 MB at 4,096 nodes
+# bytes of kernel arrays the table of one (params, nodes) keeps: at 4,096
+# nodes the audit's 39 transformed orbit rows take 2.5 MB and each of its
+# 15 ring coefficient vectors at most 64 KB
 _TABLE_BYTES = 4 << 20
+# the level below which a ring kernel's Fourier coefficients are left out,
+# relative to their 1-norm (which bounds the kernel on the ring): 16 ulps,
+# above the FFT's rounding noise in them, which reaches about 2 ulps
+_RING_TOL = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -191,6 +199,58 @@ def _orbit_rows(params: AlphaBeta, z: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
+def _ring_length(params: AlphaBeta, r: float, cap: int) -> int:
+    """The first sample count of a ring of radius r: the smallest power of
+    two N >= 64 at which the size |q|^a r^|q| / Gamma(a + 1) of the ring
+    kernel's Fourier coefficients, a = max(alpha, beta, 0), is below
+    _RING_TOL at q = N/4, or cap if that is smaller.  (The coefficients
+    of (1 - w)^-(a+1) grow as q^a / Gamma(a + 1), and r^|q| is the decay
+    of an analytic periodic function on the ring.)"""
+    a = max(params.alpha, params.beta, 0.0)
+    decay = -math.log(r) if r > 0.0 else math.inf
+    digits = -math.log(_RING_TOL) - math.lgamma(a + 1.0)
+    size = 64
+    while size < cap and size / 4 * decay - a * math.log(size / 4) < digits:
+        size *= 2
+    return min(size, cap)
+
+
+def _ring_spectrum(params: AlphaBeta, r: float, phase: float, size: int) -> np.ndarray:
+    """p = FFT/N of the N = size kernel samples P(r e^{i(phase + 2 pi k/N)}),
+    evaluated in blocks of _BLOCK_POINTS."""
+    t = circle_nodes(size)
+    vals = np.empty(size, dtype=complex)
+    for i in range(0, size, _BLOCK_POINTS):
+        block = slice(i, i + _BLOCK_POINTS)
+        vals[block] = unnormalized_kernel(params, r * np.exp(1j * (phase + t[block])))
+    return np.fft.fft(vals) / size
+
+
+def _ring_coefficients(
+    params: AlphaBeta, table: _KernelTable, r: float, phase: float, cap: int
+) -> np.ndarray:
+    """The ring kernel's coefficients p (_ring_spectrum) at the first N
+    from _ring_length on, doubling, whose outer quarter N/4 <= |q| <= N/2
+    is below _RING_TOL times the 1-norm of p, or at N = cap, where the
+    sum is exact.  Each p is kept in table under (r, phase, N, decayed),
+    decayed telling whether it passed that test, so no p is made or
+    tested twice and a ring's N does not depend on what the table holds."""
+    size = _ring_length(params, r, cap)
+    while True:
+        for decayed in (True, False):
+            p = table.entries.get((r, phase, size, decayed))
+            if p is not None:
+                break
+        else:
+            p = _ring_spectrum(params, r, phase, size)
+            mag = np.abs(p)
+            decayed = bool(mag[size // 4 : 3 * size // 4 + 1].max() <= _RING_TOL * mag.sum())
+            table.get((r, phase, size, decayed), lambda: p)
+        if decayed or size == cap:
+            return p
+        size = min(2 * size, cap)
+
+
 def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
     """Poisson integral of f at z: a complex for a scalar or DiskPoint z, else an array."""
     vals = PoissonExtension(params, f, nodes)._orbits(_disk_array(z), 1, keep=False)[..., 0]
@@ -201,13 +261,13 @@ class PoissonExtension:
     """The extension of f as a reusable evaluation callback.
 
     Calling it evaluates the Poisson integral at scalar or array
-    arguments.  orbit_values and circle_values evaluate rotation orbits:
-    turning a point by 2 pi/m, with m dividing the nodes, shifts its
-    kernel row against the boundary samples by nodes/m places, so an
-    orbit costs one kernel row and m-point FFTs, and a ring is the
-    orbits of a few base points, never one kernel row per angle.  Every
-    path reads f only on its nodes-point grid; a ring's phase goes
-    through the kernel.
+    arguments.  orbit_values evaluates rotation orbits: turning a point
+    by 2 pi/m, with m dividing the nodes, shifts its kernel row against
+    the boundary samples by nodes/m places, so an orbit costs one kernel
+    row and m-point FFTs.  circle_values evaluates a ring from the
+    kernel's Fourier coefficients on it, sampled only as finely as they
+    need, never one kernel row per angle.  Every path reads f only on
+    its nodes-point grid; a ring's phase goes through the kernel.
     """
 
     def __init__(self, params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES):
@@ -233,7 +293,7 @@ class PoissonExtension:
         """
         n = self.nodes
         s = n // m
-        fhat = np.fft.fft(self.f.values_on_grid(n).reshape(m, s), axis=0)
+        fhat = self.f.spectrum(n, m)
         flat = z.reshape(-1)
         rows = None
         if keep and flat.size * _conj_roots(n).nbytes <= _TABLE_BYTES:
@@ -264,22 +324,40 @@ class PoissonExtension:
     def _circles(self, rings, n_theta: int) -> np.ndarray:
         """circle_values at each (r, phase) of rings, one row per ring.
 
-        With g = gcd(nodes, n_theta) and d = n_theta/g, angle a + d k of a
-        ring is its base point r e^{i(phase + 2 pi a/n_theta)} turned k
-        times by 2 pi/g, so a ring is the g-turn orbits of its d base
-        points.  The rings are kept in the table when n_theta divides the
-        nodes (d = 1), and otherwise not: d rows per ring would add to
-        the peak memory of a many-ring solve.
+        u at angle theta_j is (c/n) sum_l K(theta_j - t_l) f_l for the
+        ring's kernel K(s) = P(r e^{i(phase + s)}), so by the convolution
+        theorem it is (c/n) sum_q p_q F_{q mod n} e^{i q theta_j}, with p_q the Fourier
+        coefficients of K and F the n-point FFT of the samples.  p comes
+        from N samples of K (_ring_coefficients), q runs over [-N/2, N/2),
+        and the products, laid out in q order, fold onto the n_theta bins
+        q mod n_theta of one inverse FFT.  With N = lcm(n, n_theta) this
+        is the n-node sum re-indexed; a smaller N leaves out only
+        coefficients below rounding.  The rings of one N are computed
+        together, each row as it would be alone, so a ring is the same
+        bit for bit in any call.
         """
         _check_angles(n_theta)
         for r, _ in rings:
             if not 0.0 <= r < 1.0:
                 raise DomainError(f"circle radius must be in [0, 1), got {r}")
-        g = math.gcd(self.nodes, n_theta)
-        d = n_theta // g
-        base = np.array([r * np.exp(1j * (circle_nodes(n_theta)[:d] + phase)) for r, phase in rings])
-        vals = self._orbits(base, g, keep=d == 1)
-        return np.swapaxes(vals, 1, 2).reshape(len(rings), n_theta)
+        n = self.nodes
+        cap = math.lcm(n, n_theta)
+        table = _kernel_table(self.params, n)
+        coeffs = [_ring_coefficients(self.params, table, float(r), float(phase), cap) for r, phase in rings]
+        top = max((p.size for p in coeffs), default=0) // 2
+        fq = self.f.spectrum(n, n)[np.arange(-top, top) % n, 0]  # F at q = -top .. top - 1
+        bins = np.empty((len(rings), n_theta), dtype=complex)
+        for size in {p.size for p in coeffs}:
+            at = [i for i, p in enumerate(coeffs) if p.size == size]
+            p = np.array([coeffs[i] for i in at])
+            half = size // 2
+            # q = -N/2 + j goes to column start + j, which is bin q mod n_theta
+            start = -half % n_theta
+            folded = np.zeros((len(at), -(-(start + size) // n_theta) * n_theta), dtype=complex)
+            np.multiply(p[:, half:], fq[top - half : top], out=folded[:, start : start + half])
+            np.multiply(p[:, :half], fq[top : top + half], out=folded[:, start + half : start + size])
+            bins[at] = folded.reshape(len(at), -1, n_theta).sum(axis=1)
+        return self.params.c_norm / n * np.fft.ifft(bins, norm="forward")
 
 
 def poisson_extension(params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES) -> PoissonExtension:

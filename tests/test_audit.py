@@ -425,19 +425,28 @@ class TestSuites:
 
     def test_standard_suite_kernel_work_per_weight_pair(self, monkeypatch):
         # 20 boundaries visit each standard pair once, four boundaries in a
-        # row; a pair costs 54 kernel rows: 39 orbit rows (growth 3,
-        # Cartesian 24, polar 12) and 15 ring rows (3 integral-means and
-        # 12 means-partials rings)
-        rows = []
+        # row; a pair costs 39 orbit rows of 256 kernel points (growth 3,
+        # Cartesian 24, polar 12) and 15 ring coefficient vectors (3
+        # integral-means and 12 means-partials rings) of at most
+        # lcm(256, 256) = 256 samples: the five rings at r = 0.3 (+- h)
+        # take 128, the others reach the cap
+        points = collections.Counter()
+        rings = collections.Counter()
 
         def kernel(params, w, fn=harmonic.unnormalized_kernel):
-            rows.extend([params] * (np.size(w) // 256))
+            points[params] += np.size(w)
             return fn(params, w)
 
+        def ring(params, r, phase, size, fn=harmonic._ring_spectrum):
+            rings[params] += 1
+            return fn(params, r, phase, size)
+
         monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
+        monkeypatch.setattr(harmonic, "_ring_spectrum", ring)
         standard_suite(n_boundaries=20, nodes=256)
         pairs = [make_params(*pair) for pair in STANDARD_PAIRS]
-        assert collections.Counter(rows) == dict.fromkeys(pairs, 54)
+        assert rings == dict.fromkeys(pairs, 15)
+        assert points == dict.fromkeys(pairs, 39 * 256 + 5 * 128 + 10 * 256)
 
     def test_warm_table_margins_equal_cold(self, monkeypatch):
         warm = standard_suite(n_boundaries=8, nodes=256)

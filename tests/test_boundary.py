@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abharmonic import audit
+from abharmonic import audit, boundary
 from abharmonic.boundary import (
     BoundaryFunction,
     document,
@@ -301,6 +301,38 @@ class TestGridSampling:
         audit.standard_suite(n_boundaries=2)
         assert len(calls) <= 2 * 2
         assert len({id(g) for g in grids}) == 2 * 2 < len(grids)
+
+    def test_standard_suite_takes_each_norm_once_per_boundary(self, monkeypatch):
+        # the five boundary checks share one 4096-node norm per boundary
+        means = []
+
+        def counted(vals, p, fn=boundary.p_mean):
+            means.append(p)
+            return fn(vals, p)
+
+        monkeypatch.setattr(boundary, "p_mean", counted)
+        audit.standard_suite(n_boundaries=2)
+        assert len(means) == 2
+
+    def test_norm_kept_per_exponent_and_nodes(self, monkeypatch):
+        f = from_fourier({1: 1.0, -2: 0.5j})
+        first = lp_norm(f, 3.0, nodes=256)
+        monkeypatch.setattr(boundary, "p_mean", None)
+        assert lp_norm(f, 3.0, nodes=256) == first
+        monkeypatch.undo()
+        assert lp_norm(f, 3.0, nodes=512) == pytest.approx(first, rel=1e-14)
+        assert lp_norm(f, 2.0, nodes=256) != first
+        assert set(f._norms) == {(3.0, 256), (3.0, 512), (2.0, 256)}
+
+    @pytest.mark.parametrize("m", [1, 8, 64])
+    def test_spectrum_kept_read_only(self, m):
+        # the m-point FFTs of the 64-point grid held as an (m, 64/m) array
+        f = from_fourier({1: 1.0, -2: 0.5j, 40: 0.25})
+        spec = f.spectrum(64, m)
+        assert f.spectrum(64, m) is spec
+        assert np.array_equal(spec, np.fft.fft(f.values_on_grid(64).reshape(m, 64 // m), axis=0))
+        with pytest.raises(ValueError):
+            spec[0] = 0.0
 
     @pytest.mark.parametrize("n", [0, -1, -64])
     def test_grid_size_must_be_positive(self, n):

@@ -69,7 +69,7 @@ AUDIT_RADII = (0.3, 0.6, 0.9, SUP)
 KINDS = ("radial", "angular", "wirtinger")
 
 EVAL_PAIRS = ((0.3, -0.2), (2.7, -1.4))
-# 64 and 32 divide --nodes 4096 (FFT rings); 60 does not (15 orbits of 4 turns)
+# 64 and 32 divide --nodes 4096; 60 does not, so its rings' cap lcm(4096, 60) is 61,440
 SOLVE_GRIDS = ("4x64", "8x32", "4x60")
 EVAL_POINTS = (0.3 - 0.2j, 0.5 + 0.4j, -0.6 + 0.1j)
 MEANS_RADII = (0.3, 0.7)

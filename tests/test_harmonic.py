@@ -11,7 +11,7 @@ import pytest
 from abharmonic import harmonic
 from abharmonic._quad import circle_nodes
 from abharmonic.audit import STANDARD_PAIRS, Z_GRID, random_boundary
-from abharmonic.boundary import from_fourier
+from abharmonic.boundary import from_fourier, from_samples
 from abharmonic.errors import DomainError, StencilError
 from abharmonic.harmonic import (
     DEFAULT_STEP,
@@ -576,10 +576,9 @@ class TestNodeRule:
 
 
 class TestCircleValues:
-    # on 1,024 nodes: 256 angles divide the nodes (one base point turned
-    # 256 times); 60, 96 and 2,048 do not (the orbits of 15, 3 and 2 base
-    # points turned 4, 32 and 1,024 times), and 63 is coprime to 1,024
-    # (63 one-point orbits, the dense sum)
+    # on 1,024 nodes a ring's kernel samples stop at lcm(1,024, n_theta):
+    # 1,024 for 256 angles, 2,048 for 2,048, far above what r <= 0.9
+    # needs for 60, 63 and 96; r = 0 takes 64
     @pytest.mark.parametrize("n_theta", [256, 60, 63, 96, 2048])
     @pytest.mark.parametrize("phase", [0.0, 1e-3, -1e-3, 0.7])
     @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.3, -0.2)])
@@ -590,28 +589,100 @@ class TestCircleValues:
             ring = u.circle_values(r, n_theta, phase=phase)
             assert np.max(np.abs(ring - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-    @pytest.mark.parametrize("n_theta", [256, 60])
+    @pytest.mark.parametrize("n_theta", [256, 60, 1])
     @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.3, -0.2), (2.7, -1.4)])
     def test_rings_in_one_call_match_one_ring_each(self, pair, n_theta):
         # the four rings of a means-partials stencil in one call are bit
-        # for bit each ring alone: with 256 angles on 1,024 nodes each is
-        # one base point turned 256 times, with 60 fifteen turned 4 times
+        # for bit each ring alone, with 256, 60 or 1 angles on 1,024
+        # nodes, also beside rings of other sample counts N
         u = poisson_extension(make_params(*pair), seeded_boundary(np.random.default_rng(5)), 1024)
         h = DEFAULT_STEP
-        rings = [(0.6 + h, 0.0), (0.6 - h, 0.0), (0.6, h), (0.6, -h)]
+        rings = [(0.6 + h, 0.0), (0.2, 0.3), (0.6 - h, 0.0), (0.6, h), (0.95, 0.0), (0.6, -h)]
         for (r, phase), row in zip(rings, u._circles(rings, n_theta)):
             assert np.array_equal(row, u.circle_values(r, n_theta, phase=phase))
 
     @pytest.mark.parametrize("n_theta", [60, 63, 96, 512])
-    def test_ring_off_the_nodes_keeps_no_kernel(self, n_theta):
+    def test_ring_keeps_its_coefficients(self, n_theta):
+        # one coefficient vector per (r, phase, N, decayed), N from the
+        # ring rule and below every cap lcm(256, n_theta) here
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
         u.circle_values(0.5, n_theta)
         u._circles([(0.3, 0.0), (0.6, 0.1)], n_theta)
-        assert harmonic._kernel_table(PHH, 256).entries == {}
+        entries = harmonic._kernel_table(PHH, 256).entries
+        assert [(key, arr.shape) for key, arr in entries.items()] == [
+            ((0.5, 0.0, 256, True), (256,)),
+            ((0.3, 0.0, 128, True), (128,)),
+            ((0.6, 0.1, 512, True), (512,)),
+        ]
+
+    def test_rejected_lengths_kept_and_not_remade(self, monkeypatch):
+        # a first N too small for r = 0.5 doubles until the outer quarter
+        # has decayed; the rejected vectors stay in the table, so the ring
+        # again needs no kernel, bit for bit
+        u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 1024)
+        monkeypatch.setattr(harmonic, "_ring_length", lambda params, r, cap: 64)
+        ring = u.circle_values(0.5, 60)
+        entries = harmonic._kernel_table(PHH, 1024).entries
+        assert list(entries) == [(0.5, 0.0, 64, False), (0.5, 0.0, 128, False), (0.5, 0.0, 256, True)]
+        monkeypatch.setattr(harmonic, "unnormalized_kernel", None)
+        assert np.array_equal(u.circle_values(0.5, 60), ring)
+
+    def test_ring_at_one_cap_does_not_stop_another(self, monkeypatch):
+        # from a first N of 64 at r = 0.9 on 256 nodes, 64 angles stop at
+        # their cap of 256 samples, which fail the decay test; 60 angles
+        # (cap 3,840) go on doubling from there as with an empty table
+        u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
+        monkeypatch.setattr(harmonic, "_ring_length", lambda params, r, cap: 64)
+        u.circle_values(0.9, 64)
+        assert list(harmonic._kernel_table(PHH, 256).entries)[-1] == (0.9, 0.0, 256, False)
+        warm = u.circle_values(0.9, 60)
+        assert list(harmonic._kernel_table(PHH, 256).entries)[-1] == (0.9, 0.0, 2048, True)
+        harmonic._kernel_table.cache_clear()
+        assert np.array_equal(u.circle_values(0.9, 60), warm)
+
+    @pytest.mark.parametrize("pair", [(5.0, 0.0), (0.0, 5.0), (3.0, 3.0), (-0.9, 0.5), (2.7, -1.4)])
+    def test_matches_dense_poisson_integral(self, pair, monkeypatch):
+        # 4,096 noisy samples hold every mode.  The dense sum is taken at up
+        # to 16 angles of each ring, against the largest |u| at 16 angles of
+        # the circle (one angle has no scale of its own: there the dense
+        # sum's own rounding is about 1e-13 of |u|).  The coefficient
+        # vectors never pass lcm(nodes, n_theta), which 1, 64 and 8,192
+        # angles reach at r = 0.99
+        params = make_params(*pair)
+        rng = np.random.default_rng(11)
+        u = poisson_extension(params, from_samples(rng.normal(size=4096) + 1j * rng.normal(size=4096)), 4096)
+        sizes = []
+
+        def coefficients(*args, fn=harmonic._ring_coefficients):
+            p = fn(*args)
+            sizes.append(p.size)
+            return p
+
+        monkeypatch.setattr(harmonic, "_ring_coefficients", coefficients)
+        for r in (0.0, 1e-300, 0.5, 0.9, 0.95, 0.99):
+            tol = 2e-12 if r == 0.99 else 1e-13
+            for phase in (0.0, 0.3):
+                scale = np.max(np.abs(u(r * np.exp(1j * (circle_nodes(16) + phase)))))
+                for n_theta in (1, 60, 63, 64, 8192):
+                    ring = u.circle_values(r, n_theta, phase=phase)
+                    at = np.arange(0, n_theta, -(-n_theta // 16))
+                    dense = u(r * np.exp(1j * (circle_nodes(n_theta)[at] + phase)))
+                    assert np.max(np.abs(ring[at] - dense)) <= tol * max(scale, np.max(np.abs(dense)))
+                    assert sizes.pop() <= math.lcm(4096, n_theta)
+
+    def test_rings_and_orbits_share_the_kept_spectra(self, monkeypatch):
+        # one FFT of the grid per (nodes, m), whatever the rings and orbits
+        f = from_fourier({1: 1.0, -2: 0.5})
+        u = poisson_extension(PHH, f, 256)
+        first = u.circle_values(0.5, 64), u.orbit_values(Z_GRID, 8), u(0.3j)
+        assert set(f._spectra) == {(256, 256), (256, 8), (256, 1)}
+        monkeypatch.setattr(np.fft, "fft", None)
+        again = u.circle_values(0.5, 64), u.orbit_values(Z_GRID, 8), u(0.3j)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     def test_many_turns_stay_in_small_blocks(self):
-        # 8,192 angles on 4,096 nodes are two base points turned 4,096
-        # times: two kernel rows and their 4,096-point transforms
+        # 8,192 angles on 4,096 nodes at r = 0.5: 256 kernel samples
+        # whose products fold onto 8,192 bins of one inverse FFT
         u = poisson_extension(make_params(0.3, -0.2), from_fourier({1: 1.0, -2: 0.5}), 4096)
         u.circle_values(0.5, 64)  # the node and sample caches
         tracemalloc.start()
@@ -656,33 +727,36 @@ class TestKernelTable:
         assert list(harmonic._kernel_table(PHH, 256).entries) == [(m, z.shape, z.tobytes()) for m, z in keys]
 
     def test_cached_arrays_read_only(self):
-        # a point set's rows, transformed, of shape z.shape + (m, nodes/m)
+        # a point set's rows, transformed, of shape z.shape + (m, nodes/m),
+        # and a ring's N kernel coefficients under (r, phase, N)
         u = poisson_extension(PHH, self.F, 256)
         u.orbit_values(Z_GRID, 8)
         u.circle_values(0.5, 64)
         entries = harmonic._kernel_table(PHH, 256).entries
-        assert [(key[0], arr.shape) for key, arr in entries.items()] == [(8, (24, 8, 32)), (64, (1, 64, 4))]
+        assert [(key[0], arr.shape) for key, arr in entries.items()] == [(8, (24, 8, 32)), (0.5, (256,))]
+        assert list(entries)[1] == (0.5, 0.0, 256, True)
         for arr in entries.values():
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_byte_budget_evicts_the_oldest(self, monkeypatch):
-        # room for three 256-node ring rows; an orbit point set whose rows
-        # exceed the budget is evaluated block by block and not kept, bit
-        # for bit as from the table
+        # room for three 256-sample ring vectors (at 256 nodes and 64
+        # angles each of these radii reaches the cap lcm(256, 64) = 256);
+        # an orbit point set whose rows exceed the budget is evaluated
+        # block by block and not kept, bit for bit as from the table
         u = poisson_extension(PHH, self.F, 256)
         z = Z_GRID[:, :4]
         kept = u.orbit_values(z, 8)
         harmonic._kernel_table.cache_clear()
         monkeypatch.setattr(harmonic, "_TABLE_BYTES", 3 * 256 * 16)
-        radii = (0.1, 0.2, 0.3, 0.4, 0.5)
+        radii = (0.5, 0.6, 0.7, 0.8, 0.9)
         rings = [u.circle_values(r, 64) for r in radii]
         table = harmonic._kernel_table(PHH, 256)
-        ring_keys = [(64, (1, 1), np.array([[r]], dtype=complex).tobytes()) for r in radii[2:]]
-        assert list(table.entries) == ring_keys
+        ring_keys = [(r, 0.0, 256) for r in radii[2:]]
+        assert [key[:3] for key in table.entries] == ring_keys
         assert table.nbytes == 3 * 256 * 16
         assert np.array_equal(u.orbit_values(z, 8), kept)
-        assert list(table.entries) == ring_keys
+        assert [key[:3] for key in table.entries] == ring_keys
         harmonic._kernel_table.cache_clear()
         for r, ring in zip(radii, rings):
             assert np.array_equal(u.circle_values(r, 64), ring)
