@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -181,18 +182,19 @@ def _complex_pair(v) -> complex:
 
 
 def _sample_array(raw: list) -> np.ndarray:
-    """The [re, im] entries of raw as a complex array: one numpy conversion
-    when every entry is a finite pair, else entry by entry through
-    _complex_pair, which names the first bad entry."""
-    if all(isinstance(v, (list, tuple)) for v in raw):
+    """The [re, im] entries of raw as a complex array: one numpy pass over
+    the flattened pairs when every entry is a list or tuple of two finite
+    numbers, else entry by entry through _complex_pair, which names the
+    first bad entry."""
+    if set(map(type, raw)) <= {list, tuple} and set(map(len, raw)) == {2}:
         try:
-            pairs = np.array(raw, dtype=float)
+            pairs = np.fromiter(chain.from_iterable(raw), dtype=float, count=2 * len(raw))
         except (TypeError, ValueError, OverflowError):
             pass
         else:
-            if pairs.shape == (len(raw), 2) and np.isfinite(pairs).all():
+            if np.isfinite(pairs).all():
                 # a view of the (re, im) pairs keeps signed zeros that re + 1j * im can flip
-                return pairs.view(complex)[:, 0]
+                return pairs.view(complex)
     return np.array([_complex_pair(v) for v in raw])
 
 
@@ -227,8 +229,11 @@ def load(path) -> BoundaryFunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BoundaryFileError(f"cannot read boundary file {path}: {exc}") from exc
+    except RecursionError as exc:
+        # the decoder recurses once per level of nesting
+        raise BoundaryFileError(f"cannot read boundary file {path}: nested too deeply") from exc
     return parse_document(doc)
 
 

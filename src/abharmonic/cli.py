@@ -21,7 +21,12 @@ them all or none through `_write_outputs`.  JSON is the
 text of `json.dumps(doc, indent=2)` byte for byte, a non-finite float
 written as null, made in one pass by `_json_text`, which takes about half
 the time of `json.dumps`: the standard library writes indented JSON with
-its pure-Python encoder.
+its pure-Python encoder.  CSV is the text of csv.writer with each float
+written to 17 significant digits, made by `_write_csv` from blocks of
+columns: a block of float columns in one formatting pass, as float text
+needs no quoting, and any other block through csv.writer.  `solve` hands
+it the grid `_CSV_BLOCK` rows at a time, so the text held at once does
+not grow with the grid.
 
 `main` builds the argument parser once per process, on its first call,
 and looks up the subcommand's handler at each call, so a replaced
@@ -59,6 +64,9 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_BAD_ARGS = 2
 EXIT_BAD_FILE = 3
+
+# solve's rows per CSV block: the floats and text held at once stay near 1.5 MB
+_CSV_BLOCK = 4096
 
 
 def _parse_p(text: str) -> float:
@@ -174,14 +182,26 @@ def _emit_json(doc: dict, out_path) -> None:
         fh.write(text)
 
 
-def _write_csv(fh, header, rows) -> None:
-    """Write header, then each row, to the text stream fh: a float to 17
-    significant digits, a string as it is, None as an empty field.  Rows
-    may be a generator; each is formatted as it is written."""
+def _write_csv(fh, header, blocks) -> None:
+    """Write header, then the rows of each block, to the text stream fh.
+
+    A block is a sequence of equal-length columns; its i-th row holds the
+    i-th item of each.  A float is written to 17 significant digits, None
+    as an empty field, anything else as csv.writer writes it.  A block
+    whose columns hold only floats is formatted in one pass, a row per
+    template; any other goes through csv.writer.  Blocks may come from a
+    generator: each block's text is made and written before the next."""
     writer = csv.writer(fh)
     writer.writerow(header)
-    # csv writes None as an empty field
-    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+    for columns in blocks:
+        rows = zip(*columns)
+        if all(set(map(type, c)) <= {float} for c in columns):
+            # float text needs no quoting, so this is what csv.writer writes
+            template = ",".join(["%.17g"] * len(columns)) + "\r\n"
+            fh.write("".join(map(template.__mod__, rows)))
+        else:
+            # csv writes None as an empty field
+            writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _write_outputs(outputs) -> None:
@@ -256,15 +276,12 @@ def cmd_solve(args) -> int:
     nr, nt = args.grid
     radii = [(i + 1) / (nr + 1) * args.rmax for i in range(nr)]
     # every ring before any point: a bad radius raises before a file is opened
-    rings = [u.circle_values(r, nt) for r in radii]
-    thetas = circle_nodes(nt)
-    rows = (
-        (z.real, z.imag, v.real, v.imag)
-        for r, vals in zip(radii, rings)
-        for z, v in zip(r * np.exp(1j * thetas), vals)
-    )
+    values = u._circles([(r, 0.0) for r in radii], nt).ravel()
+    points = (np.array(radii)[:, None] * np.exp(1j * circle_nodes(nt))).ravel()
+    columns = (points.real, points.imag, values.real, values.imag)
+    blocks = ([c[i : i + _CSV_BLOCK].tolist() for c in columns] for i in range(0, points.size, _CSV_BLOCK))
     with _open_out(args.out) as fh:
-        _write_csv(fh, ("x", "y", "re", "im"), rows)
+        _write_csv(fh, ("x", "y", "re", "im"), blocks)
     return EXIT_OK
 
 
@@ -316,7 +333,8 @@ def cmd_audit(args) -> int:
     csv_path = getattr(args, "csv", None)
     if csv_path:
         buf = io.StringIO(newline="")
-        _write_csv(buf, ("case", "r", "margin"), merge_results(args.suite, results).details)
+        details = merge_results(args.suite, results).details
+        _write_csv(buf, ("case", "r", "margin"), [list(zip(*details))])
         outputs.append((csv_path, buf.getvalue()))
     _write_outputs(outputs)
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS

@@ -21,6 +21,10 @@ from abharmonic._quad import circle_nodes
 from abharmonic.errors import BoundaryFileError, DomainError, ParameterError
 
 
+class _List(list):
+    """A list subclass, as a caller may pass in place of a JSON array."""
+
+
 def _pairs(values):
     """A document's [re, im] sample entries."""
     return [[v.real, v.imag] for v in np.asarray(values, dtype=complex)]
@@ -215,6 +219,44 @@ class TestDocuments:
             parse_document({"samples": samples})
         assert str(info.value) == message
 
+    # what the reader gives for each kind of entry, pinned before its fast
+    # path changes: the same complex array, signed zeros included, or the
+    # same message
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            ([(1.0, 2.0), (3, 4)], [1 + 2j, 3 + 4j]),
+            ([_List([1.0, 2.0]), [3.0, 4.0]], [1 + 2j, 3 + 4j]),
+            ([[1.0, 2.0], [1.0, 2.0, 3.0]], "expected [re, im], got [1.0, 2.0, 3.0]"),
+            ([[1.0, 2.0], [1.0]], "expected [re, im], got [1.0]"),
+            ([["1.5", " 2 "], [3.0, 4.0]], [1.5 + 2j, 3 + 4j]),
+            ([["x", 1]], "non-numeric entry ['x', 1]"),
+            ([[True, False], [3.0, 4.0]], [1 + 0j, 3 + 4j]),
+            ([[1.0, None]], "non-numeric entry [1.0, None]"),
+            ([[{}, 1.0]], "non-numeric entry [{}, 1.0]"),
+            ([[0.5, 0.0], [10**400, 0]], f"non-numeric entry {[10**400, 0]!r}"),
+            ([[-0.0, -0.0], [1.0, -0.0]], [complex(-0.0, -0.0), complex(1.0, -0.0)]),
+            ([[0.5, 0.0], [math.nan, 0.0]], "non-finite entry [nan, 0.0]"),
+            ([["nan", 0.0]], "non-finite entry ['nan', 0.0]"),
+            ([[math.inf, 0.0]], "non-finite entry [inf, 0.0]"),
+            ([[0.0, -math.inf]], "non-finite entry [0.0, -inf]"),
+        ],
+        ids=[
+            "tuples", "list-subclass", "three-items", "one-item", "numeric-strings", "bad-string",
+            "bools", "none", "dict", "huge-int", "negative-zeros", "nan", "nan-string", "inf", "minus-inf",
+        ],
+    )
+    def test_sample_entries(self, entries, expected):
+        if isinstance(expected, str):
+            with pytest.raises(BoundaryFileError) as info:
+                boundary._sample_array(entries)
+            assert str(info.value) == expected
+            return
+        got, want = boundary._sample_array(entries), np.array(expected, dtype=complex)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.signbit(got.real).tolist() == np.signbit(want.real).tolist()
+        assert np.signbit(got.imag).tolist() == np.signbit(want.imag).tolist()
+
     @pytest.mark.parametrize("n", [1, 2, 16, 4096])
     def test_samples_document_is_from_samples_bit_for_bit(self, n):
         # random values with signed zeros in both parts, read through JSON
@@ -262,6 +304,17 @@ class TestDocuments:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(BoundaryFileError):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"samples": [[1.0, 0.0]], "x": "\xff"}', b'{"z": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"],
+        ids=["not-utf-8", "nested-too-deeply"],
+    )
+    def test_load_undecodable(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(BoundaryFileError, match="cannot read boundary file"):
             load(path)
 
     @pytest.mark.parametrize("k, n", [(1000, 4096), (70, 64), (-3, 8)])

@@ -251,14 +251,102 @@ class TestAudit:
         assert _strip_timestamp(out1.read_text()) == _strip_timestamp(out2.read_text())
 
 
+# CSV fields: floats at the edges of their range and non-finite ones, strings
+# that csv.writer must quote, the empty string, None, a numpy float and ints
+CSV_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308])
+)
+CSV_FIELDS = st.one_of(
+    CSV_FLOATS,
+    st.sampled_from(["", 'a,"b"\r\nc', ",", '"', "\r", "\n", " a "]),
+    st.text(st.sampled_from(',"\r\n a'), max_size=4),
+    st.none(),
+    st.floats().map(np.float64),
+    st.integers(),
+)
+
+# (width, blocks): up to three blocks of rows of that many fields, each block
+# all floats or fields of any kind
+CSV_BLOCKS = st.integers(1, 4).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.sampled_from([CSV_FLOATS, CSV_FIELDS]).flatmap(
+                lambda fields: st.lists(st.lists(fields, min_size=width, max_size=width), max_size=4)
+            ),
+            max_size=3,
+        ),
+    )
+)
+
+
+def _csv_bytes(header, rows) -> bytes:
+    """What csv.writer writes for header and rows, each float to 17
+    significant digits: the CSV text abharmonic has always written."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
 class TestCsvOutput:
-    """Both CSV layouts come from cli._write_csv: floats to 17 significant
-    digits, which read back exactly, and None as an empty field."""
+    """Both CSV layouts come from cli._write_csv, which formats a block of
+    float columns in one pass and any other block through csv.writer.  Its
+    bytes are csv.writer's with every float written f"{v:.17g}": 17
+    significant digits, which read back exactly, and None as an empty field."""
 
     @staticmethod
     def _rows(path):
         with open(path, newline="", encoding="utf-8") as fh:
             return list(csv.reader(fh))
+
+    @pytest.fixture(scope="class")
+    def solve_docs(self, tmp_path_factory):
+        # an order-2 Fourier document and 4,096 random samples read through JSON
+        root = tmp_path_factory.mktemp("solve")
+        rng = np.random.default_rng(4096)
+        docs = {
+            "fourier": {"fourier": {"0": [0.5, 0.0], "1": [1.0, -0.3], "-2": [0.0, 0.25]}},
+            "samples": {"samples": rng.normal(size=(4096, 2)).tolist()},
+        }
+        for kind, doc in docs.items():
+            (root / f"{kind}.json").write_text(json.dumps(doc))
+        return root
+
+    @pytest.mark.parametrize("kind", ["fourier", "samples"])
+    @pytest.mark.parametrize(
+        "grid, rmax",
+        [("1x1", 0.95), ("3x7", 0.95), ("4x60", 0.95), ("8x32", 0.95), ("2x8192", 0.95), ("3x7", 0.99)],
+    )
+    def test_solve_bytes_are_csv_writer_bytes(self, solve_docs, kind, grid, rmax, tmp_path, capsys):
+        doc, out = solve_docs / f"{kind}.json", tmp_path / "grid.csv"
+        args = ["solve", str(doc), "--alpha", "0.3", "--beta=-0.2", "--grid", grid, "--rmax", repr(rmax)]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        stdout = capsys.readouterr().out.encode()
+        # the rows as solve has always made them: ring by ring, each point a numpy scalar
+        u = poisson_extension(make_params(0.3, -0.2), load(doc))
+        nr, nt = (int(n) for n in grid.split("x"))
+        rows = []
+        for i in range(nr):
+            r = (i + 1) / (nr + 1) * rmax
+            for z, v in zip(r * np.exp(1j * circle_nodes(nt)), u.circle_values(r, nt)):
+                rows.append((z.real, z.imag, v.real, v.imag))
+        expected = _csv_bytes(("x", "y", "re", "im"), rows)
+        assert stdout == expected
+        assert out.read_bytes() == expected
+
+    @given(CSV_BLOCKS)
+    @settings(max_examples=200, deadline=None)
+    def test_writer_is_csv_writer(self, width_blocks):
+        # blocks of rows, handed to the writer as columns
+        width, blocks = width_blocks
+        header = tuple("abcd"[:width])
+        buf = io.StringIO(newline="")
+        cli._write_csv(buf, header, ([list(c) for c in zip(*rows)] for rows in blocks))
+        assert buf.getvalue().encode() == _csv_bytes(header, [row for rows in blocks for row in rows])
 
     def test_solve_rows_are_the_rings(self, tmp_path, capsys):
         doc = tmp_path / "f.json"
@@ -295,6 +383,9 @@ class TestCsvOutput:
             assert r == "" or float(r) == want_r
             assert float(margin) == want_margin
         assert any(r == "" for _, r, _ in rows) and any(r != "" for _, r, _ in rows)
+        # every margin is finite, so the JSON holds each as it was computed
+        assert all(m is not None for _, _, m in expected)
+        assert margins.read_bytes() == _csv_bytes(("case", "r", "margin"), expected)
 
     _AUDIT = ["audit", "--suite", "growth", "--nodes", "256"]
 
@@ -564,6 +655,24 @@ class TestInputBoundary:
         assert main([command, str(doc), "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["expand", "solve"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"fourier": {"0": [1.0, 0.0]}, "note": "\xff\xfe"}',
+            b'{"z": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["not-utf-8", "nested-too-deeply"],
+    )
+    def test_undecodable_file_exits_3(self, command, data, tmp_path, capsys):
+        doc = tmp_path / "bad.json"
+        doc.write_bytes(data)
+        out = tmp_path / "out"
+        assert main([command, str(doc), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "error: cannot read boundary file" in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
 
