@@ -47,20 +47,23 @@ AUDIT_NODES = 1024
 CONSTANT_NODES = 2048  # nodes of the bound constants and the lemma and identity checks
 DEFAULT_SEED = 987001
 R_GRID = (0.3, 0.6, 0.9)
-# one row of eight angles, offset from the axes, per radius of R_GRID; a
-# row is graded at its ring radius, since abs(z) can be one ulp off it
+# one row of eight angles, offset from the axes, per radius of R_GRID: the
+# ring of eight angles at phase GROWTH_PHASE; a row is graded at its ring
+# radius, since abs(z) can be one ulp off it
+GROWTH_PHASE = 2.0 * math.pi * 0.37 / 8
 Z_GRID = np.array([[r * np.exp(2j * math.pi * (j + 0.37) / 8) for j in range(8)] for r in R_GRID])
-# the point sets of the Z_GRID row stencils (see _row_wirtinger and
-# _row_polar), built once so that every check and boundary asks the
-# kernel table for the same keys: the Cartesian points z + h, and the
-# polar points (r +- h) e^{i theta_0}, r e^{i (theta_0 +- h)} of each
-# row's first point, the angle by math.atan2 (np.arctan2 can differ by an ulp)
+# the rings of the Z_GRID row stencils (see _row_wirtinger and _row_polar),
+# built once so that every check and boundary asks the kernel table for the
+# same keys: the radius and angle of each Cartesian point z + h, and the
+# polar rings (r +- h, theta_0), (r, theta_0 +- h) of each row's first
+# point, the angle by math.atan2 (np.arctan2 can differ by an ulp)
 CARTESIAN_STENCIL = Z_GRID + DEFAULT_STEP
-_R0 = np.hypot(Z_GRID[:, :1].real, Z_GRID[:, :1].imag)
-_THETA0 = np.array([[math.atan2(z.imag, z.real)] for z in Z_GRID[:, 0]])
-POLAR_STENCIL = (_R0 + DEFAULT_STEP * np.array([1, -1, 0, 0])) * np.exp(
-    1j * (_THETA0 + DEFAULT_STEP * np.array([0, 0, 1, -1]))
-)
+_CARTESIAN_RINGS = [(abs(w), math.atan2(w.imag, w.real)) for w in CARTESIAN_STENCIL.ravel().tolist()]
+_POLAR_RINGS = [
+    (r + dr, theta + dt)
+    for r, theta in ((abs(z), math.atan2(z.imag, z.real)) for z in Z_GRID[:, 0].tolist())
+    for dr, dt in ((DEFAULT_STEP, 0.0), (-DEFAULT_STEP, 0.0), (0.0, DEFAULT_STEP), (0.0, -DEFAULT_STEP))
+]
 MEANS_THETAS = 256  # ring points of the means-of-partials stencils
 PARTIAL_KINDS = ("radial", "angular", "wirtinger", "wirtinger")  # of u_r, u_theta, u_z, u_zbar
 RATIO_T_GRID = np.linspace(0.01, 0.99, 99)
@@ -167,29 +170,30 @@ def random_boundary(rng, order: int = 8) -> BoundaryFunction:
 # growth / means / distortion / partials
 
 
-# Each Z_GRID row is its first point turned eight times by 2pi/8, so the
-# row stencils below are rotation orbits (PoissonExtension.orbit_values),
-# one kernel row per orbit instead of one per stencil point.  They are the
+# Each Z_GRID row is its first point turned eight times by 2pi/8, and the
+# m turns of a point w are the ring of m angles at |w| and phase arg w, so
+# the row stencils below are rings (PoissonExtension._circles), whose
+# kernel coefficients each weight pair computes once.  They are the
 # central differences of harmonic.wirtinger_derivatives and
-# radial_angular_derivatives at the default step, with u at each turn
-# taken through m-point FFTs instead of the dense sum, so they agree with
+# radial_angular_derivatives at the default step, with u at each turned
+# point taken from the ring instead of the dense sum, so they agree with
 # those to the rounding of u (about 1e-14 of its size) over 2h.
 
 
 def _row_wirtinger(u):
     """(u_z, u_zbar) on Z_GRID.  The Cartesian stencil point z_j + h i^k
-    is i^k (z_{j-2k} + h), so the m = 4 orbits of the 24 points
-    CARTESIAN_STENCIL hold all 96 stencil points."""
-    vals = u.orbit_values(CARTESIAN_STENCIL, 4)
+    is i^k (z_{j-2k} + h), so the rings of four angles through the 24
+    points CARTESIAN_STENCIL hold all 96 stencil points."""
+    vals = u._circles(_CARTESIAN_RINGS, 4).reshape(CARTESIAN_STENCIL.shape + (4,))
     up, vp, um, vm = (np.roll(vals[..., k], 2 * k, axis=1) for k in range(4))
     return _wirtinger_pair(up, um, vp, vm, DEFAULT_STEP)
 
 
 def _row_polar(u):
-    """(u_r, u_theta) on Z_GRID from the m = 8 orbits of each row's four
-    polar stencil points POLAR_STENCIL."""
+    """(u_r, u_theta) on Z_GRID from the rings of eight angles through each
+    row's four polar stencil points."""
     h = DEFAULT_STEP
-    rp, rm, tp, tm = np.moveaxis(u.orbit_values(POLAR_STENCIL, 8), 1, 0)
+    rp, rm, tp, tm = np.moveaxis(u._circles(_POLAR_RINGS, 8).reshape(len(R_GRID), 4, 8), 1, 0)
     return (rp - rm) / (2.0 * h), (tp - tm) / (2.0 * h)
 
 
@@ -198,7 +202,7 @@ def check_growth(
 ) -> AuditResult:
     """|u(z)| against the growth bound at every grid point."""
     norm = lp_norm(f, hp.p)
-    uvals = poisson_extension(params, f, nodes).orbit_values(Z_GRID[:, 0], 8)
+    uvals = poisson_extension(params, f, nodes)._circles([(r, GROWTH_PHASE) for r in R_GRID], 8)
     records = []
     for k, (r, row) in enumerate(zip(R_GRID, uvals)):
         # at p = inf this is |u| <= A(r) ||f||, A(r) the kernel-modulus

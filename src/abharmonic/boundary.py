@@ -102,15 +102,13 @@ class BoundaryFunction:
             self._grids[n] = grid
         return self._grids[n]
 
-    def spectrum(self, n: int, m: int) -> np.ndarray:
-        """The read-only m-point FFTs along the first axis of the n-point
-        grid held as an (m, n/m) array, computed on first use; m = n gives
-        the grid's n-point FFT as one column."""
-        if (n, m) not in self._spectra:
-            spec = np.fft.fft(self.values_on_grid(n).reshape(m, n // m), axis=0)
+    def spectrum(self, n: int) -> np.ndarray:
+        """The read-only n-point FFT of the n-point grid, computed on first use."""
+        if n not in self._spectra:
+            spec = np.fft.fft(self.values_on_grid(n))
             spec.flags.writeable = False
-            self._spectra[n, m] = spec
-        return self._spectra[n, m]
+            self._spectra[n] = spec
+        return self._spectra[n]
 
     @property
     def is_constant(self) -> bool:

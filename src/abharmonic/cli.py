@@ -9,8 +9,10 @@ Subcommands:
     identities shorthand for `audit --suite identities`
 
 Exit codes: 0 success / audit pass, 1 audit violations, 2 bad arguments,
-3 malformed input file.  Output is deterministic for a fixed seed and
-configuration up to the `timestamp` field of JSON reports.
+3 malformed input file, or a `solve` document of Fourier order at least
+nodes/2, whose modes the nodes cannot tell from their aliases.  Output
+is deterministic for a fixed seed and configuration up to the
+`timestamp` field of JSON reports.
 
 Each command computes its whole result, then writes it through one of
 two writers, `_emit_json` and `_write_csv`; no output is opened before
@@ -273,6 +275,13 @@ def cmd_solve(args) -> int:
     params = make_params(args.alpha, args.beta)
     f = boundary.load(args.boundary)
     u = poisson_extension(params, f, args.nodes)
+    if f.order >= args.nodes // 2:
+        # on n nodes mode k is mode k - n: the sum would extend that alias
+        nodes = max(64, 1 << (2 * f.order).bit_length())
+        raise BoundaryFileError(
+            f"Fourier order {f.order} is at least nodes/2 = {args.nodes // 2}; "
+            f"it needs --nodes {nodes} or more"
+        )
     nr, nt = args.grid
     radii = [(i + 1) / (nr + 1) * args.rmax for i in range(nr)]
     # every ring before any point: a bad radius raises before a file is opened

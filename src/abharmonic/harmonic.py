@@ -17,22 +17,22 @@ the disk for trigonometric-polynomial data.
 Derivative and operator measurements take a point or an array of points,
 use central finite differences, and treat the function under test as an
 opaque evaluation callback that gets every stencil point of the array at
-once.  The evaluation rule: a PoissonExtension evaluates arrays, rings
-and rotation orbits itself.  Arrays and orbits go through one routine
-(PoissonExtension._orbits): the m turns of a point by 2 pi/m shift its
-kernel row by nodes/m places, so an orbit is one kernel row and m-point
-FFTs, and an array is m = 1 orbits.  A ring |z| = r goes through the
+once.  The evaluation rule: a PoissonExtension evaluates arrays and
+rings itself.  An array is the dense n-node sum, one kernel row per
+point.  A ring |z| = r, at any phase and angle count, goes through the
 convolution theorem (PoissonExtension._circles): the kernel on the ring
 is analytic and periodic, so its Fourier coefficients decay like r^|q|,
 and a few hundred kernel samples fix them to rounding, whatever the
-nodes and the angle count.  Any other callable is called once per point.
+nodes and the angle count.  The m turns of a point w by 2 pi/m are the
+ring of m angles at |w| and phase arg w, so every rotation orbit is a
+ring.  Any other callable is called once per point.
 
-A point set's transformed kernel rows and a ring's kernel coefficients
-depend on the weights, the nodes and the points, not on f, so orbit
-point sets and rings keep them per weight pair: a table of the latest
-(params, nodes) serves every extension at that pair, and each boundary
-pays only for its own sums and FFTs, on the sample spectra it keeps
-(BoundaryFunction.spectrum).  Arrays keep no table.
+A ring's kernel coefficients depend on the weights, the nodes and the
+ring, not on f, so rings keep them per weight pair: a table of the
+latest (params, nodes) serves every extension at that pair, and each
+boundary pays only for its own products, fold and inverse FFT, on the
+sample spectrum it keeps (BoundaryFunction.spectrum).  Arrays keep no
+table.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ DEFAULT_STEP = 1e-3
 # 128 KiB at which glibc's malloc maps fresh pages, whose faults would
 # cost as much as the kernel
 _BLOCK_POINTS = 4096
-# bytes of kernel arrays the table of one (params, nodes) keeps: at 4,096
-# nodes the audit's 39 transformed orbit rows take 2.5 MB and each of its
-# 15 ring coefficient vectors at most 64 KB
+# bytes of ring coefficient vectors the table of one (params, nodes) keeps:
+# at 4,096 nodes each of the audit's 54 rings takes at most 64 KB
 _TABLE_BYTES = 4 << 20
 # the level below which a ring kernel's Fourier coefficients are left out,
 # relative to their 1-norm (which bounds the kernel on the ring): 16 ulps,
@@ -157,8 +156,8 @@ def _conj_roots(nodes: int) -> np.ndarray:
 
 
 class _KernelTable:
-    """Read-only kernel arrays of one (params, nodes) by key; once they
-    hold more than _TABLE_BYTES, the oldest go first."""
+    """Read-only ring coefficient vectors of one (params, nodes) by key;
+    once they hold more than _TABLE_BYTES, the oldest go first."""
 
     def __init__(self):
         self.entries = {}
@@ -185,20 +184,6 @@ def _kernel_table(params: AlphaBeta, nodes: int) -> _KernelTable:
     return _KernelTable()
 
 
-def _orbit_rows(params: AlphaBeta, z: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The kernel rows P(z e^{-i t_l}) of the flat points z on the n-point
-    grid, row l = b n/m + a held at [b, a] and transformed by an m-point
-    inverse FFT along b, of shape (z.size, m, n/m); evaluated in blocks
-    of at most _BLOCK_POINTS kernel points (or one row)."""
-    roots = _conj_roots(n)
-    out = np.empty((z.size, m, n // m), dtype=complex)
-    step = max(1, _BLOCK_POINTS // n)
-    for i in range(0, z.size, step):
-        rows = unnormalized_kernel(params, z[i : i + step, None] * roots)
-        out[i : i + step] = np.fft.ifft(rows.reshape(-1, m, n // m), axis=1)
-    return out
-
-
 def _ring_length(params: AlphaBeta, r: float, cap: int) -> int:
     """The first sample count of a ring of radius r: the smallest power of
     two N >= 64 at which the size |q|^a r^|q| / Gamma(a + 1) of the ring
@@ -215,45 +200,70 @@ def _ring_length(params: AlphaBeta, r: float, cap: int) -> int:
     return min(size, cap)
 
 
-def _ring_spectrum(params: AlphaBeta, r: float, phase: float, size: int) -> np.ndarray:
-    """p = FFT/N of the N = size kernel samples P(r e^{i(phase + 2 pi k/N)}),
-    evaluated in blocks of _BLOCK_POINTS."""
+def _ring_spectra(params: AlphaBeta, rings, size: int) -> np.ndarray:
+    """p, the Fourier coefficients of the kernel K(s) = P(r e^{i(phase + s)})
+    of each (r, phase) of rings from its N = size samples, one row per
+    ring, in FFT order.  The samples P(r e^{i phase} e^{-i t_k}) are K at
+    -t_k, so p is their inverse FFT; they are evaluated in blocks of at
+    most _BLOCK_POINTS columns, the rings of a block sharing one
+    e^{-i t_k}."""
     t = circle_nodes(size)
-    vals = np.empty(size, dtype=complex)
-    for i in range(0, size, _BLOCK_POINTS):
-        block = slice(i, i + _BLOCK_POINTS)
-        vals[block] = unnormalized_kernel(params, r * np.exp(1j * (phase + t[block])))
-    return np.fft.fft(vals) / size
+    r, phase = np.array(rings).T[..., None]
+    z = r * np.exp(1j * phase)
+    vals = np.empty((len(rings), size), dtype=complex)
+    for j in range(0, size, _BLOCK_POINTS):
+        w = z * np.exp(-1j * t[j : j + _BLOCK_POINTS])
+        vals[:, j : j + _BLOCK_POINTS] = unnormalized_kernel(params, w)
+    return np.fft.ifft(vals, axis=1)
 
 
-def _ring_coefficients(
-    params: AlphaBeta, table: _KernelTable, r: float, phase: float, cap: int
-) -> np.ndarray:
-    """The ring kernel's coefficients p (_ring_spectrum) at the first N
-    from _ring_length on, doubling, whose outer quarter N/4 <= |q| <= N/2
-    is below _RING_TOL times the 1-norm of p, or at N = cap, where the
-    sum is exact.  Each p is kept in table under (r, phase, N, decayed),
-    decayed telling whether it passed that test, so no p is made or
-    tested twice and a ring's N does not depend on what the table holds."""
-    size = _ring_length(params, r, cap)
-    while True:
-        for decayed in (True, False):
-            p = table.entries.get((r, phase, size, decayed))
-            if p is not None:
-                break
-        else:
-            p = _ring_spectrum(params, r, phase, size)
+def _ring_coefficients(params: AlphaBeta, table: _KernelTable, rings, cap: int) -> list:
+    """The ring kernel's coefficients p (_ring_spectra) of each (r, phase)
+    of rings, kept in table under (r, phase, cap).  A ring not there takes
+    the first N from _ring_length on, doubling, whose outer quarter
+    N/4 <= |q| <= N/2 is below _RING_TOL times the 1-norm of p, or N = cap,
+    where the sum is exact.  Rings of one N are evaluated together, at
+    most _BLOCK_POINTS kernel points (or one ring) at a time, each row as
+    it would be alone."""
+    coeffs = {ring: table.entries.get((*ring, cap)) for ring in rings}
+    todo = {}
+    for ring, p in coeffs.items():
+        if p is None:
+            todo.setdefault(_ring_length(params, ring[0], cap), []).append(ring)
+    while todo:
+        size = min(todo)
+        group = todo.pop(size)
+        step = max(1, _BLOCK_POINTS // size)
+        for i in range(0, len(group), step):
+            p = _ring_spectra(params, group[i : i + step], size)
             mag = np.abs(p)
-            decayed = bool(mag[size // 4 : 3 * size // 4 + 1].max() <= _RING_TOL * mag.sum())
-            table.get((r, phase, size, decayed), lambda: p)
-        if decayed or size == cap:
-            return p
-        size = min(2 * size, cap)
+            decayed = mag[:, size // 4 : 3 * size // 4 + 1].max(axis=1) <= _RING_TOL * mag.sum(axis=1)
+            for ring, row, done in zip(group[i : i + step], p, decayed):
+                if done or size == cap:
+                    coeffs[ring] = table.get((*ring, cap), row.copy)
+                else:
+                    todo.setdefault(min(2 * size, cap), []).append(ring)
+    return [coeffs[ring] for ring in rings]
 
 
 def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
-    """Poisson integral of f at z: a complex for a scalar or DiskPoint z, else an array."""
-    vals = PoissonExtension(params, f, nodes)._orbits(_disk_array(z), 1, keep=False)[..., 0]
+    """Poisson integral of f at z: a complex for a scalar or DiskPoint z, else an array.
+
+    The dense sum (c/n) sum_l P(z e^{-i t_l}) f_l over the n = nodes grid,
+    its kernel rows evaluated in blocks of at most _BLOCK_POINTS kernel
+    points (or one row).
+    """
+    check_nodes(nodes)
+    z = _disk_array(z)
+    grid = f.values_on_grid(nodes)
+    roots = _conj_roots(nodes)
+    flat = z.reshape(-1)
+    sums = np.empty(flat.size, dtype=complex)
+    step = max(1, _BLOCK_POINTS // nodes)
+    for i in range(0, flat.size, step):
+        rows = unnormalized_kernel(params, flat[i : i + step, None] * roots)
+        sums[i : i + step] = np.sum(rows * grid, axis=-1)
+    vals = (params.c_norm / nodes * sums).reshape(z.shape)
     return complex(vals) if vals.ndim == 0 else vals
 
 
@@ -261,13 +271,11 @@ class PoissonExtension:
     """The extension of f as a reusable evaluation callback.
 
     Calling it evaluates the Poisson integral at scalar or array
-    arguments.  orbit_values evaluates rotation orbits: turning a point
-    by 2 pi/m, with m dividing the nodes, shifts its kernel row against
-    the boundary samples by nodes/m places, so an orbit costs one kernel
-    row and m-point FFTs.  circle_values evaluates a ring from the
-    kernel's Fourier coefficients on it, sampled only as finely as they
-    need, never one kernel row per angle.  Every path reads f only on
-    its nodes-point grid; a ring's phase goes through the kernel.
+    arguments, one kernel row of the nodes per point.  circle_values
+    evaluates a ring from the kernel's Fourier coefficients on it,
+    sampled only as finely as they need, never one kernel row per angle;
+    a rotation orbit is the ring through its point.  Every path reads f
+    only on its nodes-point grid; a ring's phase goes through the kernel.
     """
 
     def __init__(self, params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES):
@@ -278,45 +286,6 @@ class PoissonExtension:
     def __call__(self, z):
         return poisson_integral(self.params, self.f, z, self.nodes)
 
-    def _orbits(self, z: np.ndarray, m: int, keep: bool) -> np.ndarray:
-        """u(z e^{2 pi i k/m}) for k < m, of shape z.shape + (m,), with m
-        dividing the nodes n.
-
-        With s = n/m, row l = b s + a and f_j = f[j mod n], turn k is
-        (c/n) sum_a sum_b R[b s + a] f[(b + k) s + a] for z's kernel row
-        R: a circular correlation along b, so it is one inverse FFT of
-        the sum over a of the transformed rows times the m-point FFT of
-        the samples.  With keep, a point set's transformed rows come from
-        the table of (params, nodes) unless they outgrow it; otherwise
-        they are evaluated in blocks of at most _BLOCK_POINTS kernel
-        points (or one row) and not kept.
-        """
-        n = self.nodes
-        s = n // m
-        fhat = self.f.spectrum(n, m)
-        flat = z.reshape(-1)
-        rows = None
-        if keep and flat.size * _conj_roots(n).nbytes <= _TABLE_BYTES:
-            key = (m, z.shape, z.tobytes())
-            rows = _kernel_table(self.params, n).get(key, lambda: _orbit_rows(self.params, flat, m, n))
-        sums = np.empty((flat.size, m), dtype=complex)
-        step = max(1, _BLOCK_POINTS // n)
-        for i in range(0, flat.size, step):
-            block = _orbit_rows(self.params, flat[i : i + step], m, n) if rows is None else rows[i : i + step]
-            sums[i : i + step] = np.sum(block * fhat, axis=-1)
-        return (self.params.c_norm / s * np.fft.ifft(sums, axis=-1)).reshape(z.shape + (m,))
-
-    def orbit_values(self, z, m: int) -> np.ndarray:
-        """u(z e^{2 pi i k/m}) for k = 0..m-1, of shape z.shape + (m,).
-
-        Each z costs one kernel row, transformed once per point set and
-        kept per (params, nodes), and m-point FFTs per boundary.
-        """
-        n = self.nodes
-        if m < 1 or n % m:
-            raise DomainError(f"orbit size must divide nodes = {n}, got {m}")
-        return self._orbits(_disk_array(z), m, keep=True)
-
     def circle_values(self, r: float, n_theta: int, phase: float = 0.0) -> np.ndarray:
         """u(r e^{i(theta_j + phase)}) on the uniform n_theta grid."""
         return self._circles([(r, phase)], n_theta)[0]
@@ -326,37 +295,50 @@ class PoissonExtension:
 
         u at angle theta_j is (c/n) sum_l K(theta_j - t_l) f_l for the
         ring's kernel K(s) = P(r e^{i(phase + s)}), so by the convolution
-        theorem it is (c/n) sum_q p_q F_{q mod n} e^{i q theta_j}, with p_q the Fourier
-        coefficients of K and F the n-point FFT of the samples.  p comes
-        from N samples of K (_ring_coefficients), q runs over [-N/2, N/2),
-        and the products, laid out in q order, fold onto the n_theta bins
-        q mod n_theta of one inverse FFT.  With N = lcm(n, n_theta) this
-        is the n-node sum re-indexed; a smaller N leaves out only
-        coefficients below rounding.  The rings of one N are computed
-        together, each row as it would be alone, so a ring is the same
-        bit for bit in any call.
+        theorem it is (c/n) sum_q p_q F_{q mod n} e^{i q theta_j}, with p_q
+        the Fourier coefficients of K and F the n-point FFT of the samples.
+        p comes from N samples of K (_ring_coefficients), q runs over
+        [-N/2, N/2), and the products fold onto the n_theta bins q mod
+        n_theta of one inverse FFT.  With N = lcm(n, n_theta) this is the
+        n-node sum re-indexed; a smaller N leaves out only coefficients
+        below rounding.
+
+        The fold: a ring's N coefficients sit at columns q mod L of a row
+        of width L = n_theta ceil(N/n_theta), zero where no q falls, and
+        bin b sums the products in column b of the row as a
+        (L/n_theta, n_theta) array.  Below 32 bins that is one dot product
+        per ring and bin, up to 2.5 times faster than numpy's sum over
+        rows that short; from 32 bins on, the sum of the rows, which the
+        dot products, n_theta apart in memory, no longer beat.  Rings of
+        one N are folded together, each as it would be alone, so a ring
+        is the same bit for bit in any call.
         """
         _check_angles(n_theta)
+        rings = [(float(r), float(phase)) for r, phase in rings]
         for r, _ in rings:
             if not 0.0 <= r < 1.0:
                 raise DomainError(f"circle radius must be in [0, 1), got {r}")
         n = self.nodes
-        cap = math.lcm(n, n_theta)
-        table = _kernel_table(self.params, n)
-        coeffs = [_ring_coefficients(self.params, table, float(r), float(phase), cap) for r, phase in rings]
-        top = max((p.size for p in coeffs), default=0) // 2
-        fq = self.f.spectrum(n, n)[np.arange(-top, top) % n, 0]  # F at q = -top .. top - 1
+        coeffs = _ring_coefficients(self.params, _kernel_table(self.params, n), rings, math.lcm(n, n_theta))
+        groups = {}
+        for i, p in enumerate(coeffs):
+            groups.setdefault(p.size, []).append(i)
+        width = {size: -(-size // n_theta) * n_theta for size in groups}
+        top = (max(width.values(), default=0) + 1) // 2
+        fq = np.take(self.f.spectrum(n), np.arange(-top, top), mode="wrap")  # F at q = -top .. top - 1
         bins = np.empty((len(rings), n_theta), dtype=complex)
-        for size in {p.size for p in coeffs}:
-            at = [i for i, p in enumerate(coeffs) if p.size == size]
+        for size, at in groups.items():
+            half, L = size // 2, width[size]
             p = np.array([coeffs[i] for i in at])
-            half = size // 2
-            # q = -N/2 + j goes to column start + j, which is bin q mod n_theta
-            start = -half % n_theta
-            folded = np.zeros((len(at), -(-(start + size) // n_theta) * n_theta), dtype=complex)
-            np.multiply(p[:, half:], fq[top - half : top], out=folded[:, start : start + half])
-            np.multiply(p[:, :half], fq[top : top + half], out=folded[:, start + half : start + size])
-            bins[at] = folded.reshape(len(at), -1, n_theta).sum(axis=1)
+            if L > size:
+                p = np.concatenate((p[:, :half], np.zeros((len(at), L - size)), p[:, half:]), axis=1)
+            p = p.reshape(len(at), L // n_theta, n_theta)
+            # F at q = c for the columns c < L - L // 2, at q = c - L above
+            fl = np.concatenate((fq[top : top + L - L // 2], fq[top - L // 2 : top])).reshape(p.shape[1:])
+            if n_theta < 32:
+                bins[at] = np.matmul(p.transpose(0, 2, 1)[:, :, None, :], fl.T[:, :, None])[..., 0, 0]
+            else:
+                bins[at] = (p * fl).sum(axis=1)
         return self.params.c_norm / n * np.fft.ifft(bins, norm="forward")
 
 

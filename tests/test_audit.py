@@ -114,51 +114,52 @@ class TestDerivativeChecks:
             assert check(p, f, hp).cases_violated == 0
 
     @pytest.mark.parametrize(
-        "check, orbits, kernel_rows",
+        "check, calls, points",
         [
-            (check_growth, [((3,), 8)], 3),
-            (check_distortion, [((3, 8), 4)], 24),
-            (check_partials, [((3, 4), 8), ((3, 8), 4)], 12 + 24),
+            # 256 nodes: rings at r = 0.3 (+- h) take 128 kernel samples,
+            # the others the cap lcm(256, angles) = 256
+            (check_growth, [(3, 8)], 128 + 2 * 256),
+            (check_distortion, [(24, 4)], 8 * 128 + 16 * 256),
+            (check_partials, [(12, 8), (24, 4)], 12 * 128 + 24 * 256),
         ],
     )
-    def test_one_orbit_evaluation_per_stencil(self, monkeypatch, check, orbits, kernel_rows):
-        # each row stencil is one orbit_values call on its point set; the
-        # kernel rows of a point set are evaluated once per (params, nodes),
+    def test_one_ring_evaluation_per_stencil(self, monkeypatch, check, calls, points):
+        # each row stencil is one _circles call on its rings; a ring's
+        # kernel coefficients are evaluated once per (params, nodes),
         # whatever the boundary
-        nodes = 256
-        calls, rows = [], []
+        seen, kernel_points = [], []
 
-        def orbit(u, z, m, fn=harmonic.PoissonExtension.orbit_values):
-            calls.append((np.shape(z), m))
-            return fn(u, z, m)
+        def circles(u, rings, n_theta, fn=harmonic.PoissonExtension._circles):
+            seen.append((len(rings), n_theta))
+            return fn(u, rings, n_theta)
 
         def kernel(params, w, fn=harmonic.unnormalized_kernel):
-            assert np.shape(w)[-1] == nodes
-            rows.append(np.size(w) // nodes)
+            kernel_points.append(np.size(w))
             return fn(params, w)
 
-        monkeypatch.setattr(harmonic.PoissonExtension, "orbit_values", orbit)
+        monkeypatch.setattr(harmonic.PoissonExtension, "_circles", circles)
         monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
         rng = np.random.default_rng(6)
         for params in (PHH, PHH, P00):
-            check(params, random_boundary(rng), HolderPair.from_p(2.0), nodes=nodes)
-        assert calls == 3 * orbits
-        assert sum(rows) == 2 * kernel_rows
+            check(params, random_boundary(rng), HolderPair.from_p(2.0), nodes=256)
+        assert seen == 3 * calls
+        assert sum(kernel_points) == 2 * points
 
     def test_distortion_and_partials_share_one_point_set(self, monkeypatch):
-        # the Cartesian rows check_distortion evaluated serve check_partials,
-        # which then adds only the 12 polar rows
-        rows = []
+        # the 24 Cartesian rings check_distortion evaluated serve
+        # check_partials, which then adds only the 12 polar rings
+        points = []
 
         def kernel(params, w, fn=harmonic.unnormalized_kernel):
-            rows.append(np.size(w) // 256)
+            points.append(np.size(w))
             return fn(params, w)
 
         monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
         f, hp = random_boundary(np.random.default_rng(6)), HolderPair.from_p(2.0)
         check_distortion(PHH, f, hp, nodes=256)
+        assert sum(points) == 8 * 128 + 16 * 256
         check_partials(PHH, f, hp, nodes=256)
-        assert sum(rows) == 24 + 12
+        assert sum(points) == 8 * 128 + 16 * 256 + 4 * 128 + 8 * 256
 
     @pytest.mark.parametrize("nodes", [256, 1024])
     @pytest.mark.parametrize("pair", [*STANDARD_PAIRS, (2.7, -1.4)])
@@ -425,11 +426,10 @@ class TestSuites:
 
     def test_standard_suite_kernel_work_per_weight_pair(self, monkeypatch):
         # 20 boundaries visit each standard pair once, four boundaries in a
-        # row; a pair costs 39 orbit rows of 256 kernel points (growth 3,
-        # Cartesian 24, polar 12) and 15 ring coefficient vectors (3
-        # integral-means and 12 means-partials rings) of at most
-        # lcm(256, 256) = 256 samples: the five rings at r = 0.3 (+- h)
-        # take 128, the others reach the cap
+        # row; a pair costs 54 ring coefficient vectors (3 growth, 3
+        # integral-means, 24 Cartesian, 12 polar and 12 means-partials
+        # rings) of at most lcm(256, angles) = 256 samples: the 18 rings
+        # at r = 0.3 (+- h) take 128, the others reach the cap
         points = collections.Counter()
         rings = collections.Counter()
 
@@ -437,16 +437,16 @@ class TestSuites:
             points[params] += np.size(w)
             return fn(params, w)
 
-        def ring(params, r, phase, size, fn=harmonic._ring_spectrum):
-            rings[params] += 1
-            return fn(params, r, phase, size)
+        def spectra(params, group, size, fn=harmonic._ring_spectra):
+            rings[params] += len(group)
+            return fn(params, group, size)
 
         monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
-        monkeypatch.setattr(harmonic, "_ring_spectrum", ring)
+        monkeypatch.setattr(harmonic, "_ring_spectra", spectra)
         standard_suite(n_boundaries=20, nodes=256)
         pairs = [make_params(*pair) for pair in STANDARD_PAIRS]
-        assert rings == dict.fromkeys(pairs, 15)
-        assert points == dict.fromkeys(pairs, 39 * 256 + 5 * 128 + 10 * 256)
+        assert rings == dict.fromkeys(pairs, 54)
+        assert points == dict.fromkeys(pairs, 18 * 128 + 36 * 256)
 
     def test_warm_table_margins_equal_cold(self, monkeypatch):
         warm = standard_suite(n_boundaries=8, nodes=256)

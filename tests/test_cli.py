@@ -95,6 +95,35 @@ class TestSolve:
         bad.write_text("{\"fourier\": {\"x\": [1, 0]}}")
         assert main(["solve", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "order, nodes, needed", [(4095, 4096, 8192), (2048, 4096, 8192), (32, 64, 128), (4096, 4096, 16384)]
+    )
+    def test_order_at_half_the_nodes_exit_3(self, tmp_path, capsys, order, nodes, needed):
+        # on n nodes mode k is mode k - n: at 4,096 nodes e^{4095 it} would
+        # print the extension of e^{-it}, u = r at r = 0.15835, for
+        # u = r^4095; the message names the order and the node count
+        doc = tmp_path / "alias.json"
+        doc.write_text(json.dumps({"fourier": {str(order): [1, 0]}}))
+        out = tmp_path / "grid.csv"
+        out.write_text("kept")
+        argv = ["solve", str(doc), "--grid", "1x1", "--rmax", "0.3167", "--out", str(out)]
+        assert main([*argv, "--nodes", str(nodes)]) == 3
+        err = capsys.readouterr().err
+        assert f"order {order}" in err and f"--nodes {needed}" in err
+        assert out.read_text() == "kept"
+        assert main([*argv, "--nodes", str(needed)]) == 0
+        x, y, re, im = map(float, out.read_text().splitlines()[1].split(","))
+        assert (x, y) == (0.15835, 0.0)
+        assert abs(complex(re, im) - x**order) <= 1e-13
+
+    def test_order_below_half_the_nodes_exit_0(self, tmp_path):
+        doc = tmp_path / "high.json"
+        doc.write_text(json.dumps({"fourier": {"2047": [1, 0], "-2047": [0, 1]}}))
+        assert main(["solve", str(doc), "--grid", "1x4", "--out", str(tmp_path / "grid.csv")]) == 0
+        samples = tmp_path / "samples.json"
+        samples.write_text(json.dumps({"samples": [[math.cos(j), 0.0] for j in range(64)]}))
+        assert main(["solve", str(samples), "--nodes", "64", "--out", str(tmp_path / "s.csv")]) == 0
+
     def test_bad_grid_exit_2(self, constant_boundary):
         assert main(["solve", constant_boundary, "--grid", "axb"]) == 2
 

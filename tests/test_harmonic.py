@@ -131,13 +131,20 @@ class TestPoissonIntegral:
         assert poisson_integral(PHH, f, np.zeros((2, 0)), nodes).shape == (2, 0)
 
 
-class TestOrbitValues:
-    # the audit's orbits: the Cartesian stencil points Z_GRID + h turned by
-    # i^k, and the first point of each Z_GRID row turned by 2 pi k/8
+class TestRingOrbits:
+    # the m turns w e^{2 pi i k/m} of a point w are the ring of m angles
+    # at |w| and phase arg w.  The audit's orbits: the Cartesian stencil
+    # points Z_GRID + h turned by i^k, and the first point of each Z_GRID
+    # row turned by 2 pi k/8
     ORBITS = (
         (Z_GRID + DEFAULT_STEP, np.array([1, 1j, -1, -1j])),
         (Z_GRID[:, 0], np.exp(2j * np.pi * np.arange(8) / 8)),
     )
+
+    @staticmethod
+    def turns(u, z, m):
+        rings = [(abs(w), cmath.phase(w)) for w in np.ravel(z).tolist()]
+        return u._circles(rings, m).reshape(np.shape(z) + (m,))
 
     @pytest.mark.parametrize("nodes", [256, 1024])
     @pytest.mark.parametrize("pair", [*STANDARD_PAIRS, (2.7, -1.4)])
@@ -146,10 +153,9 @@ class TestOrbitValues:
         f = random_boundary(np.random.default_rng(6))
         u = poisson_extension(p, f, nodes)
         for z, turns in self.ORBITS:
-            vals = u.orbit_values(z, turns.size)
-            assert vals.shape == z.shape + turns.shape
-            # each column is a circular correlation through m-point FFTs,
-            # a few ulps of the kernel's largest values off the dense sum
+            vals = self.turns(u, z, turns.size)
+            # each column is a ring value, a few ulps of the kernel's
+            # largest values off the dense sum
             ref = poisson_integral(p, f, z[..., None] * turns, nodes)
             assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -162,20 +168,35 @@ class TestOrbitValues:
         p = make_params(2.7, -1.4)
         f = seeded_boundary(np.random.default_rng(8))
         z = np.array([0.0, 0.3 - 0.2j, 0.9j, -0.6 + 0.62j])
-        vals = poisson_extension(p, f, nodes).orbit_values(z, m)
+        vals = self.turns(poisson_extension(p, f, nodes), z, m)
         k = np.arange(0, m, max(1, m // 64))
         ref = poisson_integral(p, f, z[:, None] * np.exp(2j * np.pi * k / m), nodes)
         assert np.max(np.abs(vals[:, k] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_point_gives_one_orbit(self):
-        u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
-        assert u.orbit_values(0.3 + 0.1j, 4).shape == (4,)
 
-    @pytest.mark.parametrize("m", [0, 3, 512])
-    def test_orbit_size_must_divide_nodes(self, m):
-        u = poisson_extension(PHH, from_fourier({1: 1.0}), 256)
-        with pytest.raises(DomainError):
-            u.orbit_values(0.5, m)
+class TestRingSpectrum:
+    # c p_k(r) = r^|k| F(mode k; r^2) / F(mode k; 1): mode e^{ik theta} of
+    # the boundary data extends to its series mode factor, so the kernel's
+    # Fourier coefficients on the ring are those factors, with no boundary
+    # data, graded against the 1-norm of p.  N = 4,096 samples hold every
+    # coefficient above rounding at r = 0.99
+    MODES = (0, 1, -1, 2, 3, -3, 5, 20, -20)
+
+    @pytest.mark.parametrize("r", [0.3, 0.6, 0.9, 0.99])
+    @pytest.mark.parametrize("pair", [*STANDARD_PAIRS, (2.7, -1.4), (-0.3, -0.6)])
+    def test_coefficients_are_the_mode_factors(self, pair, r):
+        params = make_params(*pair)
+        p = harmonic._ring_spectra(params, [(r, 0.0)], 4096)[0]
+        for k in self.MODES:
+            hyp = harmonic._mode_hyp(params, k)
+            factor = r ** abs(k) * gauss_2f1(hyp, r * r) / harmonic.gauss_2f1_at_one(hyp)
+            assert abs(params.c_norm * p[k] - factor) <= 1e-13 * abs(params.c_norm) * np.sum(np.abs(p))
+
+    def test_phase_turns_the_coefficients(self):
+        # the ring at phase phi is the kernel turned by phi: p_k e^{i k phi}
+        p0, p1 = harmonic._ring_spectra(PHH, [(0.6, 0.0), (0.6, 0.7)], 256)
+        k = np.fft.fftfreq(256, 1 / 256)
+        assert np.max(np.abs(p1 - p0 * np.exp(1j * k * 0.7))) <= 1e-15 * np.sum(np.abs(p0))
 
 
 class TestExpansion:
@@ -594,54 +615,68 @@ class TestCircleValues:
     def test_rings_in_one_call_match_one_ring_each(self, pair, n_theta):
         # the four rings of a means-partials stencil in one call are bit
         # for bit each ring alone, with 256, 60 or 1 angles on 1,024
-        # nodes, also beside rings of other sample counts N
+        # nodes, also beside rings of other sample counts N: their kernel
+        # coefficients sampled together or alone, from a cold table
         u = poisson_extension(make_params(*pair), seeded_boundary(np.random.default_rng(5)), 1024)
         h = DEFAULT_STEP
         rings = [(0.6 + h, 0.0), (0.2, 0.3), (0.6 - h, 0.0), (0.6, h), (0.95, 0.0), (0.6, -h)]
         for (r, phase), row in zip(rings, u._circles(rings, n_theta)):
+            harmonic._kernel_table.cache_clear()
             assert np.array_equal(row, u.circle_values(r, n_theta, phase=phase))
 
     @pytest.mark.parametrize("n_theta", [60, 63, 96, 512])
     def test_ring_keeps_its_coefficients(self, n_theta):
-        # one coefficient vector per (r, phase, N, decayed), N from the
-        # ring rule and below every cap lcm(256, n_theta) here
+        # one coefficient vector per (r, phase, cap), its N from the ring
+        # rule and below every cap lcm(256, n_theta) here
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
         u.circle_values(0.5, n_theta)
         u._circles([(0.3, 0.0), (0.6, 0.1)], n_theta)
+        cap = math.lcm(256, n_theta)
         entries = harmonic._kernel_table(PHH, 256).entries
         assert [(key, arr.shape) for key, arr in entries.items()] == [
-            ((0.5, 0.0, 256, True), (256,)),
-            ((0.3, 0.0, 128, True), (128,)),
-            ((0.6, 0.1, 512, True), (512,)),
+            ((0.5, 0.0, cap), (256,)),
+            ((0.3, 0.0, cap), (128,)),
+            ((0.6, 0.1, cap), (512,)),
         ]
 
-    def test_rejected_lengths_kept_and_not_remade(self, monkeypatch):
+    def test_doubled_length_kept_and_not_remade(self, monkeypatch):
         # a first N too small for r = 0.5 doubles until the outer quarter
-        # has decayed; the rejected vectors stay in the table, so the ring
+        # has decayed; only the vector the ring uses is kept, so the ring
         # again needs no kernel, bit for bit
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 1024)
         monkeypatch.setattr(harmonic, "_ring_length", lambda params, r, cap: 64)
+        sizes = []
+
+        def spectra(params, rings, size, fn=harmonic._ring_spectra):
+            sizes.append(size)
+            return fn(params, rings, size)
+
+        monkeypatch.setattr(harmonic, "_ring_spectra", spectra)
         ring = u.circle_values(0.5, 60)
+        assert sizes == [64, 128, 256]
         entries = harmonic._kernel_table(PHH, 1024).entries
-        assert list(entries) == [(0.5, 0.0, 64, False), (0.5, 0.0, 128, False), (0.5, 0.0, 256, True)]
+        assert [(key, arr.shape) for key, arr in entries.items()] == [((0.5, 0.0, 15360), (256,))]
         monkeypatch.setattr(harmonic, "unnormalized_kernel", None)
         assert np.array_equal(u.circle_values(0.5, 60), ring)
 
     def test_ring_at_one_cap_does_not_stop_another(self, monkeypatch):
         # from a first N of 64 at r = 0.9 on 256 nodes, 64 angles stop at
         # their cap of 256 samples, which fail the decay test; 60 angles
-        # (cap 3,840) go on doubling from there as with an empty table
+        # (cap 3,840) go on doubling past it, as with an empty table
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
         monkeypatch.setattr(harmonic, "_ring_length", lambda params, r, cap: 64)
         u.circle_values(0.9, 64)
-        assert list(harmonic._kernel_table(PHH, 256).entries)[-1] == (0.9, 0.0, 256, False)
         warm = u.circle_values(0.9, 60)
-        assert list(harmonic._kernel_table(PHH, 256).entries)[-1] == (0.9, 0.0, 2048, True)
+        entries = harmonic._kernel_table(PHH, 256).entries
+        assert [(key, arr.shape) for key, arr in entries.items()] == [
+            ((0.9, 0.0, 256), (256,)),
+            ((0.9, 0.0, 3840), (2048,)),
+        ]
         harmonic._kernel_table.cache_clear()
         assert np.array_equal(u.circle_values(0.9, 60), warm)
 
     @pytest.mark.parametrize("pair", [(5.0, 0.0), (0.0, 5.0), (3.0, 3.0), (-0.9, 0.5), (2.7, -1.4)])
-    def test_matches_dense_poisson_integral(self, pair, monkeypatch):
+    def test_matches_dense_poisson_integral(self, pair):
         # 4,096 noisy samples hold every mode.  The dense sum is taken at up
         # to 16 angles of each ring, against the largest |u| at 16 angles of
         # the circle (one angle has no scale of its own: there the dense
@@ -651,14 +686,7 @@ class TestCircleValues:
         params = make_params(*pair)
         rng = np.random.default_rng(11)
         u = poisson_extension(params, from_samples(rng.normal(size=4096) + 1j * rng.normal(size=4096)), 4096)
-        sizes = []
-
-        def coefficients(*args, fn=harmonic._ring_coefficients):
-            p = fn(*args)
-            sizes.append(p.size)
-            return p
-
-        monkeypatch.setattr(harmonic, "_ring_coefficients", coefficients)
+        table = harmonic._kernel_table(params, 4096)
         for r in (0.0, 1e-300, 0.5, 0.9, 0.95, 0.99):
             tol = 2e-12 if r == 0.99 else 1e-13
             for phase in (0.0, 0.3):
@@ -668,16 +696,18 @@ class TestCircleValues:
                     at = np.arange(0, n_theta, -(-n_theta // 16))
                     dense = u(r * np.exp(1j * (circle_nodes(n_theta)[at] + phase)))
                     assert np.max(np.abs(ring[at] - dense)) <= tol * max(scale, np.max(np.abs(dense)))
-                    assert sizes.pop() <= math.lcm(4096, n_theta)
+                    cap = math.lcm(4096, n_theta)
+                    assert table.entries[(r, phase, cap)].size <= cap
 
-    def test_rings_and_orbits_share_the_kept_spectra(self, monkeypatch):
-        # one FFT of the grid per (nodes, m), whatever the rings and orbits
+    def test_rings_share_the_kept_spectrum(self, monkeypatch):
+        # one FFT of the grid per nodes, whatever the rings; the dense sum
+        # reads the grid itself
         f = from_fourier({1: 1.0, -2: 0.5})
         u = poisson_extension(PHH, f, 256)
-        first = u.circle_values(0.5, 64), u.orbit_values(Z_GRID, 8), u(0.3j)
-        assert set(f._spectra) == {(256, 256), (256, 8), (256, 1)}
+        first = u.circle_values(0.5, 64), u._circles([(0.3, 0.1), (0.9, 0.0)], 8), u(0.3j)
+        assert set(f._spectra) == {256}
         monkeypatch.setattr(np.fft, "fft", None)
-        again = u.circle_values(0.5, 64), u.orbit_values(Z_GRID, 8), u(0.3j)
+        again = u.circle_values(0.5, 64), u._circles([(0.3, 0.1), (0.9, 0.0)], 8), u(0.3j)
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     def test_many_turns_stay_in_small_blocks(self):
@@ -712,29 +742,32 @@ class TestKernelTable:
         poisson_extension(PHH, self.F, 256).circle_values(0.5, 64)
         first = weakref.ref(harmonic._kernel_table(PHH, 256))
         for params, nodes in ((P00, 256), (P00, 512)):
-            poisson_extension(params, self.F, nodes).orbit_values(Z_GRID, 8)
+            poisson_extension(params, self.F, nodes)._circles([(0.3, 0.1)], 8)
             assert harmonic._kernel_table.cache_info().currsize == 1
         assert first() is None
         assert len(harmonic._kernel_table(P00, 512).entries) == 1
 
-    def test_point_sets_of_one_shape_kept_apart(self):
+    def test_rings_kept_apart_by_phase_and_cap(self):
+        # rings of one radius at another phase or angle count (cap) have
+        # their own vectors; a ring looked up again is the same bits
         u = poisson_extension(PHH, self.F, 256)
-        first = u.orbit_values(Z_GRID, 4)
-        u.orbit_values(Z_GRID + DEFAULT_STEP, 4)
-        assert np.array_equal(u.orbit_values(Z_GRID, 4), first)
-        u.orbit_values(Z_GRID, 8)
-        keys = [(4, Z_GRID), (4, Z_GRID + DEFAULT_STEP), (8, Z_GRID)]
-        assert list(harmonic._kernel_table(PHH, 256).entries) == [(m, z.shape, z.tobytes()) for m, z in keys]
+        first = u._circles([(0.5, 0.0), (0.5, 0.1)], 8)
+        u.circle_values(0.5, 60)
+        assert np.array_equal(u._circles([(0.5, 0.0), (0.5, 0.1)], 8), first)
+        keys = [(0.5, 0.0, 256), (0.5, 0.1, 256), (0.5, 0.0, 3840)]
+        assert list(harmonic._kernel_table(PHH, 256).entries) == keys
 
     def test_cached_arrays_read_only(self):
-        # a point set's rows, transformed, of shape z.shape + (m, nodes/m),
-        # and a ring's N kernel coefficients under (r, phase, N)
+        # a ring's N kernel coefficients under (r, phase, cap)
         u = poisson_extension(PHH, self.F, 256)
-        u.orbit_values(Z_GRID, 8)
+        u._circles([(0.3, 0.1), (0.9, 0.0)], 8)
         u.circle_values(0.5, 64)
         entries = harmonic._kernel_table(PHH, 256).entries
-        assert [(key[0], arr.shape) for key, arr in entries.items()] == [(8, (24, 8, 32)), (0.5, (256,))]
-        assert list(entries)[1] == (0.5, 0.0, 256, True)
+        assert [(key, arr.shape) for key, arr in entries.items()] == [
+            ((0.3, 0.1, 256), (128,)),
+            ((0.9, 0.0, 256), (256,)),
+            ((0.5, 0.0, 256), (256,)),
+        ]
         for arr in entries.values():
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -742,21 +775,20 @@ class TestKernelTable:
     def test_byte_budget_evicts_the_oldest(self, monkeypatch):
         # room for three 256-sample ring vectors (at 256 nodes and 64
         # angles each of these radii reaches the cap lcm(256, 64) = 256);
-        # an orbit point set whose rows exceed the budget is evaluated
-        # block by block and not kept, bit for bit as from the table
+        # a vector larger than the whole budget is used and not kept, bit
+        # for bit as from the table
         u = poisson_extension(PHH, self.F, 256)
-        z = Z_GRID[:, :4]
-        kept = u.orbit_values(z, 8)
+        kept = u.circle_values(0.95, 60)  # all 3,840 samples of its cap
         harmonic._kernel_table.cache_clear()
         monkeypatch.setattr(harmonic, "_TABLE_BYTES", 3 * 256 * 16)
         radii = (0.5, 0.6, 0.7, 0.8, 0.9)
         rings = [u.circle_values(r, 64) for r in radii]
         table = harmonic._kernel_table(PHH, 256)
         ring_keys = [(r, 0.0, 256) for r in radii[2:]]
-        assert [key[:3] for key in table.entries] == ring_keys
+        assert list(table.entries) == ring_keys
         assert table.nbytes == 3 * 256 * 16
-        assert np.array_equal(u.orbit_values(z, 8), kept)
-        assert [key[:3] for key in table.entries] == ring_keys
+        assert np.array_equal(u.circle_values(0.95, 60), kept)
+        assert list(table.entries) == ring_keys
         harmonic._kernel_table.cache_clear()
         for r, ring in zip(radii, rings):
             assert np.array_equal(u.circle_values(r, 64), ring)
