@@ -14,11 +14,15 @@ integrate places it on (a, b) on every call.
 
 circle_integral integrates over [0, 2pi] by the trapezoid grid without
 break points, else by integrate on each piece between two neighbouring
-break points.  The kernel moments go through base_integral, whose
-integrands are functions of |cos(s - x)| and cos((s - y)/2)^2 only: a
-per-process cache of 64 tables, keyed on (breaks, nodes, x, y), holds both
-at every node of that rule with the nodes' weights, so a moment evaluates
-only its own powers, once, and gets circle_integral's bits.
+break points.  The kernel moments (off + amp |cos(s - x)|)^k
+|1 + r e^{i(s - y)}|^(2m) go through kernel_moment, whose integrands are
+functions of |cos(s - x)| and L = log |1 + r e^{i(s - y)}|^2 only: a
+per-process cache of 64 tables, one per rule and radius, keyed on
+(breaks, nodes, x, y, r), holds both at every node of that rule with the
+nodes' weights, so a moment takes one exp per node, once, on the same
+nodes as circle_integral.  A moment at a new radius costs one table
+build; no suite or workload scans radii finely, and the audit's lemma
+scan takes its moments key-major, each table before the next.
 """
 
 from __future__ import annotations
@@ -144,15 +148,15 @@ def circle_integral(fn, breaks=(), nodes: int = DEFAULT_NODES) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _moment_rule(breaks: tuple, nodes: int, x: float, y: float):
-    # |cos(s - x)|, cos((s - y) / 2)^2 and the weights w at the nodes s of
-    # circle_integral's rule, and each piece's (start, stop, half): w = None
-    # on the trapezoid grid, else the kept tanh-sinh weights of each piece
-    # of _circle_pieces in order, still to be scaled by half = (b - a) / 2.
-    # Read-only, as every caller shares them.  Keyed on the break tuple as
-    # passed, so break sets that split the circle alike hold equal tables
-    # under separate keys; lru_cache keeps no exception, so a bad argument
-    # raises on every call.
+def _moment_rule(breaks: tuple, nodes: int, x: float, y: float, r: float):
+    # |cos(s - x)|, the log of the base (1 - r)^2 + 4 r cos((s - y) / 2)^2
+    # and the weights w at the nodes s of circle_integral's rule, and each
+    # piece's (start, stop, half): w = None on the trapezoid grid, else the
+    # kept tanh-sinh weights of each piece of _circle_pieces in order, still
+    # to be scaled by half = (b - a) / 2.  Read-only, as every caller shares
+    # them.  Keyed on the break tuple as passed, so break sets that split the
+    # circle alike hold equal tables under separate keys; lru_cache keeps no
+    # exception, so a bad argument raises on every call.
     pieces = _circle_pieces(breaks, nodes)
     if pieces is None:
         s, w, spans = circle_nodes(nodes), None, ()
@@ -165,32 +169,44 @@ def _moment_rule(breaks: tuple, nodes: int, x: float, y: float):
             spans.append((start, start + piece.size, 0.5 * (b - a)))
             start += piece.size
     ca = np.abs(np.cos(s - x))
-    c2 = np.cos(0.5 * (s - y)) ** 2
-    for arr in (ca, c2):
+    log_base = np.log(base_plus(r, s - y))
+    for arr in (ca, log_base):
         arr.flags.writeable = False
-    return ca, c2, w, tuple(spans)
+    return ca, log_base, w, tuple(spans)
 
 
-def base_integral(
-    term, r: float, x: float, y: float, breaks=(), nodes: int = DEFAULT_NODES
+def kernel_moment(
+    m: float, k: float, off: float, amp: float, r: float, x: float, y: float,
+    breaks=(), nodes: int = DEFAULT_NODES,
 ) -> float:
-    """circle_integral of term(|cos(s - x)|, |1 + r e^{i(s - y)}|^2).
+    """circle_integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m).
 
-    Neither cosine depends on r or on term, so both are tabulated with the
-    rule's weights once per rule and phase (x, y); a call evaluates term
-    and the base once, on every node of the rule and with the same floats
-    as the integrand written out in s.  Each piece's weighted sum is
+    Neither the cosine nor the log L of the base |1 + r e^{i(s - y)}|^2
+    depends on the exponents or the weight, so both are tabulated with the
+    rule's weights once per rule, phase (x, y) and radius; a call takes one
+    exp per node: exp(m L) at k = 0, (off + amp |cos|) exp(m L) at k = 1,
+    else exp(m L + k log(off + amp |cos|)).  Each piece's weighted sum is
     numpy's pairwise sum of a contiguous slice, which depends only on the
     slice, so it has the bits of integrate on that piece alone.
     """
-    ca, c2, w, spans = _moment_rule(tuple(breaks), nodes, x, y)
-    vals = term(ca, _base(r, c2))
+    ca, log_base, w, spans = _moment_rule(tuple(breaks), nodes, x, y, r)
+    # in place where it keeps the bits: a temporary of the rule's size
+    # costs about as much as the exp
+    vals = m * log_base
+    if k != 0:
+        weight = amp * ca
+        weight += off
+        if k != 1:
+            vals += k * np.log(weight, out=weight)
+    np.exp(vals, out=vals)
+    if k == 1:
+        vals *= weight
     if w is None:
-        return float(TWO_PI * np.mean(vals))
-    wv = w * vals
+        return float(TWO_PI * (np.add.reduce(vals) / vals.size))  # np.mean's bits
+    vals *= w
     total = 0
     for a, b, half in spans:
-        total += half * float(np.add.reduce(wv[a:b]))
+        total += half * float(np.add.reduce(vals[a:b]))
     return total
 
 

@@ -357,8 +357,52 @@ def check_oscillatory_maximum_lemmas(m: float, k: float, a_off: float, b_amp: fl
     m = 1; the orientation follows the direct grid scan, which is the
     defining check here.
     """
-    if a_off < 0.0 or b_amp <= 0.0:
-        raise ParameterError("need offset >= 0 and amplitude > 0")
+    return _oscillatory_maximum([(m, k, a_off, b_amp)])[0]
+
+
+def _oscillatory_phase(m: float) -> float:
+    # the maximizing phase of D at r = 1 and of L: 0 for m > 1, else pi/2
+    return 0.0 if m > 1.0 else 0.5 * math.pi
+
+
+def _oscillatory_keys(m: float) -> list:
+    """The (r, x, y) of every moment the lemma check at exponent m reads,
+    in the order it reads them."""
+    keys = [(1.0, _oscillatory_phase(m), 0.0)]
+    keys += [(r, float(x), 0.0) for r in OSC_RADII for x in OSC_PHASES]
+    keys += [(r, 0.0, float(y)) for r in OSC_RADII for y in OSC_PHASES]
+    if m != 1.0:
+        keys += [(r, 0.0, _oscillatory_phase(m)) for r in OSC_RADII]
+    return keys
+
+
+def _oscillatory_maximum(sets) -> list:
+    """check_oscillatory_maximum_lemmas at each (m, k, a_off, b_amp) of sets.
+
+    The moments are taken key-major: every moment of every set at one
+    (r, x, y), so at one moment table, before any at the next, which
+    builds each table once however many sets share it.  Each moment is the
+    same call in any order, so each result is the one a lone check gives.
+    """
+    for _, _, a_off, b_amp in sets:
+        if a_off < 0.0 or b_amp <= 0.0:
+            raise ParameterError("need offset >= 0 and amplitude > 0")
+    users = {}
+    for s in sets:
+        if s[0] > -0.5:
+            for key in _oscillatory_keys(s[0]):
+                users.setdefault(key, {})[s] = None
+    values = {
+        (s, key): bnd.oscillatory_moment(*s, *key, CONSTANT_NODES)
+        for key, group in users.items()
+        for s in group
+    }
+    return [_oscillatory_result(s, values) for s in sets]
+
+
+def _oscillatory_result(s: tuple, values: dict) -> AuditResult:
+    # the lemma check of the parameter set s from its moments in values
+    m = s[0]
     records = []
     notes = []
     if m <= -0.5:
@@ -366,9 +410,9 @@ def check_oscillatory_maximum_lemmas(m: float, k: float, a_off: float, b_amp: fl
         return _collect("oscillatory_maximum", [], VALUE_TOL, notes=notes)
 
     def moment(r, x=0.0, y=0.0):
-        return bnd.oscillatory_moment(m, k, a_off, b_amp, r, float(x), float(y), CONSTANT_NODES)
+        return values[s, (r, float(x), float(y))]
 
-    d_ref = moment(1.0, x=0.0 if m > 1.0 else 0.5 * math.pi)
+    d_ref = moment(1.0, x=_oscillatory_phase(m))
     for r in OSC_RADII:
         for x in OSC_PHASES:
             records.append((f"D r={r} x={x:.3f}", float(r), d_ref - moment(r, x=x)))
@@ -384,8 +428,7 @@ def check_oscillatory_maximum_lemmas(m: float, k: float, a_off: float, b_amp: fl
             ]
             # constancy graded at 1e-10 via the 1e2 factor against VALUE_TOL
         else:
-            y_star = 0.0 if m > 1.0 else 0.5 * math.pi
-            l_ref = moment(r, y=y_star)
+            l_ref = moment(r, y=_oscillatory_phase(m))
             records += [
                 (f"L max r={r} y={y:.3f}", float(r), l_ref - v) for y, v in zip(OSC_PHASES, l_vals)
             ]
@@ -562,11 +605,9 @@ def run_suite(
     if name in ("lemmas", "all"):
         ratio = [check_hypergeometric_ratio_lemma(params, k) for k in (2, 3, 5)]
         results.append(merge_results("hypergeometric_ratio_lemma", ratio))
-        osc = [
-            check_oscillatory_maximum_lemmas(m, k, a_off, 1.0)
-            for m in (0.5, 1.0, 2.0)
-            for k, a_off in ((1.0, 0.0), (2.0, 0.3))
-        ]
+        osc = _oscillatory_maximum(
+            [(m, k, a_off, 1.0) for m in (0.5, 1.0, 2.0) for k, a_off in ((1.0, 0.0), (2.0, 0.3))]
+        )
         results.append(merge_results("oscillatory_maximum", osc))
     if name in ("identities", "all"):
         idents = [

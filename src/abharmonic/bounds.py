@@ -9,11 +9,12 @@ are built from two circle integrals of the kernel base |1 + r e^{is}|^(2m):
 plain_moment, whose mean has the closed form F(-m, -m; 1; r^2) and the
 r -> 1 limit Gamma(1 + 2m) / Gamma(1 + m)^2 (plain_moment_closed), and
 oscillatory_moment, the base weighted by (off + amp |cos(s - x)|)^k, which
-is computed by quadrature only.  Both are integrated by _quad.base_integral,
-which keeps |cos(s - x)|, the base's cos((s - y)/2)^2 and the weights in
-one table per circle rule and phase (x, y), so a moment evaluates only its
-two powers, in one pass over every node of its rule; each distinct moment
-is integrated once per process.
+is computed by quadrature only.  Both are integrated by _quad.kernel_moment,
+which keeps |cos(s - x)|, the log of the base and the weights in one table
+per circle rule, phase (x, y) and radius, so a moment takes one exp per
+node, in one pass over every node of its rule; each distinct moment is
+integrated once per process.  A moment at a new radius costs one table
+build, which no report minds: a report asks for two radii, r and 1.
 
 Wherever a closed form exists alongside a defining integral, both are
 computed; BoundReport.add_pair writes them as X and X_quadrature and notes,
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import DEFAULT_NODES, base_integral, base_plus, integrate
+from ._quad import DEFAULT_NODES, base_plus, integrate, kernel_moment
 from .errors import ParameterError
 from .kernel import AlphaBeta, _mode_hyp
 from .specfun import beta, gauss_2f1, gauss_2f1_at_one, pochhammer_ratio
@@ -159,7 +160,7 @@ def plain_moment(m: float, r, nodes: int = DEFAULT_NODES) -> float:
     """
     r = _radius(r)
     breaks = (math.pi,) if (r > 0.9 or m < 0) else ()
-    return base_integral(lambda ca, base: base**m, r, 0.0, 0.0, breaks, nodes)
+    return kernel_moment(m, 0, 0.0, 0.0, r, 0.0, 0.0, breaks, nodes)
 
 
 @_moment_cache
@@ -180,7 +181,7 @@ def oscillatory_moment(m, k, off, amp, r, x=0.0, y=0.0, nodes: int = DEFAULT_NOD
     breaks = [x + 0.5 * math.pi, x + 1.5 * math.pi]
     if r > 0.9:
         breaks.append(y + math.pi)
-    return base_integral(lambda ca, base: (off + amp * ca) ** k * base**m, r, x, y, breaks, nodes)
+    return kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
 
 
 # ---------------------------------------------------------------------------

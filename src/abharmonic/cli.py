@@ -59,7 +59,7 @@ from ._quad import DEFAULT_NODES, circle_nodes
 from .audit import DEFAULT_SEED, SUITE_NAMES, merge_results, run_suite
 from .bounds import HolderPair, full_report
 from .errors import BoundaryFileError, ConvergenceError, DomainError, ParameterError
-from .harmonic import check_nodes, coefficients_from_boundary, poisson_extension
+from .harmonic import alias_free_nodes, check_nodes, coefficients_from_boundary, poisson_extension
 from .kernel import make_params
 
 EXIT_OK = 0
@@ -128,9 +128,9 @@ def _json_text(obj, indent: int) -> str:
 def _json_parts(obj, parts: list, newline: str, step: str) -> None:
     # obj appended to parts at the depth whose line breaks are newline
     if isinstance(obj, dict):
-        brackets, keys, values = "{}", map(_json_key, obj), obj.values()
+        brackets, items = "{}", obj.items()
     elif isinstance(obj, (list, tuple)):
-        brackets, keys, values = "[]", None, obj
+        brackets, items = "[]", enumerate(obj)
     else:
         parts.append(_json_scalar(obj))
         return
@@ -139,11 +139,12 @@ def _json_parts(obj, parts: list, newline: str, step: str) -> None:
         return
     inner = newline + step
     sep = brackets[0] + inner
-    for v in values:
+    keyed = brackets == "{}"
+    for k, v in items:
         parts.append(sep)
         sep = "," + inner
-        if keys is not None:
-            parts.append(next(keys))
+        if keyed:
+            parts.append(encode_basestring_ascii(k) + ": " if isinstance(k, str) else _json_key(k))
         t = type(v)
         if t is float:
             parts.append(float.__repr__(v) if -math.inf < v < math.inf else "null")
@@ -168,9 +169,8 @@ def _json_scalar(obj) -> str:
 
 
 def _json_key(key) -> str:
-    # a dict key and its separator, converted as json.dumps converts it
-    if isinstance(key, str):
-        return encode_basestring_ascii(key) + ": "
+    # a dict key that is not a str and its separator, converted as
+    # json.dumps converts it
     if isinstance(key, float) and not -math.inf < key < math.inf:
         raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
     if isinstance(key, (int, float)) or key is None:
@@ -274,14 +274,15 @@ def _open_out(path):
 def cmd_solve(args) -> int:
     params = make_params(args.alpha, args.beta)
     f = boundary.load(args.boundary)
-    u = poisson_extension(params, f, args.nodes)
     if f.order >= args.nodes // 2:
-        # on n nodes mode k is mode k - n: the sum would extend that alias
-        nodes = max(64, 1 << (2 * f.order).bit_length())
+        # on n nodes mode k is mode k - n: the sum would extend that alias;
+        # refused here as a file the nodes cannot serve (exit 3), before
+        # poisson_extension refuses it as a DomainError
         raise BoundaryFileError(
             f"Fourier order {f.order} is at least nodes/2 = {args.nodes // 2}; "
-            f"it needs --nodes {nodes} or more"
+            f"it needs --nodes {alias_free_nodes(f.order)} or more"
         )
+    u = poisson_extension(params, f, args.nodes)
     nr, nt = args.grid
     radii = [(i + 1) / (nr + 1) * args.rmax for i in range(nr)]
     # every ring before any point: a bad radius raises before a file is opened

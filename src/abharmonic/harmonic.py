@@ -147,6 +147,22 @@ def check_nodes(nodes: int) -> int:
     return nodes
 
 
+def alias_free_nodes(order: int) -> int:
+    """The fewest nodes, a power of two >= 64, that serve Fourier data of
+    the given order: more than twice the order."""
+    return max(64, 1 << (2 * order).bit_length())
+
+
+def _check_order(f: BoundaryFunction, nodes: int) -> None:
+    # on n nodes mode k is mode k - n: a sum over the nodes would extend
+    # data of order n/2 or more as its alias
+    if f.order >= nodes // 2:
+        raise DomainError(
+            f"Fourier order {f.order} is at least nodes/2 = {nodes // 2}; "
+            f"it needs nodes >= {alias_free_nodes(f.order)}"
+        )
+
+
 @functools.lru_cache(maxsize=16)
 def _conj_roots(nodes: int) -> np.ndarray:
     """exp(-i t_j) on the nodes-point circle grid, read-only."""
@@ -251,9 +267,11 @@ def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEF
 
     The dense sum (c/n) sum_l P(z e^{-i t_l}) f_l over the n = nodes grid,
     its kernel rows evaluated in blocks of at most _BLOCK_POINTS kernel
-    points (or one row).
+    points (or one row).  Fourier data of order nodes/2 or more raise
+    DomainError, as the nodes cannot tell its modes from their aliases.
     """
     check_nodes(nodes)
+    _check_order(f, nodes)
     z = _disk_array(z)
     grid = f.values_on_grid(nodes)
     roots = _conj_roots(nodes)
@@ -276,12 +294,15 @@ class PoissonExtension:
     sampled only as finely as they need, never one kernel row per angle;
     a rotation orbit is the ring through its point.  Every path reads f
     only on its nodes-point grid; a ring's phase goes through the kernel.
+    Fourier data of order nodes/2 or more raise DomainError, as they do
+    in poisson_integral.
     """
 
     def __init__(self, params: AlphaBeta, f: BoundaryFunction, nodes: int = DEFAULT_NODES):
         self.params = params
         self.f = f
         self.nodes = check_nodes(nodes)
+        _check_order(f, nodes)
 
     def __call__(self, z):
         return poisson_integral(self.params, self.f, z, self.nodes)

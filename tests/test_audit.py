@@ -8,6 +8,7 @@ import pytest
 import abharmonic.audit as audit
 import abharmonic.bounds as bnd
 import abharmonic.harmonic as harmonic
+from abharmonic import _quad
 from abharmonic._quad import circle_nodes
 from abharmonic.audit import (
     R_GRID,
@@ -268,6 +269,46 @@ class TestOscillatoryLemmas:
     def test_input_guard(self):
         with pytest.raises(ParameterError):
             check_oscillatory_maximum_lemmas(1.0, 1.0, -0.1, 1.0)
+
+    # the lemma suite's six (m, k, offset, amplitude) sets
+    SUITE_SETS = [(m, k, a_off, 1.0) for m in (0.5, 1.0, 2.0) for k, a_off in ((1.0, 0.0), (2.0, 0.3))]
+
+    @staticmethod
+    def clear_moments():
+        for fn in (bnd.plain_moment, bnd.plain_moment_closed, bnd.oscillatory_moment, _quad._moment_rule):
+            fn.cache_clear()
+
+    def lemma_suite(self):
+        results = run_suite("lemmas", make_params(0.3, -0.2), HolderPair.from_p(math.inf), n_boundaries=1)
+        return next(res for res in results if res.name == "oscillatory_maximum")
+
+    def test_suite_builds_each_moment_table_once(self, monkeypatch):
+        # key-major: every moment at one (rule, radius) before the next, so
+        # the 1,518 table lookups miss once per distinct key: 2 reference
+        # keys at r = 1, 128 of D and 124 more of L (L at y = 0 is D at x = 0)
+        self.clear_moments()
+        rule, keys = _quad._moment_rule, []
+
+        def recorded(*key):
+            keys.append(key)
+            return rule(*key)
+
+        monkeypatch.setattr(_quad, "_moment_rule", recorded)
+        self.lemma_suite()
+        info = rule.cache_info()
+        assert info.misses == len(set(keys)) == 254
+        assert info.hits + info.misses == len(keys) == 1518
+
+    def test_suite_equals_lone_checks_bit_for_bit(self):
+        self.clear_moments()
+        suite = self.lemma_suite()
+        lone = []
+        for args in self.SUITE_SETS:
+            self.clear_moments()
+            lone.append(check_oscillatory_maximum_lemmas(*args))
+        merged = merge_results("oscillatory_maximum", lone)
+        merged.seed = suite.seed
+        assert repr(suite.to_dict()) == repr(merged.to_dict())
 
 
 class TestIntegralIdentities:

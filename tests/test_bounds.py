@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import abharmonic.bounds as bnd
 from abharmonic import _quad
-from abharmonic._quad import DEFAULT_NODES, base_integral, base_plus, circle_integral, circle_nodes
+from abharmonic._quad import DEFAULT_NODES, base_plus, circle_integral, circle_nodes, kernel_moment
 from abharmonic.bounds import (
     HEINZ_LOWER_BOUND,
     SUP,
@@ -56,12 +56,12 @@ def _count_integrations(monkeypatch) -> dict:
     _clear_moment_caches()
     counts = {"plain": 0, "oscillatory": 0}
 
-    def counted(term, r, x, y, breaks, nodes):
+    def counted(m, k, off, amp, r, x, y, breaks, nodes):
         # an oscillatory moment always breaks at its two |cos| kinks
         counts["oscillatory" if len(breaks) >= 2 else "plain"] += 1
-        return base_integral(term, r, x, y, breaks, nodes)
+        return kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
 
-    monkeypatch.setattr(bnd, "base_integral", counted)
+    monkeypatch.setattr(bnd, "kernel_moment", counted)
     return counts
 
 
@@ -561,18 +561,23 @@ class TestKernelMoments:
                 oscillatory_moment(m, k, off, 1.0, r, x=-t), rel=1e-12, abs=1e-12
             )
 
-    # the moments as integrands written out in s, through circle_integral
+    # the moments as integrands written out in s, through circle_integral:
+    # one exp of m log(base), times the weight at k = 1, else with k times
+    # its log in the exponent
     @staticmethod
-    def base(r, s):
-        return (1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * s) ** 2
+    def log_base(r, s):
+        return np.log((1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * s) ** 2)
 
     def closure_plain(self, m, r, nodes):
         breaks = (math.pi,) if (r > 0.9 or m < 0) else ()
-        return circle_integral(lambda s: self.base(r, s) ** m, breaks, nodes)
+        return circle_integral(lambda s: np.exp(m * self.log_base(r, s)), breaks, nodes)
 
     def closure_oscillatory(self, m, k, off, amp, r, x, y, nodes):
         def fn(s):
-            return (off + amp * np.abs(np.cos(s - x))) ** k * self.base(r, s - y) ** m
+            weight = off + amp * np.abs(np.cos(s - x))
+            if k == 1:
+                return weight * np.exp(m * self.log_base(r, s - y))
+            return np.exp(m * self.log_base(r, s - y) + k * np.log(weight))
 
         breaks = [x + 0.5 * math.pi, x + 1.5 * math.pi] + ([y + math.pi] if r > 0.9 else [])
         return circle_integral(fn, breaks, nodes)
@@ -609,7 +614,8 @@ class TestKernelMoments:
     )
     @pytest.mark.parametrize("r", [0.0, 0.6, 0.95, 1.0])
     @pytest.mark.parametrize(
-        "m, k, off, amp", [(-0.4, 1.0, 0.0, 1.0), (0.37, 1.7, 0.3, 2.5), (2.5, 1.0, 0.2, 1.0)]
+        "m, k, off, amp",
+        [(-0.4, 1.0, 0.0, 1.0), (0.37, 1.7, 0.3, 2.5), (2.5, 1.0, 0.2, 1.0), (0.8, 2.0, 0.0, 1.3)],
     )
     def test_oscillatory_moment_gives_closure_bits(self, m, k, off, amp, r, x, y):
         expected = self.closure_oscillatory(m, k, off, amp, r, x, y, 2048)
@@ -618,13 +624,17 @@ class TestKernelMoments:
         assert self.cold_and_warm(oscillatory_moment, *args) == (expected, expected)
 
     def test_moments_share_a_moment_table(self):
-        # two moments at one phase and rule place its table once
+        # two moments at one phase, rule and radius place its table once;
+        # a third at another radius places its own
         _quad._moment_rule.cache_clear()
         _clear_moment_caches()
         oscillatory_moment(0.37, 1.7, 0.3, 2.5, 0.6, 0.7, 0.0, 2048)
-        oscillatory_moment(2.5, 1.0, 0.2, 1.0, 0.5, 0.7, 0.0, 2048)
+        oscillatory_moment(2.5, 1.0, 0.2, 1.0, 0.6, 0.7, 0.0, 2048)
         info = _quad._moment_rule.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+        oscillatory_moment(2.5, 1.0, 0.2, 1.0, 0.5, 0.7, 0.0, 2048)
+        info = _quad._moment_rule.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
 
     @pytest.mark.parametrize("nodes", [0, -4, -4096])
     @pytest.mark.parametrize("r", [0.5, 0.95])

@@ -595,6 +595,30 @@ class TestNodeRule:
     def test_accepted(self, nodes):
         assert check_nodes(nodes) == nodes
 
+    @pytest.mark.parametrize(
+        "order, nodes, needed", [(4095, 4096, 8192), (2048, 4096, 8192), (32, 64, 128), (-40, 64, 128)]
+    )
+    def test_order_at_half_the_nodes_raises(self, order, nodes, needed):
+        # on n nodes mode k is mode k - n: at 4,096 nodes e^{4095 it} would
+        # be extended as e^{-it}, u = r at r = 0.15835, for u = r^4095
+        f = from_fourier({order: 1.0})
+        match = f"order {abs(order)} .* nodes >= {needed}"
+        with pytest.raises(DomainError, match=match):
+            poisson_integral(P00, f, 0.15835, nodes)
+        with pytest.raises(DomainError, match=match):
+            poisson_extension(P00, f, nodes).circle_values(0.15835, 1)
+        with pytest.raises(DomainError, match=match):
+            integral_means(poisson_extension(P00, f, nodes), 0.15835, 2.0)
+        # the node count named serves it
+        u = poisson_extension(P00, f, needed)
+        assert abs(u.circle_values(0.15835, 1)[0] - 0.15835 ** abs(order)) <= 1e-13
+        assert abs(poisson_integral(P00, f, 0.15835, needed) - 0.15835 ** abs(order)) <= 1e-13
+
+    def test_order_below_half_the_nodes_is_served(self):
+        f = from_fourier({2047: 1.0, -2047: 1j})
+        assert abs(poisson_integral(P00, f, 0.9, 4096) - 0.9**2047) <= 1e-13
+        assert integral_means(poisson_extension(P00, f, 4096), 0.9, 2.0) <= 1e-13
+
 
 class TestCircleValues:
     # on 1,024 nodes a ring's kernel samples stop at lcm(1,024, n_theta):

@@ -2,12 +2,13 @@ import importlib
 import math
 import pkgutil
 
+import mpmath
 import numpy as np
 import pytest
 
 import abharmonic
 from abharmonic import _quad
-from abharmonic._quad import DEFAULT_NODES, base_integral, circle_integral, integrate, p_mean
+from abharmonic._quad import DEFAULT_NODES, base_plus, circle_integral, integrate, kernel_moment, p_mean
 from abharmonic.errors import DomainError
 
 HALF_PI = 0.5 * math.pi
@@ -116,7 +117,7 @@ def test_non_finite_break_point_raises(bad):
     with pytest.raises(DomainError):
         circle_integral(lambda s: calls.append(s) or np.ones_like(s), breaks=(1.0, bad))
     with pytest.raises(DomainError):
-        base_integral(lambda ca, base: calls.append(ca) or base, 0.5, 0.0, 0.0, (bad,))
+        kernel_moment(1.0, 0, 0.0, 0.0, 0.5, 0.0, 0.0, (bad,))
     assert calls == []
 
 
@@ -147,25 +148,27 @@ RULES = [
 
 @pytest.mark.parametrize("breaks, nodes", RULES)
 def test_moment_rule_is_read_only(breaks, nodes):
-    ca, c2, w, _ = _quad._moment_rule(breaks, nodes, 0.7, -0.4)
-    for arr in (ca, c2) if w is None else (ca, c2, w):
+    ca, log_base, w, _ = _quad._moment_rule(breaks, nodes, 0.7, -0.4, 0.95)
+    for arr in (ca, log_base) if w is None else (ca, log_base, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
 
+@pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
 @pytest.mark.parametrize("breaks, nodes", RULES)
-def test_moment_rule_holds_the_written_out_cosines(breaks, nodes):
+def test_moment_rule_holds_the_written_out_cosine_and_log_base(breaks, nodes, r):
     s = placed_nodes(breaks, nodes)
-    ca, c2, _, _ = _quad._moment_rule(breaks, nodes, 0.7, -0.4)
+    ca, log_base, _, _ = _quad._moment_rule(breaks, nodes, 0.7, -0.4, r)
     assert np.array_equal(ca, np.abs(np.cos(s - 0.7)))
-    assert np.array_equal(c2, np.cos(0.5 * (s + 0.4)) ** 2)
+    assert np.array_equal(log_base, np.log((1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * (s + 0.4)) ** 2))
 
 
 def test_moment_table_is_bounded():
-    # phases on the trapezoid grid and break points of split rules
+    # phases on the trapezoid grid, break points of split rules and radii
     for k in range(128):
-        base_integral(lambda ca, base: ca * base, 0.5, k / 64.0, 0.0, (), 64)
-        base_integral(lambda ca, base: ca * base, 0.5, 0.0, 0.0, (k / 64.0,), 512)
+        kernel_moment(1.0, 1, 0.0, 1.0, 0.5, k / 64.0, 0.0, (), 64)
+        kernel_moment(1.0, 1, 0.0, 1.0, 0.5, 0.0, 0.0, (k / 64.0,), 512)
+        kernel_moment(1.0, 1, 0.0, 1.0, k / 128.0, 0.0, 0.0, (), 64)
     info = _quad._moment_rule.cache_info()
     assert info.maxsize == info.currsize == 64
 
@@ -211,31 +214,78 @@ def test_break_sets_that_split_alike_give_equal_bits(nodes):
     alike = [(math.pi,), (-math.pi,), (3.0 * math.pi,), (math.pi, 2.0 * math.pi)]
     _quad._moment_rule.cache_clear()
     circles = {circle_integral(integrand, breaks, nodes) for breaks in alike}
-    bases = {
-        base_integral(lambda ca, base: (0.2 + ca) * base**-0.3, 0.95, x, y, breaks, nodes)
-        for breaks in alike
-    }
+    bases = {kernel_moment(-0.3, 1, 0.2, 1.0, 0.95, x, y, breaks, nodes) for breaks in alike}
     assert len(circles) == len(bases) == 1
     assert _quad._moment_rule.cache_info().currsize == 4
+
+
+def exp_form(m, k, off, amp, r, x, y):
+    """The integrand of kernel_moment written out in s, in its exp form."""
+
+    def fn(s):
+        ca = np.abs(np.cos(s - x))
+        log_base = np.log((1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * (s - y)) ** 2)
+        if k == 0:
+            return np.exp(m * log_base)
+        if k == 1:
+            return (off + amp * ca) * np.exp(m * log_base)
+        return np.exp(m * log_base + k * np.log(off + amp * ca))
+
+    return fn
 
 
 @pytest.mark.parametrize("nodes", [64, 2048, DEFAULT_NODES])
 @pytest.mark.parametrize("r", [0.6, 0.95, 1.0])
 @pytest.mark.parametrize("breaks", BREAK_SETS)
-def test_base_integral_gives_piecewise_bits(breaks, r, nodes):
-    x, y, m, k = 0.7, -0.4, -0.3, 1.7
-    calls = []
+def test_kernel_moment_gives_piecewise_bits(breaks, r, nodes):
+    # at k = 0, 1 and otherwise, from one table lookup
+    x, y, m = 0.7, -0.4, -0.3
+    for k in (0, 1, 1.7):
+        before = _quad._moment_rule.cache_info()
+        expected = piecewise_formula(exp_form(m, k, 0.2, 1.5, r, x, y), breaks, nodes)
+        assert kernel_moment(m, k, 0.2, 1.5, r, x, y, breaks, nodes) == expected
+        after = _quad._moment_rule.cache_info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 1
 
-    def term(ca, base):
-        calls.append(ca.size)
-        return (0.2 + ca) ** k * base**m
 
-    def written_out(s):
-        base = (1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * (s - y)) ** 2
-        return (0.2 + np.abs(np.cos(s - x))) ** k * base**m
+# the oracle grid: m in (-0.49, 10), each k of the distortion, partial and
+# lemma moments and their k = 0 and 1 branches, radii up to the r = 1 limit
+ORACLE_RADII = [0.0, 0.3, 0.6, 0.9, 0.95, 1.0]
+ORACLE_POWERS = [0, 1, 4.0 / 3.0, 2, 3]
 
-    assert base_integral(term, r, x, y, breaks, nodes) == piecewise_formula(written_out, breaks, nodes)
-    assert len(calls) == 1
+
+@pytest.mark.parametrize("nodes", [2048, DEFAULT_NODES])
+@pytest.mark.parametrize("k", ORACLE_POWERS)
+@pytest.mark.parametrize("r", ORACLE_RADII)
+def test_kernel_moment_matches_the_power_integrand(r, k, nodes):
+    # (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m) written out with
+    # powers and integrated by circle_integral on the same break points:
+    # the exp form moves each node by a few ulps, the sum by far less
+    rng = np.random.default_rng([27, ORACLE_RADII.index(r), ORACLE_POWERS.index(k), nodes])
+    for _ in range(6):
+        m = rng.uniform(-0.49, 10.0)
+        x, y = rng.uniform(-math.pi, 3.0 * math.pi, 2)
+        off, amp = rng.uniform(0.0, 1.0), rng.uniform(0.5, 3.0)
+        breaks = [x + HALF_PI, x + 3.0 * HALF_PI] + ([y + math.pi] if r > 0.9 else [])
+
+        def power_form(s):
+            return (off + amp * np.abs(np.cos(s - x))) ** k * base_plus(r, s - y) ** m
+
+        expected = circle_integral(power_form, breaks, nodes)
+        got = kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (m, x, y, off, amp)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.6, 0.9])
+def test_plain_kernel_moment_matches_the_hypergeometric_mean(r):
+    # 2 pi F(-m, -m; 1; r^2) from mpmath; m < 0 splits the circle at pi
+    # as plain_moment does, which costs the tanh-sinh rule about 6e-14
+    rng = np.random.default_rng([27, int(10 * r)])
+    for m in rng.uniform(-0.49, 10.0, 12):
+        breaks = (math.pi,) if m < 0 else ()
+        expected = 2.0 * math.pi * float(mpmath.hyp2f1(-m, -m, 1, r * r))
+        got = kernel_moment(m, 0, 0.0, 0.0, r, 0.0, 0.0, breaks, DEFAULT_NODES)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0), m
 
 
 @pytest.mark.parametrize("nodes", [0, -4, -4096])
@@ -245,7 +295,7 @@ def test_node_count_below_one_raises(breaks, nodes):
     with pytest.raises(DomainError, match="nodes"):
         circle_integral(lambda s: calls.append(s) or np.ones_like(s), breaks, nodes)
     with pytest.raises(DomainError, match="nodes"):
-        base_integral(lambda ca, base: calls.append(ca) or base, 0.5, 0.0, 0.0, breaks, nodes)
+        kernel_moment(1.0, 0, 0.0, 0.0, 0.5, 0.0, 0.0, breaks, nodes)
     assert calls == []
 
 
