@@ -53,10 +53,11 @@ def p_mean(vals, p: float) -> float:
         return top
     # |vals|^p and their sum stay normal floats while p log2(max |vals|)
     # lies well inside the exponent range; beyond it they would overflow or
-    # underflow, so the samples are scaled by their maximum first
+    # underflow, so the samples are scaled by their maximum first.  A mean
+    # is add.reduce / size: np.mean's bits without its overhead
     if 0.0 < top < math.inf and not -1000.0 < p * math.log2(top) < 1000.0 - math.log2(a.size):
-        return top * float(np.mean((a / top) ** p) ** (1.0 / p))
-    return float(np.mean(a**p) ** (1.0 / p))
+        return top * float((np.add.reduce((a / top) ** p) / a.size) ** (1.0 / p))
+    return float((np.add.reduce(a**p) / a.size) ** (1.0 / p))
 
 
 @functools.lru_cache(maxsize=16)

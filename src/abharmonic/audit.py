@@ -58,14 +58,40 @@ Z_GRID = np.array([[r * np.exp(2j * math.pi * (j + 0.37) / 8) for j in range(8)]
 # polar rings (r +- h, theta_0), (r, theta_0 +- h) of each row's first
 # point, the angle by math.atan2 (np.arctan2 can differ by an ulp)
 CARTESIAN_STENCIL = Z_GRID + DEFAULT_STEP
-_CARTESIAN_RINGS = [(abs(w), math.atan2(w.imag, w.real)) for w in CARTESIAN_STENCIL.ravel().tolist()]
-_POLAR_RINGS = [
+_CARTESIAN_RINGS = tuple((abs(w), math.atan2(w.imag, w.real)) for w in CARTESIAN_STENCIL.ravel().tolist())
+_POLAR_RINGS = tuple(
     (r + dr, theta + dt)
     for r, theta in ((abs(z), math.atan2(z.imag, z.real)) for z in Z_GRID[:, 0].tolist())
     for dr, dt in ((DEFAULT_STEP, 0.0), (-DEFAULT_STEP, 0.0), (0.0, DEFAULT_STEP), (0.0, -DEFAULT_STEP))
-]
+)
+# where the Cartesian rings hold each stencil point: value k of the ring
+# through row point j - 2k (mod 8) is z_j + h i^k, gathered as [k, row, j]
+_TURNS = (
+    np.arange(len(R_GRID))[:, None],
+    (np.arange(8) - 2 * np.arange(4)[:, None, None]) % 8,
+    np.arange(4)[:, None, None],
+)
+_GROWTH_RINGS = tuple((r, GROWTH_PHASE) for r in R_GRID)
+_MEANS_RINGS = tuple((r, 0.0) for r in R_GRID)
 MEANS_THETAS = 256  # ring points of the means-of-partials stencils
+# the radial and angular stencil rings of the means-of-partials check
+_MEANS_STENCILS = tuple(
+    (r + dr, dt)
+    for r in R_GRID
+    for dr, dt in ((DEFAULT_STEP, 0.0), (-DEFAULT_STEP, 0.0), (0.0, DEFAULT_STEP), (0.0, -DEFAULT_STEP))
+)
 PARTIAL_KINDS = ("radial", "angular", "wirtinger", "wirtinger")  # of u_r, u_theta, u_z, u_zbar
+# the case ids and grading radii of the boundary checks, in grading order:
+# the Z_GRID points row by row (growth, distortion), each with its four
+# partials (partials), and the R_GRID rings (integral means), each with
+# its four partials (means of partials)
+_POINT_IDS = tuple(f"z{i}" for i in range(Z_GRID.size))
+_POINT_RADII = tuple(r for r in R_GRID for _ in range(Z_GRID.shape[1]))
+_PARTIAL_IDS = tuple(f"{case}:{which}" for case in _POINT_IDS for which in PARTIAL_KINDS)
+_PARTIAL_RADII = tuple(r for r in _POINT_RADII for _ in PARTIAL_KINDS)
+_RING_IDS = tuple(f"r={r}" for r in R_GRID)
+_RING_PARTIAL_IDS = tuple(f"{case}:{which}" for case in _RING_IDS for which in PARTIAL_KINDS)
+_RING_PARTIAL_RADII = tuple(r for r in R_GRID for _ in PARTIAL_KINDS)
 RATIO_T_GRID = np.linspace(0.01, 0.99, 99)
 OSC_RADII = (0.2, 0.5, 0.8, 0.95)
 OSC_PHASES = np.linspace(0.0, 2.0 * math.pi, 33)[:-1]
@@ -119,21 +145,29 @@ def _worst(margins) -> float:
     return float(np.min(margins)) if len(margins) else 0.0
 
 
-def _collect(name, records, tolerance, notes=None, extras=None) -> AuditResult:
-    """records: iterable of (case_id, r, margin)."""
-    records = list(records)
-    margins = [m for _, _, m in records]
-    violated = sum(1 for m in margins if not (math.isfinite(m) and m >= -tolerance))
+def _graded(name, ids, radii, margins, tolerance, notes=None, extras=None) -> AuditResult:
+    """The result of the cases ids at radii with margins (an array of any
+    shape, read in C order): a case is violated when its margin is below
+    -tolerance or not finite."""
+    margins = np.asarray(margins, dtype=float).ravel()
+    violated = int(np.count_nonzero(~(np.isfinite(margins) & (margins >= -tolerance))))
     return AuditResult(
         name,
-        len(records),
+        margins.size,
         violated,
         _worst(margins),
         tolerance,
         notes=list(notes or []),
-        details=records,
+        details=list(zip(ids, radii, margins.tolist(), strict=True)),
         extras=dict(extras or {}),
     )
+
+
+def _collect(name, records, tolerance, notes=None, extras=None) -> AuditResult:
+    """records: iterable of (case_id, r, margin)."""
+    records = list(records)
+    ids, radii, margins = zip(*records) if records else ((), (), ())
+    return _graded(name, ids, radii, margins, tolerance, notes, extras)
 
 
 def merge_results(name: str, results) -> AuditResult:
@@ -159,10 +193,12 @@ def merge_results(name: str, results) -> AuditResult:
 def random_boundary(rng, order: int = 8) -> BoundaryFunction:
     """Seeded trig polynomial with coefficients uniform in the unit disk,
     scaled by 1/(1+|k|) to keep the functions tame."""
+    # one draw of every uniform, a (modulus, angle) pair per mode: the
+    # stream of one draw per uniform
+    draws = iter(rng.uniform(size=2 * (2 * order + 1)).tolist())
     coeffs = {}
-    for k in range(-order, order + 1):
-        w = math.sqrt(rng.uniform(0.0, 1.0)) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0))
-        coeffs[k] = w / (1.0 + abs(k))
+    for k, (u, v) in zip(range(-order, order + 1), zip(draws, draws)):
+        coeffs[k] = math.sqrt(u) * np.exp(2j * math.pi * v) / (1.0 + abs(k))
     return from_fourier(coeffs)
 
 
@@ -184,8 +220,7 @@ def _row_wirtinger(u):
     """(u_z, u_zbar) on Z_GRID.  The Cartesian stencil point z_j + h i^k
     is i^k (z_{j-2k} + h), so the rings of four angles through the 24
     points CARTESIAN_STENCIL hold all 96 stencil points."""
-    vals = u._circles(_CARTESIAN_RINGS, 4).reshape(CARTESIAN_STENCIL.shape + (4,))
-    up, vp, um, vm = (np.roll(vals[..., k], 2 * k, axis=1) for k in range(4))
+    up, vp, um, vm = u._circles(_CARTESIAN_RINGS, 4).reshape(CARTESIAN_STENCIL.shape + (4,))[_TURNS]
     return _wirtinger_pair(up, um, vp, vm, DEFAULT_STEP)
 
 
@@ -197,19 +232,27 @@ def _row_polar(u):
     return (rp - rm) / (2.0 * h), (tp - tm) / (2.0 * h)
 
 
+def _normalized(margins, bounds):
+    """margins relative to max(1, |bounds|)."""
+    return margins / np.maximum(1.0, np.abs(bounds))
+
+
+def _modulus(z):
+    # abs() of each complex; np.abs of a complex array can differ by an ulp
+    return np.hypot(z.real, z.imag)
+
+
 def check_growth(
     params: AlphaBeta, f: BoundaryFunction, hp: HolderPair, nodes: int = AUDIT_NODES
 ) -> AuditResult:
     """|u(z)| against the growth bound at every grid point."""
     norm = lp_norm(f, hp.p)
-    uvals = poisson_extension(params, f, nodes)._circles([(r, GROWTH_PHASE) for r in R_GRID], 8)
-    records = []
-    for k, (r, row) in enumerate(zip(R_GRID, uvals)):
-        # at p = inf this is |u| <= A(r) ||f||, A(r) the kernel-modulus
-        # mass, which reduces to the classical |u| <= ||f|| at (0, 0)
-        bound = bnd.growth_constant(params, hp, r) * (1.0 - r * r) ** (-1.0 / hp.p) * norm
-        records += [(f"z{i}", r, bound - abs(uv)) for i, uv in enumerate(row, len(row) * k)]
-    return _collect("growth", records, VALUE_TOL)
+    uvals = poisson_extension(params, f, nodes)._circles(_GROWTH_RINGS, 8)
+    # at p = inf this is |u| <= A(r) ||f||, A(r) the kernel-modulus mass,
+    # which reduces to the classical |u| <= ||f|| at (0, 0)
+    bound = [bnd.growth_constant(params, hp, r) * (1.0 - r * r) ** (-1.0 / hp.p) * norm for r in R_GRID]
+    margins = np.array(bound)[:, None] - _modulus(uvals)
+    return _graded("growth", _POINT_IDS, _POINT_RADII, margins, VALUE_TOL)
 
 
 def check_integral_means(
@@ -218,23 +261,13 @@ def check_integral_means(
     """M_p(r, u) against the hypergeometric factor; for constant data on
     equal weights the bound is attained, and the gap is reported."""
     norm = lp_norm(f, hp.p)
-    u = poisson_extension(params, f, nodes)
-    records = []
-    gaps = []
-    equality_expected = f.is_constant and params.alpha == params.beta
-    rings = u._circles([(r, 0.0) for r in R_GRID], nodes)
-    for r, ring in zip(R_GRID, rings):
-        mp = p_mean(ring, hp.p)
-        bound = bnd.mp_growth_factor(params, r) * norm
-        records.append((f"r={r}", r, bound - mp))
-        if equality_expected:
-            gaps.append(abs(bound - mp))
-    extras = {"sharpness_gap": max(gaps)} if gaps else {}
-    return _collect("integral_means", records, VALUE_TOL, extras=extras)
-
-
-def _normalized(margin: float, bound: float) -> float:
-    return margin / max(1.0, abs(bound))
+    rings = poisson_extension(params, f, nodes)._circles(_MEANS_RINGS, nodes)
+    means = np.array([p_mean(ring, hp.p) for ring in rings])
+    margins = np.array([bnd.mp_growth_factor(params, r) * norm for r in R_GRID]) - means
+    extras = {}
+    if f.is_constant and params.alpha == params.beta:
+        extras["sharpness_gap"] = float(np.max(np.abs(margins)))
+    return _graded("integral_means", _RING_IDS, R_GRID, margins, VALUE_TOL, extras=extras)
 
 
 def check_distortion(
@@ -242,16 +275,14 @@ def check_distortion(
 ) -> AuditResult:
     """|Du| by finite differences against the distortion bound."""
     norm = lp_norm(f, hp.p)
-    u = poisson_extension(params, f, nodes)
-    records = []
-    uz, uzb = _row_wirtinger(u)
-    jnorm = np.hypot(uz.real, uz.imag) + np.hypot(uzb.real, uzb.imag)
-    for k, (r, row) in enumerate(zip(R_GRID, jnorm)):
+    uz, uzb = _row_wirtinger(poisson_extension(params, f, nodes))
+    bound = []
+    for r in R_GRID:
         coef = bnd.distortion_constant(params, hp, r, CONSTANT_NODES)
-        bound = coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
-        for i, jn in enumerate(row, len(row) * k):
-            records.append((f"z{i}", r, _normalized(bound - jn, bound)))
-    return _collect("distortion", records, DERIVATIVE_TOL)
+        bound.append(coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm)
+    bound = np.array(bound)[:, None]
+    margins = _normalized(bound - (_modulus(uz) + _modulus(uzb)), bound)
+    return _graded("distortion", _POINT_IDS, _POINT_RADII, margins, DERIVATIVE_TOL)
 
 
 def check_partials(
@@ -260,19 +291,16 @@ def check_partials(
     """|u_r|, |u_theta|, |u_z|, |u_zbar| against their bound coefficients."""
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
-    records = []
-    grids = zip(R_GRID, *_row_polar(u), *_row_wirtinger(u))
-    for k, (r, *rows) in enumerate(grids):
+    # (radius, point, partial) in the order of PARTIAL_KINDS
+    observed = _modulus(np.stack((*_row_polar(u), *_row_wirtinger(u)), axis=-1))
+    bound = []
+    for r in R_GRID:
         blow = (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
-        bound = {
-            which: bnd.partial_constant(params, hp, which, r, CONSTANT_NODES) * blow
-            for which in bnd.KINDS
-        }
-        for i, observed in enumerate(zip(*rows), len(rows[0]) * k):
-            for which, v in zip(PARTIAL_KINDS, observed):
-                margin = _normalized(bound[which] - abs(v), bound[which])
-                records.append((f"z{i}:{which}", r, margin))
-    return _collect("partials", records, DERIVATIVE_TOL)
+        kind = {which: bnd.partial_constant(params, hp, which, r, CONSTANT_NODES) for which in bnd.KINDS}
+        bound.append([kind[which] * blow for which in PARTIAL_KINDS])
+    bound = np.array(bound)[:, None, :]
+    margins = _normalized(bound - observed, bound)
+    return _graded("partials", _PARTIAL_IDS, _PARTIAL_RADII, margins, DERIVATIVE_TOL)
 
 
 def check_means_partials(
@@ -287,26 +315,24 @@ def check_means_partials(
     u = poisson_extension(params, f, nodes)
     n, h = MEANS_THETAS, DEFAULT_STEP
     eminus = np.exp(-1j * circle_nodes(n))
-    records = []
-
     # circle stencils, all twelve rings in one call: radial and angular
     # central differences, then the exact polar chain rule for the Wirtinger pair
-    stencils = [ring for r in R_GRID for ring in ((r + h, 0.0), (r - h, 0.0), (r, h), (r, -h))]
-    rings = u._circles(stencils, n).reshape(len(R_GRID), 4, n)
-    for r, (rp, rm, tp, tm) in zip(R_GRID, rings):
-        ur = (rp - rm) / (2.0 * h)
-        ut = (tp - tm) / (2.0 * h)
-        uz = 0.5 * eminus * (ur - 1j * ut / r)
-        uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
+    rp, rm, tp, tm = np.moveaxis(u._circles(_MEANS_STENCILS, n).reshape(len(R_GRID), 4, n), 1, 0)
+    r = np.array(R_GRID)[:, None]
+    ur = (rp - rm) / (2.0 * h)
+    ut = (tp - tm) / (2.0 * h)
+    uz = 0.5 * eminus * (ur - 1j * ut / r)
+    uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
+    # (radius, partial) in the order of PARTIAL_KINDS, one mean per ring
+    observed = np.array([[p_mean(v[k], hp.p) for v in (ur, ut, uz, uzb)] for k in range(len(R_GRID))])
+    bound = []
+    for r in R_GRID:
         blow = norm / (1.0 - r * r)
-        bound = {
-            which: bnd.means_constant(params, which, r, CONSTANT_NODES) * blow
-            for which in bnd.KINDS
-        }
-        for which, vals in zip(PARTIAL_KINDS, (ur, ut, uz, uzb)):
-            margin = _normalized(bound[which] - p_mean(vals, hp.p), bound[which])
-            records.append((f"r={r}:{which}", r, margin))
-    return _collect("means_partials", records, DERIVATIVE_TOL)
+        kind = {which: bnd.means_constant(params, which, r, CONSTANT_NODES) for which in bnd.KINDS}
+        bound.append([kind[which] * blow for which in PARTIAL_KINDS])
+    bound = np.array(bound)
+    margins = _normalized(bound - observed, bound)
+    return _graded("means_partials", _RING_PARTIAL_IDS, _RING_PARTIAL_RADII, margins, DERIVATIVE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -634,16 +660,18 @@ def standard_suite(seed: int = DEFAULT_SEED, n_boundaries: int = 100, nodes: int
         for (a, b) in STANDARD_PAIRS
         for p in STANDARD_EXPONENTS
     ]
+    boundaries = [random_boundary(rng) for _ in range(n_boundaries)]
     checks = _boundary_checks()
-    cases = [[] for _ in checks]
-    # draw and check one boundary at a time, so that only one boundary's
-    # sample grids are alive at once
-    for i in range(n_boundaries):
-        f = random_boundary(rng)
+    results = [None] * n_boundaries
+    # check the boundaries weight pair by weight pair, each pair's in index
+    # order, so that each pair builds its kernel table once (the table
+    # keeps only the latest pair); a boundary is released after its checks,
+    # so only one boundary's sample grids are alive at once
+    for i in sorted(range(n_boundaries), key=lambda i: i % len(combos) // len(STANDARD_EXPONENTS)):
+        f, boundaries[i] = boundaries[i], None
         params, hp = combos[i % len(combos)]
-        for col, (_, _, check) in zip(cases, checks):
-            col.append(check(params, f, hp, nodes=nodes))
-    out = [merge_results(result, col) for col, (_, result, _) in zip(cases, checks)]
+        results[i] = [check(params, f, hp, nodes=nodes) for _, _, check in checks]
+    out = [merge_results(result, col) for col, (_, result, _) in zip(zip(*results), checks)]
     for res in out:
         res.seed = seed
     return out

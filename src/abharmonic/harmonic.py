@@ -29,10 +29,12 @@ ring.  Any other callable is called once per point.
 
 A ring's kernel coefficients depend on the weights, the nodes and the
 ring, not on f, so rings keep them per weight pair: a table of the
-latest (params, nodes) serves every extension at that pair, and each
-boundary pays only for its own products, fold and inverse FFT, on the
-sample spectrum it keeps (BoundaryFunction.spectrum).  Arrays keep no
-table.
+latest (params, nodes) keeps each ring set an extension asks for, with
+its angle count, as a plan (_RingPlan) that holds the coefficients in
+the layout of the fold, and serves every extension at that pair; each
+boundary pays only for one gather of the sample spectrum it keeps
+(BoundaryFunction.spectrum), its products and fold, and one inverse
+FFT.  Arrays keep no table.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ DEFAULT_STEP = 1e-3
 # 128 KiB at which glibc's malloc maps fresh pages, whose faults would
 # cost as much as the kernel
 _BLOCK_POINTS = 4096
-# bytes of ring coefficient vectors the table of one (params, nodes) keeps:
-# at 4,096 nodes each of the audit's 54 rings takes at most 64 KB
+# bytes of ring plans (padded coefficient blocks and spectrum indices) the
+# table of one (params, nodes) keeps: the audit's five plans of a pair take
+# 0.57 MB at 1,024 nodes
 _TABLE_BYTES = 4 << 20
 # the level below which a ring kernel's Fourier coefficients are left out,
 # relative to their 1-norm (which bounds the kernel on the ring): 16 ulps,
@@ -172,26 +175,26 @@ def _conj_roots(nodes: int) -> np.ndarray:
 
 
 class _KernelTable:
-    """Read-only ring coefficient vectors of one (params, nodes) by key;
-    once they hold more than _TABLE_BYTES, the oldest go first."""
+    """Read-only ring plans (_RingPlan) of one (params, nodes) by
+    (rings, n_theta); once they hold more than _TABLE_BYTES, the oldest go
+    first."""
 
     def __init__(self):
         self.entries = {}
         self.nbytes = 0
 
     def get(self, key, make):
-        """The entry under key, made by make() when absent; an array larger
+        """The entry under key, made by make() when absent; an entry larger
         than the whole budget is returned without being kept."""
-        arr = self.entries.get(key)
-        if arr is None:
-            arr = make()
-            if arr.nbytes <= _TABLE_BYTES:
-                arr.flags.writeable = False
-                self.entries[key] = arr
-                self.nbytes += arr.nbytes
+        plan = self.entries.get(key)
+        if plan is None:
+            plan = make()
+            if plan.nbytes <= _TABLE_BYTES:
+                self.entries[key] = plan
+                self.nbytes += plan.nbytes
                 while self.nbytes > _TABLE_BYTES:
                     self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
-        return arr
+        return plan
 
 
 @functools.lru_cache(maxsize=1)
@@ -233,19 +236,17 @@ def _ring_spectra(params: AlphaBeta, rings, size: int) -> np.ndarray:
     return np.fft.ifft(vals, axis=1)
 
 
-def _ring_coefficients(params: AlphaBeta, table: _KernelTable, rings, cap: int) -> list:
-    """The ring kernel's coefficients p (_ring_spectra) of each (r, phase)
-    of rings, kept in table under (r, phase, cap).  A ring not there takes
-    the first N from _ring_length on, doubling, whose outer quarter
-    N/4 <= |q| <= N/2 is below _RING_TOL times the 1-norm of p, or N = cap,
-    where the sum is exact.  Rings of one N are evaluated together, at
-    most _BLOCK_POINTS kernel points (or one ring) at a time, each row as
-    it would be alone."""
-    coeffs = {ring: table.entries.get((*ring, cap)) for ring in rings}
+def _ring_coefficients(params: AlphaBeta, rings, cap: int) -> dict:
+    """The ring kernel's coefficients p (_ring_spectra) of each distinct
+    (r, phase) of rings, by ring.  A ring takes the first N from
+    _ring_length on, doubling, whose outer quarter N/4 <= |q| <= N/2 is
+    below _RING_TOL times the 1-norm of p, or N = cap, where the sum is
+    exact.  Rings of one N are evaluated together, at most _BLOCK_POINTS
+    kernel points (or one ring) at a time, each row as it would be alone."""
+    coeffs = {}
     todo = {}
-    for ring, p in coeffs.items():
-        if p is None:
-            todo.setdefault(_ring_length(params, ring[0], cap), []).append(ring)
+    for ring in dict.fromkeys(rings):
+        todo.setdefault(_ring_length(params, ring[0], cap), []).append(ring)
     while todo:
         size = min(todo)
         group = todo.pop(size)
@@ -256,10 +257,49 @@ def _ring_coefficients(params: AlphaBeta, table: _KernelTable, rings, cap: int) 
             decayed = mag[:, size // 4 : 3 * size // 4 + 1].max(axis=1) <= _RING_TOL * mag.sum(axis=1)
             for ring, row, done in zip(group[i : i + step], p, decayed):
                 if done or size == cap:
-                    coeffs[ring] = table.get((*ring, cap), row.copy)
+                    coeffs[ring] = row
                 else:
                     todo.setdefault(min(2 * size, cap), []).append(ring)
-    return [coeffs[ring] for ring in rings]
+    return coeffs
+
+
+class _RingPlan:
+    """The kernel coefficients of a ring set at n_theta angles on n nodes,
+    laid out for the fold of PoissonExtension._circles, read-only.
+
+    A ring's N coefficients p_q, q in [-N/2, N/2), sit at the columns
+    q mod L of a row of width L = n_theta ceil(N/n_theta), zero where no
+    q falls.  Rings of one L form a group: their indices in the set
+    (at), their rows as a (rings, L/n_theta, n_theta) block, and the
+    columns cols of index, which holds q mod n of every column of every
+    group: q = c for the columns c < L - L // 2, q = c - L above.
+    """
+
+    def __init__(self, params: AlphaBeta, rings: tuple, n_theta: int, nodes: int):
+        coeffs = _ring_coefficients(params, rings, math.lcm(nodes, n_theta))
+        by_width = {}
+        for i, ring in enumerate(rings):
+            by_width.setdefault(-(-coeffs[ring].size // n_theta) * n_theta, []).append(i)
+        self.groups = []
+        index = []
+        start = 0
+        for width, at in by_width.items():
+            block = np.zeros((len(at), width), dtype=complex)
+            for row, i in zip(block, at):
+                p = coeffs[rings[i]]
+                half = p.size // 2
+                row[:half] = p[:half]
+                row[width - p.size + half :] = p[half:]
+            block = block.reshape(len(at), width // n_theta, n_theta)
+            block.flags.writeable = False
+            cols = np.arange(width)
+            cols[width - width // 2 :] -= width
+            index.append(cols % nodes)
+            self.groups.append((at, block, slice(start, start + width)))
+            start += width
+        self.index = np.concatenate(index) if index else np.empty(0, dtype=np.intp)
+        self.index.flags.writeable = False
+        self.nbytes = self.index.nbytes + sum(block.nbytes for _, block, _ in self.groups)
 
 
 def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEFAULT_NODES):
@@ -324,38 +364,32 @@ class PoissonExtension:
         n-node sum re-indexed; a smaller N leaves out only coefficients
         below rounding.
 
-        The fold: a ring's N coefficients sit at columns q mod L of a row
-        of width L = n_theta ceil(N/n_theta), zero where no q falls, and
-        bin b sums the products in column b of the row as a
-        (L/n_theta, n_theta) array.  Below 32 bins that is one dot product
-        per ring and bin, up to 2.5 times faster than numpy's sum over
-        rows that short; from 32 bins on, the sum of the rows, which the
-        dot products, n_theta apart in memory, no longer beat.  Rings of
-        one N are folded together, each as it would be alone, so a ring
-        is the same bit for bit in any call.
+        The fold: the kernel table keeps the ring set's coefficients as a
+        _RingPlan, whose rows of width L hold them at the columns q mod L;
+        one gather reads F at every column, and bin b sums the products in
+        column b of a row as a (L/n_theta, n_theta) array.  Below 32 bins
+        that is one dot product per ring and bin, up to 2.5 times faster
+        than numpy's sum over rows that short; from 32 bins on, the sum of
+        the rows, which the dot products, n_theta apart in memory, no
+        longer beat.  Rings of one L are folded together, each as it would
+        be alone, so a ring is the same bit for bit in any call.
         """
-        _check_angles(n_theta)
-        rings = [(float(r), float(phase)) for r, phase in rings]
-        for r, _ in rings:
-            if not 0.0 <= r < 1.0:
-                raise DomainError(f"circle radius must be in [0, 1), got {r}")
+        rings = tuple((float(r), float(phase)) for r, phase in rings)
         n = self.nodes
-        coeffs = _ring_coefficients(self.params, _kernel_table(self.params, n), rings, math.lcm(n, n_theta))
-        groups = {}
-        for i, p in enumerate(coeffs):
-            groups.setdefault(p.size, []).append(i)
-        width = {size: -(-size // n_theta) * n_theta for size in groups}
-        top = (max(width.values(), default=0) + 1) // 2
-        fq = np.take(self.f.spectrum(n), np.arange(-top, top), mode="wrap")  # F at q = -top .. top - 1
+
+        def build():
+            # a set in the table passed these checks when it was built
+            _check_angles(n_theta)
+            for r, _ in rings:
+                if not 0.0 <= r < 1.0:
+                    raise DomainError(f"circle radius must be in [0, 1), got {r}")
+            return _RingPlan(self.params, rings, n_theta, n)
+
+        plan = _kernel_table(self.params, n).get((rings, n_theta), build)
+        spec = self.f.spectrum(n)[plan.index]
         bins = np.empty((len(rings), n_theta), dtype=complex)
-        for size, at in groups.items():
-            half, L = size // 2, width[size]
-            p = np.array([coeffs[i] for i in at])
-            if L > size:
-                p = np.concatenate((p[:, :half], np.zeros((len(at), L - size)), p[:, half:]), axis=1)
-            p = p.reshape(len(at), L // n_theta, n_theta)
-            # F at q = c for the columns c < L - L // 2, at q = c - L above
-            fl = np.concatenate((fq[top : top + L - L // 2], fq[top - L // 2 : top])).reshape(p.shape[1:])
+        for at, p, cols in plan.groups:
+            fl = spec[cols].reshape(p.shape[1:])
             if n_theta < 32:
                 bins[at] = np.matmul(p.transpose(0, 2, 1)[:, :, None, :], fl.T[:, :, None])[..., 0, 0]
             else:

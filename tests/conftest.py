@@ -17,7 +17,7 @@ mp.mp.dps = 50
 
 @pytest.fixture(autouse=True)
 def cold_kernel_table():
-    """Each test starts without ring coefficients kept from another, so
+    """Each test starts without ring plans kept from another, so
     a test that counts kernel work or patches the kernel sees every
     evaluation."""
     harmonic._kernel_table.cache_clear()

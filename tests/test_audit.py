@@ -30,7 +30,7 @@ from abharmonic.audit import (
     run_suite,
     standard_suite,
 )
-from abharmonic.boundary import from_fourier, from_samples
+from abharmonic.boundary import from_fourier, from_samples, lp_norm
 from abharmonic.bounds import (
     HEINZ_LOWER_BOUND,
     SUP,
@@ -44,6 +44,7 @@ from abharmonic.kernel import make_params
 
 P00 = make_params(0.0, 0.0)
 PHH = make_params(0.5, 0.5)
+BOUNDARY_CHECKS = (check_growth, check_integral_means, check_distortion, check_partials, check_means_partials)
 
 
 class TestGrowthCheck:
@@ -450,20 +451,30 @@ class TestSuites:
         assert {r for res in results for _, r, _ in res.details} == set(R_GRID)
 
     def test_standard_suite_checks_one_boundary_at_a_time(self, monkeypatch):
-        # a boundary keeps its sample grids, so drawing every boundary
-        # first would keep every boundary's grids alive
-        drawn, alive = [], []
+        # a boundary keeps its sample grids once checked, so at most the
+        # boundary under check may hold grids: each is released after its
+        # checks, also when the suite visits the boundaries out of index
+        # order (24 boundaries: the last four share the first pair)
+        drawn, sampled, order = [], [], []
 
         def draw(rng, draw=audit.random_boundary):
-            alive.append(sum(ref() is not None for ref in drawn))
             f = draw(rng)
             drawn.append(weakref.ref(f))
             return f
 
         monkeypatch.setattr(audit, "random_boundary", draw)
-        standard_suite(n_boundaries=4)
-        # the previous boundary is still bound while the next is drawn
-        assert alive == [0, 1, 1, 1]
+        for check in BOUNDARY_CHECKS:
+
+            def checked(params, f, hp, nodes, check=check):
+                result = check(params, f, hp, nodes=nodes)
+                sampled.append(sum(1 for ref in drawn if ref() is not None and ref()._grids))
+                order.append(next(i for i, ref in enumerate(drawn) if ref() is f))
+                return result
+
+            monkeypatch.setattr(audit, check.__name__, checked)
+        standard_suite(n_boundaries=24, nodes=256)
+        assert len(drawn) == 24 and max(sampled) == 1
+        assert order[::5] == [0, 1, 2, 3, 20, 21, 22, 23, *range(4, 20)]
 
     def test_standard_suite_kernel_work_per_weight_pair(self, monkeypatch):
         # 20 boundaries visit each standard pair once, four boundaries in a
@@ -488,6 +499,41 @@ class TestSuites:
         pairs = [make_params(*pair) for pair in STANDARD_PAIRS]
         assert rings == dict.fromkeys(pairs, 54)
         assert points == dict.fromkeys(pairs, 18 * 128 + 36 * 256)
+
+    def test_standard_suite_table_traffic(self, monkeypatch):
+        # one kernel table per weight pair and one plan per ring set of a
+        # pair (growth, integral-means, Cartesian, polar, means-partials):
+        # a 20-boundary batch makes 120 ring calls, 25 of them plan builds;
+        # standard_suite() visits its 100 boundaries pair by pair, so it
+        # builds the same 25 plans and makes the rest of its 600 calls hits
+        points, plans, calls = [], [], []
+
+        def kernel(params, w, fn=harmonic.unnormalized_kernel):
+            points.append(np.size(w))
+            return fn(params, w)
+
+        def plan(*args, cls=harmonic._RingPlan):
+            plans.append(args[1:3])
+            return cls(*args)
+
+        def circles(u, rings, n_theta, fn=harmonic.PoissonExtension._circles):
+            calls.append(n_theta)
+            return fn(u, rings, n_theta)
+
+        monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
+        monkeypatch.setattr(harmonic, "_RingPlan", plan)
+        monkeypatch.setattr(harmonic.PoissonExtension, "_circles", circles)
+        standard_suite(n_boundaries=20, nodes=1024)
+        assert harmonic._kernel_table.cache_info().misses == 5
+        assert (len(plans), len(calls) - len(plans)) == (25, 95)
+        assert sum(len(rings) for rings, _ in plans) == 5 * 54
+        assert sum(points) == 149_760
+        harmonic._kernel_table.cache_clear()
+        plans.clear()
+        calls.clear()
+        standard_suite()
+        assert harmonic._kernel_table.cache_info().misses == 5
+        assert (len(plans), len(calls) - len(plans)) == (25, 575)
 
     def test_warm_table_margins_equal_cold(self, monkeypatch):
         warm = standard_suite(n_boundaries=8, nodes=256)
@@ -574,6 +620,23 @@ class TestSuites:
 
 
 class TestNonFiniteMargins:
+    # a difference quotient of an infinite complex value is NaN, with a warning
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("check", BOUNDARY_CHECKS)
+    def test_non_finite_ring_value_never_passes(self, monkeypatch, check, bad):
+        # one non-finite value on the first ring of every ring call
+        def circles(u, rings, n_theta, fn=harmonic.PoissonExtension._circles):
+            vals = fn(u, rings, n_theta)
+            vals[0, 0] = bad
+            return vals
+
+        monkeypatch.setattr(harmonic.PoissonExtension, "_circles", circles)
+        res = check(PHH, random_boundary(np.random.default_rng(3)), HolderPair.from_p(2.0), nodes=256)
+        assert res.cases_violated >= 1 and not res.passed
+        assert math.isnan(res.worst_margin) or res.worst_margin == -math.inf
+        assert sum(1 for *_, m in res.details if not math.isfinite(m)) == res.cases_violated
+
     def test_nan_boundary_never_passes(self):
         res = check_growth(P00, from_fourier({0: complex(math.nan)}), HolderPair.from_p(2.0))
         assert res.cases_violated == res.cases_total > 0
@@ -602,3 +665,112 @@ class TestNonFiniteMargins:
         for order in (parts, parts[::-1]):
             merged = merge_results("m", order)
             assert math.isnan(merged.worst_margin) and merged.cases_violated == 2
+
+
+def _ref_p_mean(vals, p):
+    # p_mean's formula with np.mean, for samples of moderate size
+    a = np.abs(vals)
+    return float(a.max()) if math.isinf(p) else float(np.mean(a**p) ** (1.0 / p))
+
+
+def _ref_normalized(margin, bound):
+    return margin / max(1.0, abs(bound))
+
+
+def _reference_margins(params, f, hp, nodes):
+    """The margins of the five boundary checks, case by case with scalar
+    arithmetic, from the rings the checks evaluate, as {result name:
+    [(case, r, margin), ...]}."""
+    norm = lp_norm(f, hp.p)
+    u = harmonic.poisson_extension(params, f, nodes)
+    out = {}
+
+    uvals = u._circles([(r, audit.GROWTH_PHASE) for r in R_GRID], 8)
+    rec = []
+    for k, (r, row) in enumerate(zip(R_GRID, uvals)):
+        bound = bnd.growth_constant(params, hp, r) * (1.0 - r * r) ** (-1.0 / hp.p) * norm
+        rec += [(f"z{i}", r, bound - abs(uv)) for i, uv in enumerate(row, len(row) * k)]
+    out["growth"] = rec
+
+    rec = []
+    for r, ring in zip(R_GRID, u._circles([(r, 0.0) for r in R_GRID], nodes)):
+        rec.append((f"r={r}", r, bnd.mp_growth_factor(params, r) * norm - _ref_p_mean(ring, hp.p)))
+    out["integral_means"] = rec
+
+    # the Cartesian stencil point z_j + h i^k is value k of the ring through z_{j-2k} + h
+    vals = u._circles(audit._CARTESIAN_RINGS, 4).reshape(len(R_GRID), 8, 4)
+    up, vp, um, vm = (np.roll(vals[..., k], 2 * k, axis=1) for k in range(4))
+    wirtinger = harmonic._wirtinger_pair(up, um, vp, vm, audit.DEFAULT_STEP)
+    uz, uzb = wirtinger
+    rec = []
+    for k, r in enumerate(R_GRID):
+        coef = bnd.distortion_constant(params, hp, r, audit.CONSTANT_NODES)
+        bound = coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
+        for i in range(8):
+            jn = abs(uz[k, i]) + abs(uzb[k, i])
+            rec.append((f"z{8 * k + i}", r, _ref_normalized(bound - jn, bound)))
+    out["distortion"] = rec
+
+    rows = (*audit._row_polar(u), *wirtinger)
+    rec = []
+    for k, r in enumerate(R_GRID):
+        blow = (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
+        bound = {w: bnd.partial_constant(params, hp, w, r, audit.CONSTANT_NODES) * blow for w in bnd.KINDS}
+        for i in range(8):
+            for which, row in zip(audit.PARTIAL_KINDS, rows):
+                margin = _ref_normalized(bound[which] - abs(row[k, i]), bound[which])
+                rec.append((f"z{8 * k + i}:{which}", r, margin))
+    out["partials"] = rec
+
+    n, h = audit.MEANS_THETAS, audit.DEFAULT_STEP
+    eminus = np.exp(-1j * circle_nodes(n))
+    stencils = [ring for r in R_GRID for ring in ((r + h, 0.0), (r - h, 0.0), (r, h), (r, -h))]
+    rec = []
+    for r, (rp, rm, tp, tm) in zip(R_GRID, u._circles(stencils, n).reshape(len(R_GRID), 4, n)):
+        ur = (rp - rm) / (2.0 * h)
+        ut = (tp - tm) / (2.0 * h)
+        uz = 0.5 * eminus * (ur - 1j * ut / r)
+        uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
+        blow = norm / (1.0 - r * r)
+        bound = {w: bnd.means_constant(params, w, r, audit.CONSTANT_NODES) * blow for w in bnd.KINDS}
+        for which, vals in zip(audit.PARTIAL_KINDS, (ur, ut, uz, uzb)):
+            margin = _ref_normalized(bound[which] - _ref_p_mean(vals, hp.p), bound[which])
+            rec.append((f"r={r}:{which}", r, margin))
+    out["means_partials"] = rec
+    return out
+
+
+def _bits(records):
+    return [(case, r, float(m).hex()) for case, r, m in records]
+
+
+class TestArrayGrading:
+    @pytest.mark.parametrize("p", audit.STANDARD_EXPONENTS)
+    @pytest.mark.parametrize("pair", STANDARD_PAIRS)
+    def test_margins_equal_the_case_by_case_formulas(self, pair, p):
+        # four seeded boundaries, and the constant one, whose integral-means
+        # gap is reported at equal weights
+        params, hp = make_params(*pair), HolderPair.from_p(p)
+        rng = np.random.default_rng([STANDARD_PAIRS.index(pair), audit.STANDARD_EXPONENTS.index(p)])
+        for f in [random_boundary(rng) for _ in range(4)] + [from_fourier({0: 1.0})]:
+            ref = _reference_margins(params, f, hp, audit.AUDIT_NODES)
+            for check in BOUNDARY_CHECKS:
+                res = check(params, f, hp)
+                assert _bits(res.details) == _bits(ref[res.name])
+                assert res.cases_total == len(ref[res.name])
+                assert res.worst_margin == min(m for *_, m in ref[res.name])
+                assert res.cases_violated == 0
+            gap = check_integral_means(params, f, hp).extras.get("sharpness_gap")
+            if f.is_constant and params.alpha == params.beta:
+                assert gap == max(abs(m) for *_, m in ref["integral_means"])
+            else:
+                assert gap is None
+
+    def test_random_boundary_draws_one_uniform_pair_per_mode(self):
+        # one draw of all 34 uniforms is the stream of 34 scalar draws
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        f = random_boundary(rng)
+        for k in range(-8, 9):
+            w = math.sqrt(ref_rng.uniform(0.0, 1.0)) * np.exp(2j * math.pi * ref_rng.uniform(0.0, 1.0))
+            assert f.fourier[k] == w / (1.0 + abs(k))
+        assert rng.uniform() == ref_rng.uniform()

@@ -41,6 +41,21 @@ C1_EQUAL_HALF = 1.1780972450961724644
 A1_AT_ONE_EQUAL_HALF = 0.8488263631567751241
 
 
+def plan_rows(plan):
+    """The padded coefficient row of each ring of a kernel-table plan, in
+    ring order."""
+    rows = {}
+    for at, block, _ in plan.groups:
+        rows.update(zip(at, block.reshape(len(at), -1)))
+    return [rows[i] for i in sorted(rows)]
+
+
+def padded(p, width):
+    """The ring coefficients p (FFT order) at the columns q mod width."""
+    half = p.size // 2
+    return np.concatenate((p[:half], np.zeros(width - p.size), p[half:]))
+
+
 def seeded_boundary(rng, order=8):
     return from_fourier(
         {
@@ -650,18 +665,20 @@ class TestCircleValues:
 
     @pytest.mark.parametrize("n_theta", [60, 63, 96, 512])
     def test_ring_keeps_its_coefficients(self, n_theta):
-        # one coefficient vector per (r, phase, cap), its N from the ring
-        # rule and below every cap lcm(256, n_theta) here
+        # one plan per (rings, n_theta); each ring keeps the N coefficients
+        # of the ring rule, below every cap lcm(256, n_theta) here, in a row
+        # padded to the next multiple of n_theta
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
         u.circle_values(0.5, n_theta)
         u._circles([(0.3, 0.0), (0.6, 0.1)], n_theta)
-        cap = math.lcm(256, n_theta)
         entries = harmonic._kernel_table(PHH, 256).entries
-        assert [(key, arr.shape) for key, arr in entries.items()] == [
-            ((0.5, 0.0, cap), (256,)),
-            ((0.3, 0.0, cap), (128,)),
-            ((0.6, 0.1, cap), (512,)),
-        ]
+        assert list(entries) == [(((0.5, 0.0),), n_theta), (((0.3, 0.0), (0.6, 0.1)), n_theta)]
+        lengths = {(0.5, 0.0): 256, (0.3, 0.0): 128, (0.6, 0.1): 512}
+        for (rings, _), plan in entries.items():
+            for ring, row in zip(rings, plan_rows(plan), strict=True):
+                size = lengths[ring]
+                p = harmonic._ring_spectra(PHH, [ring], size)[0]
+                assert np.array_equal(row, padded(p, -(-size // n_theta) * n_theta))
 
     def test_doubled_length_kept_and_not_remade(self, monkeypatch):
         # a first N too small for r = 0.5 doubles until the outer quarter
@@ -679,7 +696,8 @@ class TestCircleValues:
         ring = u.circle_values(0.5, 60)
         assert sizes == [64, 128, 256]
         entries = harmonic._kernel_table(PHH, 1024).entries
-        assert [(key, arr.shape) for key, arr in entries.items()] == [((0.5, 0.0, 15360), (256,))]
+        assert list(entries) == [(((0.5, 0.0),), 60)]
+        assert [row.size for row in plan_rows(entries[((0.5, 0.0),), 60])] == [300]
         monkeypatch.setattr(harmonic, "unnormalized_kernel", None)
         assert np.array_equal(u.circle_values(0.5, 60), ring)
 
@@ -692,10 +710,9 @@ class TestCircleValues:
         u.circle_values(0.9, 64)
         warm = u.circle_values(0.9, 60)
         entries = harmonic._kernel_table(PHH, 256).entries
-        assert [(key, arr.shape) for key, arr in entries.items()] == [
-            ((0.9, 0.0, 256), (256,)),
-            ((0.9, 0.0, 3840), (2048,)),
-        ]
+        assert list(entries) == [(((0.9, 0.0),), 64), (((0.9, 0.0),), 60)]
+        # 2,048 samples at 60 angles: 35 rows of 60 columns
+        assert [[row.size for row in plan_rows(plan)] for plan in entries.values()] == [[256], [2100]]
         harmonic._kernel_table.cache_clear()
         assert np.array_equal(u.circle_values(0.9, 60), warm)
 
@@ -721,7 +738,8 @@ class TestCircleValues:
                     dense = u(r * np.exp(1j * (circle_nodes(n_theta)[at] + phase)))
                     assert np.max(np.abs(ring[at] - dense)) <= tol * max(scale, np.max(np.abs(dense)))
                     cap = math.lcm(4096, n_theta)
-                    assert table.entries[(r, phase, cap)].size <= cap
+                    ((_, block, _),) = table.entries[((r, phase),), n_theta].groups
+                    assert block.shape[1] * n_theta <= cap
 
     def test_rings_share_the_kept_spectrum(self, monkeypatch):
         # one FFT of the grid per nodes, whatever the rings; the dense sum
@@ -769,48 +787,67 @@ class TestKernelTable:
             poisson_extension(params, self.F, nodes)._circles([(0.3, 0.1)], 8)
             assert harmonic._kernel_table.cache_info().currsize == 1
         assert first() is None
-        assert len(harmonic._kernel_table(P00, 512).entries) == 1
+        assert list(harmonic._kernel_table(P00, 512).entries) == [(((0.3, 0.1),), 8)]
 
     def test_rings_kept_apart_by_phase_and_cap(self):
-        # rings of one radius at another phase or angle count (cap) have
-        # their own vectors; a ring looked up again is the same bits
+        # ring sets at another phase, order or angle count (cap) have their
+        # own plans; a set looked up again is the same bits, and a ring is
+        # the same bits in any set
         u = poisson_extension(PHH, self.F, 256)
         first = u._circles([(0.5, 0.0), (0.5, 0.1)], 8)
         u.circle_values(0.5, 60)
         assert np.array_equal(u._circles([(0.5, 0.0), (0.5, 0.1)], 8), first)
-        keys = [(0.5, 0.0, 256), (0.5, 0.1, 256), (0.5, 0.0, 3840)]
+        assert np.array_equal(u._circles([(0.5, 0.1), (0.5, 0.0)], 8), first[::-1])
+        assert np.array_equal(u.circle_values(0.5, 8, phase=0.1), first[1])
+        keys = [
+            (((0.5, 0.0), (0.5, 0.1)), 8),
+            (((0.5, 0.0),), 60),
+            (((0.5, 0.1), (0.5, 0.0)), 8),
+            (((0.5, 0.1),), 8),
+        ]
         assert list(harmonic._kernel_table(PHH, 256).entries) == keys
 
     def test_cached_arrays_read_only(self):
-        # a ring's N kernel coefficients under (r, phase, cap)
+        # a ring set's padded blocks, one per row width L, and the
+        # spectrum index q mod n of their columns under (rings, n_theta)
         u = poisson_extension(PHH, self.F, 256)
         u._circles([(0.3, 0.1), (0.9, 0.0)], 8)
         u.circle_values(0.5, 64)
         entries = harmonic._kernel_table(PHH, 256).entries
-        assert [(key, arr.shape) for key, arr in entries.items()] == [
-            ((0.3, 0.1, 256), (128,)),
-            ((0.9, 0.0, 256), (256,)),
-            ((0.5, 0.0, 256), (256,)),
+        assert [
+            (key, [(at, block.shape, cols) for at, block, cols in plan.groups], plan.index.shape)
+            for key, plan in entries.items()
+        ] == [
+            (
+                (((0.3, 0.1), (0.9, 0.0)), 8),
+                [([0], (1, 16, 8), slice(0, 128)), ([1], (1, 32, 8), slice(128, 384))],
+                (384,),
+            ),
+            ((((0.5, 0.0),), 64), [([0], (1, 4, 64), slice(0, 256))], (256,)),
         ]
-        for arr in entries.values():
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        q = np.r_[0:64, -64:0, 0:128, -128:0]
+        assert np.array_equal(entries[((0.3, 0.1), (0.9, 0.0)), 8].index, q % 256)
+        for plan in entries.values():
+            for arr in (plan.index, *(block for _, block, _ in plan.groups)):
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 0
 
     def test_byte_budget_evicts_the_oldest(self, monkeypatch):
-        # room for three 256-sample ring vectors (at 256 nodes and 64
-        # angles each of these radii reaches the cap lcm(256, 64) = 256);
-        # a vector larger than the whole budget is used and not kept, bit
-        # for bit as from the table
+        # room for three plans of one 256-sample ring (at 256 nodes and 64
+        # angles each of these radii reaches the cap lcm(256, 64) = 256),
+        # each 256 complex coefficients and 256 spectrum indices; a plan
+        # larger than the whole budget is used and not kept, bit for bit as
+        # from the table
         u = poisson_extension(PHH, self.F, 256)
         kept = u.circle_values(0.95, 60)  # all 3,840 samples of its cap
         harmonic._kernel_table.cache_clear()
-        monkeypatch.setattr(harmonic, "_TABLE_BYTES", 3 * 256 * 16)
+        monkeypatch.setattr(harmonic, "_TABLE_BYTES", 3 * 256 * (16 + 8))
         radii = (0.5, 0.6, 0.7, 0.8, 0.9)
         rings = [u.circle_values(r, 64) for r in radii]
         table = harmonic._kernel_table(PHH, 256)
-        ring_keys = [(r, 0.0, 256) for r in radii[2:]]
+        ring_keys = [(((r, 0.0),), 64) for r in radii[2:]]
         assert list(table.entries) == ring_keys
-        assert table.nbytes == 3 * 256 * 16
+        assert table.nbytes == 3 * 256 * (16 + 8)
         assert np.array_equal(u.circle_values(0.95, 60), kept)
         assert list(table.entries) == ring_keys
         harmonic._kernel_table.cache_clear()
