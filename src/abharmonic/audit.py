@@ -21,6 +21,7 @@ inequalities the caller asserts via flags.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,9 +191,76 @@ def merge_results(name: str, results) -> AuditResult:
     return out
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Uniforms:
+    """The stream of ``np.random.default_rng(seed).uniform()`` in pure
+    Python, so that no suite imports ``numpy.random``: NumPy's
+    ``SeedSequence`` hashes the seed's 32-bit words into four 64-bit words,
+    which seed PCG64 (a 128-bit LCG with XSL-RR output), and a uniform is
+    ``(x >> 11) * 2**-53``.  A seed that is not an integer >= 0 raises
+    ParameterError."""
+
+    def __init__(self, seed):
+        try:
+            self.seed = operator.index(seed)
+        except TypeError:
+            self.seed = -1
+        if isinstance(seed, bool) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+        words = [self.seed >> i & _M32 for i in range(0, max(self.seed.bit_length(), 1), 32)]
+        const = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal const
+            value = (value ^ const) * (const := const * 0x931E8875 & _M32) & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return x ^ x >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        out, const = [], 0x8B51F9DD
+        for i in range(8):
+            value = (pool[i % 4] ^ const) * (const := const * 0x58F38DED & _M32) & _M32
+            out.append(value ^ value >> 16)
+        # four little-endian 64-bit words: the state's high and low word,
+        # then the increment's
+        w = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+        state, self._inc = w[0] << 64 | w[1], (w[2] << 65 | w[3] << 1 | 1) & _M128
+        self._state = ((self._inc + state) * _PCG_MULT + self._inc) & _M128
+
+    def uniform(self, size=None):
+        """One uniform in [0, 1), or a float64 array of ``size``."""
+        state, inc = self._state, self._inc
+        draws = []
+        for _ in range(1 if size is None else size):
+            state = (state * _PCG_MULT + inc) & _M128
+            x = (state >> 64 ^ state) & _M64
+            rot = state >> 122
+            draws.append((((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53)
+        self._state = state
+        return draws[0] if size is None else np.array(draws)
+
+
 def random_boundary(rng, order: int = 8) -> BoundaryFunction:
     """Seeded trig polynomial with coefficients uniform in the unit disk,
-    scaled by 1/(1+|k|) to keep the functions tame."""
+    scaled by 1/(1+|k|) to keep the functions tame.
+
+    rng is anything with NumPy's ``uniform(size=n)``: a
+    ``np.random.Generator``, or the suites' own generator of a seed, which
+    draws the stream of ``np.random.default_rng(seed)`` without importing
+    ``numpy.random``; both give the same boundary."""
     # one draw of every uniform, a (modulus, angle) pair per mode: the
     # stream of one draw per uniform
     draws = iter(rng.uniform(size=2 * (2 * order + 1)).tolist())
@@ -506,7 +574,7 @@ def check_kernel_mean_and_residual(
         records.append((f"plain-mean r={r}", r, -abs(plain - closed) / max(1.0, abs(closed))))
 
     u = poisson_extension(params, f, CONSTANT_NODES)
-    rng = np.random.default_rng(4)
+    rng = _Uniforms(4)
     pts = [0.55 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()) for _ in range(4)]
     steps = [operator_residual(params, u, np.array(pts), h) for h in RESIDUAL_STEPS]
     order_records = []
@@ -606,13 +674,16 @@ def run_suite(
     n_boundaries: int = 10,
     nodes: int = AUDIT_NODES,
 ) -> list:
-    """Run one named suite at a single parameter point; n_boundaries < 1
-    raises ParameterError."""
+    """Run one named suite at a single parameter point on n_boundaries
+    boundaries drawn by random_boundary from the stream of
+    ``np.random.default_rng(seed)``, which the suite draws itself without
+    importing ``numpy.random``.  n_boundaries < 1, or a seed that is not an
+    integer >= 0 (a Python or NumPy integer), raises ParameterError."""
     if name not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if not n_boundaries >= 1:  # no boundary would pass on zero cases
         raise ParameterError(f"suites need n_boundaries >= 1, got {n_boundaries}")
-    rng = np.random.default_rng(seed)
+    rng = _Uniforms(seed)
     boundaries = [random_boundary(rng) for _ in range(n_boundaries)]
     results = []
     checks = sorted(_boundary_checks(), key=lambda row: SUITE_NAMES.index(row[0]))
@@ -644,17 +715,20 @@ def run_suite(
         results.append(merge_results("integral_identities", idents))
         results.append(check_kernel_mean_and_residual(params, boundaries[0]))
     for res in results:
-        res.seed = seed
+        res.seed = rng.seed
     return results
 
 
 def standard_suite(seed: int = DEFAULT_SEED, n_boundaries: int = 100, nodes: int = AUDIT_NODES) -> list:
     """The cross-parameter inequality sweep: 100 seeded boundaries cycled
-    round-robin over the standard weight pairs and exponents;
-    n_boundaries < 1 raises ParameterError."""
+    round-robin over the standard weight pairs and exponents.  The
+    boundaries are drawn as in run_suite, from the stream of
+    ``np.random.default_rng(seed)`` without importing ``numpy.random``.
+    n_boundaries < 1, or a seed that is not an integer >= 0, raises
+    ParameterError."""
     if not n_boundaries >= 1:
         raise ParameterError(f"suites need n_boundaries >= 1, got {n_boundaries}")
-    rng = np.random.default_rng(seed)
+    rng = _Uniforms(seed)
     combos = [
         (make_params(a, b), HolderPair.from_p(p))
         for (a, b) in STANDARD_PAIRS
@@ -673,5 +747,5 @@ def standard_suite(seed: int = DEFAULT_SEED, n_boundaries: int = 100, nodes: int
         results[i] = [check(params, f, hp, nodes=nodes) for _, _, check in checks]
     out = [merge_results(result, col) for col, (_, result, _) in zip(zip(*results), checks)]
     for res in out:
-        res.seed = seed
+        res.seed = rng.seed
     return out

@@ -1,6 +1,11 @@
 import collections
 import math
+import os
+import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +437,26 @@ class TestSuites:
         with pytest.raises(ParameterError, match="n_boundaries"):
             standard_suite(n_boundaries=n_boundaries, nodes=256)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, "3", None, True, np.float64(4.0)])
+    @pytest.mark.parametrize("suite", ["run_suite", "standard_suite"])
+    def test_bad_seed_raises_naming_it(self, suite, seed):
+        # None would draw OS entropy: a run nobody could repeat
+        call = {
+            "run_suite": lambda: run_suite("growth", P00, HolderPair.from_p(2.0), seed=seed, n_boundaries=1, nodes=256),
+            "standard_suite": lambda: standard_suite(seed=seed, n_boundaries=1, nodes=256),
+        }[suite]
+        with pytest.raises(ParameterError, match=f"seed must be an integer >= 0, got {re.escape(repr(seed))}"):
+            call()
+
+    @pytest.mark.parametrize("seed", [np.uint32(5), np.int64(5)])
+    def test_numpy_integer_seed_is_its_value(self, seed):
+        hp = HolderPair.from_p(2.0)
+        (got,) = run_suite("growth", P00, hp, seed=seed, n_boundaries=1, nodes=256)
+        (want,) = run_suite("growth", P00, hp, seed=5, n_boundaries=1, nodes=256)
+        assert type(got.seed) is int and got.seed == 5
+        assert got.details == want.details
+        assert standard_suite(seed=seed, n_boundaries=1, nodes=256)[0].seed == 5
+
     def test_standard_suite_grades_at_ring_radii(self, monkeypatch):
         # abs(z) of a Z_GRID point can be one ulp off its ring radius, which
         # would ask for every bound constant at a second radius
@@ -774,3 +799,40 @@ class TestArrayGrading:
             w = math.sqrt(ref_rng.uniform(0.0, 1.0)) * np.exp(2j * math.pi * ref_rng.uniform(0.0, 1.0))
             assert f.fourier[k] == w / (1.0 + abs(k))
         assert rng.uniform() == ref_rng.uniform()
+
+
+# seeds of one to five 32-bit words, at and across the word boundaries
+STREAM_SEEDS = [0, 1, 4, audit.DEFAULT_SEED, 2**32 - 1, 2**32, 2**64, 2**100 + 7, 10**40]
+
+
+class TestSeededStream:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_draws_equal_numpys(self, seed):
+        ours, ref = audit._Uniforms(seed), np.random.default_rng(seed)
+        for size in (None, 1, 34, None, 257, None):
+            got, want = ours.uniform(size=size), ref.uniform(size=size)
+            if size is None:
+                assert type(got) is float and got == want
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_random_boundary_equal_on_both_generators(self, seed):
+        ours, ref = audit._Uniforms(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, want = random_boundary(ours), random_boundary(ref)
+            assert got.fourier == want.fourier
+
+    def test_no_suite_imports_numpy_random(self):
+        # a fresh interpreter: pytest or Hypothesis may have imported it here
+        code = (
+            "import os, sys\n"
+            "from abharmonic import audit, cli\n"
+            "audit.standard_suite(n_boundaries=2, nodes=256)\n"
+            "cli.main(['audit', '--suite', 'all', '--nodes', '256', '--out', os.devnull])\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
