@@ -14,21 +14,22 @@ nodes/2, whose modes the nodes cannot tell from their aliases.  Output
 is deterministic for a fixed seed and configuration up to the
 `timestamp` field of JSON reports.
 
-Each command computes its whole result, then writes it through one of
-two writers, `_emit_json` and `_write_csv`; no output is opened before
-its result exists, so a command that exits 2 or 3 on its arguments or
-input file leaves its `--out` and `--csv` files untouched.  `audit`, whose
-`--out` and `--csv` are two outputs, makes both texts first and writes
-them all or none through `_write_outputs`.  JSON is the
+Each command computes its whole result, then writes every output
+through one writer, `_write_outputs`, all or none.  No output is opened
+before its result exists, so a command that exits 2 or 3 on its
+arguments or input file leaves its `--out` and `--csv` files untouched.
+A command that cannot write an output in full exits 3 and leaves every
+output as it was.  JSON is the
 text of `json.dumps(doc, indent=2)` byte for byte, a non-finite float
 written as null, made in one pass by `_json_text`, which takes about half
 the time of `json.dumps`: the standard library writes indented JSON with
 its pure-Python encoder.  CSV is the text of csv.writer with each float
-written to 17 significant digits, made by `_write_csv` from blocks of
+written to 17 significant digits, made by `_csv_chunks` from blocks of
 columns: a block of float columns in one formatting pass, as float text
 needs no quoting, and any other block through csv.writer.  `solve` hands
-it the grid `_CSV_BLOCK` rows at a time, so the text held at once does
-not grow with the grid.
+it the grid `_CSV_BLOCK` rows at a time and the writer writes each
+block's text as it is made, so the text held at once does not grow with
+the grid.
 
 `main` builds the argument parser once per process, on its first call,
 and looks up the subcommand's handler at each call, so a replaced
@@ -43,14 +44,14 @@ import argparse
 import csv
 import errno
 import functools
-import io
 import math
 import os
 import stat
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -178,48 +179,48 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _emit_json(doc: dict, out_path) -> None:
-    text = _json_text(doc, 2) + "\n"
-    with _open_out(out_path) as fh:
-        fh.write(text)
-
-
-def _write_csv(fh, header, blocks) -> None:
-    """Write header, then the rows of each block, to the text stream fh.
+def _csv_chunks(header, blocks):
+    """The CSV text of header, then of the rows of each block: a chunk of
+    text for the header and one for each block.
 
     A block is a sequence of equal-length columns; its i-th row holds the
     i-th item of each.  A float is written to 17 significant digits, None
     as an empty field, anything else as csv.writer writes it.  A block
     whose columns hold only floats is formatted in one pass, a row per
     template; any other goes through csv.writer.  Blocks may come from a
-    generator: each block's text is made and written before the next."""
-    writer = csv.writer(fh)
+    generator: each block is drawn only once the previous chunk is taken."""
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append))
     writer.writerow(header)
+    yield lines.pop()
     for columns in blocks:
         rows = zip(*columns)
         if all(set(map(type, c)) <= {float} for c in columns):
             # float text needs no quoting, so this is what csv.writer writes
             template = ",".join(["%.17g"] * len(columns)) + "\r\n"
-            fh.write("".join(map(template.__mod__, rows)))
+            yield "".join(map(template.__mod__, rows))
         else:
             # csv writes None as an empty field
             writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+            yield "".join(lines)
+            lines.clear()
 
 
 def _write_outputs(outputs) -> None:
-    """Write each text of outputs, (path, text) pairs, to its path, or to
-    stdout where the path is empty: all or none.  A path that names no
-    file, or a regular file through any symlinks, gets its text in a new
-    file beside the file it names, with that file's mode or, for a new
-    file, the mode `open` gives; these files replace their targets only
-    once all are written.  Any other path, such as os.devnull, a FIFO or
-    /dev/fd/N, is opened before anything is replaced and written after;
-    stdout is written last.  So an output that cannot be created or
-    opened leaves every output as it was.  A replaced file is a new file:
-    it belongs to the writer, and its other hard links keep the old text."""
+    """Write each output of outputs, (path, chunks) pairs with chunks an
+    iterable of text, to its path, or to stdout where the path is empty:
+    all or none.  A path that names no file, or a regular file through any
+    symlinks, gets its text in a new file beside the file it names, with
+    that file's mode or, for a new file, the mode `open` gives; these files
+    replace their targets only once all are written, so an output that
+    cannot be created, opened or written in full leaves every output as it
+    was.  Any other path, such as os.devnull, a FIFO or /dev/fd/N, is
+    opened before anything is replaced and written after; stdout is
+    written last.  Chunks are written as they are drawn, so a generator's
+    text is never held whole."""
     made, opened = [], []
     try:
-        for i, (path, text) in enumerate(outputs):
+        for i, (path, chunks) in enumerate(outputs):
             if not path:
                 continue
             try:
@@ -228,28 +229,30 @@ def _write_outputs(outputs) -> None:
                 st = None
             if st is not None and not stat.S_ISREG(st.st_mode):
                 # written through; open refuses a directory
-                opened.append((open(path, "w", newline="", encoding="utf-8"), text))
+                opened.append((open(path, "w", newline="", encoding="utf-8"), chunks))
                 continue
             if st is not None and not os.access(path, os.W_OK):
                 # where open(path, "w") would be refused
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-            target = os.path.realpath(path)
+            # a symlink's file is replaced, not the link; realpath walks every
+            # component, so it is taken only for a link
+            target = os.path.realpath(path) if os.path.islink(path) else path
             head, tail = os.path.split(target)
             tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
             try:
-                fh = open(tmp, "x", newline="", encoding="utf-8")
+                with open(tmp, "x", newline="", encoding="utf-8") as fh:
+                    made.append((tmp, target))
+                    if st is not None:
+                        os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+                    fh.writelines(chunks)
             except OSError as exc:
                 # name the output, not its temporary file
                 raise OSError(exc.errno, exc.strerror, path) from None
-            made.append((tmp, target))
-            with fh:
-                if st is not None:
-                    os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
-                fh.write(text)
         for tmp, target in made:
             os.replace(tmp, target)
-        for fh, text in opened:
-            fh.write(text)
+        made.clear()
+        for fh, chunks in opened:
+            fh.writelines(chunks)
     finally:
         for fh, _ in opened:
             fh.close()
@@ -257,18 +260,13 @@ def _write_outputs(outputs) -> None:
         for tmp, _ in made:
             with suppress(FileNotFoundError):
                 os.remove(tmp)
-    for path, text in outputs:
+    for path, chunks in outputs:
         if not path:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
 
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _open_out(path):
-    """The output file, or stdout left open on exit."""
-    return open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def cmd_solve(args) -> int:
@@ -290,8 +288,7 @@ def cmd_solve(args) -> int:
     points = (np.array(radii)[:, None] * np.exp(1j * circle_nodes(nt))).ravel()
     columns = (points.real, points.imag, values.real, values.imag)
     blocks = ([c[i : i + _CSV_BLOCK].tolist() for c in columns] for i in range(0, points.size, _CSV_BLOCK))
-    with _open_out(args.out) as fh:
-        _write_csv(fh, ("x", "y", "re", "im"), blocks)
+    _write_outputs([(args.out, _csv_chunks(("x", "y", "re", "im"), blocks))])
     return EXIT_OK
 
 
@@ -305,7 +302,7 @@ def cmd_expand(args) -> int:
         "coefficients": {str(k): [v.real, v.imag] for k, v in sorted(coeffs.coeffs.items())},
         "timestamp": _timestamp(),
     }
-    _emit_json(doc, args.out)
+    _write_outputs([(args.out, [_json_text(doc, 2) + "\n"])])
     return EXIT_OK
 
 
@@ -320,7 +317,7 @@ def cmd_bounds(args) -> int:
         "report": report.to_dict(),
         "timestamp": _timestamp(),
     }
-    _emit_json(doc, args.out)
+    _write_outputs([(args.out, [_json_text(doc, 2) + "\n"])])
     return EXIT_OK
 
 
@@ -339,13 +336,11 @@ def cmd_audit(args) -> int:
         "results": [r.to_dict() for r in results],
         "timestamp": _timestamp(),
     }
-    outputs = [(args.out, _json_text(doc, 2) + "\n")]
+    outputs = [(args.out, [_json_text(doc, 2) + "\n"])]
     csv_path = getattr(args, "csv", None)
     if csv_path:
-        buf = io.StringIO(newline="")
         details = merge_results(args.suite, results).details
-        _write_csv(buf, ("case", "r", "margin"), [list(zip(*details))])
-        outputs.append((csv_path, buf.getvalue()))
+        outputs.append((csv_path, _csv_chunks(("case", "r", "margin"), [list(zip(*details))])))
     _write_outputs(outputs)
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
 

@@ -166,14 +166,6 @@ def _check_order(f: BoundaryFunction, nodes: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=16)
-def _conj_roots(nodes: int) -> np.ndarray:
-    """exp(-i t_j) on the nodes-point circle grid, read-only."""
-    roots = np.exp(-1j * circle_nodes(nodes))
-    roots.flags.writeable = False
-    return roots
-
-
 class _KernelTable:
     """Read-only ring plans (_RingPlan) of one (params, nodes) by
     (rings, n_theta); once they hold more than _TABLE_BYTES, the oldest go
@@ -314,7 +306,7 @@ def poisson_integral(params: AlphaBeta, f: BoundaryFunction, z, nodes: int = DEF
     _check_order(f, nodes)
     z = _disk_array(z)
     grid = f.values_on_grid(nodes)
-    roots = _conj_roots(nodes)
+    roots = np.exp(-1j * circle_nodes(nodes))
     flat = z.reshape(-1)
     sums = np.empty(flat.size, dtype=complex)
     step = max(1, _BLOCK_POINTS // nodes)

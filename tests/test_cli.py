@@ -5,6 +5,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,7 +323,7 @@ def _csv_bytes(header, rows) -> bytes:
 
 
 class TestCsvOutput:
-    """Both CSV layouts come from cli._write_csv, which formats a block of
+    """Both CSV layouts come from cli._csv_chunks, which formats a block of
     float columns in one pass and any other block through csv.writer.  Its
     bytes are csv.writer's with every float written f"{v:.17g}": 17
     significant digits, which read back exactly, and None as an empty field."""
@@ -373,9 +376,8 @@ class TestCsvOutput:
         # blocks of rows, handed to the writer as columns
         width, blocks = width_blocks
         header = tuple("abcd"[:width])
-        buf = io.StringIO(newline="")
-        cli._write_csv(buf, header, ([list(c) for c in zip(*rows)] for rows in blocks))
-        assert buf.getvalue().encode() == _csv_bytes(header, [row for rows in blocks for row in rows])
+        chunks = cli._csv_chunks(header, ([list(c) for c in zip(*rows)] for rows in blocks))
+        assert "".join(chunks).encode() == _csv_bytes(header, [row for rows in blocks for row in rows])
 
     def test_solve_rows_are_the_rings(self, tmp_path, capsys):
         doc = tmp_path / "f.json"
@@ -502,6 +504,111 @@ class TestCsvOutput:
         assert out.read_bytes() == b"x,y\r\n1,2\r\n"
         # and no temporary file is left behind
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv", "one.json"]
+
+
+class TestAllOrNone:
+    """Every command writes its outputs through cli._write_outputs: a
+    regular file is written beside its target and replaces it only once
+    written in full."""
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no preexec_fn")
+    @pytest.mark.parametrize("command", ["bounds", "expand", "solve"])
+    def test_failed_write_leaves_output_untouched(self, command, tmp_path):
+        # the child may write at most FSIZE bytes to any file; Python
+        # ignores SIGXFSZ, so a longer write fails with EFBIG
+        resource = pytest.importorskip("resource")
+        fsize = 1024
+        doc = tmp_path / "f.json"
+        doc.write_text(json.dumps({"fourier": {str(k): [1 / (1 + abs(k)), 0.0] for k in range(-20, 21)}}))
+        out = tmp_path / "keep.out"
+        out.write_bytes(b'{"keep": true}\n')
+        argv = {
+            "bounds": ["bounds", "--alpha", "0.3", "--beta=-0.2", "--p", "3"],
+            "expand": ["expand", str(doc), "--alpha", "0.3", "--beta=-0.2"],
+            "solve": ["solve", str(doc), "--alpha", "0.3", "--beta=-0.2", "--grid", "4x32", "--nodes", "256"],
+        }[command]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "abharmonic.cli", *argv, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert out.read_bytes() == b'{"keep": true}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "keep.out"]
+        # the message names the output, not its temporary file
+        assert "Traceback" not in proc.stderr
+        assert str(out) in proc.stderr and ".tmp" not in proc.stderr
+        # unlimited, the same command writes more than the limit
+        proc = subprocess.run(
+            [sys.executable, "-m", "abharmonic.cli", *argv, "--out", str(out)], env=env, timeout=120
+        )
+        assert proc.returncode == 0
+        assert out.stat().st_size > fsize
+
+    def test_links_stay_links(self, tmp_path):
+        # through a chain of links and through a linked directory the file
+        # is replaced, and each link is left as it was
+        real_dir = tmp_path / "real"
+        real_dir.mkdir()
+        real = real_dir / "r.json"
+        real.write_text("")
+        link, chain, linked_dir = tmp_path / "link.json", tmp_path / "chain.json", tmp_path / "dir"
+        link.symlink_to(real)
+        chain.symlink_to(link)
+        linked_dir.symlink_to(real_dir)
+        args = ["bounds", "--alpha", "0.3", "--beta=-0.2", "--p", "3"]
+        for out in (chain, linked_dir / "d.json"):
+            assert main(args + ["--out", str(out)]) == 0
+        assert chain.is_symlink() and link.is_symlink() and linked_dir.is_symlink()
+        assert sorted(p.name for p in real_dir.iterdir()) == ["d.json", "r.json"]
+        assert json.loads(real.read_text())["alpha"] == json.loads((real_dir / "d.json").read_text())["alpha"] == 0.3
+
+    def test_solve_writes_block_by_block(self, tmp_path, monkeypatch, capsys):
+        # 4 x 32 points in blocks of 8: a header chunk and 16 block chunks,
+        # each drawn only once the writer has taken the one before
+        doc = tmp_path / "f.json"
+        doc.write_text(json.dumps({"fourier": {"0": [0.5, 0.0], "1": [1.0, -0.3], "-2": [0.0, 0.25]}}))
+        args = ["solve", str(doc), "--alpha", "0.3", "--beta=-0.2", "--grid", "4x32", "--nodes", "256"]
+        assert main(args) == 0
+        whole = capsys.readouterr().out
+
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 8)
+        drawn, written = [], []
+        csv_chunks = cli._csv_chunks
+
+        def chunks(header, blocks):
+            for chunk in csv_chunks(header, blocks):
+                # while the output's temporary file is open, for --out
+                drawn.append([p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")])
+                yield chunk
+
+        class Stdout:
+            def writelines(self, lines):
+                for chunk in lines:
+                    assert len(drawn) == len(written) + 1
+                    written.append(chunk)
+
+        monkeypatch.setattr(cli, "_csv_chunks", chunks)
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(args) == 0
+        assert len(written) == 1 + 4 * 32 // 8
+        assert "".join(written) == whole
+
+        drawn.clear()
+        out = tmp_path / "grid.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert len(drawn) == 1 + 4 * 32 // 8
+        assert all(len(tmps) == 1 for tmps in drawn)
+        assert out.read_bytes() == whole.encode()
 
 
 def _nulled(obj):

@@ -125,13 +125,6 @@ class TestPoissonIntegral:
         with pytest.raises(DomainError):
             poisson_integral(P00, from_fourier({0: 1.0}), 0.1, nodes=100)
 
-    def test_cached_roots_read_only(self):
-        roots = harmonic._conj_roots(64)
-        assert harmonic._conj_roots(64) is roots
-        np.testing.assert_array_equal(roots, np.exp(-1j * circle_nodes(64)))
-        with pytest.raises(ValueError):
-            roots[0] = 0.0
-
     @pytest.mark.parametrize("nodes", [64, 4096, 16384])
     def test_blocks_match_pointwise(self, nodes):
         # more points than one block holds, in a 2-d shape: each value is

@@ -338,7 +338,6 @@ CACHES = {
     "bounds.plain_moment",
     "bounds.plain_moment_closed",
     "bounds.oscillatory_moment",
-    "harmonic._conj_roots",
     "harmonic._kernel_table",
     "cli._parser",
 }
