@@ -343,12 +343,14 @@ def check_distortion(
 ) -> AuditResult:
     """|Du| by finite differences against the distortion bound."""
     norm = lp_norm(f, hp.p)
-    uz, uzb = _row_wirtinger(poisson_extension(params, f, nodes))
+    # the constants before any ring: where bounds leaves one undefined, the
+    # ParameterError comes before a kernel sample
     bound = []
     for r in R_GRID:
         coef = bnd.distortion_constant(params, hp, r, CONSTANT_NODES)
         bound.append(coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm)
     bound = np.array(bound)[:, None]
+    uz, uzb = _row_wirtinger(poisson_extension(params, f, nodes))
     margins = _normalized(bound - (_modulus(uz) + _modulus(uzb)), bound)
     return _graded("distortion", _POINT_IDS, _POINT_RADII, margins, DERIVATIVE_TOL)
 
@@ -411,33 +413,34 @@ def check_hypergeometric_ratio_lemma(params: AlphaBeta, k: int) -> AuditResult:
     """Monotonicity of F_k/F_1 and E_k/F_1 in each stated weight regime.
 
     F_k(t) = F(-alpha, k-beta; k+1; t) and E_k(t) = F(-beta, k-alpha; k+1; t)
-    are the hypergeometric factors of series modes k and -k.
+    are the hypergeometric factors of series modes k and -k.  Only the
+    factors an applicable claim reads are summed: where no regime applies,
+    the check sums none.
     """
     a, b = params.alpha, params.beta
-    t_grid = RATIO_T_GRID
-    f1, fk, ek = (np.array([gauss_2f1(_mode_hyp(params, m), t) for t in t_grid]) for m in (1, k, -k))
+    # (applies, label, signed mode, sign) of each claim, in record order, the
+    # two F claims first: sign 0 grades F/F_1 = 1 and sign +-1 grades
+    # +-np.diff(F/F_1), F the factor of the signed mode
+    table = (
+        (a == 0.0 or k == 1, "Fk/F1 const", k, 0),
+        (a < 0.0 and -1.0 < b < 1.0 and k != 1, "Fk/F1 incr", k, 1),
+        (a == 0.0 and -1.0 < b <= 0.0, "Ek incr", -k, 1),
+        (a == 0.0 and b > 0.0, "Ek decr", -k, -1),
+        (-1.0 < b < a < 0.0, "Ek/F1 incr", -k, 1),
+    )
+    notes = [] if table[0][0] or table[1][0] else [f"no stated F-ratio regime applies at ({a}, {b})"]
+    claims = [row[1:] for row in table if row[0]]
+    # F_1 and the factor of each claim, each summed once
+    modes = dict.fromkeys(m for _, mode, _ in claims for m in (1, mode))
+    factors = {m: np.array([gauss_2f1(_mode_hyp(params, m), t) for t in RATIO_T_GRID]) for m in modes}
     records = []
-    notes = []
-
-    if a == 0.0 or k == 1:
-        ratio = fk / f1
-        records += [(f"Fk/F1 const t={t:.3f}", None, -abs(v - 1.0)) for t, v in zip(t_grid, ratio)]
-    elif a < 0.0 and -1.0 < b < 1.0:
-        ratio = fk / f1
-        diffs = np.diff(ratio)
-        records += [(f"Fk/F1 incr t={t:.3f}", None, float(d)) for t, d in zip(t_grid[1:], diffs)]
-    else:
-        notes.append(f"no stated F-ratio regime applies at ({a}, {b})")
-
-    if a == 0.0:
-        diffs = np.diff(ek / f1)
-        if -1.0 < b <= 0.0:
-            records += [(f"Ek incr t={t:.3f}", None, float(d)) for t, d in zip(t_grid[1:], diffs)]
-        elif b >= 0.0:
-            records += [(f"Ek decr t={t:.3f}", None, float(-d)) for t, d in zip(t_grid[1:], diffs)]
-    elif -1.0 < b < a < 0.0:
-        diffs = np.diff(ek / f1)
-        records += [(f"Ek/F1 incr t={t:.3f}", None, float(d)) for t, d in zip(t_grid[1:], diffs)]
+    for label, mode, sign in claims:
+        ratio = factors[mode] / factors[1]
+        if sign:
+            t_grid, margins = RATIO_T_GRID[1:], sign * np.diff(ratio)
+        else:
+            t_grid, margins = RATIO_T_GRID, -np.abs(ratio - 1.0)
+        records += [(f"{label} t={t:.3f}", None, m) for t, m in zip(t_grid, margins)]
     return _collect("hypergeometric_ratio_lemma", records, RATIO_TOL, notes=notes)
 
 
@@ -666,6 +669,15 @@ def _boundary_checks() -> tuple:
 SUITE_NAMES = (*dict.fromkeys(row[0] for row in _boundary_checks()), "lemmas", "identities", "all")
 
 
+def _draw_boundaries(seed, n_boundaries: int) -> tuple:
+    """The seed as an int and n_boundaries random_boundary draws from its
+    stream; n_boundaries < 1, then a bad seed, raises ParameterError."""
+    if not n_boundaries >= 1:  # no boundary would pass on zero cases
+        raise ParameterError(f"suites need n_boundaries >= 1, got {n_boundaries}")
+    rng = _Uniforms(seed)
+    return rng.seed, [random_boundary(rng) for _ in range(n_boundaries)]
+
+
 def run_suite(
     name: str,
     params: AlphaBeta,
@@ -681,10 +693,7 @@ def run_suite(
     integer >= 0 (a Python or NumPy integer), raises ParameterError."""
     if name not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if not n_boundaries >= 1:  # no boundary would pass on zero cases
-        raise ParameterError(f"suites need n_boundaries >= 1, got {n_boundaries}")
-    rng = _Uniforms(seed)
-    boundaries = [random_boundary(rng) for _ in range(n_boundaries)]
+    seed, boundaries = _draw_boundaries(seed, n_boundaries)
     results = []
     checks = sorted(_boundary_checks(), key=lambda row: SUITE_NAMES.index(row[0]))
     for suite, result, check in checks:
@@ -715,7 +724,7 @@ def run_suite(
         results.append(merge_results("integral_identities", idents))
         results.append(check_kernel_mean_and_residual(params, boundaries[0]))
     for res in results:
-        res.seed = rng.seed
+        res.seed = seed
     return results
 
 
@@ -726,15 +735,12 @@ def standard_suite(seed: int = DEFAULT_SEED, n_boundaries: int = 100, nodes: int
     ``np.random.default_rng(seed)`` without importing ``numpy.random``.
     n_boundaries < 1, or a seed that is not an integer >= 0, raises
     ParameterError."""
-    if not n_boundaries >= 1:
-        raise ParameterError(f"suites need n_boundaries >= 1, got {n_boundaries}")
-    rng = _Uniforms(seed)
+    seed, boundaries = _draw_boundaries(seed, n_boundaries)
     combos = [
         (make_params(a, b), HolderPair.from_p(p))
         for (a, b) in STANDARD_PAIRS
         for p in STANDARD_EXPONENTS
     ]
-    boundaries = [random_boundary(rng) for _ in range(n_boundaries)]
     checks = _boundary_checks()
     results = [None] * n_boundaries
     # check the boundaries weight pair by weight pair, each pair's in index
@@ -747,5 +753,5 @@ def standard_suite(seed: int = DEFAULT_SEED, n_boundaries: int = 100, nodes: int
         results[i] = [check(params, f, hp, nodes=nodes) for _, _, check in checks]
     out = [merge_results(result, col) for col, (_, result, _) in zip(zip(*results), checks)]
     for res in out:
-        res.seed = rng.seed
+        res.seed = seed
     return out

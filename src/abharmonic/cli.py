@@ -60,7 +60,7 @@ from ._quad import DEFAULT_NODES, circle_nodes
 from .audit import DEFAULT_SEED, SUITE_NAMES, merge_results, run_suite
 from .bounds import HolderPair, full_report
 from .errors import BoundaryFileError, ConvergenceError, DomainError, ParameterError
-from .harmonic import alias_free_nodes, check_nodes, coefficients_from_boundary, poisson_extension
+from .harmonic import _check_order, check_nodes, coefficients_from_boundary, poisson_extension
 from .kernel import make_params
 
 EXIT_OK = 0
@@ -70,15 +70,6 @@ EXIT_BAD_FILE = 3
 
 # solve's rows per CSV block: the floats and text held at once stay near 1.5 MB
 _CSV_BLOCK = 4096
-
-
-def _parse_p(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ParameterError(f"bad value for --p: {text!r}") from exc
 
 
 def _parse_nodes(text: str) -> int:
@@ -272,14 +263,10 @@ def _timestamp() -> str:
 def cmd_solve(args) -> int:
     params = make_params(args.alpha, args.beta)
     f = boundary.load(args.boundary)
-    if f.order >= args.nodes // 2:
-        # on n nodes mode k is mode k - n: the sum would extend that alias;
-        # refused here as a file the nodes cannot serve (exit 3), before
-        # poisson_extension refuses it as a DomainError
-        raise BoundaryFileError(
-            f"Fourier order {f.order} is at least nodes/2 = {args.nodes // 2}; "
-            f"it needs --nodes {alias_free_nodes(f.order)} or more"
-        )
+    try:
+        _check_order(f, args.nodes)
+    except DomainError as exc:  # a file the nodes cannot serve: exit 3, not 2
+        raise BoundaryFileError(str(exc)) from exc
     u = poisson_extension(params, f, args.nodes)
     nr, nt = args.grid
     radii = [(i + 1) / (nr + 1) * args.rmax for i in range(nr)]
@@ -348,7 +335,7 @@ def cmd_audit(args) -> int:
 def _add_common(sub):
     sub.add_argument("--alpha", type=float, default=0.0, help="first weight")
     sub.add_argument("--beta", type=float, default=0.0, help="second weight")
-    sub.add_argument("--p", type=_parse_p, default=2.0, help="boundary exponent, number or 'inf'")
+    sub.add_argument("--p", type=float, default=2.0, help="boundary exponent, number or 'inf'")
     sub.add_argument(
         "--nodes",
         type=_parse_nodes,

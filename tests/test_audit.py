@@ -210,6 +210,16 @@ class TestDistortionAtPOne:
     def test_equal_weights_hold(self, pair):
         assert check_distortion(make_params(*pair), gaussian_bump(), HolderPair.from_p(1.0)).passed
 
+    def test_undefined_constant_raises_before_any_kernel_sample(self, monkeypatch):
+        # bounds leaves the p = 2 distortion constant undefined at (1, -0.8);
+        # the check asks for it before it evaluates a ring of the cold table
+        def kernel(params, w):
+            raise AssertionError("kernel sampled")
+
+        monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
+        with pytest.raises(ParameterError):
+            check_distortion(make_params(1.0, -0.8), gaussian_bump(), HolderPair.from_p(2.0))
+
     @pytest.mark.xfail(
         strict=True,
         reason="the q = inf distortion constant is not symmetric in (alpha, beta) and falls "
@@ -243,6 +253,25 @@ class TestRatioLemma:
         assert res_up.cases_violated == 0
         res_down = check_hypergeometric_ratio_lemma(make_params(0.0, 0.8), 3)
         assert res_down.cases_violated == 0
+
+    @pytest.mark.parametrize(
+        "pair, factors",
+        [((0.3, -0.2), 0), ((0.5, 0.5), 0), ((-0.5, 1.0), 0), ((-0.5, 0.5), 2), ((0.0, 0.0), 3)],
+    )
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_sums_only_the_factors_a_claim_reads(self, monkeypatch, pair, factors, k):
+        # no claim applies at the first three pairs; at (-0.5, 0.5) only the
+        # F claim (F_1 and F_k), at (0, 0) the F and the E claim (and E_k)
+        calls = []
+
+        def counted(*args, fn=audit.gauss_2f1):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(audit, "gauss_2f1", counted)
+        res = check_hypergeometric_ratio_lemma(make_params(*pair), k)
+        assert len(calls) == factors * len(audit.RATIO_T_GRID)
+        assert (res.cases_total == 0) == (factors == 0)
 
 
 class TestOscillatoryLemmas:
