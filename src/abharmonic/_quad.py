@@ -43,21 +43,29 @@ def circle_nodes(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
-def p_mean(vals, p: float) -> float:
-    """(mean |vals|^p)^(1/p) over circle-grid samples; p = inf takes max |vals|."""
+def p_mean(vals, p: float):
+    """(mean |vals|^p)^(1/p) over circle-grid samples along the last axis;
+    p = inf takes max |vals|.  A float for 1-d vals, else an array of the
+    leading shape, each row with the bits it has alone."""
     if not p >= 1.0:
         raise DomainError(f"p-means require p >= 1 or p = inf, got {p}")
     a = np.abs(vals)
-    top = float(a.max())
+    top = a.max(axis=-1)
     if math.isinf(p):
-        return top
+        return float(top) if top.ndim == 0 else top
     # |vals|^p and their sum stay normal floats while p log2(max |vals|)
     # lies well inside the exponent range; beyond it they would overflow or
-    # underflow, so the samples are scaled by their maximum first.  A mean
-    # is add.reduce / size: np.mean's bits without its overhead
-    if 0.0 < top < math.inf and not -1000.0 < p * math.log2(top) < 1000.0 - math.log2(a.size):
-        return top * float((np.add.reduce((a / top) ** p) / a.size) ** (1.0 / p))
-    return float((np.add.reduce(a**p) / a.size) ** (1.0 / p))
+    # underflow, so such a row is scaled by its maximum first.  A mean is
+    # add.reduce / size: np.mean's bits without its overhead.  The power
+    # 1/p is taken row by row on a scalar, whose bits numpy's array power
+    # does not keep
+    limit = 1000.0 - math.log2(a.shape[-1])
+    scale = np.array(
+        [t if 0.0 < t < math.inf and not -1000.0 < p * math.log2(t) < limit else 1.0 for t in top.flat]
+    ).reshape(top.shape)
+    sums = np.add.reduce((a / scale[..., None]) ** p, axis=-1) / a.shape[-1]
+    means = scale * np.array([m ** (1.0 / p) for m in sums.flat]).reshape(top.shape)
+    return float(means) if means.ndim == 0 else means
 
 
 @functools.lru_cache(maxsize=16)

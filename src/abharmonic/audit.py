@@ -57,12 +57,14 @@ Z_GRID = np.array([[r * np.exp(2j * math.pi * (j + 0.37) / 8) for j in range(8)]
 # built once so that every check and boundary asks the kernel table for the
 # same keys: the radius and angle of each Cartesian point z + h, and the
 # polar rings (r +- h, theta_0), (r, theta_0 +- h) of each row's first
-# point, the angle by math.atan2 (np.arctan2 can differ by an ulp)
+# point, the angle by math.atan2 (np.arctan2 can differ by an ulp) and r
+# its R_GRID radius, not abs(z), so that the polar radii are those of the
+# growth, means and means-partials rings
 CARTESIAN_STENCIL = Z_GRID + DEFAULT_STEP
 _CARTESIAN_RINGS = tuple((abs(w), math.atan2(w.imag, w.real)) for w in CARTESIAN_STENCIL.ravel().tolist())
 _POLAR_RINGS = tuple(
     (r + dr, theta + dt)
-    for r, theta in ((abs(z), math.atan2(z.imag, z.real)) for z in Z_GRID[:, 0].tolist())
+    for r, theta in zip(R_GRID, (math.atan2(z.imag, z.real) for z in Z_GRID[:, 0].tolist()))
     for dr, dt in ((DEFAULT_STEP, 0.0), (-DEFAULT_STEP, 0.0), (0.0, DEFAULT_STEP), (0.0, -DEFAULT_STEP))
 )
 # where the Cartesian rings hold each stencil point: value k of the ring
@@ -329,8 +331,7 @@ def check_integral_means(
     """M_p(r, u) against the hypergeometric factor; for constant data on
     equal weights the bound is attained, and the gap is reported."""
     norm = lp_norm(f, hp.p)
-    rings = poisson_extension(params, f, nodes)._circles(_MEANS_RINGS, nodes)
-    means = np.array([p_mean(ring, hp.p) for ring in rings])
+    means = p_mean(poisson_extension(params, f, nodes)._circles(_MEANS_RINGS, nodes), hp.p)
     margins = np.array([bnd.mp_growth_factor(params, r) * norm for r in R_GRID]) - means
     extras = {}
     if f.is_constant and params.alpha == params.beta:
@@ -394,7 +395,7 @@ def check_means_partials(
     uz = 0.5 * eminus * (ur - 1j * ut / r)
     uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
     # (radius, partial) in the order of PARTIAL_KINDS, one mean per ring
-    observed = np.array([[p_mean(v[k], hp.p) for v in (ur, ut, uz, uzb)] for k in range(len(R_GRID))])
+    observed = p_mean(np.stack((ur, ut, uz, uzb), axis=1), hp.p)
     bound = []
     for r in R_GRID:
         blow = norm / (1.0 - r * r)
@@ -413,17 +414,21 @@ def check_hypergeometric_ratio_lemma(params: AlphaBeta, k: int) -> AuditResult:
     """Monotonicity of F_k/F_1 and E_k/F_1 in each stated weight regime.
 
     F_k(t) = F(-alpha, k-beta; k+1; t) and E_k(t) = F(-beta, k-alpha; k+1; t)
-    are the hypergeometric factors of series modes k and -k.  Only the
-    factors an applicable claim reads are summed: where no regime applies,
-    the check sums none.
+    are the hypergeometric factors of series modes k and -k, k >= 2 (at
+    k = 1 the ratios are 1 by construction, and k < 1 is no mode of the
+    claims): a smaller k raises ParameterError.  Only the factors an
+    applicable claim reads are summed: where no regime applies, the check
+    sums none.
     """
+    if not k >= 2:
+        raise ParameterError(f"the ratio lemma needs a mode k >= 2, got k = {k}")
     a, b = params.alpha, params.beta
     # (applies, label, signed mode, sign) of each claim, in record order, the
     # two F claims first: sign 0 grades F/F_1 = 1 and sign +-1 grades
     # +-np.diff(F/F_1), F the factor of the signed mode
     table = (
-        (a == 0.0 or k == 1, "Fk/F1 const", k, 0),
-        (a < 0.0 and -1.0 < b < 1.0 and k != 1, "Fk/F1 incr", k, 1),
+        (a == 0.0, "Fk/F1 const", k, 0),
+        (a < 0.0 and -1.0 < b < 1.0, "Fk/F1 incr", k, 1),
         (a == 0.0 and -1.0 < b <= 0.0, "Ek incr", -k, 1),
         (a == 0.0 and b > 0.0, "Ek decr", -k, -1),
         (-1.0 < b < a < 0.0, "Ek/F1 incr", -k, 1),

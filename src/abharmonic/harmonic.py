@@ -28,13 +28,18 @@ ring of m angles at |w| and phase arg w, so every rotation orbit is a
 ring.  Any other callable is called once per point.
 
 A ring's kernel coefficients depend on the weights, the nodes and the
-ring, not on f, so rings keep them per weight pair: a table of the
-latest (params, nodes) keeps each ring set an extension asks for, with
-its angle count, as a plan (_RingPlan) that holds the coefficients in
-the layout of the fold, and serves every extension at that pair; each
-boundary pays only for one gather of the sample spectrum it keeps
-(BoundaryFunction.spectrum), its products and fold, and one inverse
-FFT.  Arrays keep no table.
+ring, not on f, and on the phase only through a turn: P(conj w) =
+conj P(w), so the kernel of a radius at phase 0 has real coefficients,
+which one irfft of its samples on the half circle gives, and the ring at
+phase phi has those times e^{i q phi} (_ring_coefficients says where a
+turn is exact).  So rings keep them per weight pair: a table of the
+latest (params, nodes) keeps the real row of each radius, sampled once
+for every ring set at that radius, and each ring set an extension asks
+for, with its angle count, as a plan (_RingPlan) that holds the turned
+rows in the layout of the fold, and serves every extension at that
+pair; each boundary pays only for one gather of the sample spectrum it
+keeps (BoundaryFunction.spectrum), its products and fold, and one
+inverse FFT.  Arrays keep no table.
 """
 
 from __future__ import annotations
@@ -57,9 +62,10 @@ DEFAULT_STEP = 1e-3
 # 128 KiB at which glibc's malloc maps fresh pages, whose faults would
 # cost as much as the kernel
 _BLOCK_POINTS = 4096
-# bytes of ring plans (padded coefficient blocks and spectrum indices) the
-# table of one (params, nodes) keeps: the audit's five plans of a pair take
-# 0.57 MB at 1,024 nodes
+# bytes of radius rows (real coefficients) and ring plans (padded
+# coefficient blocks and spectrum indices) the table of one (params, nodes)
+# keeps: the audit's 33 rows and five plans of a pair take 0.15 and 0.57 MB
+# at 1,024 nodes
 _TABLE_BYTES = 4 << 20
 # the level below which a ring kernel's Fourier coefficients are left out,
 # relative to their 1-norm (which bounds the kernel on the ring): 16 ulps,
@@ -167,26 +173,42 @@ def _check_order(f: BoundaryFunction, nodes: int) -> None:
 
 
 class _KernelTable:
-    """Read-only ring plans (_RingPlan) of one (params, nodes) by
-    (rings, n_theta); once they hold more than _TABLE_BYTES, the oldest go
-    first."""
+    """The read-only kernel coefficients of one (params, nodes): the real
+    row of each radius under (r, cap) (_ring_rows) and the plan
+    (_RingPlan) of each ring set under (rings, n_theta); once they hold
+    more than _TABLE_BYTES, the oldest go first."""
 
     def __init__(self):
         self.entries = {}
         self.nbytes = 0
 
+    def _keep(self, key, entry):
+        # an entry larger than the whole budget is not kept
+        if entry.nbytes <= _TABLE_BYTES:
+            self.entries[key] = entry
+            self.nbytes += entry.nbytes
+            while self.nbytes > _TABLE_BYTES:
+                self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
+
     def get(self, key, make):
         """The entry under key, made by make() when absent; an entry larger
         than the whole budget is returned without being kept."""
-        plan = self.entries.get(key)
-        if plan is None:
-            plan = make()
-            if plan.nbytes <= _TABLE_BYTES:
-                self.entries[key] = plan
-                self.nbytes += plan.nbytes
-                while self.nbytes > _TABLE_BYTES:
-                    self.nbytes -= self.entries.pop(next(iter(self.entries))).nbytes
-        return plan
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = make()
+            self._keep(key, entry)
+        return entry
+
+    def rows(self, params: AlphaBeta, radii, cap: int) -> dict:
+        """The row of each radius at cap, by radius; those not kept are
+        made together (_ring_rows) and kept."""
+        rows = {r: self.entries.get((r, cap)) for r in radii}
+        missing = [r for r, row in rows.items() if row is None]
+        if missing:
+            for r, row in _ring_rows(params, missing, cap).items():
+                rows[r] = row
+                self._keep((r, cap), row)
+        return rows
 
 
 @functools.lru_cache(maxsize=1)
@@ -211,13 +233,71 @@ def _ring_length(params: AlphaBeta, r: float, cap: int) -> int:
     return min(size, cap)
 
 
+def _turns(phases, size: int) -> np.ndarray:
+    """e^{i q phase} for each of phases, one row each, at the frequencies
+    q in [-size/2, size/2) of an even size, in FFT order.  e^{i m phase},
+    0 <= m <= size/2, is the product of e^{i 32 a phase} and
+    e^{i b phase} for m = 32 a + b, 0 <= b < 32: about size/64 + 32
+    complex exponentials a row instead of size; e^{-i m phase} is its
+    conjugate."""
+    half = size // 2
+    phases = np.asarray(phases, dtype=float)[:, None]
+    fine = np.exp(1j * phases * np.arange(32))
+    coarse = np.exp(1j * (32.0 * phases) * np.arange(half // 32 + 1))
+    pos = (coarse[:, :, None] * fine[:, None, :]).reshape(len(phases), -1)[:, : half + 1]
+    return np.concatenate((pos[:, :half], np.conj(pos[:, half:0:-1])), axis=1)
+
+
+def _ring_rows(params: AlphaBeta, radii, cap: int) -> dict:
+    """rho, the Fourier coefficients of the phase-0 ring kernel
+    K(s) = P(r e^{is}) of each radius, by radius, in FFT order, read-only.
+
+    P(conj w) = conj P(w), so K(-s) = conj K(s) and rho is real: its N
+    samples K(-t_k) = P(r e^{-i t_k}) are Hermitian in k, and one irfft of
+    the N/2 + 1 of the half circle t_k <= pi gives all N coefficients.  A
+    radius takes the first N from _ring_length on, doubling, whose outer
+    quarter N/4 <= |q| <= N/2 is below _RING_TOL times the 1-norm of rho,
+    or N = cap, where the sum is exact.  Each round evaluates the samples
+    of every radius still open, whatever its N, as one run of kernel
+    points in blocks of at most _BLOCK_POINTS, and transforms the rows of
+    one N together; a row is the same bits whatever the radii beside it.
+    """
+    rows = {}
+    todo = {r: _ring_length(params, r, cap) for r in dict.fromkeys(radii)}
+    while todo:
+        groups = {}
+        for r, size in todo.items():
+            groups.setdefault(size, []).append(r)
+        points = [
+            np.array(group)[:, None] * np.exp(-1j * circle_nodes(size)[: size // 2 + 1])
+            for size, group in groups.items()
+        ]
+        run = np.concatenate([w.ravel() for w in points])
+        vals = np.empty(run.size, dtype=complex)
+        for j in range(0, run.size, _BLOCK_POINTS):
+            vals[j : j + _BLOCK_POINTS] = unnormalized_kernel(params, run[j : j + _BLOCK_POINTS])
+        todo, start = {}, 0
+        for (size, group), w in zip(groups.items(), points):
+            block = np.fft.irfft(vals[start : start + w.size].reshape(w.shape), size)
+            block.flags.writeable = False
+            start += w.size
+            mag = np.abs(block)
+            decayed = mag[:, size // 4 : 3 * size // 4 + 1].max(axis=1) <= _RING_TOL * mag.sum(axis=1)
+            for r, row, done in zip(group, block, decayed):
+                if done or size == cap:
+                    rows[r] = row
+                else:
+                    todo[r] = min(2 * size, cap)
+    return rows
+
+
 def _ring_spectra(params: AlphaBeta, rings, size: int) -> np.ndarray:
     """p, the Fourier coefficients of the kernel K(s) = P(r e^{i(phase + s)})
-    of each (r, phase) of rings from its N = size samples, one row per
-    ring, in FFT order.  The samples P(r e^{i phase} e^{-i t_k}) are K at
-    -t_k, so p is their inverse FFT; they are evaluated in blocks of at
-    most _BLOCK_POINTS columns, the rings of a block sharing one
-    e^{-i t_k}."""
+    of each (r, phase) of rings from its N = size samples on the full
+    circle, one row per ring, in FFT order.  The samples
+    P(r e^{i phase} e^{-i t_k}) are K at -t_k, so p is their inverse FFT;
+    they are evaluated in blocks of at most _BLOCK_POINTS columns, the
+    rings of a block sharing one e^{-i t_k}."""
     t = circle_nodes(size)
     r, phase = np.array(rings).T[..., None]
     z = r * np.exp(1j * phase)
@@ -228,30 +308,36 @@ def _ring_spectra(params: AlphaBeta, rings, size: int) -> np.ndarray:
     return np.fft.ifft(vals, axis=1)
 
 
-def _ring_coefficients(params: AlphaBeta, rings, cap: int) -> dict:
-    """The ring kernel's coefficients p (_ring_spectra) of each distinct
-    (r, phase) of rings, by ring.  A ring takes the first N from
-    _ring_length on, doubling, whose outer quarter N/4 <= |q| <= N/2 is
-    below _RING_TOL times the 1-norm of p, or N = cap, where the sum is
-    exact.  Rings of one N are evaluated together, at most _BLOCK_POINTS
-    kernel points (or one ring) at a time, each row as it would be alone."""
+def _ring_coefficients(params: AlphaBeta, rings, cap: int, table: _KernelTable) -> dict:
+    """The ring kernel's coefficients p of each distinct (r, phase) of
+    rings, by ring, from the real row rho of its radius (_ring_rows) in
+    table.  The ring at phase phi is the phase-0 kernel turned by phi, so
+    p_q = rho_q e^{i q phi}, and a phase-0 ring takes rho as it is.  The
+    turn moves the N-sample aliases rho_{q + mN} by e^{i mN phi}, so a row
+    is turned only where they are below rounding: its Nyquist coefficient,
+    which every row short of cap passed in the decay test, is at most
+    _RING_TOL times its 1-norm.  A capped row above that is sampled at the
+    ring's own phase (_ring_spectra), where the sum is the n-node sum
+    re-indexed, at most _BLOCK_POINTS kernel points (or one ring) at a time."""
+    rows = table.rows(params, [r for r, _ in rings], cap)
     coeffs = {}
-    todo = {}
+    turned = {}
+    sampled = []
     for ring in dict.fromkeys(rings):
-        todo.setdefault(_ring_length(params, ring[0], cap), []).append(ring)
-    while todo:
-        size = min(todo)
-        group = todo.pop(size)
-        step = max(1, _BLOCK_POINTS // size)
-        for i in range(0, len(group), step):
-            p = _ring_spectra(params, group[i : i + step], size)
-            mag = np.abs(p)
-            decayed = mag[:, size // 4 : 3 * size // 4 + 1].max(axis=1) <= _RING_TOL * mag.sum(axis=1)
-            for ring, row, done in zip(group[i : i + step], p, decayed):
-                if done or size == cap:
-                    coeffs[ring] = row
-                else:
-                    todo.setdefault(min(2 * size, cap), []).append(ring)
+        r, phase = ring
+        row = rows[r]
+        if phase == 0.0:
+            coeffs[ring] = row
+        elif row.size < cap or abs(row[row.size // 2]) <= _RING_TOL * np.abs(row).sum():
+            turned.setdefault(row.size, []).append(ring)
+        else:
+            sampled.append(ring)
+    for size, group in turned.items():
+        block = np.array([rows[r] for r, _ in group]) * _turns([phase for _, phase in group], size)
+        coeffs.update(zip(group, block))
+    step = max(1, _BLOCK_POINTS // cap)
+    for i in range(0, len(sampled), step):
+        coeffs.update(zip(sampled[i : i + step], _ring_spectra(params, sampled[i : i + step], cap)))
     return coeffs
 
 
@@ -267,8 +353,8 @@ class _RingPlan:
     group: q = c for the columns c < L - L // 2, q = c - L above.
     """
 
-    def __init__(self, params: AlphaBeta, rings: tuple, n_theta: int, nodes: int):
-        coeffs = _ring_coefficients(params, rings, math.lcm(nodes, n_theta))
+    def __init__(self, params: AlphaBeta, rings: tuple, n_theta: int, nodes: int, table: _KernelTable):
+        coeffs = _ring_coefficients(params, rings, math.lcm(nodes, n_theta), table)
         by_width = {}
         for i, ring in enumerate(rings):
             by_width.setdefault(-(-coeffs[ring].size // n_theta) * n_theta, []).append(i)
@@ -350,9 +436,10 @@ class PoissonExtension:
         ring's kernel K(s) = P(r e^{i(phase + s)}), so by the convolution
         theorem it is (c/n) sum_q p_q F_{q mod n} e^{i q theta_j}, with p_q
         the Fourier coefficients of K and F the n-point FFT of the samples.
-        p comes from N samples of K (_ring_coefficients), q runs over
-        [-N/2, N/2), and the products fold onto the n_theta bins q mod
-        n_theta of one inverse FFT.  With N = lcm(n, n_theta) this is the
+        p comes from N samples of the kernel at the ring's radius, turned
+        by its phase (_ring_coefficients), q runs over [-N/2, N/2), and
+        the products fold onto the n_theta bins q mod n_theta of one
+        inverse FFT.  With N = lcm(n, n_theta) this is the
         n-node sum re-indexed; a smaller N leaves out only coefficients
         below rounding.
 
@@ -368,6 +455,7 @@ class PoissonExtension:
         """
         rings = tuple((float(r), float(phase)) for r, phase in rings)
         n = self.nodes
+        table = _kernel_table(self.params, n)
 
         def build():
             # a set in the table passed these checks when it was built
@@ -375,9 +463,9 @@ class PoissonExtension:
             for r, _ in rings:
                 if not 0.0 <= r < 1.0:
                     raise DomainError(f"circle radius must be in [0, 1), got {r}")
-            return _RingPlan(self.params, rings, n_theta, n)
+            return _RingPlan(self.params, rings, n_theta, n, table)
 
-        plan = _kernel_table(self.params, n).get((rings, n_theta), build)
+        plan = table.get((rings, n_theta), build)
         spec = self.f.spectrum(n)[plan.index]
         bins = np.empty((len(rings), n_theta), dtype=complex)
         for at, p, cols in plan.groups:

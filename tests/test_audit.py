@@ -123,11 +123,14 @@ class TestDerivativeChecks:
     @pytest.mark.parametrize(
         "check, calls, points",
         [
-            # 256 nodes: rings at r = 0.3 (+- h) take 128 kernel samples,
-            # the others the cap lcm(256, angles) = 256
-            (check_growth, [(3, 8)], 128 + 2 * 256),
-            (check_distortion, [(24, 4)], 8 * 128 + 16 * 256),
-            (check_partials, [(12, 8), (24, 4)], 12 * 128 + 24 * 256),
+            # 256 nodes: a radius near 0.3 takes 128 kernel samples, the
+            # others the cap lcm(256, angles) = 256, each sampled on its
+            # half circle, 65 or 129 points; a row near 0.9 keeps its
+            # Nyquist coefficient above rounding, so its rings off phase 0
+            # are sampled at their own phase on the whole circle, 256 each
+            (check_growth, [(3, 8)], 65 + 2 * 129 + 256),
+            (check_distortion, [(24, 4)], 8 * 65 + 16 * 129 + 8 * 256),
+            (check_partials, [(12, 8), (24, 4)], 11 * 65 + 22 * 129 + 12 * 256),
         ],
     )
     def test_one_ring_evaluation_per_stencil(self, monkeypatch, check, calls, points):
@@ -154,7 +157,8 @@ class TestDerivativeChecks:
 
     def test_distortion_and_partials_share_one_point_set(self, monkeypatch):
         # the 24 Cartesian rings check_distortion evaluated serve
-        # check_partials, which then adds only the 12 polar rings
+        # check_partials, which then adds only the 9 radii of the 12 polar
+        # rings and the 4 of them near 0.9 at their own phase
         points = []
 
         def kernel(params, w, fn=harmonic.unnormalized_kernel):
@@ -164,9 +168,9 @@ class TestDerivativeChecks:
         monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
         f, hp = random_boundary(np.random.default_rng(6)), HolderPair.from_p(2.0)
         check_distortion(PHH, f, hp, nodes=256)
-        assert sum(points) == 8 * 128 + 16 * 256
+        assert sum(points) == 8 * 65 + 16 * 129 + 8 * 256
         check_partials(PHH, f, hp, nodes=256)
-        assert sum(points) == 8 * 128 + 16 * 256 + 4 * 128 + 8 * 256
+        assert sum(points) == 8 * 65 + 16 * 129 + 8 * 256 + 3 * 65 + 6 * 129 + 4 * 256
 
     @pytest.mark.parametrize("nodes", [256, 1024])
     @pytest.mark.parametrize("pair", [*STANDARD_PAIRS, (2.7, -1.4)])
@@ -253,6 +257,13 @@ class TestRatioLemma:
         assert res_up.cases_violated == 0
         res_down = check_hypergeometric_ratio_lemma(make_params(0.0, 0.8), 3)
         assert res_down.cases_violated == 0
+
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    @pytest.mark.parametrize("pair", [(0.0, 0.0), (0.3, -0.2), (-0.5, 0.5)])
+    def test_mode_below_two_raises(self, pair, k):
+        # F_1/F_1 = 1 by construction: a k = 1 check could never fail
+        with pytest.raises(ParameterError, match=f"k = {k}"):
+            check_hypergeometric_ratio_lemma(make_params(*pair), k)
 
     @pytest.mark.parametrize(
         "pair, factors",
@@ -532,32 +543,45 @@ class TestSuites:
 
     def test_standard_suite_kernel_work_per_weight_pair(self, monkeypatch):
         # 20 boundaries visit each standard pair once, four boundaries in a
-        # row; a pair costs 54 ring coefficient vectors (3 growth, 3
-        # integral-means, 24 Cartesian, 12 polar and 12 means-partials
-        # rings) of at most lcm(256, angles) = 256 samples: the 18 rings
-        # at r = 0.3 (+- h) take 128, the others reach the cap
+        # row; the 54 rings of a pair (3 growth, 3 integral-means, 24
+        # Cartesian, 12 polar and 12 means-partials rings) have 33 radii,
+        # the 24 Cartesian ones and R_GRID and R_GRID +- h, each sampled
+        # once on its half circle, at most lcm(256, angles) = 256 samples:
+        # the 11 radii near 0.3 take 128 (65 points), the others reach the
+        # cap (129 points).  The 15 rings near 0.9 off phase 0 (1 growth,
+        # 8 Cartesian, 4 polar, 2 means-partials) are sampled at their own
+        # phase, 256 points each, as their row's aliases are above rounding
         points = collections.Counter()
-        rings = collections.Counter()
+        radii = collections.Counter()
+        sampled = collections.Counter()
 
         def kernel(params, w, fn=harmonic.unnormalized_kernel):
             points[params] += np.size(w)
             return fn(params, w)
 
+        def rows(params, group, cap, fn=harmonic._ring_rows):
+            radii[params] += len(group)
+            return fn(params, group, cap)
+
         def spectra(params, group, size, fn=harmonic._ring_spectra):
-            rings[params] += len(group)
+            sampled[params] += len(group)
             return fn(params, group, size)
 
         monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
+        monkeypatch.setattr(harmonic, "_ring_rows", rows)
         monkeypatch.setattr(harmonic, "_ring_spectra", spectra)
         standard_suite(n_boundaries=20, nodes=256)
         pairs = [make_params(*pair) for pair in STANDARD_PAIRS]
-        assert rings == dict.fromkeys(pairs, 54)
-        assert points == dict.fromkeys(pairs, 18 * 128 + 36 * 256)
+        assert radii == dict.fromkeys(pairs, 33)
+        assert sampled == dict.fromkeys(pairs, 15)
+        assert points == dict.fromkeys(pairs, 11 * 65 + 22 * 129 + 15 * 256)
 
     def test_standard_suite_table_traffic(self, monkeypatch):
         # one kernel table per weight pair and one plan per ring set of a
         # pair (growth, integral-means, Cartesian, polar, means-partials):
-        # a 20-boundary batch makes 120 ring calls, 25 of them plan builds;
+        # a 20-boundary batch makes 120 ring calls, 25 of them plan builds,
+        # which sample the 33 radii of a pair once each on the half circle
+        # (11 x 65 + 11 x 257 + 11 x 513 points), no ring at its own phase;
         # standard_suite() visits its 100 boundaries pair by pair, so it
         # builds the same 25 plans and makes the rest of its 600 calls hits
         points, plans, calls = [], [], []
@@ -581,7 +605,7 @@ class TestSuites:
         assert harmonic._kernel_table.cache_info().misses == 5
         assert (len(plans), len(calls) - len(plans)) == (25, 95)
         assert sum(len(rings) for rings, _ in plans) == 5 * 54
-        assert sum(points) == 149_760
+        assert sum(points) == 45_925
         harmonic._kernel_table.cache_clear()
         plans.clear()
         calls.clear()

@@ -50,6 +50,12 @@ def plan_rows(plan):
     return [rows[i] for i in sorted(rows)]
 
 
+def plans(table):
+    """The ring-set plans of a kernel table by (rings, n_theta), in table
+    order, without the rows of its radii."""
+    return {key: entry for key, entry in table.entries.items() if isinstance(key[0], tuple)}
+
+
 def padded(p, width):
     """The ring coefficients p (FFT order) at the columns q mod width."""
     half = p.size // 2
@@ -183,28 +189,106 @@ class TestRingOrbits:
 
 
 class TestRingSpectrum:
-    # c p_k(r) = r^|k| F(mode k; r^2) / F(mode k; 1): mode e^{ik theta} of
-    # the boundary data extends to its series mode factor, so the kernel's
-    # Fourier coefficients on the ring are those factors, with no boundary
-    # data, graded against the 1-norm of p.  N = 4,096 samples hold every
-    # coefficient above rounding at r = 0.99
+    # c rho_k(r) = r^|k| F(mode k; r^2) / F(mode k; 1): mode e^{ik theta}
+    # of the boundary data extends to its series mode factor, so the
+    # phase-0 kernel's Fourier coefficients on the ring are those factors,
+    # with no boundary data, graded against the 1-norm of rho.  A cap of
+    # 4,096 samples holds every coefficient above rounding at r = 0.99
     MODES = (0, 1, -1, 2, 3, -3, 5, 20, -20)
 
     @pytest.mark.parametrize("r", [0.3, 0.6, 0.9, 0.99])
     @pytest.mark.parametrize("pair", [*STANDARD_PAIRS, (2.7, -1.4), (-0.3, -0.6)])
     def test_coefficients_are_the_mode_factors(self, pair, r):
         params = make_params(*pair)
-        p = harmonic._ring_spectra(params, [(r, 0.0)], 4096)[0]
+        row = harmonic._ring_rows(params, [r], 4096)[r]
+        assert row.dtype == np.float64
         for k in self.MODES:
             hyp = harmonic._mode_hyp(params, k)
             factor = r ** abs(k) * gauss_2f1(hyp, r * r) / harmonic.gauss_2f1_at_one(hyp)
-            assert abs(params.c_norm * p[k] - factor) <= 1e-13 * abs(params.c_norm) * np.sum(np.abs(p))
+            assert abs(params.c_norm * row[k] - factor) <= 1e-13 * abs(params.c_norm) * np.sum(np.abs(row))
 
-    def test_phase_turns_the_coefficients(self):
-        # the ring at phase phi is the kernel turned by phi: p_k e^{i k phi}
-        p0, p1 = harmonic._ring_spectra(PHH, [(0.6, 0.0), (0.6, 0.7)], 256)
-        k = np.fft.fftfreq(256, 1 / 256)
-        assert np.max(np.abs(p1 - p0 * np.exp(1j * k * 0.7))) <= 1e-15 * np.sum(np.abs(p0))
+    @pytest.mark.parametrize("phase", [0.7, -2.5, 1e-3, 3.0])
+    @pytest.mark.parametrize("pair", [(0.5, 0.5), (0.3, -0.2), (2.7, -1.4)])
+    def test_phase_turns_the_coefficients(self, pair, phase):
+        # the ring at phase phi is the kernel turned by phi: rho_q e^{i q phi},
+        # against the inverse FFT of its own samples on the full circle,
+        # P(r e^{i phi} e^{-i t_k}) = K(-t_k); a phase-0 ring is the row itself
+        params = make_params(*pair)
+        table = harmonic._KernelTable()
+        p = harmonic._ring_coefficients(params, [(0.6, phase), (0.6, 0.0)], 256, table)
+        row = table.entries[0.6, 256]
+        assert p[0.6, 0.0] is row
+        t = circle_nodes(row.size)
+        ref = np.fft.ifft(harmonic.unnormalized_kernel(params, 0.6 * np.exp(1j * phase) * np.exp(-1j * t)))
+        assert np.max(np.abs(p[0.6, phase] - ref)) <= 1e-15 * np.sum(np.abs(row))
+
+    @pytest.mark.parametrize("size", [64, 256, 61440])
+    def test_turns_are_the_exponentials(self, size):
+        # each product of a coarse and a fine turn is e^{i q phase} to the
+        # rounding of the angle q phase, a few of its ulps
+        phases = np.array([0.0, 1e-3, -0.37, 3.0, -math.pi])
+        q = np.fft.fftfreq(size, 1.0 / size).round()
+        angles = phases[:, None] * q
+        err = np.abs(harmonic._turns(phases, size) - np.exp(1j * angles))
+        assert np.all(err <= 4 * np.spacing(np.abs(angles).max(axis=1, keepdims=True)) + 1e-15)
+
+    @pytest.mark.parametrize("n_theta", [4, 8])
+    def test_capped_row_sampled_at_its_own_phase(self, n_theta):
+        # at r = 0.9 on 256 nodes the row stops at the cap lcm(256, n_theta)
+        # = 256 with its Nyquist coefficient (about 0.9^128) far above
+        # rounding, so a turn would move its aliases: the ring is sampled at
+        # its own phase, where it is the 256-node sum re-indexed.  The ring
+        # at phase 0 still takes the row
+        u = poisson_extension(PHH, random_boundary(np.random.default_rng(6)), 256)
+        rings = ((0.9, 0.37), (0.9, 0.0), (0.3, 0.37))
+        u._circles(rings, n_theta)
+        table = harmonic._kernel_table(PHH, 256)
+        row = table.entries[0.9, 256]
+        assert row.size == 256 and abs(row[128]) > 1e6 * harmonic._RING_TOL * np.sum(np.abs(row))
+        sampled, phase0, turned = plan_rows(table.entries[rings, n_theta])
+        t = circle_nodes(256)
+        own = np.fft.ifft(harmonic.unnormalized_kernel(PHH, 0.9 * np.exp(0.37j) * np.exp(-1j * t)))
+        assert np.max(np.abs(padded(own, 256) - sampled)) <= 1e-15 * np.sum(np.abs(row))
+        assert np.array_equal(sampled, padded(harmonic._ring_spectra(PHH, [rings[0]], 256)[0], 256))
+        assert np.array_equal(phase0, padded(row, 256))
+        # a turn of the row is off the ring's own coefficients by its aliases
+        assert np.max(np.abs(padded(row * harmonic._turns([0.37], 256)[0], 256) - sampled)) > 1e-9
+        # the row at r = 0.3 decayed before the cap and is turned
+        short = table.entries[0.3, 256]
+        assert short.size < 256
+        width = -(-short.size // n_theta) * n_theta
+        assert np.array_equal(turned, padded(short * harmonic._turns([0.37], short.size)[0], width))
+
+    @pytest.mark.parametrize("nodes", [256, 1024])
+    def test_plan_row_whoever_sampled_its_radius(self, nodes):
+        # two ring sets sharing radii: a ring's plan row is the same bits
+        # whether its radius was sampled by the other set first or by its
+        # own, from a cold table, and in either order on one table; so is
+        # a row made beside other radii of other sample counts
+        u = poisson_extension(PHH, random_boundary(np.random.default_rng(6)), nodes)
+        h = DEFAULT_STEP
+        sets = (
+            ((0.6, 0.0), (0.6 + h, 0.3), (0.3, 0.1), (0.9, 1.2)),
+            ((0.9, 0.0), (0.6, 0.2), (0.3, 0.0), (0.6 + h, -0.3), (0.05, 2.0)),
+        )
+        cold = []
+        for rings in sets:
+            harmonic._kernel_table.cache_clear()
+            values = u._circles(rings, 8)
+            cold.append((values, plan_rows(harmonic._kernel_table(PHH, nodes).entries[rings, 8])))
+        for order in (sets, sets[::-1]):
+            harmonic._kernel_table.cache_clear()
+            for rings in order:
+                u._circles(rings, 8)
+            entries = harmonic._kernel_table(PHH, nodes).entries
+            for rings, (values, rows) in zip(sets, cold):
+                assert all(map(np.array_equal, plan_rows(entries[rings, 8]), rows))
+                assert np.array_equal(u._circles(rings, 8), values)
+        radii = (0.6, 0.3, 0.9, 0.05)
+        together = harmonic._ring_rows(PHH, radii, nodes)
+        for r in radii:
+            assert np.array_equal(harmonic._ring_rows(PHH, [r], nodes)[r], together[r])
+            assert np.array_equal(harmonic._kernel_table(PHH, nodes).entries[r, nodes], together[r])
 
 
 class TestExpansion:
@@ -544,27 +628,31 @@ class TestIntegralMeans:
         assert integral_means(u, 0.5, 2.0) == pytest.approx(math.sqrt(0.5), rel=1e-10)
 
     def test_ring_kernel_once_per_pair(self, monkeypatch):
-        # one kernel row per (params, nodes, r, phase) whatever the
-        # extension; each extension pays only for its own FFTs
+        # one kernel evaluation per (params, nodes, r, cap) whatever the
+        # extension and the phase: at 256 nodes and 64 angles r = 0.7
+        # reaches the cap lcm(256, 64) = 256, 129 samples of its half
+        # circle, and each phase turns that row; each extension pays only
+        # for its own FFTs
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
         first = u.circle_values(0.5, 64)
-        rows = []
+        points = []
 
         def kernel(params, w, fn=harmonic.unnormalized_kernel):
-            rows.append(np.size(w) // 256)
+            points.append(np.size(w))
             return fn(params, w)
 
         monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
         assert np.array_equal(u.circle_values(0.5, 64), first)
-        assert sum(rows) == 0
+        assert points == []
         u.circle_values(0.7, 64, phase=0.1)
-        assert sum(rows) == 1
+        assert points == [129]
+        u.circle_values(0.7, 64, phase=0.3)
         v = poisson_extension(PHH, from_fourier({0: 2.0, 3: 1j}), 256)
         v.circle_values(0.5, 64)
         v.circle_values(0.7, 64, phase=0.1)
-        assert sum(rows) == 1
+        assert points == [129]
         poisson_extension(P00, from_fourier({0: 2.0, 3: 1j}), 256).circle_values(0.5, 64)
-        assert sum(rows) == 2
+        assert len(points) == 2
 
     def test_fast_path_matches_generic(self):
         f = from_fourier({1: 1.0, -2: 0.5})
@@ -658,41 +746,54 @@ class TestCircleValues:
 
     @pytest.mark.parametrize("n_theta", [60, 63, 96, 512])
     def test_ring_keeps_its_coefficients(self, n_theta):
-        # one plan per (rings, n_theta); each ring keeps the N coefficients
-        # of the ring rule, below every cap lcm(256, n_theta) here, in a row
-        # padded to the next multiple of n_theta
+        # one real row per (r, cap) and one plan per (rings, n_theta); each
+        # radius keeps the N coefficients of the ring rule, below or at
+        # every cap lcm(256, n_theta) here, and each ring its row turned by
+        # its phase, padded to the next multiple of n_theta
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 256)
         u.circle_values(0.5, n_theta)
         u._circles([(0.3, 0.0), (0.6, 0.1)], n_theta)
         entries = harmonic._kernel_table(PHH, 256).entries
-        assert list(entries) == [(((0.5, 0.0),), n_theta), (((0.3, 0.0), (0.6, 0.1)), n_theta)]
-        lengths = {(0.5, 0.0): 256, (0.3, 0.0): 128, (0.6, 0.1): 512}
-        for (rings, _), plan in entries.items():
-            for ring, row in zip(rings, plan_rows(plan), strict=True):
-                size = lengths[ring]
-                p = harmonic._ring_spectra(PHH, [ring], size)[0]
+        cap = math.lcm(256, n_theta)
+        assert list(entries) == [
+            (0.5, cap),
+            (((0.5, 0.0),), n_theta),
+            (0.3, cap),
+            (0.6, cap),
+            (((0.3, 0.0), (0.6, 0.1)), n_theta),
+        ]
+        lengths = {0.5: 256, 0.3: 128, 0.6: 512}
+        for (rings, _), plan in plans(harmonic._kernel_table(PHH, 256)).items():
+            for (r, phase), row in zip(rings, plan_rows(plan), strict=True):
+                size = lengths[r]
+                rho = harmonic._ring_rows(PHH, [r], cap)[r]
+                assert rho.size == size and np.array_equal(entries[r, cap], rho)
+                p = rho if phase == 0.0 else rho * harmonic._turns([phase], size)[0]
                 assert np.array_equal(row, padded(p, -(-size // n_theta) * n_theta))
 
     def test_doubled_length_kept_and_not_remade(self, monkeypatch):
         # a first N too small for r = 0.5 doubles until the outer quarter
-        # has decayed; only the vector the ring uses is kept, so the ring
-        # again needs no kernel, bit for bit
+        # has decayed, each N sampled on its half circle; only the row the
+        # ring uses is kept, so the ring, and the ring at another phase,
+        # again need no kernel, bit for bit
         u = poisson_extension(PHH, from_fourier({1: 1.0, -2: 0.5}), 1024)
         monkeypatch.setattr(harmonic, "_ring_length", lambda params, r, cap: 64)
         sizes = []
 
-        def spectra(params, rings, size, fn=harmonic._ring_spectra):
-            sizes.append(size)
-            return fn(params, rings, size)
+        def kernel(params, w, fn=harmonic.unnormalized_kernel):
+            sizes.append(np.size(w))
+            return fn(params, w)
 
-        monkeypatch.setattr(harmonic, "_ring_spectra", spectra)
+        monkeypatch.setattr(harmonic, "unnormalized_kernel", kernel)
         ring = u.circle_values(0.5, 60)
-        assert sizes == [64, 128, 256]
+        assert sizes == [33, 65, 129]
         entries = harmonic._kernel_table(PHH, 1024).entries
-        assert list(entries) == [(((0.5, 0.0),), 60)]
+        assert list(entries) == [(0.5, 15360), (((0.5, 0.0),), 60)]
+        assert entries[0.5, 15360].size == 256
         assert [row.size for row in plan_rows(entries[((0.5, 0.0),), 60])] == [300]
         monkeypatch.setattr(harmonic, "unnormalized_kernel", None)
         assert np.array_equal(u.circle_values(0.5, 60), ring)
+        u.circle_values(0.5, 60, phase=0.2)
 
     def test_ring_at_one_cap_does_not_stop_another(self, monkeypatch):
         # from a first N of 64 at r = 0.9 on 256 nodes, 64 angles stop at
@@ -702,10 +803,11 @@ class TestCircleValues:
         monkeypatch.setattr(harmonic, "_ring_length", lambda params, r, cap: 64)
         u.circle_values(0.9, 64)
         warm = u.circle_values(0.9, 60)
-        entries = harmonic._kernel_table(PHH, 256).entries
-        assert list(entries) == [(((0.9, 0.0),), 64), (((0.9, 0.0),), 60)]
+        table = harmonic._kernel_table(PHH, 256)
+        assert list(table.entries) == [(0.9, 256), (((0.9, 0.0),), 64), (0.9, 3840), (((0.9, 0.0),), 60)]
         # 2,048 samples at 60 angles: 35 rows of 60 columns
-        assert [[row.size for row in plan_rows(plan)] for plan in entries.values()] == [[256], [2100]]
+        assert [table.entries[0.9, cap].size for cap in (256, 3840)] == [256, 2048]
+        assert [[row.size for row in plan_rows(plan)] for plan in plans(table).values()] == [[256], [2100]]
         harmonic._kernel_table.cache_clear()
         assert np.array_equal(u.circle_values(0.9, 60), warm)
 
@@ -780,12 +882,12 @@ class TestKernelTable:
             poisson_extension(params, self.F, nodes)._circles([(0.3, 0.1)], 8)
             assert harmonic._kernel_table.cache_info().currsize == 1
         assert first() is None
-        assert list(harmonic._kernel_table(P00, 512).entries) == [(((0.3, 0.1),), 8)]
+        assert list(harmonic._kernel_table(P00, 512).entries) == [(0.3, 512), (((0.3, 0.1),), 8)]
 
     def test_rings_kept_apart_by_phase_and_cap(self):
         # ring sets at another phase, order or angle count (cap) have their
-        # own plans; a set looked up again is the same bits, and a ring is
-        # the same bits in any set
+        # own plans, and a radius one row per cap; a set looked up again is
+        # the same bits, and a ring is the same bits in any set
         u = poisson_extension(PHH, self.F, 256)
         first = u._circles([(0.5, 0.0), (0.5, 0.1)], 8)
         u.circle_values(0.5, 60)
@@ -798,15 +900,24 @@ class TestKernelTable:
             (((0.5, 0.1), (0.5, 0.0)), 8),
             (((0.5, 0.1),), 8),
         ]
-        assert list(harmonic._kernel_table(PHH, 256).entries) == keys
+        table = harmonic._kernel_table(PHH, 256)
+        assert list(plans(table)) == keys
+        assert [key for key in table.entries if key not in keys] == [(0.5, 256), (0.5, 3840)]
 
     def test_cached_arrays_read_only(self):
         # a ring set's padded blocks, one per row width L, and the
-        # spectrum index q mod n of their columns under (rings, n_theta)
+        # spectrum index q mod n of their columns under (rings, n_theta),
+        # and the real row of each radius under (r, cap)
         u = poisson_extension(PHH, self.F, 256)
         u._circles([(0.3, 0.1), (0.9, 0.0)], 8)
         u.circle_values(0.5, 64)
-        entries = harmonic._kernel_table(PHH, 256).entries
+        table = harmonic._kernel_table(PHH, 256)
+        entries = plans(table)
+        rows = [table.entries[key] for key in ((0.3, 256), (0.9, 256), (0.5, 256))]
+        assert [(row.dtype, row.size) for row in rows] == [(np.float64, 128), (np.float64, 256), (np.float64, 256)]
+        for row in rows:
+            with pytest.raises(ValueError):
+                row[0] = 0.0
         assert [
             (key, [(at, block.shape, cols) for at, block, cols in plan.groups], plan.index.shape)
             for key, plan in entries.items()
@@ -826,21 +937,22 @@ class TestKernelTable:
                     arr.flat[0] = 0
 
     def test_byte_budget_evicts_the_oldest(self, monkeypatch):
-        # room for three plans of one 256-sample ring (at 256 nodes and 64
-        # angles each of these radii reaches the cap lcm(256, 64) = 256),
-        # each 256 complex coefficients and 256 spectrum indices; a plan
-        # larger than the whole budget is used and not kept, bit for bit as
-        # from the table
+        # room for three 256-sample rings (at 256 nodes and 64 angles each
+        # of these radii reaches the cap lcm(256, 64) = 256), each a real
+        # row of 256 coefficients and a plan of 256 complex coefficients
+        # and 256 spectrum indices, the row kept first; a row or plan larger
+        # than the whole budget is used and not kept, bit for bit as from
+        # the table
         u = poisson_extension(PHH, self.F, 256)
         kept = u.circle_values(0.95, 60)  # all 3,840 samples of its cap
         harmonic._kernel_table.cache_clear()
-        monkeypatch.setattr(harmonic, "_TABLE_BYTES", 3 * 256 * (16 + 8))
+        monkeypatch.setattr(harmonic, "_TABLE_BYTES", 3 * 256 * (8 + 16 + 8))
         radii = (0.5, 0.6, 0.7, 0.8, 0.9)
         rings = [u.circle_values(r, 64) for r in radii]
         table = harmonic._kernel_table(PHH, 256)
-        ring_keys = [(((r, 0.0),), 64) for r in radii[2:]]
+        ring_keys = [key for r in radii[2:] for key in ((r, 256), (((r, 0.0),), 64))]
         assert list(table.entries) == ring_keys
-        assert table.nbytes == 3 * 256 * (16 + 8)
+        assert table.nbytes == 3 * 256 * (8 + 16 + 8)
         assert np.array_equal(u.circle_values(0.95, 60), kept)
         assert list(table.entries) == ring_keys
         harmonic._kernel_table.cache_clear()

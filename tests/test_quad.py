@@ -331,6 +331,35 @@ def test_p_mean_of_zeros_and_non_finite_samples():
     assert p_mean(np.array([1.0, math.inf]), 700.0) == math.inf
 
 
+def _p_mean_of_row(vals, p):
+    # p_mean's 1-d form, one row at a time
+    a = np.abs(vals)
+    top = float(a.max())
+    if math.isinf(p):
+        return top
+    if 0.0 < top < math.inf and not -1000.0 < p * math.log2(top) < 1000.0 - math.log2(a.size):
+        return top * float((np.add.reduce((a / top) ** p) / a.size) ** (1.0 / p))
+    return float((np.add.reduce(a**p) / a.size) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+@pytest.mark.parametrize("shape", [(3, 1024), (3, 4, 256), (8, 60), (1, 7)])
+def test_p_mean_rows_keep_their_bits(p, shape):
+    # one pass over the rows gives each row's 1-d mean bit for bit: rows
+    # of size 1, 1e-300 (whose powers underflow from p = 1.5 on) and 1e300
+    # (which overflow), so the scaled branch sits beside the plain one
+    rng = np.random.default_rng(17)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rows = vals.reshape(-1, shape[-1])
+    rows *= np.array([1.0, 1e-300, 1e300, 1e-3])[np.arange(len(rows)) % 4, None]
+    means = p_mean(vals, p)
+    assert means.shape == shape[:-1]
+    assert means.ravel().tolist() == [_p_mean_of_row(row, p) for row in rows]
+    for row in rows:
+        mean = p_mean(row, p)
+        assert type(mean) is float and mean == _p_mean_of_row(row, p)
+
+
 # every per-process cache of the package
 CACHES = {
     "_quad._tanh_sinh_rule",
