@@ -15,14 +15,14 @@ integrate places it on (a, b) on every call.
 circle_integral integrates over [0, 2pi] by the trapezoid grid without
 break points, else by integrate on each piece between two neighbouring
 break points.  The kernel moments (off + amp |cos(s - x)|)^k
-|1 + r e^{i(s - y)}|^(2m) go through kernel_moment, whose integrands are
-functions of |cos(s - x)| and L = log |1 + r e^{i(s - y)}|^2 only: a
-per-process cache of 64 tables, one per rule and radius, keyed on
-(breaks, nodes, x, y, r), holds both at every node of that rule with the
-nodes' weights, so a moment takes one exp per node, once, on the same
-nodes as circle_integral.  A moment at a new radius costs one table
-build; no suite or workload scans radii finely, and the audit's lemma
-scan takes its moments key-major, each table before the next.
+|1 + r e^{i(s - y)}|^(2m) go through kernel_moment, which places its own
+break points and caches each moment; its integrands are functions of
+|cos(s - x)| and L = log |1 + r e^{i(s - y)}|^2 only: a per-process cache
+of 64 tables, one per rule and radius, keyed on (breaks, nodes, x, y, r),
+holds both at every node of that rule with the nodes' weights, so a
+moment takes one exp per node, on the same nodes as circle_integral.  A
+moment at a new radius costs one table build; no suite or workload scans
+radii finely, and the audit's lemma scan takes its moments key-major.
 """
 
 from __future__ import annotations
@@ -184,10 +184,7 @@ def _moment_rule(breaks: tuple, nodes: int, x: float, y: float, r: float):
     return ca, log_base, w, tuple(spans)
 
 
-def kernel_moment(
-    m: float, k: float, off: float, amp: float, r: float, x: float, y: float,
-    breaks=(), nodes: int = DEFAULT_NODES,
-) -> float:
+def _kernel_moment(m, k, off, amp, r, x, y, breaks, nodes) -> float:
     """circle_integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m).
 
     Neither the cosine nor the log L of the base |1 + r e^{i(s - y)}|^2
@@ -217,6 +214,22 @@ def kernel_moment(
     for a, b, half in spans:
         total += half * float(np.add.reduce(vals[a:b]))
     return total
+
+
+@functools.lru_cache(maxsize=4096)
+def kernel_moment(m, k, off, amp, r, x, y, nodes, /) -> float:
+    """Integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m)
+    over the circle, once per process for each distinct moment.
+
+    The circle breaks at the |cos| kinks x + pi/2 and x + 3 pi/2 where
+    k != 0, and at the base minimum y + pi where r > 0.9 (a plain moment,
+    k = 0, also where m < 0); with no break the trapezoid grid serves.
+    Positional-only, so one moment has one cache key.
+    """
+    breaks = (x + 0.5 * math.pi, x + 1.5 * math.pi) if k != 0 else ()
+    if r > 0.9 or (k == 0 and m < 0):
+        breaks += (y + math.pi,)
+    return _kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
 
 
 def _base(r: float, sq) -> np.ndarray:

@@ -9,12 +9,13 @@ are built from two circle integrals of the kernel base |1 + r e^{is}|^(2m):
 plain_moment, whose mean has the closed form F(-m, -m; 1; r^2) and the
 r -> 1 limit Gamma(1 + 2m) / Gamma(1 + m)^2 (plain_moment_closed), and
 oscillatory_moment, the base weighted by (off + amp |cos(s - x)|)^k, which
-is computed by quadrature only.  Both are integrated by _quad.kernel_moment,
-which keeps |cos(s - x)|, the log of the base and the weights in one table
-per circle rule, phase (x, y) and radius, so a moment takes one exp per
-node, in one pass over every node of its rule; each distinct moment is
-integrated once per process.  A moment at a new radius costs one table
-build, which no report minds: a report asks for two radii, r and 1.
+is computed by quadrature only.  oscillatory_moment is _quad.kernel_moment
+and plain_moment its k = 0 case: one cache integrates each distinct moment
+once per process, on break points placed by one rule.  kernel_moment keeps
+|cos(s - x)|, the log of the base and the weights in one table per circle
+rule, phase (x, y) and radius, so a moment takes one exp per node, in one
+pass over every node of its rule.  A moment at a new radius costs one
+table build, which no report minds: a report asks for two radii, r and 1.
 
 Wherever a closed form exists alongside a defining integral, both are
 computed; BoundReport.add_pair writes them as X and X_quadrature and notes,
@@ -141,29 +142,25 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # the two kernel moments
 
-# each distinct moment is integrated once per process; callers pass its
-# arguments positionally, since the caches key on the arguments as passed
-_moment_cache = functools.lru_cache(maxsize=4096)
-
 
 def _radius(r) -> float:
     return 1.0 if r == SUP else float(r)
 
 
-@_moment_cache
+# the base weighted by (off + amp |cos(s - x)|)^k: the kernel moment itself,
+# with its cache and its positional-only (m, k, off, amp, r, x, y, nodes)
+oscillatory_moment = kernel_moment
+
+
 def plain_moment(m: float, r, nodes: int = DEFAULT_NODES) -> float:
     """Integral of |1 + r e^{is}|^(2m) over the circle; r = "sup" means 1.
 
-    The trapezoid rule converges exponentially while the base stays away
-    from zero; for r > 0.9 or m < 0 the circle is split at the base
-    minimum s = pi and each half integrated by tanh-sinh.
+    The kernel moment at k = 0, so "sup" and 1 share one cached integral.
     """
-    r = _radius(r)
-    breaks = (math.pi,) if (r > 0.9 or m < 0) else ()
-    return kernel_moment(m, 0, 0.0, 0.0, r, 0.0, 0.0, breaks, nodes)
+    return kernel_moment(m, 0, 0.0, 0.0, _radius(r), 0.0, 0.0, nodes)
 
 
-@_moment_cache
+@functools.lru_cache(maxsize=4096)
 def plain_moment_closed(m: float, r) -> float:
     """plain_moment / (2 pi) in closed form: F(-m, -m; 1; r^2), and at
     r = 1 or "sup" its limit Gamma(1 + 2m) / Gamma(1 + m)^2."""
@@ -171,17 +168,6 @@ def plain_moment_closed(m: float, r) -> float:
     if r == SUP or r == 1.0:
         return gauss_2f1_at_one(hyp)
     return gauss_2f1(hyp, r * r)
-
-
-@_moment_cache
-def oscillatory_moment(m, k, off, amp, r, x=0.0, y=0.0, nodes: int = DEFAULT_NODES) -> float:
-    """Integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m)
-    over the circle, split at the kinks x + pi/2, x + 3 pi/2 and, for
-    r > 0.9, at the base minimum y + pi."""
-    breaks = [x + 0.5 * math.pi, x + 1.5 * math.pi]
-    if r > 0.9:
-        breaks.append(y + math.pi)
-    return kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ FOUR_OVER_PI = 1.2732395447351626862
 
 
 def _clear_moment_caches():
-    for fn in (bnd.plain_moment, bnd.plain_moment_closed, bnd.oscillatory_moment):
+    for fn in (bnd.plain_moment_closed, kernel_moment):
         fn.cache_clear()
 
 
@@ -55,13 +55,13 @@ def _count_integrations(monkeypatch) -> dict:
     starting from empty moment caches."""
     _clear_moment_caches()
     counts = {"plain": 0, "oscillatory": 0}
+    engine = _quad._kernel_moment
 
     def counted(m, k, off, amp, r, x, y, breaks, nodes):
-        # an oscillatory moment always breaks at its two |cos| kinks
-        counts["oscillatory" if len(breaks) >= 2 else "plain"] += 1
-        return kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
+        counts["plain" if k == 0 else "oscillatory"] += 1
+        return engine(m, k, off, amp, r, x, y, breaks, nodes)
 
-    monkeypatch.setattr(bnd, "kernel_moment", counted)
+    monkeypatch.setattr(_quad, "_kernel_moment", counted)
     return counts
 
 
@@ -467,8 +467,8 @@ class TestMeansConstants:
     def test_sup_branch_continuity_at_threshold(self):
         # the alpha+beta = 2 threshold: the |cos| and |sin| moments of the
         # r = 1 base with exponent (alpha+beta)/2 = 1 give the same value
-        assert oscillatory_moment(1.0, 1.0, 0.0, 1.0, 1.0) == pytest.approx(
-            oscillatory_moment(1.0, 1.0, 0.0, 1.0, 1.0, x=0.5 * math.pi), abs=1e-9
+        assert oscillatory_moment(1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, DEFAULT_NODES) == pytest.approx(
+            oscillatory_moment(1.0, 1.0, 0.0, 1.0, 1.0, 0.5 * math.pi, 0.0, DEFAULT_NODES), abs=1e-9
         )
 
 
@@ -526,7 +526,7 @@ class TestFullReport:
         caches = [
             fn for mod in (_quad, bnd) for fn in vars(mod).values() if hasattr(fn, "cache_clear")
         ]
-        assert {fn.__name__ for fn in caches} >= {"_moment_rule", "plain_moment"}
+        assert {fn.__name__ for fn in caches} >= {"_moment_rule", "kernel_moment"}
         cases = [
             (make_params(*pair), HolderPair.from_p(p_exp))
             for pair in ((0.3, -0.2), (0.5, 0.5), (-0.3, -0.6))
@@ -557,8 +557,8 @@ class TestKernelMoments:
         # substituting s -> s + t turns the base shift y = t into the weight
         # shift x = -t, which lets one helper serve both lemma moments
         for t in np.linspace(0.0, 2.0 * math.pi, 13)[:-1]:
-            assert oscillatory_moment(m, k, off, 1.0, r, y=t) == pytest.approx(
-                oscillatory_moment(m, k, off, 1.0, r, x=-t), rel=1e-12, abs=1e-12
+            assert oscillatory_moment(m, k, off, 1.0, r, 0.0, t, DEFAULT_NODES) == pytest.approx(
+                oscillatory_moment(m, k, off, 1.0, r, -t, 0.0, DEFAULT_NODES), rel=1e-12, abs=1e-12
             )
 
     # the moments as integrands written out in s, through circle_integral:
@@ -623,6 +623,35 @@ class TestKernelMoments:
         args = (m, k, off, amp, r, x, y, 2048)
         assert self.cold_and_warm(oscillatory_moment, *args) == (expected, expected)
 
+    def test_oscillatory_moment_is_the_kernel_moment(self):
+        # one function, so one cache, for every moment of bounds and audit
+        assert oscillatory_moment is kernel_moment is bnd.oscillatory_moment
+        assert bnd.plain_moment.__module__ == bnd.__name__
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kernel_moment(0.5, 1.0, 0.0, 1.0, 0.6, 0.0, 0.0, nodes=64),
+            lambda: kernel_moment(0.5, 1.0, 0.0, 1.0, 0.6, 0.0, y=0.0, nodes=64),
+            lambda: kernel_moment(0.5, 1.0, 0.0, 1.0, 0.6),
+            lambda: kernel_moment(0.5, 1.0, 0.0, 1.0, 0.6, 0.0, 0.0),
+        ],
+    )
+    def test_keyword_or_missing_argument_raises(self, call):
+        # positional-only and without defaults: one moment, one cache key
+        _clear_moment_caches()
+        with pytest.raises(TypeError):
+            call()
+        assert kernel_moment.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("m", [-0.4, 0.37])
+    def test_sup_and_one_integrate_once(self, monkeypatch, m):
+        counts = _count_integrations(monkeypatch)
+        first = bnd.plain_moment(m, SUP, 2048)
+        assert bnd.plain_moment(m, 1.0, 2048) == first
+        assert bnd.plain_moment(m, 1, 2048) == first
+        assert counts == {"plain": 1, "oscillatory": 0}
+
     def test_moments_share_a_moment_table(self):
         # two moments at one phase, rule and radius place its table once;
         # a third at another radius places its own
@@ -644,7 +673,7 @@ class TestKernelMoments:
         _clear_moment_caches()
         with pytest.raises(DomainError, match="nodes"):
             bnd.plain_moment(0.3, r, nodes)
-        assert bnd.plain_moment.cache_info().currsize == 0
+        assert kernel_moment.cache_info().currsize == 0
 
     @pytest.mark.parametrize("nodes", [1, 0, -4096])
     def test_distortion_quadrature_below_one_node_raises(self, nodes):

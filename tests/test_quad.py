@@ -117,7 +117,10 @@ def test_non_finite_break_point_raises(bad):
     with pytest.raises(DomainError):
         circle_integral(lambda s: calls.append(s) or np.ones_like(s), breaks=(1.0, bad))
     with pytest.raises(DomainError):
-        kernel_moment(1.0, 0, 0.0, 0.0, 0.5, 0.0, 0.0, (bad,))
+        _quad._kernel_moment(1.0, 0, 0.0, 0.0, 0.5, 0.0, 0.0, (bad,), DEFAULT_NODES)
+    # a break point kernel_moment places at a non-finite phase
+    with pytest.raises(DomainError):
+        kernel_moment(1.0, 1, 0.0, 1.0, 0.5, bad, 0.0, 64)
     assert calls == []
 
 
@@ -163,12 +166,38 @@ def test_moment_rule_holds_the_written_out_cosine_and_log_base(breaks, nodes, r)
     assert np.array_equal(log_base, np.log((1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * (s + 0.4)) ** 2))
 
 
+@pytest.mark.parametrize("r", [0.0, 0.6, 0.9, 0.95, 1.0])
+@pytest.mark.parametrize("m", [-0.3, 0.0, 2.5])
+@pytest.mark.parametrize("k", [0, 1, 1.7])
+def test_kernel_moment_places_its_breaks_by_one_rule(monkeypatch, k, m, r):
+    # the |cos| kinks where k != 0, the base minimum where r > 0.9, and at
+    # k = 0, m < 0 the base minimum too
+    x, y, nodes = 0.7, -0.4, 512
+    seen = []
+    engine = _quad._kernel_moment
+
+    def recorded(*args):
+        seen.append(args[7])
+        return engine(*args)
+
+    monkeypatch.setattr(_quad, "_kernel_moment", recorded)
+    kernel_moment.cache_clear()
+    got = kernel_moment(m, k, 0.2, 1.5, r, x, y, nodes)
+    breaks = (x + HALF_PI, x + 3.0 * HALF_PI) if k != 0 else ()
+    if r > 0.9 or (k == 0 and m < 0):
+        breaks += (y + math.pi,)
+    assert seen == [breaks]
+    assert got == engine(m, k, 0.2, 1.5, r, x, y, breaks, nodes)
+    # a second call is a cache hit
+    assert kernel_moment(m, k, 0.2, 1.5, r, x, y, nodes) == got and len(seen) == 1
+
+
 def test_moment_table_is_bounded():
     # phases on the trapezoid grid, break points of split rules and radii
     for k in range(128):
-        kernel_moment(1.0, 1, 0.0, 1.0, 0.5, k / 64.0, 0.0, (), 64)
-        kernel_moment(1.0, 1, 0.0, 1.0, 0.5, 0.0, 0.0, (k / 64.0,), 512)
-        kernel_moment(1.0, 1, 0.0, 1.0, k / 128.0, 0.0, 0.0, (), 64)
+        _quad._kernel_moment(1.0, 1, 0.0, 1.0, 0.5, k / 64.0, 0.0, (), 64)
+        _quad._kernel_moment(1.0, 1, 0.0, 1.0, 0.5, 0.0, 0.0, (k / 64.0,), 512)
+        _quad._kernel_moment(1.0, 1, 0.0, 1.0, k / 128.0, 0.0, 0.0, (), 64)
     info = _quad._moment_rule.cache_info()
     assert info.maxsize == info.currsize == 64
 
@@ -214,7 +243,7 @@ def test_break_sets_that_split_alike_give_equal_bits(nodes):
     alike = [(math.pi,), (-math.pi,), (3.0 * math.pi,), (math.pi, 2.0 * math.pi)]
     _quad._moment_rule.cache_clear()
     circles = {circle_integral(integrand, breaks, nodes) for breaks in alike}
-    bases = {kernel_moment(-0.3, 1, 0.2, 1.0, 0.95, x, y, breaks, nodes) for breaks in alike}
+    bases = {_quad._kernel_moment(-0.3, 1, 0.2, 1.0, 0.95, x, y, breaks, nodes) for breaks in alike}
     assert len(circles) == len(bases) == 1
     assert _quad._moment_rule.cache_info().currsize == 4
 
@@ -243,7 +272,7 @@ def test_kernel_moment_gives_piecewise_bits(breaks, r, nodes):
     for k in (0, 1, 1.7):
         before = _quad._moment_rule.cache_info()
         expected = piecewise_formula(exp_form(m, k, 0.2, 1.5, r, x, y), breaks, nodes)
-        assert kernel_moment(m, k, 0.2, 1.5, r, x, y, breaks, nodes) == expected
+        assert _quad._kernel_moment(m, k, 0.2, 1.5, r, x, y, breaks, nodes) == expected
         after = _quad._moment_rule.cache_info()
         assert (after.hits + after.misses) - (before.hits + before.misses) == 1
 
@@ -272,19 +301,18 @@ def test_kernel_moment_matches_the_power_integrand(r, k, nodes):
             return (off + amp * np.abs(np.cos(s - x))) ** k * base_plus(r, s - y) ** m
 
         expected = circle_integral(power_form, breaks, nodes)
-        got = kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
+        got = _quad._kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
         assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (m, x, y, off, amp)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.6, 0.9])
 def test_plain_kernel_moment_matches_the_hypergeometric_mean(r):
-    # 2 pi F(-m, -m; 1; r^2) from mpmath; m < 0 splits the circle at pi
-    # as plain_moment does, which costs the tanh-sinh rule about 6e-14
+    # 2 pi F(-m, -m; 1; r^2) from mpmath; m < 0 splits the circle at pi,
+    # which costs the tanh-sinh rule about 6e-14
     rng = np.random.default_rng([27, int(10 * r)])
     for m in rng.uniform(-0.49, 10.0, 12):
-        breaks = (math.pi,) if m < 0 else ()
         expected = 2.0 * math.pi * float(mpmath.hyp2f1(-m, -m, 1, r * r))
-        got = kernel_moment(m, 0, 0.0, 0.0, r, 0.0, 0.0, breaks, DEFAULT_NODES)
+        got = kernel_moment(m, 0, 0.0, 0.0, r, 0.0, 0.0, DEFAULT_NODES)
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0), m
 
 
@@ -295,7 +323,7 @@ def test_node_count_below_one_raises(breaks, nodes):
     with pytest.raises(DomainError, match="nodes"):
         circle_integral(lambda s: calls.append(s) or np.ones_like(s), breaks, nodes)
     with pytest.raises(DomainError, match="nodes"):
-        kernel_moment(1.0, 0, 0.0, 0.0, 0.5, 0.0, 0.0, breaks, nodes)
+        _quad._kernel_moment(1.0, 0, 0.0, 0.0, 0.5, 0.0, 0.0, breaks, nodes)
     assert calls == []
 
 
@@ -364,9 +392,8 @@ def test_p_mean_rows_keep_their_bits(p, shape):
 CACHES = {
     "_quad._tanh_sinh_rule",
     "_quad._moment_rule",
-    "bounds.plain_moment",
+    "_quad.kernel_moment",
     "bounds.plain_moment_closed",
-    "bounds.oscillatory_moment",
     "harmonic._kernel_table",
     "cli._parser",
 }
