@@ -222,12 +222,11 @@ def kernel_moment(m, k, off, amp, r, x, y, nodes, /) -> float:
     over the circle, once per process for each distinct moment.
 
     The circle breaks at the |cos| kinks x + pi/2 and x + 3 pi/2 where
-    k != 0, and at the base minimum y + pi where r > 0.9 (a plain moment,
-    k = 0, also where m < 0); with no break the trapezoid grid serves.
-    Positional-only, so one moment has one cache key.
+    k != 0, and at the base minimum y + pi where r > 0.9; with no break
+    the trapezoid grid serves.  Positional-only: one moment, one cache key.
     """
     breaks = (x + 0.5 * math.pi, x + 1.5 * math.pi) if k != 0 else ()
-    if r > 0.9 or (k == 0 and m < 0):
+    if r > 0.9:
         breaks += (y + math.pi,)
     return _kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
 

@@ -569,7 +569,7 @@ class TestKernelMoments:
         return np.log((1.0 - r) ** 2 + 4.0 * r * np.cos(0.5 * s) ** 2)
 
     def closure_plain(self, m, r, nodes):
-        breaks = (math.pi,) if (r > 0.9 or m < 0) else ()
+        breaks = (math.pi,) if r > 0.9 else ()
         return circle_integral(lambda s: np.exp(m * self.log_base(r, s)), breaks, nodes)
 
     def closure_oscillatory(self, m, k, off, amp, r, x, y, nodes):
@@ -595,7 +595,8 @@ class TestKernelMoments:
     @pytest.mark.parametrize("r", [0.0, 0.6, 0.95, 1.0])
     @pytest.mark.parametrize("m", [-0.4, 0.37, 2.5])
     def test_plain_moment_gives_closure_bits(self, m, r, nodes):
-        # r <= 0.9 with m >= 0 takes the trapezoid rule, the rest the split circle
+        # r <= 0.9 takes the trapezoid rule, whatever the sign of m; r > 0.9
+        # the circle split at pi
         expected = self.closure_plain(m, r, nodes)
         assert math.isfinite(expected)
         assert self.cold_and_warm(bnd.plain_moment, m, r, nodes) == (expected, expected)
@@ -664,6 +665,16 @@ class TestKernelMoments:
         oscillatory_moment(2.5, 1.0, 0.2, 1.0, 0.5, 0.7, 0.0, 2048)
         info = _quad._moment_rule.cache_info()
         assert (info.misses, info.hits) == (2, 1)
+
+    @pytest.mark.parametrize("nodes", [2048, DEFAULT_NODES])
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.6, 0.8, 0.9])
+    @pytest.mark.parametrize("m", [-0.05, -0.25, -0.5, -1.0, -1.5, -2.35, -3.2])
+    def test_plain_moment_at_negative_exponent_matches_mpmath(self, m, r, nodes):
+        # the base stays >= (1 - r)^2 > 0, so the trapezoid grid serves and
+        # is exact to rounding; split at pi, tanh-sinh was 6.1e-14 off
+        with mp.workdps(40):
+            expected = float(2 * mp.pi * mp.hyp2f1(-m, -m, 1, mp.mpf(r) ** 2))
+        assert bnd.plain_moment(m, r, nodes) == pytest.approx(expected, rel=2e-15, abs=0.0)
 
     @pytest.mark.parametrize("nodes", [0, -4, -4096])
     @pytest.mark.parametrize("r", [0.5, 0.95])

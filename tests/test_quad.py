@@ -170,8 +170,8 @@ def test_moment_rule_holds_the_written_out_cosine_and_log_base(breaks, nodes, r)
 @pytest.mark.parametrize("m", [-0.3, 0.0, 2.5])
 @pytest.mark.parametrize("k", [0, 1, 1.7])
 def test_kernel_moment_places_its_breaks_by_one_rule(monkeypatch, k, m, r):
-    # the |cos| kinks where k != 0, the base minimum where r > 0.9, and at
-    # k = 0, m < 0 the base minimum too
+    # the |cos| kinks where k != 0 and the base minimum where r > 0.9,
+    # whatever the sign of m
     x, y, nodes = 0.7, -0.4, 512
     seen = []
     engine = _quad._kernel_moment
@@ -184,7 +184,7 @@ def test_kernel_moment_places_its_breaks_by_one_rule(monkeypatch, k, m, r):
     kernel_moment.cache_clear()
     got = kernel_moment(m, k, 0.2, 1.5, r, x, y, nodes)
     breaks = (x + HALF_PI, x + 3.0 * HALF_PI) if k != 0 else ()
-    if r > 0.9 or (k == 0 and m < 0):
+    if r > 0.9:
         breaks += (y + math.pi,)
     assert seen == [breaks]
     assert got == engine(m, k, 0.2, 1.5, r, x, y, breaks, nodes)
@@ -307,8 +307,7 @@ def test_kernel_moment_matches_the_power_integrand(r, k, nodes):
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.6, 0.9])
 def test_plain_kernel_moment_matches_the_hypergeometric_mean(r):
-    # 2 pi F(-m, -m; 1; r^2) from mpmath; m < 0 splits the circle at pi,
-    # which costs the tanh-sinh rule about 6e-14
+    # 2 pi F(-m, -m; 1; r^2) from mpmath, on the trapezoid grid
     rng = np.random.default_rng([27, int(10 * r)])
     for m in rng.uniform(-0.49, 10.0, 12):
         expected = 2.0 * math.pi * float(mpmath.hyp2f1(-m, -m, 1, r * r))
