@@ -122,14 +122,18 @@ class AuditResult:
         return self.cases_violated == 0
 
     def to_dict(self) -> dict:
+        """The result as JSON; one without cases says it did not apply
+        ("passed": null, "applicable": false) rather than that it passed."""
         out = {
             "name": self.name,
             "cases_total": self.cases_total,
             "cases_violated": self.cases_violated,
             "worst_margin": self.worst_margin,
             "tolerance": self.tolerance,
-            "passed": self.passed,
+            "passed": self.passed if self.cases_total else None,
         }
+        if not self.cases_total:
+            out["applicable"] = False
         if self.seed is not None:
             out["seed"] = self.seed
         if self.notes:
@@ -174,6 +178,7 @@ def _collect(name, records, tolerance, notes=None, extras=None) -> AuditResult:
 
 
 def merge_results(name: str, results) -> AuditResult:
+    """One result holding every case of results, each distinct note once."""
     results = list(results)
     tol = max((r.tolerance for r in results), default=0.0)
     out = AuditResult(
@@ -184,7 +189,7 @@ def merge_results(name: str, results) -> AuditResult:
         tol,
     )
     for r in results:
-        out.notes.extend(r.notes)
+        out.notes.extend(note for note in r.notes if note not in out.notes)
         out.details.extend(r.details)
         for k, v in r.extras.items():
             # a NaN extra wins whatever its place: it is never a pass
@@ -706,10 +711,11 @@ def run_suite(
             continue
         try:
             cases = [check(params, f, hp, nodes=nodes) for f in boundaries]
-        except ParameterError:
-            if result == "distortion":  # bounds leaves its constant undefined here
-                continue
-            raise
+        except ParameterError as exc:
+            if result != "distortion":
+                raise
+            # bounds leaves its constant undefined here: no case applies
+            cases = [_collect(result, [], DERIVATIVE_TOL, notes=[str(exc)])]
         if result == "integral_means":
             cases.append(check(params, from_fourier({0: 1.0}), hp, nodes=nodes))
         results.append(merge_results(result, cases))

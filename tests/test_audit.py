@@ -695,6 +695,26 @@ class TestSuites:
         doc = res.to_dict()
         assert doc["passed"] is True
         assert doc["cases_total"] == res.cases_total
+        assert "applicable" not in doc
+
+    def test_zero_case_result_is_not_applicable(self):
+        # no case is no pass: null, not true, though it counts no violation
+        res = audit._collect("lemma", [], 1e-12, notes=["no regime"])
+        doc = res.to_dict()
+        assert doc["passed"] is None and doc["applicable"] is False
+        assert list(doc)[:7] == [
+            "name", "cases_total", "cases_violated", "worst_margin", "tolerance", "passed", "applicable",
+        ]
+        assert res.cases_violated == 0
+
+    def test_merge_keeps_each_note_once(self):
+        parts = [
+            audit._collect("x", [], 1e-8, notes=["a", "b"]),
+            audit._collect("x", [("c", 0.5, 0.1)], 1e-8, notes=["b", "c", "a"]),
+            audit._collect("x", [], 1e-8, notes=["b"]),
+        ]
+        merged = merge_results("x", parts)
+        assert merged.notes == ["a", "b", "c"] and merged.cases_total == 1
 
 
 class TestNonFiniteMargins:

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from abharmonic import audit, cli
 from abharmonic._quad import circle_nodes
 from abharmonic.boundary import load
+from abharmonic.bounds import HolderPair, distortion_constant
 from abharmonic.cli import main
+from abharmonic.errors import ParameterError
 from abharmonic.harmonic import poisson_extension
 from abharmonic.kernel import make_params
 
@@ -234,15 +236,40 @@ class TestAudit:
 
     @pytest.mark.parametrize("beta", ["-0.8", "-1.5"])
     @pytest.mark.parametrize("suite", ["all", "distortion"])
-    def test_undefined_distortion_constant_skips_distortion(self, tmp_path, suite, beta):
+    def test_undefined_distortion_constant_is_not_applicable(self, tmp_path, suite, beta):
         # at p = 2 the distortion moment diverges for beta = -0.8, and the
-        # estimate needs beta > -1; bounds says so and the audit skips it
+        # estimate needs beta > -1; the audit reports distortion with no
+        # case and bounds' reason, as not applicable, and exits 0
+        with pytest.raises(ParameterError) as refusal:
+            distortion_constant(make_params(1.0, float(beta)), HolderPair.from_p(2.0), 0.3, 256)
         out = tmp_path / "audit.json"
         args = ["audit", "--suite", suite, "--alpha", "1", f"--beta={beta}", "--p", "2"]
         assert main(args + ["--nodes", "256", "--out", str(out)]) == 0
-        names = [r["name"] for r in json.loads(out.read_text())["results"]]
-        assert "distortion" not in names
+        doc = json.loads(out.read_text())
+        names = [r["name"] for r in doc["results"]]
+        (distortion,) = [r for r in doc["results"] if r["name"] == "distortion"]
+        assert distortion["cases_total"] == distortion["cases_violated"] == 0
+        assert distortion["passed"] is None and distortion["applicable"] is False
+        assert distortion["notes"] == [str(refusal.value)] and distortion["margins"] == []
         assert ("partials" in names) == (suite == "all")
+        # every result with cases keeps its fields: no "applicable" key
+        for res in doc["results"]:
+            assert ("applicable" in res) == (res["cases_total"] == 0), res["name"]
+        assert doc["violations"] == 0
+
+    def test_ratio_lemma_without_regime_is_not_applicable(self, tmp_path):
+        # no stated F-ratio regime applies at (0.3, -0.2): the merged result
+        # of k = 2, 3 and 5 has no case and gives its reason once
+        out = tmp_path / "audit.json"
+        args = ["audit", "--suite", "lemmas", "--alpha", "0.3", "--beta=-0.2", "--p", "inf"]
+        assert main(args + ["--out", str(out)]) == 0
+        ratio, oscillatory = json.loads(out.read_text())["results"]
+        assert ratio["name"] == "hypergeometric_ratio_lemma"
+        assert ratio["cases_total"] == 0
+        assert ratio["passed"] is None and ratio["applicable"] is False
+        assert ratio["notes"] == ["no stated F-ratio regime applies at (0.3, -0.2)"]
+        assert oscillatory["cases_total"] > 0 and oscillatory["passed"] is True
+        assert "applicable" not in oscillatory
 
     def test_nan_margin_written_as_null(self, tmp_path, monkeypatch):
         def planted(*args, check=audit.check_growth, **kwargs):
