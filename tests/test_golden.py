@@ -74,8 +74,8 @@ SOLVE_GRIDS = ("4x64", "8x32", "4x60")
 EVAL_POINTS = (0.3 - 0.2j, 0.5 + 0.4j, -0.6 + 0.1j)
 MEANS_RADII = (0.3, 0.7)
 MEANS_EXPONENTS = (1.0, 2.0, math.inf)
-# (alpha, beta, p, suite names); at (1, -1.5) distortion is skipped and
-# the ratio lemma has no case
+# (alpha, beta, p, suite names); at (1, -1.5) neither distortion nor the
+# ratio lemma applies: each is a result with no case
 SUITE_POINTS = ((0.3, -0.2, math.inf, audit.SUITE_NAMES), (1.0, -1.5, 2.0, ("all", "distortion")))
 
 SERIES_PAIRS = ((0.0, 0.0), (0.5, 0.5), (-0.5, 1.0), (0.3, -0.2), (2.7, -1.4), (-0.3, -0.6))
