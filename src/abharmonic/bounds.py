@@ -187,16 +187,27 @@ def heinz_functional(params: AlphaBeta, c0: complex, c1: complex, cm1: complex) 
 
 def _ratio_infimum(num_hyp, den_hyp) -> float:
     """inf over r in (0,1) of F(num; r^2)/F(den; r^2) on a grid clustered
-    near r = 1, with the exact r -> 1 endpoint included."""
+    near r = 1, with the exact r -> 1 endpoint included.
+
+    Where a factor is <= 0 at a grid point the ratio has a pole or turns
+    negative in (0, 1) and its minimum bounds nothing: ParameterError
+    names the factor and the first such x.
+    """
     best = gauss_2f1_at_one(num_hyp) / gauss_2f1_at_one(den_hyp)
     # log-spaced approach to the endpoint plus a coarse sweep of the interior
     xs = np.concatenate(
         [np.linspace(1e-4, 0.98, SUP_GRID_SIZE - 128), 1.0 - np.logspace(-1.7, -6, 128)]
     )
     for x in xs:
-        v = gauss_2f1(num_hyp, x) / gauss_2f1(den_hyp, x)
-        if v < best:
-            best = v
+        num, den = gauss_2f1(num_hyp, x), gauss_2f1(den_hyp, x)
+        for part, h, f in (("numerator", num_hyp, num), ("denominator", den_hyp, den)):
+            if not f > 0.0:
+                raise ParameterError(
+                    f"conjectured bound undefined: its {part} F({h.a:.6g}, {h.b:.6g}; {h.c:.6g}; x) "
+                    f"is {f:.6g} <= 0 at grid x = {x:.6g}"
+                )
+        if num / den < best:
+            best = num / den
     return float(best)
 
 

@@ -156,6 +156,39 @@ class TestCoefficientBounds:
         )
         assert val <= lead * scan + 1e-9
 
+    @staticmethod
+    def first_nonpositive(hyp):
+        # the first x of _ratio_infimum's grid where F(hyp; x) <= 0
+        from abharmonic.specfun import gauss_2f1
+
+        xs = np.concatenate(
+            [np.linspace(1e-4, 0.98, bnd.SUP_GRID_SIZE - 128), 1.0 - np.logspace(-1.7, -6, 128)]
+        )
+        return next(x for x in xs if not gauss_2f1(hyp, x) > 0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["conjecture_ck", "conjecture_cmk"])
+    def test_conjecture_refused_where_a_factor_changes_sign(self, kind, k):
+        # at (2.7, -1.4) F(mode 1; x) is <= 0 from x of about 0.594 on, so
+        # the ratio's grid minimum (-201.7 for conjecture_ck at k = 2) is no
+        # bound: the numerator and its first such x are named instead
+        from abharmonic.kernel import _mode_hyp
+
+        params = make_params(2.7, -1.4)
+        x = self.first_nonpositive(_mode_hyp(params, 1))
+        assert 0.59 < x < 0.6
+        with pytest.raises(ParameterError, match=rf"numerator F\(-2.7, 2.4; 2; x\) .* x = {x:.6g}$"):
+            coefficient_bound(params, kind, k)
+
+    def test_ratio_infimum_names_a_denominator_that_changes_sign(self):
+        from abharmonic.kernel import _mode_hyp
+
+        num, den = _mode_hyp(P00, 1), _mode_hyp(make_params(2.7, -1.4), 2)
+        x = self.first_nonpositive(den)
+        assert 0.6 < x < 0.7
+        with pytest.raises(ParameterError, match=rf"denominator F\(-2.7, 3.4; 3; x\) .* x = {x:.6g}$"):
+            bnd._ratio_infimum(num, den)
+
     # 1 + alpha + beta is an integer here, so gauss_2f1 falls back to the
     # direct series, which does not converge on the grid's x ~ 0.999
     @pytest.mark.xfail(
