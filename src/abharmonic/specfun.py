@@ -9,7 +9,10 @@ arguments on (-1, 1):
 * direct term recurrence for |x| <= 0.8,
 * the Pfaff map x -> x/(x-1) for x < -0.8,
 * the connection formula toward argument 1-x for 0.8 < x < 1 when
-  c - a - b > 0 and safely away from the integer-degenerate case,
+  c - a - b > 0 and safely away from the integer-degenerate case; where
+  its two terms cancel by more than a factor _CANCELLATION, as they do
+  for large b and c (the series modes of high order), the direct series
+  instead if it converges within MAX_TERMS terms and cancels less,
 * for 0.8 < x < 1 when c - a - b < 0 away from integers, the direct
   series where it converges within MAX_TERMS terms, and otherwise Euler's
   transformation F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x)
@@ -36,6 +39,7 @@ SERIES_RTOL = 1e-16
 MAX_TERMS = 10_000
 _DIRECT_CUTOFF = 0.8
 _DEGENERATE_GAP = 1e-3
+_CANCELLATION = 64.0
 
 
 def _nonpositive_int(x: float, tol: float = INTEGER_TOL):
@@ -141,6 +145,20 @@ def _series(a: float, b: float, c: float, x: float) -> float:
     )
 
 
+def _series_sized(a: float, b: float, c: float, x: float):
+    # (_series, the sum of its terms' moduli), which exceeds the modulus of
+    # the sum by the factor the summation cancels; None where MAX_TERMS
+    # terms do not converge
+    term = total = size = 1.0
+    for n in range(MAX_TERMS):
+        term *= (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
+        total += term
+        size += abs(term)
+        if abs(term) <= SERIES_RTOL * abs(total):
+            return total, size
+    return None
+
+
 def _terminating(a: float, b: float, c: float, x: float, n_terms: int) -> float:
     term = 1.0
     total = 1.0
@@ -192,11 +210,19 @@ def gauss_2f1(p, x: float) -> float:
     y = 1.0 - x
     coef1 = gauss_2f1_at_one(p)
     coef2 = gamma(c) * gamma(-cab) * reciprocal_gamma(a) * reciprocal_gamma(b)
-    total = 0.0
+    total = size = 0.0
     if coef1 != 0.0:
-        total += coef1 * _series(a, b, a + b - c + 1.0, y)
+        t = coef1 * _series(a, b, a + b - c + 1.0, y)
+        total, size = total + t, size + abs(t)
     if coef2 != 0.0:
-        total += coef2 * y**cab * _series(c - a, c - b, cab + 1.0, y)
+        t = coef2 * y**cab * _series(c - a, c - b, cab + 1.0, y)
+        total, size = total + t, size + abs(t)
+    if size > _CANCELLATION * abs(total):
+        # the two terms cancel, as they do for large b and c (series modes of
+        # high order): take the direct series where it converges and cancels less
+        direct = _series_sized(a, b, c, x)
+        if direct is not None and direct[1] * abs(total) < size * abs(direct[0]):
+            return direct[0]
     return total
 
 

@@ -223,6 +223,23 @@ class TestGauss2F1:
         # the draw must reach the transformed regime, or the test checks nothing
         assert euler >= 30
 
+    @pytest.mark.parametrize("x", [0.81, 0.9, 0.95])
+    @pytest.mark.parametrize("pair", [(0.0, 0.0), (0.5, 0.5), (-0.5, 1.0), (0.3, -0.2), (0.0, 1.0)])
+    def test_series_modes_of_high_order_against_mpmath(self, pair, x):
+        # F(mode k; x) = F(-a, |k| - b; |k| + 1; x): for large |k| the two
+        # connection terms cancel (at (0.3, -0.2), k = -169, x = 0.81 the
+        # connection formula alone returned -2264 for 1.385), and the direct
+        # series, whose terms there keep one sign after the first few, is taken
+        mp = pytest.importorskip("mpmath")
+        from abharmonic.kernel import _mode_hyp, make_params
+
+        params = make_params(*pair)
+        for k in (20, 45, 90, 169, -20, -45, -90, -169):
+            hyp = _mode_hyp(params, k)
+            with mp.workdps(40):
+                expected = float(mp.hyp2f1(hyp.a, hyp.b, hyp.c, x))
+            assert gauss_2f1(hyp, x) == pytest.approx(expected, rel=1e-12), k
+
     def test_convergence_error_attributes(self):
         # c - a - b = 2 is an integer, so only the direct series applies
         with pytest.raises(ConvergenceError) as info:
