@@ -1,5 +1,6 @@
 import cmath
 import functools
+import json
 import math
 import tracemalloc
 import warnings
@@ -346,6 +347,71 @@ class TestCoefficientsFromBoundary:
             err = np.abs(snap.circle_values(thetas) - f.evaluate(thetas)).max()
             errs.append(err)
         assert errs[0] > errs[1] > errs[2]
+
+
+class TestModeFactorIdentity:
+    # the extension of a Fourier document is u = sum_k f_k M_k(r) e^{ik theta}
+    # with the mode factor M_k(r) = r^|k| F(mode k; r^2) / F(mode k; 1): solve's
+    # rings (ring path), the expansion and its snapshots (series route) against
+    # that one sum, at a mode of every order up to 170 on 1,024 nodes.
+    # F(mode k; 1) holds Gamma(|k| + 1 + weight), which overflows a float past
+    # 171.6 (ROADMAP item 8), so a pair with a weight of 1 stops at order 169
+    NODES = 1024
+    # 3 rings of --rmax 1.2 lie at (i + 1) / 4 * 1.2: 0.3, 0.6 and 0.9
+    RADII = [(i + 1) / 4 * 1.2 for i in range(3)]
+    # against max |u| of the ring; the worst measured was 1.7e-14 (solve at
+    # (0.3, -0.2), r = 0.9)
+    TOL = 1e-12
+
+    @staticmethod
+    def document(pair):
+        order = 169 if 1.0 in pair else 170
+        ks = np.arange(-order, order + 1)
+        rng = np.random.default_rng(14)
+        return ks, np.exp(2j * math.pi * rng.uniform(size=ks.size))
+
+    @staticmethod
+    def mode_sum(params, ks, fhat, r, n_theta):
+        # at theta_j = 2 pi j / n_theta, each turn e^{ik theta_j} from the exact
+        # residue k j mod n_theta
+        factors = np.array(
+            [
+                r ** abs(k) * gauss_2f1(harmonic._mode_hyp(params, k), r * r)
+                / harmonic.gauss_2f1_at_one(harmonic._mode_hyp(params, k))
+                for k in ks.tolist()
+            ]
+        )
+        turns = np.exp(2j * math.pi * (np.outer(np.arange(n_theta), ks) % n_theta) / n_theta)
+        return turns @ (fhat * factors)
+
+    @pytest.mark.parametrize("pair", STANDARD_PAIRS)
+    def test_solve_expansion_and_snapshots_sum_the_mode_factors(self, tmp_path, pair):
+        from abharmonic.cli import main
+
+        params = make_params(*pair)
+        ks, fhat = self.document(pair)
+        doc = tmp_path / "fourier.json"
+        doc.write_text(json.dumps({"fourier": {str(k): [c.real, c.imag] for k, c in zip(ks.tolist(), fhat)}}))
+        coeffs = coefficients_from_boundary(params, from_fourier(dict(zip(ks.tolist(), fhat))))
+        # 512 angles divide the nodes, 360 do not: each ring folds onto its bins
+        for n_theta in (512, 360):
+            out = tmp_path / "grid.csv"
+            argv = ["solve", str(doc), "--alpha", repr(pair[0]), "--beta", repr(pair[1])]
+            argv += ["--nodes", str(self.NODES), "--grid", f"3x{n_theta}", "--rmax", "1.2", "--out", str(out)]
+            assert main(argv) == 0
+            rows = np.loadtxt(out, delimiter=",", skiprows=1)
+            rings = (rows[:, 2] + 1j * rows[:, 3]).reshape(len(self.RADII), n_theta)
+            theta = circle_nodes(n_theta)
+            for r, ring in zip(self.RADII, rings):
+                want = self.mode_sum(params, ks, fhat, r, n_theta)
+                scale = self.TOL * np.max(np.abs(want))
+                assert np.max(np.abs(ring - want)) <= scale, ("solve", r, n_theta)
+                snap = snapshot(params, coeffs, r).circle_values(theta)
+                assert np.max(np.abs(snap - want)) <= scale, ("snapshot", r, n_theta)
+                # the expansion point by point, at every 45th angle
+                js = range(0, n_theta, 45)
+                series = [evaluate_expansion(params, coeffs, r * np.exp(1j * theta[j])) for j in js]
+                assert np.max(np.abs(np.array(series) - want[js])) <= scale, ("expansion", r, n_theta)
 
 
 class TestSnapshot:
