@@ -60,7 +60,7 @@ from ._quad import DEFAULT_NODES, circle_nodes
 from .audit import DEFAULT_SEED, SUITE_NAMES, merge_results, run_suite
 from .bounds import HolderPair, full_report
 from .errors import BoundaryFileError, ConvergenceError, DomainError, ParameterError
-from .harmonic import _check_order, check_nodes, coefficients_from_boundary, poisson_extension
+from .harmonic import check_nodes, coefficients_from_boundary, poisson_extension
 from .kernel import make_params
 
 EXIT_OK = 0
@@ -264,10 +264,10 @@ def cmd_solve(args) -> int:
     params = make_params(args.alpha, args.beta)
     f = boundary.load(args.boundary)
     try:
-        _check_order(f, args.nodes)
+        # argparse has checked --nodes, so only the Fourier order can fail here
+        u = poisson_extension(params, f, args.nodes)
     except DomainError as exc:  # a file the nodes cannot serve: exit 3, not 2
         raise BoundaryFileError(str(exc)) from exc
-    u = poisson_extension(params, f, args.nodes)
     nr, nt = args.grid
     radii = [(i + 1) / (nr + 1) * args.rmax for i in range(nr)]
     # every ring before any point: a bad radius raises before a file is opened
