@@ -206,8 +206,9 @@ def _ratio_infimum(num_hyp, den_hyp) -> float:
                     f"conjectured bound undefined: its {part} F({h.a:.6g}, {h.b:.6g}; {h.c:.6g}; x) "
                     f"is {f:.6g} <= 0 at grid x = {x:.6g}"
                 )
-        if num / den < best:
-            best = num / den
+        v = num / den
+        if v < best:
+            best = v
     return float(best)
 
 
