@@ -12,7 +12,8 @@ arguments on (-1, 1):
   c - a - b > 0 and safely away from the integer-degenerate case; where
   its two terms cancel by more than a factor _CANCELLATION, as they do
   for large b and c (the series modes of high order), the direct series
-  instead if it converges within MAX_TERMS terms and cancels less,
+  instead if it converges within MAX_TERMS terms and does not cancel more
+  than _DIRECT_CANCELLATION times as much,
 * for 0.8 < x < 1 when c - a - b < 0 away from integers, the direct
   series where it converges within MAX_TERMS terms, and otherwise Euler's
   transformation F(a,b;c;x) = (1-x)^(c-a-b) F(c-a, c-b; c; x)
@@ -40,6 +41,13 @@ MAX_TERMS = 10_000
 _DIRECT_CUTOFF = 0.8
 _DEGENERATE_GAP = 1e-3
 _CANCELLATION = 64.0
+# where the connection terms cancel, the direct series is taken unless it
+# cancels more than this many times as much: a unit of the connection
+# formula's cancellation factor costs more error than one of the direct
+# series', since its coefficients are products of Gamma values (a median
+# 14 ulps against 2.3, 90th percentiles 157 against 8.4, over 1,312
+# cancelling cases checked against mpmath)
+_DIRECT_CANCELLATION = 64.0
 
 
 def _nonpositive_int(x: float, tol: float = INTEGER_TOL):
@@ -130,25 +138,9 @@ def _coerce(p) -> HypParams:
     return HypParams(float(a), float(b), float(c))
 
 
-def _series(a: float, b: float, c: float, x: float) -> float:
-    term = 1.0
-    total = 1.0
-    for n in range(MAX_TERMS):
-        term *= (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
-            return total
-    raise ConvergenceError(
-        f"hypergeometric series did not converge for ({a}, {b}; {c}; {x}) "
-        f"within {MAX_TERMS} terms",
-        params=(a, b, c, x), terms=MAX_TERMS, last_term=term,
-    )
-
-
-def _series_sized(a: float, b: float, c: float, x: float):
-    # (_series, the sum of its terms' moduli), which exceeds the modulus of
-    # the sum by the factor the summation cancels; None where MAX_TERMS
-    # terms do not converge
+def _series(a: float, b: float, c: float, x: float) -> tuple[float, float]:
+    # (the sum, the sum of its terms' moduli): the second exceeds the
+    # modulus of the first by the factor the summation cancels
     term = total = size = 1.0
     for n in range(MAX_TERMS):
         term *= (a + n) * (b + n) * x / ((c + n) * (n + 1.0))
@@ -156,7 +148,11 @@ def _series_sized(a: float, b: float, c: float, x: float):
         size += abs(term)
         if abs(term) <= SERIES_RTOL * abs(total):
             return total, size
-    return None
+    raise ConvergenceError(
+        f"hypergeometric series did not converge for ({a}, {b}; {c}; {x}) "
+        f"within {MAX_TERMS} terms",
+        params=(a, b, c, x), terms=MAX_TERMS, last_term=term,
+    )
 
 
 def _terminating(a: float, b: float, c: float, x: float, n_terms: int) -> float:
@@ -185,7 +181,7 @@ def gauss_2f1(p, x: float) -> float:
         return _terminating(a, b, c, x, n_terms)
 
     if abs(x) <= _DIRECT_CUTOFF:
-        return _series(a, b, c, x)
+        return _series(a, b, c, x)[0]
 
     if x < 0.0:
         # Pfaff: F(a,b;c;x) = (1-x)^(-a) F(a, c-b; c; x/(x-1)), and the
@@ -197,13 +193,13 @@ def gauss_2f1(p, x: float) -> float:
         # Near-integer c-a-b: connection coefficients are singular, so fall
         # back to the direct series, which converges for x < 1 and fails
         # loudly via ConvergenceError only as x -> 1.
-        return _series(a, b, c, x)
+        return _series(a, b, c, x)[0]
 
     if cab < 0.0:
         # The direct series, where it converges within its budget; otherwise
         # Euler: the new triple has c - a - b = -cab > 0, away from integers
         try:
-            return _series(a, b, c, x)
+            return _series(a, b, c, x)[0]
         except ConvergenceError:
             return (1.0 - x) ** cab * gauss_2f1(HypParams(c - a, c - b, c), x)
 
@@ -212,17 +208,21 @@ def gauss_2f1(p, x: float) -> float:
     coef2 = gamma(c) * gamma(-cab) * reciprocal_gamma(a) * reciprocal_gamma(b)
     total = size = 0.0
     if coef1 != 0.0:
-        t = coef1 * _series(a, b, a + b - c + 1.0, y)
+        t = coef1 * _series(a, b, a + b - c + 1.0, y)[0]
         total, size = total + t, size + abs(t)
     if coef2 != 0.0:
-        t = coef2 * y**cab * _series(c - a, c - b, cab + 1.0, y)
+        t = coef2 * y**cab * _series(c - a, c - b, cab + 1.0, y)[0]
         total, size = total + t, size + abs(t)
     if size > _CANCELLATION * abs(total):
         # the two terms cancel, as they do for large b and c (series modes of
-        # high order): take the direct series where it converges and cancels less
-        direct = _series_sized(a, b, c, x)
-        if direct is not None and direct[1] * abs(total) < size * abs(direct[0]):
-            return direct[0]
+        # high order): take the direct series where it converges and does
+        # not cancel more than _DIRECT_CANCELLATION times as much
+        try:
+            direct, direct_size = _series(a, b, c, x)
+        except ConvergenceError:
+            return total
+        if direct_size * abs(total) < _DIRECT_CANCELLATION * size * abs(direct):
+            return direct
     return total
 
 

@@ -214,7 +214,7 @@ class TestGauss2F1:
             value = gauss_2f1((a, b, c), x)
             try:
                 # the series' own bits wherever it returns
-                assert value == _series(a, b, c, x)
+                assert value == _series(a, b, c, x)[0]
             except ConvergenceError:
                 euler += 1
             with mp.workdps(40):
@@ -238,7 +238,24 @@ class TestGauss2F1:
             hyp = _mode_hyp(params, k)
             with mp.workdps(40):
                 expected = float(mp.hyp2f1(hyp.a, hyp.b, hyp.c, x))
-            assert gauss_2f1(hyp, x) == pytest.approx(expected, rel=1e-12), k
+            assert gauss_2f1(hyp, x) == pytest.approx(expected, rel=1e-12, abs=0.0), k
+
+    @pytest.mark.parametrize("x", [0.81, 0.85, 0.9, 0.95, 0.99])
+    def test_cancelling_modes_take_the_sum_that_cancels_less(self, x):
+        # at (2.7, -1.4) both sums cancel: F(mode 167; 0.9) is 2.0e-11 off
+        # when the direct series must cancel less than the connection terms,
+        # and F(mode 149; 0.99) 5.0e-9 off when the direct series is always
+        # taken; weighing the connection's cancellation 64 times leaves
+        # 1.2e-12 at worst.  Mode 169 overflows Gamma in F(mode k; 1).
+        mp = pytest.importorskip("mpmath")
+        from abharmonic.kernel import _mode_hyp, make_params
+
+        params = make_params(2.7, -1.4)
+        for k in (20, 45, 90, 129, 147, 149, 167, -20, -90, -167):
+            hyp = _mode_hyp(params, k)
+            with mp.workdps(40):
+                expected = float(mp.hyp2f1(hyp.a, hyp.b, hyp.c, x))
+            assert gauss_2f1(hyp, x) == pytest.approx(expected, rel=1e-11, abs=0.0), k
 
     def test_convergence_error_attributes(self):
         # c - a - b = 2 is an integer, so only the direct series applies
