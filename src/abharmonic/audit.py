@@ -118,21 +118,26 @@ class AuditResult:
     extras: dict = field(default_factory=dict)
 
     @property
-    def passed(self) -> bool:
+    def passed(self) -> bool | None:
+        """Whether no case is violated; None for a result without cases,
+        which did not apply and so neither passed nor failed."""
+        if not self.cases_total:
+            return None
         return self.cases_violated == 0
 
     def to_dict(self) -> dict:
-        """The result as JSON; one without cases says it did not apply
-        ("passed": null, "applicable": false) rather than that it passed."""
+        """The result as JSON; one without cases writes "passed": null and
+        "applicable": false."""
+        passed = self.passed
         out = {
             "name": self.name,
             "cases_total": self.cases_total,
             "cases_violated": self.cases_violated,
             "worst_margin": self.worst_margin,
             "tolerance": self.tolerance,
-            "passed": self.passed if self.cases_total else None,
+            "passed": passed,
         }
-        if not self.cases_total:
+        if passed is None:
             out["applicable"] = False
         if self.seed is not None:
             out["seed"] = self.seed

@@ -700,6 +700,7 @@ class TestSuites:
     def test_zero_case_result_is_not_applicable(self):
         # no case is no pass: null, not true, though it counts no violation
         res = audit._collect("lemma", [], 1e-12, notes=["no regime"])
+        assert res.passed is None
         doc = res.to_dict()
         assert doc["passed"] is None and doc["applicable"] is False
         assert list(doc)[:7] == [
