@@ -53,20 +53,24 @@ R_GRID = (0.3, 0.6, 0.9)
 # radius, since abs(z) can be one ulp off it
 GROWTH_PHASE = 2.0 * math.pi * 0.37 / 8
 Z_GRID = np.array([[r * np.exp(2j * math.pi * (j + 0.37) / 8) for j in range(8)] for r in R_GRID])
-# the rings of the Z_GRID row stencils (see _row_wirtinger and _row_polar),
+
+
+def _polar_rings(phases) -> tuple:
+    """The polar stencil rings (r + h, phase), (r - h, phase), (r, phase + h)
+    and (r, phase - h) of each R_GRID radius r at its phase (see _polar)."""
+    steps = ((DEFAULT_STEP, 0.0), (-DEFAULT_STEP, 0.0), (0.0, DEFAULT_STEP), (0.0, -DEFAULT_STEP))
+    return tuple((r + dr, phase + dt) for r, phase in zip(R_GRID, phases) for dr, dt in steps)
+
+
+# the rings of the Z_GRID row stencils (see _row_wirtinger and _polar),
 # built once so that every check and boundary asks the kernel table for the
 # same keys: the radius and angle of each Cartesian point z + h, and the
-# polar rings (r +- h, theta_0), (r, theta_0 +- h) of each row's first
-# point, the angle by math.atan2 (np.arctan2 can differ by an ulp) and r
-# its R_GRID radius, not abs(z), so that the polar radii are those of the
-# growth, means and means-partials rings
+# polar rings of each row's first point, the angle by math.atan2
+# (np.arctan2 can differ by an ulp) and r its R_GRID radius, not abs(z), so
+# that the polar radii are those of the growth, means and means-partials rings
 CARTESIAN_STENCIL = Z_GRID + DEFAULT_STEP
 _CARTESIAN_RINGS = tuple((abs(w), math.atan2(w.imag, w.real)) for w in CARTESIAN_STENCIL.ravel().tolist())
-_POLAR_RINGS = tuple(
-    (r + dr, theta + dt)
-    for r, theta in zip(R_GRID, (math.atan2(z.imag, z.real) for z in Z_GRID[:, 0].tolist()))
-    for dr, dt in ((DEFAULT_STEP, 0.0), (-DEFAULT_STEP, 0.0), (0.0, DEFAULT_STEP), (0.0, -DEFAULT_STEP))
-)
+_POLAR_RINGS = _polar_rings(math.atan2(z.imag, z.real) for z in Z_GRID[:, 0].tolist())
 # where the Cartesian rings hold each stencil point: value k of the ring
 # through row point j - 2k (mod 8) is z_j + h i^k, gathered as [k, row, j]
 _TURNS = (
@@ -77,12 +81,8 @@ _TURNS = (
 _GROWTH_RINGS = tuple((r, GROWTH_PHASE) for r in R_GRID)
 _MEANS_RINGS = tuple((r, 0.0) for r in R_GRID)
 MEANS_THETAS = 256  # ring points of the means-of-partials stencils
-# the radial and angular stencil rings of the means-of-partials check
-_MEANS_STENCILS = tuple(
-    (r + dr, dt)
-    for r in R_GRID
-    for dr, dt in ((DEFAULT_STEP, 0.0), (-DEFAULT_STEP, 0.0), (0.0, DEFAULT_STEP), (0.0, -DEFAULT_STEP))
-)
+# the polar stencil rings of the means-of-partials check
+_MEANS_STENCILS = _polar_rings((0.0,) * len(R_GRID))
 PARTIAL_KINDS = ("radial", "angular", "wirtinger", "wirtinger")  # of u_r, u_theta, u_z, u_zbar
 # the case ids and grading radii of the boundary checks, in grading order:
 # the Z_GRID points row by row (growth, distortion), each with its four
@@ -105,17 +105,48 @@ STANDARD_PAIRS = ((0.0, 0.0), (0.5, 0.5), (-0.5, 1.0), (0.3, -0.2), (0.0, 1.0))
 STANDARD_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
 
 
-@dataclass
+@dataclass(eq=False)
 class AuditResult:
+    """The cases of a check as three columns: their ids, their radii (None
+    for a case without one) and their margins, a float array.  The counts,
+    the worst margin and the verdict are read from the margins: a case is
+    violated when its margin is below -tolerance or not finite."""
+
     name: str
-    cases_total: int
-    cases_violated: int
-    worst_margin: float
+    ids: tuple
+    radii: tuple
+    margins: np.ndarray
     tolerance: float
     seed: int | None = None
     notes: list = field(default_factory=list)
-    details: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # margins of any shape, read in C order
+        self.ids, self.radii = tuple(self.ids), tuple(self.radii)
+        self.margins = np.asarray(self.margins, dtype=float).ravel()
+        if not len(self.ids) == len(self.radii) == self.margins.size:
+            raise ValueError(
+                f"{self.name}: {len(self.ids)} ids, {len(self.radii)} radii and {self.margins.size} margins"
+            )
+
+    @property
+    def cases_total(self) -> int:
+        return self.margins.size
+
+    @property
+    def cases_violated(self) -> int:
+        return int(np.count_nonzero(~(np.isfinite(self.margins) & (self.margins >= -self.tolerance))))
+
+    @property
+    def worst_margin(self) -> float:
+        """The smallest margin, NaN when any is NaN, 0 for no case."""
+        return float(np.min(self.margins)) if self.margins.size else 0.0
+
+    @property
+    def details(self) -> list:
+        """The cases as (id, radius, margin) triples."""
+        return list(zip(self.ids, self.radii, self.margins.tolist()))
 
     @property
     def passed(self) -> bool | None:
@@ -145,57 +176,31 @@ class AuditResult:
             out["notes"] = list(self.notes)
         if self.extras:
             out["extras"] = dict(self.extras)
-        out["margins"] = [
-            [case, None if r is None else float(r), float(m)] for case, r, m in self.details
-        ]
+        out["margins"] = [[case, None if r is None else float(r), m] for case, r, m in self.details]
         return out
 
 
-def _worst(margins) -> float:
-    """Smallest margin, NaN when any margin is NaN (whatever the order),
-    0 for no margins."""
-    return float(np.min(margins)) if len(margins) else 0.0
-
-
-def _graded(name, ids, radii, margins, tolerance, notes=None, extras=None) -> AuditResult:
-    """The result of the cases ids at radii with margins (an array of any
-    shape, read in C order): a case is violated when its margin is below
-    -tolerance or not finite."""
-    margins = np.asarray(margins, dtype=float).ravel()
-    violated = int(np.count_nonzero(~(np.isfinite(margins) & (margins >= -tolerance))))
-    return AuditResult(
-        name,
-        margins.size,
-        violated,
-        _worst(margins),
-        tolerance,
-        notes=list(notes or []),
-        details=list(zip(ids, radii, margins.tolist(), strict=True)),
-        extras=dict(extras or {}),
-    )
-
-
-def _collect(name, records, tolerance, notes=None, extras=None) -> AuditResult:
+def _collect(name, records, tolerance, notes=()) -> AuditResult:
     """records: iterable of (case_id, r, margin)."""
-    records = list(records)
-    ids, radii, margins = zip(*records) if records else ((), (), ())
-    return _graded(name, ids, radii, margins, tolerance, notes, extras)
+    return AuditResult(name, *(tuple(zip(*records)) or ((), (), ())), tolerance, notes=list(notes))
 
 
 def merge_results(name: str, results) -> AuditResult:
-    """One result holding every case of results, each distinct note once."""
+    """One result holding every case of results in order, each distinct
+    note once; results graded at different tolerances raise ValueError."""
     results = list(results)
-    tol = max((r.tolerance for r in results), default=0.0)
+    tolerances = {r.tolerance for r in results}
+    if len(tolerances) > 1:
+        raise ValueError(f"{name}: cannot merge results graded at tolerances {sorted(tolerances)}")
     out = AuditResult(
         name,
-        sum(r.cases_total for r in results),
-        sum(r.cases_violated for r in results),
-        _worst([r.worst_margin for r in results]),
-        tol,
+        [case for r in results for case in r.ids],
+        [radius for r in results for radius in r.radii],
+        np.concatenate([r.margins for r in results] or [()]),
+        tolerances.pop() if results else 0.0,
     )
     for r in results:
         out.notes.extend(note for note in r.notes if note not in out.notes)
-        out.details.extend(r.details)
         for k, v in r.extras.items():
             # a NaN extra wins whatever its place: it is never a pass
             if k not in out.extras or v > out.extras[k] or math.isnan(v):
@@ -304,11 +309,12 @@ def _row_wirtinger(u):
     return _wirtinger_pair(up, um, vp, vm, DEFAULT_STEP)
 
 
-def _row_polar(u):
-    """(u_r, u_theta) on Z_GRID from the rings of eight angles through each
-    row's four polar stencil points."""
+def _polar(u, rings, n_theta):
+    """(u_r, u_theta) by central differences on the n_theta angles of each
+    radius's four polar stencil rings (_polar_rings), a row per radius:
+    on Z_GRID for the rings _POLAR_RINGS at eight angles."""
     h = DEFAULT_STEP
-    rp, rm, tp, tm = np.moveaxis(u._circles(_POLAR_RINGS, 8).reshape(len(R_GRID), 4, 8), 1, 0)
+    rp, rm, tp, tm = np.moveaxis(u._circles(rings, n_theta).reshape(-1, 4, n_theta), 1, 0)
     return (rp - rm) / (2.0 * h), (tp - tm) / (2.0 * h)
 
 
@@ -332,7 +338,7 @@ def check_growth(
     # which reduces to the classical |u| <= ||f|| at (0, 0)
     bound = [bnd.growth_constant(params, hp, r) * (1.0 - r * r) ** (-1.0 / hp.p) * norm for r in R_GRID]
     margins = np.array(bound)[:, None] - _modulus(uvals)
-    return _graded("growth", _POINT_IDS, _POINT_RADII, margins, VALUE_TOL)
+    return AuditResult("growth", _POINT_IDS, _POINT_RADII, margins, VALUE_TOL)
 
 
 def check_integral_means(
@@ -346,7 +352,7 @@ def check_integral_means(
     extras = {}
     if f.is_constant and params.alpha == params.beta:
         extras["sharpness_gap"] = float(np.max(np.abs(margins)))
-    return _graded("integral_means", _RING_IDS, R_GRID, margins, VALUE_TOL, extras=extras)
+    return AuditResult("integral_means", _RING_IDS, R_GRID, margins, VALUE_TOL, extras=extras)
 
 
 def check_distortion(
@@ -363,7 +369,7 @@ def check_distortion(
     bound = np.array(bound)[:, None]
     uz, uzb = _row_wirtinger(poisson_extension(params, f, nodes))
     margins = _normalized(bound - (_modulus(uz) + _modulus(uzb)), bound)
-    return _graded("distortion", _POINT_IDS, _POINT_RADII, margins, DERIVATIVE_TOL)
+    return AuditResult("distortion", _POINT_IDS, _POINT_RADII, margins, DERIVATIVE_TOL)
 
 
 def check_partials(
@@ -373,7 +379,7 @@ def check_partials(
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
     # (radius, point, partial) in the order of PARTIAL_KINDS
-    observed = _modulus(np.stack((*_row_polar(u), *_row_wirtinger(u)), axis=-1))
+    observed = _modulus(np.stack((*_polar(u, _POLAR_RINGS, 8), *_row_wirtinger(u)), axis=-1))
     bound = []
     for r in R_GRID:
         blow = (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
@@ -381,7 +387,7 @@ def check_partials(
         bound.append([kind[which] * blow for which in PARTIAL_KINDS])
     bound = np.array(bound)[:, None, :]
     margins = _normalized(bound - observed, bound)
-    return _graded("partials", _PARTIAL_IDS, _PARTIAL_RADII, margins, DERIVATIVE_TOL)
+    return AuditResult("partials", _PARTIAL_IDS, _PARTIAL_RADII, margins, DERIVATIVE_TOL)
 
 
 def check_means_partials(
@@ -394,14 +400,11 @@ def check_means_partials(
     """
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
-    n, h = MEANS_THETAS, DEFAULT_STEP
-    eminus = np.exp(-1j * circle_nodes(n))
-    # circle stencils, all twelve rings in one call: radial and angular
-    # central differences, then the exact polar chain rule for the Wirtinger pair
-    rp, rm, tp, tm = np.moveaxis(u._circles(_MEANS_STENCILS, n).reshape(len(R_GRID), 4, n), 1, 0)
+    eminus = np.exp(-1j * circle_nodes(MEANS_THETAS))
+    # radial and angular central differences on the twelve stencil rings,
+    # then the exact polar chain rule for the Wirtinger pair
+    ur, ut = _polar(u, _MEANS_STENCILS, MEANS_THETAS)
     r = np.array(R_GRID)[:, None]
-    ur = (rp - rm) / (2.0 * h)
-    ut = (tp - tm) / (2.0 * h)
     uz = 0.5 * eminus * (ur - 1j * ut / r)
     uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
     # (radius, partial) in the order of PARTIAL_KINDS, one mean per ring
@@ -413,7 +416,7 @@ def check_means_partials(
         bound.append([kind[which] * blow for which in PARTIAL_KINDS])
     bound = np.array(bound)
     margins = _normalized(bound - observed, bound)
-    return _graded("means_partials", _RING_PARTIAL_IDS, _RING_PARTIAL_RADII, margins, DERIVATIVE_TOL)
+    return AuditResult("means_partials", _RING_PARTIAL_IDS, _RING_PARTIAL_RADII, margins, DERIVATIVE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -630,20 +633,11 @@ def check_coefficient_inequalities(params: AlphaBeta, coeffs, flags: dict) -> Au
             records.append((f"typically_real k={k}", None, rhs - lhs))
     if flags.get("starlike"):
         for k in range(2, order + 1):
-            records.append(
-                (
-                    f"starlike c{k}",
-                    None,
-                    bnd.coefficient_bound(params, "starlike_ck", k) - abs(coeffs.c(k)),
-                )
-            )
-            records.append(
-                (
-                    f"starlike c-{k}",
-                    None,
-                    bnd.coefficient_bound(params, "starlike_cmk", k) - abs(coeffs.c(-k)),
-                )
-            )
+            for label, kind, c in ((f"starlike c{k}", "starlike_ck", k), (f"starlike c-{k}", "starlike_cmk", -k)):
+                try:
+                    records.append((label, None, bnd.coefficient_bound(params, kind, k) - abs(coeffs.c(c))))
+                except ParameterError as exc:
+                    notes.append(str(exc))
     if flags.get("in_s0"):
         try:
             records.append(

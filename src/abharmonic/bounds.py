@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,7 +220,10 @@ def coefficient_bound(params: AlphaBeta, kind: str, k: int = 2, extra: complex |
                      for real-coefficient normalized maps; extra = c_{-1}
     c_minus2, c2     second-coefficient bounds for the normalized subclass,
                      closed forms on -1 < beta <= alpha <= 0
-    starlike_ck/cmk  starlike coefficient bounds, any admissible weights
+    starlike_ck/cmk  starlike coefficient bounds; where the factor
+                     (2 + alpha)_{k-1} of ck (alpha < -2) or
+                     (1 + beta)_k / (1 + alpha) of cmk (a weight < -1)
+                     makes one <= 0, it bounds nothing: ParameterError
     conjecture_ck/cmk the conjectured bounds: closed form on
                      -1 < beta < alpha < 0, otherwise a grid infimum
     """
@@ -243,10 +247,17 @@ def coefficient_bound(params: AlphaBeta, kind: str, k: int = 2, extra: complex |
             raise ParameterError(f"{kind} bound needs k >= 2")
         lead = (2 * k + 1) * (k + 1) / 6.0 if kind.endswith("_ck") else (2 * k - 1) * (k - 1) / 6.0
         # k! = (2)_{k-1} = (1)_k, divided into the rising factorial term by term
-        if kind == "starlike_ck":
-            return lead * pochhammer_ratio(2 + a, 2.0, k - 1)
-        if kind == "starlike_cmk":
-            return lead / (1 + a) * pochhammer_ratio(1 + b, 1.0, k)
+        if kind.startswith("starlike"):
+            if kind == "starlike_ck":
+                factor, value = "(2 + alpha)_{k-1}", lead * pochhammer_ratio(2 + a, 2.0, k - 1)
+            else:
+                factor, value = "(1 + beta)_k / (1 + alpha)", lead / (1 + a) * pochhammer_ratio(1 + b, 1.0, k)
+            if not value > 0.0:
+                raise ParameterError(
+                    f"{kind} bound undefined at k = {k}: its factor {factor} makes it {value:.6g} <= 0 "
+                    f"at ({a}, {b})"
+                )
+            return value
         num = _mode_hyp(params, 1)
         den = _mode_hyp(params, k if kind == "conjecture_ck" else -k)
         if -1.0 < b < a < 0.0:
@@ -553,8 +564,9 @@ def full_report(
         rado_radius_bound(params, 1.0, 0.0),
         "maximal univalent image radius at unit first coefficient",
     )
-    rep.add("starlike_c2", coefficient_bound(params, "starlike_ck", 2), "starlike coefficient bound, k = 2")
-    rep.add("starlike_cm2", coefficient_bound(params, "starlike_cmk", 2), "starlike coefficient bound, k = 2")
+    for name, kind in (("starlike_c2", "starlike_ck"), ("starlike_cm2", "starlike_cmk")):
+        with suppress(ParameterError):
+            rep.add(name, coefficient_bound(params, kind, 2), "starlike coefficient bound, k = 2")
     try:
         rep.add("c_minus2_bound", coefficient_bound(params, "c_minus2"), "second-coefficient bound")
         rep.add("c2_bound", coefficient_bound(params, "c2"), "second-coefficient bound")

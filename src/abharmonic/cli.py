@@ -57,7 +57,7 @@ import numpy as np
 
 from . import boundary
 from ._quad import DEFAULT_NODES, circle_nodes
-from .audit import DEFAULT_SEED, SUITE_NAMES, merge_results, run_suite
+from .audit import DEFAULT_SEED, SUITE_NAMES, run_suite
 from .bounds import HolderPair, full_report
 from .errors import BoundaryFileError, ConvergenceError, DomainError, ParameterError
 from .harmonic import check_nodes, coefficients_from_boundary, poisson_extension
@@ -326,8 +326,8 @@ def cmd_audit(args) -> int:
     outputs = [(args.out, [_json_text(doc, 2) + "\n"])]
     csv_path = getattr(args, "csv", None)
     if csv_path:
-        details = merge_results(args.suite, results).details
-        outputs.append((csv_path, _csv_chunks(("case", "r", "margin"), [list(zip(*details))])))
+        blocks = [(r.ids, r.radii, r.margins.tolist()) for r in results]
+        outputs.append((csv_path, _csv_chunks(("case", "r", "margin"), blocks)))
     _write_outputs(outputs)
     return EXIT_OK if violations == 0 else EXIT_VIOLATIONS
 

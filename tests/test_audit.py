@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abharmonic.audit as audit
 import abharmonic.bounds as bnd
@@ -179,7 +181,7 @@ class TestDerivativeChecks:
         # difference quotient divides that by h
         f = random_boundary(np.random.default_rng(6))
         u = harmonic.poisson_extension(make_params(*pair), f, nodes)
-        rows = (*audit._row_wirtinger(u), *audit._row_polar(u))
+        rows = (*audit._row_wirtinger(u), *audit._polar(u, audit._POLAR_RINGS, 8))
         points = (
             *harmonic.wirtinger_derivatives(u, Z_GRID),
             *harmonic.radial_angular_derivatives(u, Z_GRID),
@@ -431,6 +433,15 @@ class TestCoefficientInequalities:
         res = check_coefficient_inequalities(P00, coeffs, {"starlike": True})
         assert res.cases_violated == 0
         assert res.worst_margin == pytest.approx(0.0, abs=1e-10)
+
+    def test_refused_starlike_bounds_are_noted(self):
+        # at (2.7, -1.4) the c_{-k} bounds are negative: each is noted, the c_k bounds are graded
+        coeffs = SeriesCoefficients({1: 1.0, 2: 0.1, -2: 0.1, 3: 0.1, -3: 0.1})
+        res = check_coefficient_inequalities(make_params(2.7, -1.4), coeffs, {"starlike": True})
+        assert [case for case, _, _ in res.details] == ["starlike c2", "starlike c3"]
+        refused = [f"starlike_cmk bound undefined at k = {k}" for k in (2, 3)]
+        assert [note.split(":")[0] for note in res.notes] == refused
+        assert res.passed
 
     def test_identity_map_heinz_margin(self):
         coeffs = SeriesCoefficients({0: 0.0, 1: 1.0, -1: 0.0})
@@ -718,6 +729,76 @@ class TestSuites:
         assert merged.notes == ["a", "b", "c"] and merged.cases_total == 1
 
 
+TOL = 1e-8
+# margins at the edges of the grading rule, and ordinary ones
+MARGINS = st.lists(
+    st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, TOL, -TOL]), st.floats(-1.0, 1.0)),
+    max_size=12,
+)
+
+
+def _result(name, margins, start=0):
+    # one case per margin; every other case has no radius
+    cases = range(start, start + len(margins))
+    return AuditResult(name, [f"c{i}" for i in cases], [None if i % 2 else 0.1 * i for i in cases], margins, TOL)
+
+
+def _same(a, b):
+    return a == b or math.isnan(a) and math.isnan(b)
+
+
+class TestResultModel:
+    @given(MARGINS)
+    @settings(max_examples=300, deadline=None)
+    def test_counts_and_verdict_are_read_from_the_margins(self, margins):
+        # the rule in plain Python: violated below -TOL or not finite; a NaN is the worst margin
+        violated = sum(1 for m in margins if not (math.isfinite(m) and m >= -TOL))
+        worst = math.nan if any(map(math.isnan, margins)) else min(margins, default=0.0)
+        res = _result("x", margins)
+        assert res.cases_total == len(margins)
+        assert res.cases_violated == violated
+        assert _same(res.worst_margin, worst)
+        assert res.passed is (None if not margins else violated == 0)
+
+    @given(MARGINS, st.lists(st.integers(0, 12), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_merge_of_any_split_is_the_result_of_the_whole(self, margins, cuts):
+        edges = [0, *sorted(min(c, len(margins)) for c in cuts), len(margins)]
+        parts = [_result(f"p{i}", margins[a:b], a) for i, (a, b) in enumerate(zip(edges, edges[1:]))]
+        merged, whole = merge_results("x", parts), _result("x", margins)
+        assert merged.ids == whole.ids and merged.radii == whole.radii
+        assert merged.margins.tobytes() == whole.margins.tobytes()
+        assert (merged.cases_total, merged.cases_violated, merged.passed) == (
+            whole.cases_total,
+            whole.cases_violated,
+            whole.passed,
+        )
+        assert _same(merged.worst_margin, whole.worst_margin)
+
+    def test_margins_are_read_in_c_order(self):
+        res = AuditResult("x", "abcd", [None] * 4, np.array([[1.0, 2.0], [3.0, 4.0]]), TOL)
+        assert res.details == [("a", None, 1.0), ("b", None, 2.0), ("c", None, 3.0), ("d", None, 4.0)]
+
+    @pytest.mark.parametrize(
+        "ids, radii, margins", [("ab", [None], [0.0]), ("a", [None], [0.0, 1.0]), ("a", [], [0.0])]
+    )
+    def test_columns_of_different_lengths_raise(self, ids, radii, margins):
+        with pytest.raises(ValueError):
+            AuditResult("x", ids, radii, margins, TOL)
+
+    def test_parts_at_different_tolerances_raise(self):
+        parts = [AuditResult("x", ["c"], [None], [0.0], tol) for tol in (audit.VALUE_TOL, audit.DERIVATIVE_TOL)]
+        with pytest.raises(ValueError):
+            merge_results("x", parts)
+
+    @pytest.mark.parametrize("name", ["cases_total", "cases_violated", "worst_margin", "details", "passed"])
+    def test_counts_cannot_be_assigned(self, name):
+        res = AuditResult("x", ["c"], [None], [-1.0], TOL)
+        with pytest.raises(AttributeError):
+            setattr(res, name, 0)
+        assert res.cases_total == res.cases_violated == 1
+
+
 class TestNonFiniteMargins:
     # a difference quotient of an infinite complex value is NaN, with a warning
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -754,13 +835,13 @@ class TestNonFiniteMargins:
 
     def test_merged_nan_extra_is_kept(self):
         parts = [
-            AuditResult("a", 1, 0, 0.0, 1e-8, extras={"sharpness_gap": gap}) for gap in (1e-3, math.nan)
+            AuditResult("a", ["c"], [None], [0.0], 1e-8, extras={"sharpness_gap": gap}) for gap in (1e-3, math.nan)
         ]
         for order in (parts, parts[::-1]):
             assert math.isnan(merge_results("m", order).extras["sharpness_gap"])
 
     def test_merged_worst_margin_is_order_free(self):
-        parts = [AuditResult("a", 1, 1, math.nan, 1e-8), AuditResult("b", 1, 1, -1.0, 1e-8)]
+        parts = [AuditResult("a", ["c"], [None], [math.nan], 1e-8), AuditResult("b", ["c"], [None], [-1.0], 1e-8)]
         for order in (parts, parts[::-1]):
             merged = merge_results("m", order)
             assert math.isnan(merged.worst_margin) and merged.cases_violated == 2
@@ -810,7 +891,7 @@ def _reference_margins(params, f, hp, nodes):
             rec.append((f"z{8 * k + i}", r, _ref_normalized(bound - jn, bound)))
     out["distortion"] = rec
 
-    rows = (*audit._row_polar(u), *wirtinger)
+    rows = (*audit._polar(u, audit._POLAR_RINGS, 8), *wirtinger)
     rec = []
     for k, r in enumerate(R_GRID):
         blow = (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm

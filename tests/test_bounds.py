@@ -111,6 +111,29 @@ class TestCoefficientBounds:
         # (2k-1)(k-1)/6 at k = 3
         assert coefficient_bound(P00, "starlike_cmk", 3) == pytest.approx(10.0 / 6.0, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "pair, refused",
+        [
+            ((2.7, -1.4), ["starlike_cmk"]),
+            ((-1.4, 2.7), ["starlike_cmk"]),
+            ((-2.5, 2.0), ["starlike_ck", "starlike_cmk"]),
+        ],
+    )
+    def test_starlike_bound_that_is_not_positive_is_refused(self, pair, refused):
+        # (1 + beta)_k / (1 + alpha) is negative here, and (2 + alpha)_{k-1} at alpha < -2
+        p = make_params(*pair)
+        for kind in ("starlike_ck", "starlike_cmk"):
+            for k in (2, 3, 5):
+                if kind in refused:
+                    with pytest.raises(ParameterError, match=rf"{kind} bound undefined at k = {k}: its factor \("):
+                        coefficient_bound(p, kind, k)
+                else:
+                    assert coefficient_bound(p, kind, k) > 0.0
+        # the report leaves the refused entries out
+        names = {e.name for e in full_report(p, HolderPair.from_p(1.5)).entries}
+        entries = {"starlike_ck": "starlike_c2", "starlike_cmk": "starlike_cm2"}
+        assert {name for kind, name in entries.items() if name not in names} == {entries[k] for k in refused}
+
     def test_c_minus2_limit(self):
         assert coefficient_bound(P00, "c_minus2") == pytest.approx(0.5, rel=1e-14)
 
@@ -271,8 +294,12 @@ class TestGammaQuotientsAgainstMpmath:
                 6 * (1 + a) * mp.factorial(k)
             )
             typ = abs(1 / (1 + a) - mp.mpc(cm1) / (1 + b)) / mp.gamma(k)
-            assert coefficient_bound(p, "starlike_ck", k) == pytest.approx(float(ck), rel=1e-13)
-            assert coefficient_bound(p, "starlike_cmk", k) == pytest.approx(float(cmk), rel=1e-13)
+            for kind, want in (("starlike_ck", ck), ("starlike_cmk", cmk)):
+                if want > 0:
+                    assert coefficient_bound(p, kind, k) == pytest.approx(float(want), rel=1e-13)
+                else:  # at 1 + alpha < 0: a bound that is not positive is refused
+                    with pytest.raises(ParameterError, match=kind):
+                        coefficient_bound(p, kind, k)
             # 1/(k-1)! leaves the normal floats after k = 171 and underflows
             tol = 0.0 if k <= 171 else 1e-307
             assert coefficient_bound(p, "typically_real", k, cm1) == pytest.approx(float(typ), rel=1e-13, abs=tol)

@@ -331,16 +331,29 @@ def test_matches_golden(golden, section):
     _assert_matches(_normalize(SECTIONS[section]()), golden[section], section)
 
 
+def _names(items: list):
+    """The names of items where each is a dict with a distinct "name", else None."""
+    names = [item.get("name") if isinstance(item, dict) else None for item in items]
+    return names if None not in names and len(set(names)) == len(names) else None
+
+
 def _merge(got, ref):
     """(doc, n): got with every float that matches its stored counterpart
     in ref within REL_TOL kept as stored, and n the number of floats that
-    were not kept (moved beyond the pin, or new)."""
+    were not kept (moved beyond the pin, or new).  The items of two lists
+    of dicts with distinct names are counterparts by name, those of other
+    lists by position where the lengths agree."""
     if isinstance(got, dict):
         ref = ref if isinstance(ref, dict) else {}
         merged = {k: _merge(v, ref.get(k)) for k, v in got.items()}
         return {k: doc for k, (doc, _) in merged.items()}, sum(n for _, n in merged.values())
     if isinstance(got, list):
-        ref = ref if isinstance(ref, list) and len(ref) == len(got) else [None] * len(got)
+        ref = ref if isinstance(ref, list) else []
+        names, stored = _names(got), _names(ref)
+        if names is not None and stored is not None:
+            ref = [dict(zip(stored, ref)).get(name) for name in names]
+        elif len(ref) != len(got):
+            ref = [None] * len(got)
         merged = [_merge(g, r) for g, r in zip(got, ref)]
         return [doc for doc, _ in merged], sum(n for _, n in merged)
     if isinstance(got, float):
@@ -351,19 +364,24 @@ def _merge(got, ref):
 
 
 def test_write_repins_only_what_moved():
-    ref = {"a": 1.0, "b": [0.5, 2.0, "x"], "c": {"d": 3.0, "gone": 1.0}, "e": [1.0], "f": 1.0}
+    entries = [{"name": n, "value": v} for n, v in (("x", 1.0), ("y", 2.0), ("z", 3.0))]
+    ref = {"a": 1.0, "b": [0.5, 2.0, "x"], "c": {"d": 3.0, "gone": 1.0}, "e": [1.0], "f": 1.0, "g": entries}
     got = {
         "a": 1.0 + 1e-14,
         "b": [0.5 + 1e-6, 2.0, "y"],
         "c": {"d": 3.0, "h": 4.0},
         "e": [1.0, 2.0],
         "f": 1,
+        # the named list loses "y" and gains "w"; "x" moves within the pin
+        "g": [{"name": "x", "value": 1.0 + 1e-14}, {"name": "w", "value": 5.0}, {"name": "z", "value": 3.0}],
     }
     doc, repinned = _merge(got, ref)
-    assert doc == dict(got, a=1.0)
+    assert doc == dict(got, a=1.0, g=[entries[0], got["g"][1], entries[2]])
     assert type(doc["f"]) is int
-    # 0.5 moved beyond the pin; 4.0 and the two floats of the resized list are new
-    assert repinned == 4
+    # 0.5 moved beyond the pin; 4.0, the two floats of the resized list and the new entry's 5.0 are new
+    assert repinned == 5
+    # a named list that only loses an entry re-pins nothing
+    assert _merge(entries[::2], entries) == (entries[::2], 0)
 
 
 def _write(section: str) -> None:
