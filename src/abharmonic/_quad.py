@@ -23,6 +23,10 @@ holds both at every node of that rule with the nodes' weights, so a
 moment takes one exp per node, on the same nodes as circle_integral.  A
 moment at a new radius costs one table build; no suite or workload scans
 radii finely, and the audit's lemma scan takes its moments key-major.
+kernel_moment also takes a tuple of radii and returns a tuple: the radii
+that share a break set go through one pass over their stacked log rows,
+each row with the bits of its radius alone, and the tuple is one entry of
+the same moment cache.
 """
 
 from __future__ import annotations
@@ -184,18 +188,27 @@ def _moment_rule(breaks: tuple, nodes: int, x: float, y: float, r: float):
     return ca, log_base, w, tuple(spans)
 
 
-def _kernel_moment(m, k, off, amp, r, x, y, breaks, nodes) -> float:
-    """circle_integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m).
+def _kernel_moment(m, k, off, amp, r, x, y, breaks, nodes):
+    """circle_integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m):
+    a float for one radius r, a tuple for a tuple of radii.
 
     Neither the cosine nor the log L of the base |1 + r e^{i(s - y)}|^2
     depends on the exponents or the weight, so both are tabulated with the
     rule's weights once per rule, phase (x, y) and radius; a call takes one
-    exp per node: exp(m L) at k = 0, (off + amp |cos|) exp(m L) at k = 1,
-    else exp(m L + k log(off + amp |cos|)).  Each piece's weighted sum is
-    numpy's pairwise sum of a contiguous slice, which depends only on the
-    slice, so it has the bits of integrate on that piece alone.
+    exp per node and radius: exp(m L) at k = 0, (off + amp |cos|) exp(m L)
+    at k = 1, else exp(m L + k log(off + amp |cos|)).  A tuple's radii are
+    one pass over their stacked L rows, and the weight, which does not
+    depend on the radius, is taken once; every step is element-wise, so
+    each row has the bits of its radius alone.  Each piece's weighted sum
+    is numpy's pairwise sum of a contiguous slice of a row, which depends
+    only on the slice, so it has the bits of integrate on that piece alone.
     """
-    ca, log_base, w, spans = _moment_rule(tuple(breaks), nodes, x, y, r)
+    if isinstance(r, tuple):
+        rules = [_moment_rule(tuple(breaks), nodes, x, y, radius) for radius in r]
+        ca, _, w, spans = rules[0]
+        log_base = np.array([rule[1] for rule in rules])
+    else:
+        ca, log_base, w, spans = _moment_rule(tuple(breaks), nodes, x, y, r)
     # in place where it keeps the bits: a temporary of the rule's size
     # costs about as much as the exp
     vals = m * log_base
@@ -208,27 +221,39 @@ def _kernel_moment(m, k, off, amp, r, x, y, breaks, nodes) -> float:
     if k == 1:
         vals *= weight
     if w is None:
-        return float(TWO_PI * (np.add.reduce(vals) / vals.size))  # np.mean's bits
-    vals *= w
-    total = 0
-    for a, b, half in spans:
-        total += half * float(np.add.reduce(vals[a:b]))
-    return total
+        totals = TWO_PI * (np.add.reduce(vals, axis=-1) / vals.shape[-1])  # np.mean's bits
+    else:
+        vals *= w
+        totals = 0
+        for a, b, half in spans:
+            totals += half * np.add.reduce(vals[..., a:b], axis=-1)
+    return tuple(totals.tolist()) if isinstance(r, tuple) else float(totals)
 
 
 @functools.lru_cache(maxsize=4096)
-def kernel_moment(m, k, off, amp, r, x, y, nodes, /) -> float:
+def kernel_moment(m, k, off, amp, r, x, y, nodes, /):
     """Integral of (off + amp |cos(s - x)|)^k |1 + r e^{i(s - y)}|^(2m)
-    over the circle, once per process for each distinct moment.
+    over the circle, once per process for each distinct moment: a float
+    for one radius r, a tuple for a tuple of radii.
 
     The circle breaks at the |cos| kinks x + pi/2 and x + 3 pi/2 where
     k != 0, and at the base minimum y + pi where r > 0.9; with no break
-    the trapezoid grid serves.  Positional-only: one moment, one cache key.
+    the trapezoid grid serves.  The radii of a tuple that share a break
+    set are integrated in one pass (_kernel_moment), each with the bits it
+    has alone.  Positional-only: one moment, one cache key.
     """
-    breaks = (x + 0.5 * math.pi, x + 1.5 * math.pi) if k != 0 else ()
-    if r > 0.9:
-        breaks += (y + math.pi,)
-    return _kernel_moment(m, k, off, amp, r, x, y, breaks, nodes)
+    kinks = (x + 0.5 * math.pi, x + 1.5 * math.pi) if k != 0 else ()
+
+    def moment(radii, far):
+        return _kernel_moment(m, k, off, amp, radii, x, y, kinks + (y + math.pi,) if far else kinks, nodes)
+
+    if not isinstance(r, tuple):
+        return moment(r, r > 0.9)
+    sides = {}
+    for radius in r:
+        sides.setdefault(radius > 0.9, []).append(radius)
+    got = {far: iter(moment(tuple(side), far)) for far, side in sides.items()}
+    return tuple(next(got[radius > 0.9]) for radius in r)
 
 
 def _base(r: float, sq) -> np.ndarray:

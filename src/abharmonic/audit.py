@@ -20,8 +20,10 @@ inequalities the caller asserts via flags.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +83,9 @@ _TURNS = (
 _GROWTH_RINGS = tuple((r, GROWTH_PHASE) for r in R_GRID)
 _MEANS_RINGS = tuple((r, 0.0) for r in R_GRID)
 MEANS_THETAS = 256  # ring points of the means-of-partials stencils
+# e^{-i theta} at the MEANS_THETAS angles, for the polar chain rule
+_MEANS_EMINUS = np.exp(-1j * circle_nodes(MEANS_THETAS))
+_MEANS_EMINUS.flags.writeable = False
 # the polar stencil rings of the means-of-partials check
 _MEANS_STENCILS = _polar_rings((0.0,) * len(R_GRID))
 PARTIAL_KINDS = ("radial", "angular", "wirtinger", "wirtinger")  # of u_r, u_theta, u_z, u_zbar
@@ -298,7 +303,11 @@ def random_boundary(rng, order: int = 8) -> BoundaryFunction:
 # central differences of harmonic.wirtinger_derivatives and
 # radial_angular_derivatives at the default step, with u at each turned
 # point taken from the ring instead of the dense sum, so they agree with
-# those to the rounding of u (about 1e-14 of its size) over 2h.
+# those to the rounding of u (about 1e-14 of its size) over 2h.  The
+# distortion and partials checks both read the Wirtinger pair of the
+# Cartesian rings; standard_suite runs a boundary's checks one after the
+# other, so the pair is folded once per (weights, boundary, nodes) and
+# handed to both (_boundary_wirtinger).
 
 
 def _row_wirtinger(u):
@@ -307,6 +316,19 @@ def _row_wirtinger(u):
     points CARTESIAN_STENCIL hold all 96 stencil points."""
     up, vp, um, vm = u._circles(_CARTESIAN_RINGS, 4).reshape(CARTESIAN_STENCIL.shape + (4,))[_TURNS]
     return _wirtinger_pair(up, um, vp, vm, DEFAULT_STEP)
+
+
+@functools.lru_cache(maxsize=1)
+def _boundary_wirtinger(params: AlphaBeta, boundary: weakref.ref, nodes: int) -> tuple:
+    """_row_wirtinger of the extension of the boundary a weak reference
+    names, read-only: the distortion and partials checks of one boundary
+    share one fold of the Cartesian rings.  The key holds the boundary by
+    weak reference, so the memo keeps no released boundary alive, and a
+    reference to a released one matches no other key."""
+    pair = _row_wirtinger(poisson_extension(params, boundary(), nodes))
+    for rows in pair:
+        rows.flags.writeable = False
+    return pair
 
 
 def _polar(u, rings, n_theta):
@@ -362,12 +384,10 @@ def check_distortion(
     norm = lp_norm(f, hp.p)
     # the constants before any ring: where bounds leaves one undefined, the
     # ParameterError comes before a kernel sample
-    bound = []
-    for r in R_GRID:
-        coef = bnd.distortion_constant(params, hp, r, CONSTANT_NODES)
-        bound.append(coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm)
+    coefs = bnd.distortion_constant(params, hp, R_GRID, CONSTANT_NODES)
+    bound = [coef * (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm for coef, r in zip(coefs, R_GRID)]
     bound = np.array(bound)[:, None]
-    uz, uzb = _row_wirtinger(poisson_extension(params, f, nodes))
+    uz, uzb = _boundary_wirtinger(params, weakref.ref(f), nodes)
     margins = _normalized(bound - (_modulus(uz) + _modulus(uzb)), bound)
     return AuditResult("distortion", _POINT_IDS, _POINT_RADII, margins, DERIVATIVE_TOL)
 
@@ -377,14 +397,14 @@ def check_partials(
 ) -> AuditResult:
     """|u_r|, |u_theta|, |u_z|, |u_zbar| against their bound coefficients."""
     norm = lp_norm(f, hp.p)
-    u = poisson_extension(params, f, nodes)
+    polar = _polar(poisson_extension(params, f, nodes), _POLAR_RINGS, 8)
     # (radius, point, partial) in the order of PARTIAL_KINDS
-    observed = _modulus(np.stack((*_polar(u, _POLAR_RINGS, 8), *_row_wirtinger(u)), axis=-1))
+    observed = _modulus(np.stack((*polar, *_boundary_wirtinger(params, weakref.ref(f), nodes)), axis=-1))
+    kinds = {which: bnd.partial_constant(params, hp, which, R_GRID, CONSTANT_NODES) for which in bnd.KINDS}
     bound = []
-    for r in R_GRID:
+    for i, r in enumerate(R_GRID):
         blow = (1.0 - r * r) ** (-1.0 - 1.0 / hp.p) * norm
-        kind = {which: bnd.partial_constant(params, hp, which, r, CONSTANT_NODES) for which in bnd.KINDS}
-        bound.append([kind[which] * blow for which in PARTIAL_KINDS])
+        bound.append([kinds[which][i] * blow for which in PARTIAL_KINDS])
     bound = np.array(bound)[:, None, :]
     margins = _normalized(bound - observed, bound)
     return AuditResult("partials", _PARTIAL_IDS, _PARTIAL_RADII, margins, DERIVATIVE_TOL)
@@ -400,20 +420,19 @@ def check_means_partials(
     """
     norm = lp_norm(f, hp.p)
     u = poisson_extension(params, f, nodes)
-    eminus = np.exp(-1j * circle_nodes(MEANS_THETAS))
     # radial and angular central differences on the twelve stencil rings,
     # then the exact polar chain rule for the Wirtinger pair
     ur, ut = _polar(u, _MEANS_STENCILS, MEANS_THETAS)
     r = np.array(R_GRID)[:, None]
-    uz = 0.5 * eminus * (ur - 1j * ut / r)
-    uzb = 0.5 * np.conj(eminus) * (ur + 1j * ut / r)
+    uz = 0.5 * _MEANS_EMINUS * (ur - 1j * ut / r)
+    uzb = 0.5 * np.conj(_MEANS_EMINUS) * (ur + 1j * ut / r)
     # (radius, partial) in the order of PARTIAL_KINDS, one mean per ring
     observed = p_mean(np.stack((ur, ut, uz, uzb), axis=1), hp.p)
+    kinds = {which: bnd.means_constant(params, which, R_GRID, CONSTANT_NODES) for which in bnd.KINDS}
     bound = []
-    for r in R_GRID:
+    for i, r in enumerate(R_GRID):
         blow = norm / (1.0 - r * r)
-        kind = {which: bnd.means_constant(params, which, r, CONSTANT_NODES) for which in bnd.KINDS}
-        bound.append([kind[which] * blow for which in PARTIAL_KINDS])
+        bound.append([kinds[which][i] * blow for which in PARTIAL_KINDS])
     bound = np.array(bound)
     margins = _normalized(bound - observed, bound)
     return AuditResult("means_partials", _RING_PARTIAL_IDS, _RING_PARTIAL_RADII, margins, DERIVATIVE_TOL)

@@ -16,6 +16,11 @@ once per process, on break points placed by one rule.  kernel_moment keeps
 rule, phase (x, y) and radius, so a moment takes one exp per node, in one
 pass over every node of its rule.  A moment at a new radius costs one
 table build, which no report minds: a report asks for two radii, r and 1.
+distortion_constant, partial_constant and means_constant also take a
+tuple of radii (not "sup") and return a tuple: the moments of all its
+radii at one phase are one kernel_moment call, one pass of the rule, and
+each radius's value is the float a call at that radius alone returns.
+The audit asks for each constant at all of its grid radii this way.
 
 Wherever a closed form exists alongside a defining integral, both are
 computed; BoundReport.add_pair writes them as X and X_quadrature and notes,
@@ -146,6 +151,29 @@ class BoundReport:
 
 def _radius(r) -> float:
     return 1.0 if r == SUP else float(r)
+
+
+def _radii(r) -> tuple:
+    """The radii r names: one radius or "sup", or a tuple of radii.  A
+    tuple may not hold "sup", whose constants take other phases."""
+    if not isinstance(r, tuple):
+        return (r,)
+    if not r or SUP in r:
+        raise ParameterError(f'a tuple of radii holds one number or more, got {r}; ask for "sup" alone')
+    return r
+
+
+def _moments(m, k, off, amp, r, x, nodes) -> tuple:
+    """oscillatory_moment at phase x, y = 0, at each radius of r (_radii):
+    the radii of a tuple in one call, one pass of its rule."""
+    if isinstance(r, tuple):
+        return oscillatory_moment(m, k, off, amp, tuple(map(float, r)), x, 0.0, nodes)
+    return (oscillatory_moment(m, k, off, amp, _radius(r), x, 0.0, nodes),)
+
+
+def _shaped(r, values):
+    """values, one per radius of r: a tuple for a tuple r, else the one value."""
+    return tuple(values) if isinstance(r, tuple) else values[0]
 
 
 # the base weighted by (off + amp |cos(s - x)|)^k: the kernel moment itself,
@@ -401,25 +429,30 @@ def distortion_up_quadrature(params: AlphaBeta, hp: HolderPair, nodes: int = DEF
     return 2.0 * integrate(lambda t: (4.0 * np.sin(0.5 * t) ** 2) ** mb, 0.0, math.pi, nodes // 2)
 
 
-def distortion_constant(params: AlphaBeta, hp: HolderPair, r=SUP, nodes: int = DEFAULT_NODES) -> float:
-    """Distortion coefficient B(r) with |Du| <= B(r) (1-r^2)^(-1-1/p) ||f||_p."""
+def distortion_constant(params: AlphaBeta, hp: HolderPair, r=SUP, nodes: int = DEFAULT_NODES):
+    """Distortion coefficient B(r) with |Du| <= B(r) (1-r^2)^(-1-1/p) ||f||_p.
+
+    A float for one radius r or "sup"; a tuple for a tuple of radii, whose
+    moments are taken in one call per phase."""
     a, b = params.alpha, params.beta
     if not b > -1.0:
         raise ParameterError(f"distortion estimate requires beta > -1, got {b}")
-    rr = _radius(r)
+    radii = _radii(r)
+    values = []
     if hp.q_is_inf:
-        growth = (1.0 + rr) ** (2.0 * b + 2.0)
-        return 2.0 * abs(params.c_norm) * growth * (abs(b + 1.0) + abs(a) * rr)
+        for rr in map(_radius, radii):
+            growth = (1.0 + rr) ** (2.0 * b + 2.0)
+            values.append(2.0 * abs(params.c_norm) * growth * (abs(b + 1.0) + abs(a) * rr))
+        return _shaped(r, values)
     q, gap, mb = hp.q, abs(b - a), _up_exponent(params, hp)
     # max of the oscillatory moment over the phase; both endpoint
     # candidates are evaluated, which covers every exponent regime
-    vmax = max(
-        oscillatory_moment(mb, q, gap * math.pi, gap + 1.0, rr, x, 0.0, nodes)
-        for x in (0.0, -0.5 * math.pi)
-    )
+    candidates = [_moments(mb, q, gap * math.pi, gap + 1.0, r, x, nodes) for x in (0.0, -0.5 * math.pi)]
     pref = 2.0 * abs(params.c_norm) / (2.0 * math.pi) ** (1.0 / q)
-    pterm = q * abs(a * rr + b + 1.0) ** (q - 1.0) * abs(a) * rr
-    return pref * (pterm * distortion_up(params, hp) + abs(b + 1.0) ** q * vmax)
+    for rr, vmax in zip(map(_radius, radii), map(max, *candidates)):
+        pterm = q * abs(a * rr + b + 1.0) ** (q - 1.0) * abs(a) * rr
+        values.append(pref * (pterm * distortion_up(params, hp) + abs(b + 1.0) ** q * vmax))
+    return _shaped(r, values)
 
 
 # ---------------------------------------------------------------------------
@@ -452,36 +485,45 @@ def _radial_or_angular(params: AlphaBeta, which: str, r) -> tuple:
     raise ParameterError(f"unknown derivative kind {which!r}")
 
 
-def partial_constant(
-    params: AlphaBeta, hp: HolderPair, which: str, r=SUP, nodes: int = DEFAULT_NODES
-) -> float:
+def partial_constant(params: AlphaBeta, hp: HolderPair, which: str, r=SUP, nodes: int = DEFAULT_NODES):
     """Bound coefficients for |u_r| ('radial'), |u_theta| ('angular'),
     and |u_z|, |u_zbar| ('wirtinger'), all against
-    (1-r^2)^(-1-1/p) ||f||_p."""
+    (1-r^2)^(-1-1/p) ||f||_p.  A float for one radius r or "sup"; a tuple
+    for a tuple of radii, whose moments are taken in one call."""
     s0 = params.sigma
     gap = abs(params.alpha - params.beta)
     absc = abs(params.c_norm)
-    rr = _radius(r)
+    radii = _radii(r)
+    values = []
 
     if hp.q_is_inf:
-        if which == "wirtinger":
-            return absc * _wirtinger_prefactor(params, rr) * (1.0 + rr) ** s0
-        lead, w, _ = _radial_or_angular(params, which, r)
-        return absc * lead * (w + max(s0, gap)) * (1.0 + rr) ** s0
+        for rad in radii:
+            rr = _radius(rad)
+            if which == "wirtinger":
+                values.append(absc * _wirtinger_prefactor(params, rr) * (1.0 + rr) ** s0)
+            else:
+                lead, w, _ = _radial_or_angular(params, which, rad)
+                values.append(absc * lead * (w + max(s0, gap)) * (1.0 + rr) ** s0)
+        return _shaped(r, values)
 
     q = hp.q
     m = _kernel_exponent(params, hp)
     if which == "wirtinger":
-        return absc * _wirtinger_prefactor(params, r) * plain_moment_closed(m, r) ** (1.0 / q)
+        for rad in radii:
+            values.append(absc * _wirtinger_prefactor(params, rad) * plain_moment_closed(m, rad) ** (1.0 / q))
+        return _shaped(r, values)
 
-    lead, w, x = _radial_or_angular(params, which, r)
+    shapes = [_radial_or_angular(params, which, rad) for rad in radii]
+    x = shapes[0][2]
     if r == SUP:
         # oscillatory-maximum threshold: exponent (sigma q - 2)/2 above 1
         # favors aligned phases, below 1 the quarter-turn
         x = 0.0 if s0 * q > 4.0 else 0.5 * math.pi
-    g_mean = oscillatory_moment(m, q, gap, s0, rr, x, 0.0, nodes) / (2.0 * math.pi)
-    coef = q * (w + s0 + gap) ** (q - 1.0) * w
-    return absc * lead * (g_mean + coef * plain_moment_closed(m, r)) ** (1.0 / q)
+    for rad, (lead, w, _), moment in zip(radii, shapes, _moments(m, q, gap, s0, r, x, nodes)):
+        g_mean = moment / (2.0 * math.pi)
+        coef = q * (w + s0 + gap) ** (q - 1.0) * w
+        values.append(absc * lead * (g_mean + coef * plain_moment_closed(m, rad)) ** (1.0 / q))
+    return _shaped(r, values)
 
 
 def partial_angular_diagonal_closed(params: AlphaBeta, hp: HolderPair, r: float) -> float:
@@ -508,28 +550,32 @@ def partial_angular_diagonal_closed(params: AlphaBeta, hp: HolderPair, r: float)
 # integral means of the partial derivatives
 
 
-def means_constant(params: AlphaBeta, which: str, r=SUP, nodes: int = DEFAULT_NODES) -> float:
+def means_constant(params: AlphaBeta, which: str, r=SUP, nodes: int = DEFAULT_NODES):
     """Integral-means coefficients: M_p(r, .) of u_r ('radial'),
     u_theta ('angular'), u_z and u_zbar ('wirtinger') are bounded by
-    constant / (1 - r^2) times ||f||_p, for every p >= 1."""
+    constant / (1 - r^2) times ||f||_p, for every p >= 1.  A float for one
+    radius r or "sup"; a tuple for a tuple of radii, whose moments are
+    taken in one call per phase."""
     a, b = params.alpha, params.beta
-    s0, gap = params.sigma, abs(a - b)
+    s0, gap, absc = params.sigma, abs(a - b), abs(params.c_norm)
     g2 = _half_weight(params)
-    fmean = plain_moment_closed(g2, r)
+    radii = _radii(r)
+    fmeans = [plain_moment_closed(g2, rad) for rad in radii]
     if which == "wirtinger":
-        return abs(params.c_norm) * _wirtinger_prefactor(params, r) * fmean
+        return _shaped(r, [absc * _wirtinger_prefactor(params, rad) * fmean for rad, fmean in zip(radii, fmeans)])
 
-    def trig_mean(rr, x):
-        """(1/2pi) integral of |cos(s - x)| |1 + r e^{-is}|^(alpha+beta) ds."""
-        return oscillatory_moment(g2, 1.0, 0.0, 1.0, rr, x, 0.0, nodes) / (2.0 * math.pi)
+    def trig_means(x):
+        """(1/2pi) integral of |cos(s - x)| |1 + r e^{-is}|^(alpha+beta) ds at each radius."""
+        return [v / (2.0 * math.pi) for v in _moments(g2, 1.0, 0.0, 1.0, r, x, nodes)]
 
-    lead, w, x = _radial_or_angular(params, which, r)
+    shapes = [_radial_or_angular(params, which, rad) for rad in radii]
+    x = shapes[0][2]
     if r == SUP:
         # |cos| weighs the r = 1 base more from alpha + beta = 2 on, |sin| below
-        osc = (s0 + gap) * trig_mean(1.0, 0.0 if a + b >= 2.0 else 0.5 * math.pi)
+        oscs = [(s0 + gap) * v for v in trig_means(0.0 if a + b >= 2.0 else 0.5 * math.pi)]
     else:
-        osc = s0 * trig_mean(float(r), x) + gap * trig_mean(float(r), 0.5 * math.pi - x)
-    return abs(params.c_norm) * lead * (w * fmean + osc)
+        oscs = [s0 * c + gap * s for c, s in zip(trig_means(x), trig_means(0.5 * math.pi - x))]
+    return _shaped(r, [absc * lead * (w * fmean + osc) for (lead, w, _), fmean, osc in zip(shapes, fmeans, oscs)])
 
 
 # ---------------------------------------------------------------------------

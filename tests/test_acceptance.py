@@ -169,15 +169,27 @@ def test_criterion_06_classical_reductions():
     _report(6, f"classical reductions at zero weights (worst {worst:.2e} <= 1e-10)", worst <= 1e-10)
 
 
+# the cases of standard_suite() by check: 100 boundaries, each with 24 grid
+# points, 3 rings, 24 points, 24 x 4 partials and 3 x 4 ring partials
+STANDARD_SUITE_CASES = {
+    "growth": 2_400,
+    "integral_means": 300,
+    "distortion": 2_400,
+    "partials": 9_600,
+    "means_partials": 1_200,
+}
+
+
 def test_criterion_07_inequality_audits():
     results = audit_mod.standard_suite(n_boundaries=100)
-    total = sum(r.cases_total for r in results)
+    counts = {r.name: r.cases_total for r in results}
+    total = sum(counts.values())
     violated = sum(r.cases_violated for r in results)
-    names = ", ".join(f"{r.name}:{r.cases_total}" for r in results)
+    names = ", ".join(f"{name}:{n}" for name, n in counts.items())
     _report(
         7,
         f"standard inequality suite clean ({total} cases over {names}; {violated} violations)",
-        violated == 0 and total > 10_000,
+        violated == 0 and counts == STANDARD_SUITE_CASES and total == 15_900,
     )
 
 

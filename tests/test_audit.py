@@ -517,7 +517,9 @@ class TestSuites:
         for name, where in where_r.items():
 
             def recorded(*args, moment=getattr(bnd, name), where=where, **kwargs):
-                radii.add(args[where])
+                # one radius, or a tuple of radii taken in one call
+                r = args[where]
+                radii.update(r if isinstance(r, tuple) else (r,))
                 return moment(*args, **kwargs)
 
             monkeypatch.setattr(bnd, name, recorded)
@@ -590,11 +592,13 @@ class TestSuites:
     def test_standard_suite_table_traffic(self, monkeypatch):
         # one kernel table per weight pair and one plan per ring set of a
         # pair (growth, integral-means, Cartesian, polar, means-partials):
-        # a 20-boundary batch makes 120 ring calls, 25 of them plan builds,
-        # which sample the 33 radii of a pair once each on the half circle
-        # (11 x 65 + 11 x 257 + 11 x 513 points), no ring at its own phase;
-        # standard_suite() visits its 100 boundaries pair by pair, so it
-        # builds the same 25 plans and makes the rest of its 600 calls hits
+        # a 20-boundary batch makes 100 ring calls, five per boundary, as the
+        # distortion and partials checks share one fold of the Cartesian
+        # rings; 25 of them are plan builds, which sample the 33 radii of a
+        # pair once each on the half circle (11 x 65 + 11 x 257 + 11 x 513
+        # points), no ring at its own phase; standard_suite() visits its 100
+        # boundaries pair by pair, so it builds the same 25 plans and makes
+        # the rest of its 500 calls hits
         points, plans, calls = [], [], []
 
         def kernel(params, w, fn=harmonic.unnormalized_kernel):
@@ -614,7 +618,7 @@ class TestSuites:
         monkeypatch.setattr(harmonic.PoissonExtension, "_circles", circles)
         standard_suite(n_boundaries=20, nodes=1024)
         assert harmonic._kernel_table.cache_info().misses == 5
-        assert (len(plans), len(calls) - len(plans)) == (25, 95)
+        assert (len(plans), len(calls) - len(plans)) == (25, 75)
         assert sum(len(rings) for rings, _ in plans) == 5 * 54
         assert sum(points) == 45_925
         harmonic._kernel_table.cache_clear()
@@ -622,7 +626,7 @@ class TestSuites:
         calls.clear()
         standard_suite()
         assert harmonic._kernel_table.cache_info().misses == 5
-        assert (len(plans), len(calls) - len(plans)) == (25, 575)
+        assert (len(plans), len(calls) - len(plans)) == (25, 475)
 
     def test_warm_table_margins_equal_cold(self, monkeypatch):
         warm = standard_suite(n_boundaries=8, nodes=256)
@@ -630,6 +634,9 @@ class TestSuites:
 
             def cold(*args, check=check, **kwargs):
                 harmonic._kernel_table.cache_clear()
+                harmonic._turn_rows.cache_clear()
+                harmonic._half_roots.cache_clear()
+                audit._boundary_wirtinger.cache_clear()
                 return check(*args, **kwargs)
 
             monkeypatch.setattr(audit, check.__name__, cold)
@@ -673,25 +680,38 @@ class TestSuites:
         assert steps == [((4,), h) for h in audit.RESIDUAL_STEPS]
 
     @pytest.mark.parametrize(
-        "check, constant, calls",
+        "check, constant, where, radii",
         [
-            (check_growth, "growth_constant", 3),
-            (check_distortion, "distortion_constant", 3),
-            (check_partials, "partial_constant", 9),  # three kinds on each ring
-            (check_means_partials, "means_constant", 9),
+            (check_growth, "growth_constant", 2, list(R_GRID)),
+            # the radii of R_GRID in one call, three kinds in three calls
+            (check_distortion, "distortion_constant", 2, [R_GRID]),
+            (check_partials, "partial_constant", 3, [R_GRID] * 3),
+            (check_means_partials, "means_constant", 2, [R_GRID] * 3),
         ],
     )
-    def test_constants_asked_once_per_ring(self, monkeypatch, check, constant, calls):
+    def test_constants_asked_once_per_ring(self, monkeypatch, check, constant, where, radii):
         asked = []
 
         def counted(*args, fn=getattr(bnd, constant), **kwargs):
-            asked.append(args)
+            asked.append(args[where])
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(bnd, constant, counted)
         f = random_boundary(np.random.default_rng(2))
         check(PHH, f, HolderPair.from_p(2.0), nodes=256)
-        assert len(asked) == calls
+        assert asked == radii
+
+    @pytest.mark.parametrize("p", audit.STANDARD_EXPONENTS)
+    @pytest.mark.parametrize("pair", audit.STANDARD_PAIRS)
+    def test_one_call_constants_equal_per_radius_calls(self, pair, p):
+        # the checks take each constant at all of R_GRID in one call: a
+        # tuple with the bits of the public call at each radius alone
+        params, hp, nodes = make_params(*pair), HolderPair.from_p(p), audit.CONSTANT_NODES
+        constants = [lambda r: bnd.distortion_constant(params, hp, r, nodes)]
+        constants += [lambda r, w=w: bnd.partial_constant(params, hp, w, r, nodes) for w in bnd.KINDS]
+        constants += [lambda r, w=w: bnd.means_constant(params, w, r, nodes) for w in bnd.KINDS]
+        for constant in constants:
+            assert constant(R_GRID) == tuple(constant(r) for r in R_GRID)
 
     def test_merge(self):
         rng = np.random.default_rng(1)

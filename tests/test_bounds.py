@@ -753,6 +753,32 @@ class TestKernelMoments:
             distortion_up_quadrature(make_params(0.3, -0.2), HolderPair.from_p(2.0), nodes)
 
 
+class TestRadiusTuples:
+    HP = HolderPair.from_p(3.0)
+    PARAMS = make_params(0.3, -0.2)
+
+    def constants(self):
+        yield lambda r: distortion_constant(self.PARAMS, self.HP, r, 2048)
+        for which in bnd.KINDS:
+            yield lambda r, w=which: partial_constant(self.PARAMS, self.HP, w, r, 2048)
+            yield lambda r, w=which: means_constant(self.PARAMS, w, r, 2048)
+
+    def test_a_tuple_gives_a_tuple_of_the_single_radius_values(self):
+        # radii on both sides of 0.9 and 1.0, which is not "sup"
+        radii = (0.95, 0.3, 1.0, 0.3)
+        for constant in self.constants():
+            got = constant(radii)
+            assert type(got) is tuple and got == tuple(constant(r) for r in radii)
+            assert type(constant(0.3)) is float
+
+    @pytest.mark.parametrize("radii", [(), (0.3, SUP)])
+    def test_a_tuple_without_radii_or_with_sup_raises(self, radii):
+        # "sup" takes other phases than 1.0: it is asked for alone
+        for constant in self.constants():
+            with pytest.raises(ParameterError, match="tuple of radii"):
+                constant(radii)
+
+
 class TestNonFiniteFlags:
     def test_nan_pair_is_flagged(self):
         rep = BoundReport()

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from abharmonic import harmonic
+from abharmonic import audit, harmonic
 from abharmonic._quad import circle_nodes
 from abharmonic.audit import STANDARD_PAIRS, Z_GRID, random_boundary
 from abharmonic.boundary import from_fourier, from_samples
@@ -1001,6 +1001,40 @@ class TestKernelTable:
             for arr in (plan.index, *(block for _, block, _ in plan.groups)):
                 with pytest.raises(ValueError):
                     arr.flat[0] = 0
+
+    def test_turn_factors_kept_read_only(self):
+        # the turn factors of a phase tuple and size, and the half-circle
+        # roots of a size, are kept once per process, whatever sequence
+        # names the phases, and nobody may write them: every weight pair's
+        # plans share them
+        harmonic._turn_rows.cache_clear()
+        first = harmonic._turns([0.37, -1.2], 256)
+        assert harmonic._turns(np.array([0.37, -1.2]), 256) is first
+        assert harmonic._turns((0.37, -1.2), 128) is not first
+        assert harmonic._turn_rows.cache_info()[:2] == (1, 2)
+        roots = harmonic._half_roots(256)
+        assert harmonic._half_roots(256) is roots and roots.shape == (129,)
+        for kept in (first, roots):
+            with pytest.raises(ValueError):
+                kept[..., 0] = 0.0
+
+    @pytest.mark.parametrize("nodes", [256, 1024])
+    def test_plan_on_warm_turns_has_the_cold_bits(self, nodes):
+        # the audit's Cartesian rings of (0.3, -0.2), from the turn factors
+        # and roots an earlier plan left in the caches, are the bits of a
+        # plan built on empty ones
+        rings, params = audit._CARTESIAN_RINGS, make_params(0.3, -0.2)
+        harmonic._turn_rows.cache_clear()
+        harmonic._half_roots.cache_clear()
+        cold = harmonic._RingPlan(params, rings, 4, nodes, harmonic._KernelTable())
+        assert harmonic._turn_rows.cache_info().hits == 0
+        warm = harmonic._RingPlan(params, rings, 4, nodes, harmonic._KernelTable())
+        assert harmonic._turn_rows.cache_info().hits > 0
+        assert cold.index.tobytes() == warm.index.tobytes()
+        assert len(cold.groups) == len(warm.groups)
+        for (at, block, cols), (warm_at, warm_block, warm_cols) in zip(cold.groups, warm.groups):
+            assert (at, cols) == (warm_at, warm_cols)
+            assert block.tobytes() == warm_block.tobytes()
 
     def test_byte_budget_evicts_the_oldest(self, monkeypatch):
         # room for three 256-sample rings (at 256 nodes and 64 angles each

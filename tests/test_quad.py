@@ -277,6 +277,35 @@ def test_kernel_moment_gives_piecewise_bits(breaks, r, nodes):
         assert (after.hits + after.misses) - (before.hits + before.misses) == 1
 
 
+# radii of one break set each: the trapezoid grid at k = 0 (or the kinks
+# alone at k != 0) up to 0.9, the base minimum too above it
+STACKED_RADII = {False: (0.0, 0.3, 0.6, 0.9, 0.6), True: (0.95, 0.99, 1.0)}
+
+
+@pytest.mark.parametrize("nodes", [64, 2048, DEFAULT_NODES])
+@pytest.mark.parametrize("k", [0, 1, 4.0 / 3.0, 2])
+@pytest.mark.parametrize("far", [False, True])
+def test_stacked_radii_give_the_single_radius_bits(far, k, nodes):
+    # one pass over the stacked rows of a tuple of radii gives each radius
+    # the bits of its own call, repeated radii included
+    x, y = 0.7, -0.4
+    breaks = ((x + HALF_PI, x + 3.0 * HALF_PI) if k != 0 else ()) + ((y + math.pi,) if far else ())
+    radii = STACKED_RADII[far]
+    for m in (-0.3, 0.37, 2.5):
+        alone = tuple(_quad._kernel_moment(m, k, 0.2, 1.5, r, x, y, breaks, nodes) for r in radii)
+        assert _quad._kernel_moment(m, k, 0.2, 1.5, radii, x, y, breaks, nodes) == alone
+
+
+def test_kernel_moment_of_a_radius_tuple():
+    # radii on both sides of 0.9, in any order: one pass per break set, and
+    # a tuple of the single-radius moments in the order given
+    radii = (0.95, 0.3, 1.0, 0.6, 0.3)
+    for k in (0, 1, 2):
+        got = kernel_moment(0.37, k, 0.2, 1.5, radii, 0.7, -0.4, 2048)
+        assert type(got) is tuple
+        assert got == tuple(kernel_moment(0.37, k, 0.2, 1.5, r, 0.7, -0.4, 2048) for r in radii)
+
+
 # the oracle grid: m in (-0.49, 10), each k of the distortion, partial and
 # lemma moments and their k = 0 and 1 branches, radii up to the r = 1 limit
 ORACLE_RADII = [0.0, 0.3, 0.6, 0.9, 0.95, 1.0]
@@ -392,8 +421,11 @@ CACHES = {
     "_quad._tanh_sinh_rule",
     "_quad._moment_rule",
     "_quad.kernel_moment",
+    "audit._boundary_wirtinger",
     "bounds.plain_moment_closed",
+    "harmonic._half_roots",
     "harmonic._kernel_table",
+    "harmonic._turn_rows",
     "cli._parser",
 }
 
